@@ -363,9 +363,7 @@ func BenchmarkFleetRebalance(b *testing.B) {
 	for _, jobs := range []int{4, 16} {
 		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
 			tr := sc.TraceWith(1, trace.ScenarioOpts{Base: 4 * jobs})
-			// Speculation off: this row pins the foreground rebalance cost;
-			// the prefetch layer has its own row (BenchmarkReplanSpeculative).
-			svc := sailor.NewService(sailor.ServiceConfig{Workers: 1, WithoutSpeculation: true})
+			svc := sailor.NewService(sailor.ServiceConfig{Workers: 1})
 			for i := 0; i < jobs; i++ {
 				if err := svc.OpenJob(fmt.Sprintf("job-%d", i), sailor.OPT350M(),
 					[]core.GPUType{core.A100}, jobs-i); err != nil {
@@ -387,13 +385,14 @@ func BenchmarkFleetRebalance(b *testing.B) {
 }
 
 // BenchmarkFleetRebalanceCold measures the cold fleet admission pass the
-// partitioned rebalance targets: one op = reopen one job per GPU type
+// rebalance pre-search targets: one op = reopen one job per GPU type
 // (dropping warm caches and leases), reset the ledger, and run a single
 // Rebalance that admits all jobs from scratch. The jobs declare disjoint
-// single-type quotas, so the partitioned path searches them concurrently;
-// the sequential variant pins the original one-goroutine admission loop.
-// Plans and ledger trajectory are byte-identical across variants (asserted
-// by TestRebalancePartitionedDeterminism); only wall-clock changes.
+// single-type quotas, so Rebalance pre-searches them concurrently on
+// however many planner slots are idle; with one slot at most one runs
+// ahead and the rest search in turn. Plans and ledger trajectory are
+// byte-identical across variants (asserted by
+// TestRebalancePartitionedDeterminism); only wall-clock changes.
 func BenchmarkFleetRebalanceCold(b *testing.B) {
 	types := []core.GPUType{core.A100, core.V100, core.RTX3090, core.T4}
 	pool := cluster.NewPool()
@@ -404,7 +403,7 @@ func BenchmarkFleetRebalanceCold(b *testing.B) {
 		name string
 		cfg  sailor.ServiceConfig
 	}{
-		{"jobs=4/sequential", sailor.ServiceConfig{Workers: 1, MaxConcurrent: 1, SequentialRebalance: true}},
+		{"jobs=4/max-concurrent=1", sailor.ServiceConfig{Workers: 1, MaxConcurrent: 1}},
 		{fmt.Sprintf("jobs=4/max-concurrent=%d", goruntime.NumCPU()),
 			sailor.ServiceConfig{Workers: 1, MaxConcurrent: goruntime.NumCPU()}},
 	} {
@@ -469,15 +468,13 @@ func BenchmarkReplanCold(b *testing.B) {
 // from the previously chosen plan. The chosen plans are identical to the
 // cold run's (asserted in internal/planner's warm tests); only the search
 // cost drops — the acceptance target is >= 2x over BenchmarkReplanCold.
-// The delta-scoped probe is disabled so the row keeps measuring the plain
-// warm path (BenchmarkReplanIncremental measures the probe).
 func BenchmarkReplanWarm(b *testing.B) {
 	cfg := model.OPT350M()
 	s, _ := benchLab(b, cfg, core.A100)
 	pools := replanPools(b)
 	pl := planner.New(cfg, s, planner.Options{
 		Objective: core.MaxThroughput, Heuristics: planner.AllHeuristics(),
-		Warm: planner.NewWarmCache(), DisableIncremental: true,
+		Warm: planner.NewWarmCache(),
 	})
 	var hits, explored int
 	b.ResetTimer()
@@ -497,49 +494,6 @@ func BenchmarkReplanWarm(b *testing.B) {
 	b.ReportMetric(float64(len(pools)), "replans/op")
 	b.ReportMetric(float64(hits), "cache-hits/op")
 	b.ReportMetric(float64(explored), "explored/op")
-}
-
-// BenchmarkReplanIncremental measures the delta-scoped incremental replan
-// path: one op = a descent of one-zone single-GPU shrinks, each replanned
-// against the memo of the search one step earlier. The warm cache is
-// re-seeded off the clock every op, so no step ever finds its exact keys
-// cached and every step exercises the probe rather than a plain warm hit.
-// Plans are bit-identical to cold searches (TestIncrementalReplanOracle);
-// only the search cost drops.
-func BenchmarkReplanIncremental(b *testing.B) {
-	cfg := model.OPT350M()
-	s, _ := benchLab(b, cfg, core.A100)
-	base, steps := experiments.ReplanDescent()
-	b.Run("delta=1zone", func(b *testing.B) {
-		b.ReportAllocs()
-		var hits, explored int
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			pl := planner.New(cfg, s, planner.Options{
-				Objective: core.MaxThroughput, Heuristics: planner.AllHeuristics(),
-				Workers: 1, Warm: planner.NewWarmCache(),
-			})
-			res, err := pl.Plan(base)
-			if err != nil {
-				b.Fatal(err)
-			}
-			prev := res.Plan
-			hits, explored = 0, 0
-			b.StartTimer()
-			for _, pool := range steps {
-				res, err := pl.Replan(prev, pool)
-				if err != nil {
-					b.Fatal(err)
-				}
-				prev = res.Plan
-				hits += res.CacheHits
-				explored += res.Explored
-			}
-		}
-		b.ReportMetric(float64(len(steps)), "replans/op")
-		b.ReportMetric(float64(hits), "cache-hits/op")
-		b.ReportMetric(float64(explored), "explored/op")
-	})
 }
 
 // BenchmarkReplanSpeculative measures the zero-latency serving path: a

@@ -15,7 +15,8 @@
 //	sailor-bench -validate BENCH_planner.json # schema-check a document
 //	sailor-bench -compare new.json -baseline BENCH_planner.json
 //	                                         # CI gate: fail on allocs/op
-//	                                         # regressions > 10%
+//	                                         # regressions > 10% or any
+//	                                         # explored/cache_hits change
 package main
 
 import (
@@ -63,7 +64,7 @@ func main() {
 		if err := compareBenchJSON(*compare, *baseline, 0.10, os.Stdout); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%s vs %s: allocs/op within the gate\n", *compare, *baseline)
+		fmt.Printf("%s vs %s: allocs/op within the gate, explored and cache_hits identical\n", *compare, *baseline)
 		return
 	}
 	if *jsonOut {

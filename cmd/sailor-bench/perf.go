@@ -132,11 +132,9 @@ func runPerfSuite(workers int) (benchDoc, error) {
 		}
 		return hits, explored, nil
 	}
-	// The delta-scoped probe is disabled so this row keeps measuring the
-	// plain warm path (replan_incremental below measures the probe).
 	warmPl := planner.New(*cfg, ev, planner.Options{
 		Objective: core.MaxThroughput, Heuristics: planner.AllHeuristics(),
-		Workers: workers, Warm: planner.NewWarmCache(), DisableIncremental: true,
+		Workers: workers, Warm: planner.NewWarmCache(),
 	})
 	if _, _, err := warmChain(warmPl); err != nil { // populate the cache
 		return doc, err
@@ -154,56 +152,6 @@ func runPerfSuite(workers int) (benchDoc, error) {
 		}
 	})
 	doc.Benches = append(doc.Benches, row("replan_warm/preemption-storm", r, explored, hits))
-
-	// Delta-scoped incremental replans: a descent of one-zone single-GPU
-	// shrinks, each replanned against the memo of the search one step
-	// earlier. The warm cache is re-seeded off the clock every op, so no
-	// step ever finds its exact keys cached — every step exercises the
-	// probe, not a plain warm hit.
-	incBase, incSteps := experiments.ReplanDescent()
-	incChain := func(pl *planner.Planner, prev core.Plan) (hits, explored int, err error) {
-		for _, pool := range incSteps {
-			res, err := pl.Replan(prev, pool)
-			if err != nil {
-				return 0, 0, err
-			}
-			prev = res.Plan
-			hits += res.CacheHits
-			explored += res.Explored
-		}
-		return hits, explored, nil
-	}
-	mkInc := func() (*planner.Planner, core.Plan, error) {
-		pl := planner.New(*cfg, ev, planner.Options{
-			Objective: core.MaxThroughput, Heuristics: planner.AllHeuristics(),
-			Workers: workers, Warm: planner.NewWarmCache(),
-		})
-		res, err := pl.Plan(incBase)
-		return pl, res.Plan, err
-	}
-	probePl, probePrev, err := mkInc()
-	if err != nil {
-		return doc, err
-	}
-	incHits, incExplored, err := incChain(probePl, probePrev)
-	if err != nil {
-		return doc, err
-	}
-	r = testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			pl, prev, err := mkInc()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			if _, _, err := incChain(pl, prev); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	doc.Benches = append(doc.Benches, row("replan_incremental/delta=1zone", r, incExplored, incHits))
 
 	// Speculative serving: a diurnal-wave replan chain through a Service
 	// whose forecaster has locked onto the cycle, so every measured replan
@@ -318,9 +266,7 @@ func runPerfSuite(workers int) (benchDoc, error) {
 	// order and Rebalance replans the broken jobs warm in priority order.
 	for _, jobs := range []int{4, 16} {
 		fleetTrace := sc.TraceWith(1, trace.ScenarioOpts{Base: 4 * jobs})
-		// Speculation off: these rows pin the foreground rebalance cost;
-		// the prefetch layer has its own row (replan_speculative above).
-		fleetSvc := sailor.NewService(sailor.ServiceConfig{Workers: 1, WithoutSpeculation: true})
+		fleetSvc := sailor.NewService(sailor.ServiceConfig{Workers: 1})
 		for i := 0; i < jobs; i++ {
 			if err := fleetSvc.OpenJob(fmt.Sprintf("fleet-%d", i), sailor.OPT350M(),
 				[]core.GPUType{core.A100}, jobs-i); err != nil {
@@ -348,10 +294,10 @@ func runPerfSuite(workers int) (benchDoc, error) {
 	// Cold fleet admission: one op = reopen one job per GPU type (dropping
 	// every warm cache and lease), reset the ledger to a four-type pool,
 	// and run a single Rebalance pass that admits all four from scratch.
-	// The disjoint single-type quotas make every candidate solo, so the
-	// partitioned rebalance searches them concurrently (MaxConcurrent =
-	// workers); at workers=1 this is the sequential baseline the committed
-	// trajectory pins.
+	// The disjoint single-type quotas make every candidate solo, so
+	// Rebalance pre-searches them concurrently on idle planner slots
+	// (MaxConcurrent = workers); at workers=1 the searches run one at a
+	// time, the baseline the committed trajectory pins.
 	coldTypes := []core.GPUType{core.A100, core.V100, core.RTX3090, core.T4}
 	coldPool := cluster.NewPool()
 	for _, g := range coldTypes {
@@ -430,10 +376,12 @@ func writeBenchJSON(path string, workers, count int, log io.Writer) error {
 
 // compareBenchJSON is the CI perf gate: for every row the baseline and the
 // candidate share, allocs/op may not regress by more than maxGrowth
-// (allocation counts are deterministic, so this is a real gate even on
-// shared runners); ns/op deltas are printed but only informational.
-// Rows present in one document only are reported and skipped, so adding
-// or retiring a bench never trips the gate.
+// (allocation counts are deterministic up to scheduling, so this is a real
+// gate even on shared runners), and the planner's explored and cache_hits
+// counters — search work, a pure function of the code — must be identical;
+// ns/op deltas are printed but only informational. Rows present in one
+// document only are reported and skipped, so adding or retiring a bench
+// never trips the gate.
 func compareBenchJSON(newPath, basePath string, maxGrowth float64, w io.Writer) error {
 	load := func(path string) (map[string]benchResult, []string, error) {
 		raw, err := os.ReadFile(path)
@@ -476,8 +424,13 @@ func compareBenchJSON(newPath, basePath string, maxGrowth float64, w io.Writer) 
 			failures = append(failures, fmt.Sprintf("%s: allocs/op %d -> %d (%+.1f%%, limit %+.0f%%)",
 				name, o.AllocsPerOp, n.AllocsPerOp, 100*allocsDelta, 100*maxGrowth))
 		}
-		fmt.Fprintf(w, "%-36s allocs/op %8d -> %8d (%+6.1f%%) %s  [ns/op %+.1f%%, informational]\n",
-			name, o.AllocsPerOp, n.AllocsPerOp, 100*allocsDelta, verdict, 100*nsDelta)
+		if n.Explored != o.Explored || n.CacheHits != o.CacheHits {
+			verdict = "FAIL"
+			failures = append(failures, fmt.Sprintf("%s: explored %d -> %d, cache_hits %d -> %d (must be identical)",
+				name, o.Explored, n.Explored, o.CacheHits, n.CacheHits))
+		}
+		fmt.Fprintf(w, "%-36s allocs/op %8d -> %8d (%+6.1f%%)  explored %d cache_hits %d  %s  [ns/op %+.1f%%, informational]\n",
+			name, o.AllocsPerOp, n.AllocsPerOp, 100*allocsDelta, n.Explored, n.CacheHits, verdict, 100*nsDelta)
 	}
 	for name := range base {
 		if _, ok := cand[name]; !ok {
@@ -485,7 +438,7 @@ func compareBenchJSON(newPath, basePath string, maxGrowth float64, w io.Writer) 
 		}
 	}
 	if len(failures) > 0 {
-		return fmt.Errorf("allocs/op regression:\n  %s", strings.Join(failures, "\n  "))
+		return fmt.Errorf("planner perf gate:\n  %s", strings.Join(failures, "\n  "))
 	}
 	return nil
 }

@@ -90,7 +90,6 @@ type fleetStep struct {
 	CapacityGPUs int                  `json:"capacity_gpus"`
 	FreeGPUs     int                  `json:"free_gpus"`
 	Broken       []string             `json:"broken,omitempty"`
-	SpecHits     int                  `json:"spec_hits,omitempty"`
 	Rebalance    []wire.RebalanceStep `json:"rebalance"`
 	Leases       []leaseRow           `json:"leases"`
 }
@@ -335,16 +334,10 @@ func replayViaServer(addr, job string, m sailor.Model, gpus []sailor.GPUType, tr
 // leaseless job — warm where it deployed before — in priority order. The
 // safety invariant (leased capacity never exceeds fleet capacity) is
 // asserted after every step.
-// The replay quiesces the service's speculation layer between applying a
-// step's events and rebalancing, and pins MaxConcurrent, so the prefetches
-// a FleetEvent launches always resolve (and always find an idle planner
-// slot) before the Rebalance they predict — the ledger, including each
-// step's spec_hits count, is a deterministic function of the trace alone.
 func replayFleet(m sailor.Model, gpus []sailor.GPUType, tr *sailor.Trace, jobs, cap, workers int) (*fleetDoc, error) {
 	ledger := sailor.NewLedger(sailor.NewPool())
 	ledger.SetJobCap(cap)
-	svc := sailor.NewService(sailor.ServiceConfig{Workers: workers, MaxConcurrent: 16, Fleet: ledger})
-	defer svc.Quiesce()
+	svc := sailor.NewService(sailor.ServiceConfig{Workers: workers, Fleet: ledger})
 	for i := 0; i < jobs; i++ {
 		if err := svc.OpenJob(fmt.Sprintf("job-%d", i), m, gpus, jobs-i); err != nil {
 			return nil, err
@@ -382,22 +375,11 @@ func replayFleet(m sailor.Model, gpus []sailor.GPUType, tr *sailor.Trace, jobs, 
 				step.Broken = append(step.Broken, b.Job)
 			}
 		}
-		// Drain the prefetches the events above launched before the
-		// rebalance that may consume them (see the function comment).
-		svc.Quiesce()
 		rsteps, err := svc.Rebalance(ctx)
 		if err != nil {
 			return nil, err
 		}
 		step.Rebalance = rsteps
-		for _, r := range rsteps {
-			// A hit is counted only when the step's plan actually came out
-			// of the speculation cache — the marker the service sets when a
-			// rebalance was answered from a prefetched search.
-			if r.Result != nil && r.Result.SpeculativeHit {
-				step.SpecHits++
-			}
-		}
 		if err := ledger.CheckInvariant(); err != nil {
 			return nil, fmt.Errorf("after step t+%s: %w", at, err)
 		}
@@ -423,7 +405,6 @@ func replayFleet(m sailor.Model, gpus []sailor.GPUType, tr *sailor.Trace, jobs, 
 // byte-identical at any worker count.
 func writeFleetLedger(w io.Writer, fd *fleetDoc) {
 	fmt.Fprintln(w, "fleet reconfiguration ledger:")
-	replans, specHits := 0, 0
 	for i, s := range fd.Steps {
 		fmt.Fprintf(w, "step %3d  t+%-9s events=%d  capacity=%d free=%d",
 			i, time.Duration(s.AtSeconds*float64(time.Second)).Round(time.Second), s.Events,
@@ -441,15 +422,9 @@ func writeFleetLedger(w io.Writer, fd *fleetDoc) {
 				fmt.Fprintf(w, "  %-8s %-7s %s\n", r.Job, r.Action, r.Error)
 			default:
 				res := r.Result
-				replans++
-				spec := ""
-				if res.SpeculativeHit {
-					specHits++
-					spec = "  [spec]"
-				}
-				fmt.Fprintf(w, "  %-8s %-7s gpus=%-3d hits=%-5d explored=%-6d %s%s\n",
+				fmt.Fprintf(w, "  %-8s %-7s gpus=%-3d hits=%-5d explored=%-6d %s\n",
 					r.Job, r.Action, res.Plan.Core().GPUCount(), res.CacheHits, res.Explored,
-					res.Plan.Core(), spec)
+					res.Plan.Core())
 			}
 		}
 		if len(s.Leases) > 0 {
@@ -459,10 +434,6 @@ func writeFleetLedger(w io.Writer, fd *fleetDoc) {
 			}
 			fmt.Fprintf(w, "  leases:  %s\n", strings.Join(parts, "  "))
 		}
-	}
-	if replans > 0 {
-		fmt.Fprintf(w, "speculation: %d/%d rebalances served from prefetch (%.1f%% hit rate)\n",
-			specHits, replans, 100*float64(specHits)/float64(replans))
 	}
 }
 

@@ -94,14 +94,6 @@ type daemon struct {
 // Addr returns the bound listen address.
 func (d *daemon) Addr() net.Addr { return d.srv.Addr() }
 
-// onOff renders a boolean knob for the startup banner.
-func onOff(on bool) string {
-	if on {
-		return "on"
-	}
-	return "off"
-}
-
 // Close drains in-flight requests (speculative prefetches included), logs
 // the session's speculation hit rate, writes the chaos fault log if one
 // was requested, then — in durable mode — rotates a final snapshot so the
@@ -193,21 +185,17 @@ func start(args []string, out io.Writer) (*daemon, error) {
 	dataDir := fs.String("data-dir", "", "durable mode: snapshot+journal state here and recover it on restart")
 	fsync := fs.String("fsync", "always", `journal flush policy: "always" (every record) or "none"`)
 	maxQueue := fs.Int("max-queue", 0, "planner requests queued beyond max-concurrent before shedding with overloaded (0 = 8x max-concurrent, -1 = unbounded)")
-	noSpec := fs.Bool("no-speculation", false, "disable the speculative replan prefetch layer (ablation)")
-	noInc := fs.Bool("no-incremental", false, "disable the planner's delta-scoped incremental replanning probe (ablation)")
 	chaosFile := fs.String("chaos", "", "chaos mode: arm this fault-schedule file against the listener and journal (testing only)")
 	chaosLog := fs.String("chaos-log", "", "chaos mode: write the fault log here on shutdown (needs -chaos)")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
 	cfg := sailor.ServiceConfig{
-		Workers:            *workers,
-		MaxConcurrent:      *maxConcurrent,
-		SystemCacheSize:    *cache,
-		Seed:               *seed,
-		MaxQueued:          *maxQueue,
-		WithoutSpeculation: *noSpec,
-		WithoutIncremental: *noInc,
+		Workers:         *workers,
+		MaxConcurrent:   *maxConcurrent,
+		SystemCacheSize: *cache,
+		Seed:            *seed,
+		MaxQueued:       *maxQueue,
 	}
 
 	var inj *chaos.Injector
@@ -282,8 +270,6 @@ func start(args []string, out io.Writer) (*daemon, error) {
 	go srv.Serve()
 	fmt.Fprintf(out, "listening on %s (wire schema v%d, workers=%d, max-concurrent=%d, cache=%d)\n",
 		srv.Addr(), sailor.WireVersion, *workers, *maxConcurrent, *cache)
-	fmt.Fprintf(out, "speculation: %s, incremental replanning: %s\n",
-		onOff(!*noSpec), onOff(!*noInc))
 	if cfg.Fleet != nil && recovered == nil {
 		fmt.Fprintf(out, "fleet mode: %d GPUs shared, per-job cap %d\n",
 			cfg.Fleet.Capacity().TotalGPUs(), cfg.Fleet.JobCap())

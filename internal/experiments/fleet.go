@@ -46,10 +46,10 @@ func DriveFleetStorm(svc *sailor.Service, tr *trace.Trace, jobCap int) (explored
 // of BENCH_planner.json): reopen one job per GPU type — dropping every
 // warm cache and lease — reset the ledger to the given pool, then run a
 // single Rebalance pass that must admit all jobs from scratch. Because
-// each job declares a single distinct type, the partitioned rebalance path
-// sees every candidate as solo and can search them concurrently; with
-// ServiceConfig.SequentialRebalance the same op measures the one-goroutine
-// baseline. Returns the accumulated planner telemetry.
+// each job declares a single distinct type, Rebalance sees every candidate
+// as solo and pre-searches them concurrently on idle planner slots; with
+// MaxConcurrent 1 the same op measures one search at a time. Returns the
+// accumulated planner telemetry.
 func DriveFleetColdRebalance(svc *sailor.Service, m sailor.Model, types []core.GPUType, pool *cluster.Pool) (explored, hits int, err error) {
 	for i, g := range types {
 		name := fmt.Sprintf("cold-%d", i)

@@ -9,25 +9,6 @@ import (
 	"repro/sailor"
 )
 
-// ReplanDescent returns a two-zone base pool and a chain of availability
-// snapshots in which every step removes one more GPU from exactly one zone
-// — the delta shape that arms the planner's delta-scoped incremental probe
-// on every replan (growth, multi-cell, and repeated pools never arm).
-// Shared by BenchmarkReplanIncremental and the replan_incremental row of
-// BENCH_planner.json.
-func ReplanDescent() (base *cluster.Pool, steps []*cluster.Pool) {
-	zoneA := cluster.GCPZone("us-central1", 'a')
-	zoneB := cluster.GCPZone("us-central1", 'b')
-	base = cluster.NewPool().Set(zoneA, core.A100, 64).Set(zoneB, core.A100, 8)
-	for n := 7; n >= 1; n-- {
-		steps = append(steps, cluster.NewPool().Set(zoneA, core.A100, 64).Set(zoneB, core.A100, n))
-	}
-	for n := 63; n >= 33; n-- {
-		steps = append(steps, cluster.NewPool().Set(zoneA, core.A100, n).Set(zoneB, core.A100, 1))
-	}
-	return base, steps
-}
-
 // DriveSpeculativeReplans is the shared driver of the speculative-replan
 // benchmarks (BenchmarkReplanSpeculative and the replan_speculative row of
 // BENCH_planner.json): replay an availability-pool sequence through one

@@ -40,9 +40,9 @@ package planner
 // so floating-point reassociation can never flip an exact tie, pruning fires
 // only on strict inequality, and it activates only for evaluators declaring
 // the BoundPrunable admissibility property. Options.DisableDominancePruning
-// (sailor.WithoutDominancePruning) turns it off for ablations; like
-// DisableBoundPruning it is excluded from the warm-cache fingerprint because
-// cached entries are pure functions of their keys either way.
+// turns it off for ablations; like DisableBoundPruning it is excluded from
+// the warm-cache fingerprint because cached entries are pure functions of
+// their keys either way.
 
 // initDominance resolves the per-task dominance-bound inputs for one layer
 // partition: the per-stage time floors (folded into suffix sums and suffix

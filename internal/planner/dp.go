@@ -244,36 +244,6 @@ func (t *task) solveDP(rs *regionState, layers []int, i, ri, d, mbs, nb int, bud
 				t.pending[full] = n
 				return n
 			}
-			// Incremental probe (see warm.go): the pool is the previous root
-			// shrunk by incAmt GPUs in incCell, so the state this spent
-			// vector would leave under the previous root is one lane-add
-			// away. A cached entry there is the exact optimum over a
-			// superset of the allocations feasible here: a nil entry proves
-			// infeasibility a fortiori, and a winner whose chain still fits
-			// the shrunk cell is the exact winner here too (every competitor
-			// already lost to it, and node ordering is pool-independent).
-			// The lane add cannot carry: remaining <= current root, so
-			// remaining+incAmt <= previous root's cell, which fit its lane.
-			if t.s.incOn && memoKey.spill == "" {
-				probe := full
-				if t.s.incCell < 4 {
-					probe.key.w0 += uint64(t.s.incAmt) << laneShift(t.s.incCell)
-				} else {
-					probe.key.w1 += uint64(t.s.incAmt) << laneShift(t.s.incCell)
-				}
-				if n, ok := t.s.warmDP[probe]; ok && (n == nil || t.chainFitsShrunkCell(n, rs)) {
-					t.warmHits++
-					t.memoPut(memoKey, n)
-					if t.pending == nil {
-						t.pending = map[warmDPKey]*dpNode{}
-					}
-					// Publish under the exact key of this state: the probed
-					// value is its exact winner, and later replans on this
-					// pool then hit without the fit check.
-					t.pending[full] = n
-					return n
-				}
-			}
 		}
 	}
 	t.explored++
@@ -366,28 +336,6 @@ func (t *task) solveDP(rs *regionState, layers []int, i, ri, d, mbs, nb int, bud
 		}
 	}
 	return best
-}
-
-// chainFitsShrunkCell reports whether a probed chain's total usage of the
-// shrunk (region, type) cell fits the current remaining count. Only that
-// cell needs checking: every other cell's remaining equals the probed
-// state's, which the chain fit when it was computed, and per-cell usage is
-// subtractive so a chain whose totals fit is enumerable step by step.
-func (t *task) chainFitsShrunkCell(n *dpNode, rs *regionState) bool {
-	region := t.s.incCell / len(rs.types)
-	typeIdx := t.s.incCell % len(rs.types)
-	used := 0
-	for cur := n; cur != nil; cur = cur.next {
-		if cur.choice.region != region {
-			continue
-		}
-		for _, g := range cur.choice.groups {
-			if g.typeIdx == typeIdx {
-				used += g.need
-			}
-		}
-	}
-	return used <= rs.count(region, typeIdx)
 }
 
 // solveWithBudget implements the straggler-approximation loop of Listing 1

@@ -122,14 +122,6 @@ type Options struct {
 	// excluded from the warm-cache fingerprint; exists for ablations and
 	// for measuring the dominance filter's effect on Explored.
 	DisableDominancePruning bool
-	// DisableIncremental turns off the delta-scoped incremental probe of
-	// the warm cache's DP memos (see warm.go): with it set, a replan whose
-	// pool is a one-cell shrink of the previous root re-scans every subtree
-	// instead of proving cached entries still win. Exact either way — the
-	// probe serves only provably identical winners — so, like the pruning
-	// knobs, it is excluded from the warm-cache fingerprint and exists for
-	// ablations and for measuring the probe's effect on Explored.
-	DisableIncremental bool
 }
 
 // Result is the planner's output plus search telemetry.
@@ -234,11 +226,9 @@ func (pl *Planner) PlanContext(ctx context.Context, pool *cluster.Pool) (Result,
 // previous plan seeds a fallback incumbent (so a deadline-cut replan is
 // never worse than keeping the old plan, when it still fits the pool), and
 // a configured Options.Warm cache lets the search skip every DP region
-// state an earlier replan already solved — including, when the pool is a
-// small one-cell shrink of the previous one, whole subtrees the delta
-// provably cannot reach (the incremental probe of warm.go). A warm Replan
-// that runs to completion returns exactly the plan cold planning returns
-// on the same pool.
+// state an earlier replan already solved. A warm Replan that runs to
+// completion returns exactly the plan cold planning returns on the same
+// pool.
 func (pl *Planner) Replan(prev core.Plan, pool *cluster.Pool) (Result, error) {
 	return pl.ReplanContext(context.Background(), prev, pool)
 }
@@ -328,9 +318,6 @@ func (pl *Planner) planContext(ctx context.Context, pool *cluster.Pool, seed *ca
 	}
 	if s.warmOn {
 		pl.Opts.Warm.merge(pl.fingerprint(), s.pending, s.pendEst)
-		// Remember this search's root availability: the next replan diffs
-		// its pool against it to arm the incremental memo probe.
-		pl.Opts.Warm.noteRoot(pl.fingerprint(), rs)
 	}
 	// The seed is a fallback, not a competitor: a search that runs to
 	// completion returns exactly what cold planning returns, and the

@@ -47,16 +47,9 @@ type search struct {
 	warmDP   map[warmDPKey]*dpNode
 	warmEst  map[string]core.Estimate
 	warmHits atomic.Int64
-	// Incremental replanning (see warm.go): when the pool is a one-cell
-	// shrink of the previous search's root, incOn arms the dominating-state
-	// memo probe — incCell is the shrunk cell in matrix order and incAmt how
-	// many GPUs it lost. Read-only after bindState, so tasks probe lock-free.
-	incOn   bool
-	incCell int
-	incAmt  int
-	pendMu  sync.Mutex
-	pending map[warmDPKey]*dpNode
-	pendEst map[string]core.Estimate
+	pendMu   sync.Mutex
+	pending  map[warmDPKey]*dpNode
+	pendEst  map[string]core.Estimate
 
 	// mu guards the incumbent. Workers publish candidates through offer's
 	// objective-aware compare-and-swap; ties break on the plan signature,
@@ -122,11 +115,6 @@ func (s *search) bindState(rs *regionState) {
 	s.rs = rs
 	if s.warmOn {
 		s.shape = rs.shape()
-		if !s.pl.Opts.DisableIncremental && rs.wide == nil && rs.cells() <= dpKeyCells {
-			if cell, amt, ok := s.pl.Opts.Warm.deltaFrom(s.pl.fingerprint(), s.shape, rs.counts()); ok {
-				s.incOn, s.incCell, s.incAmt = true, cell, amt
-			}
-		}
 	}
 	s.ratePerSec = make([]float64, len(rs.types))
 	s.nodeCap = make([]int, len(rs.types))

@@ -144,19 +144,6 @@ func (rs *regionState) clone() *regionState {
 	return c
 }
 
-// counts flattens the availability matrix in matrix (cell) order — the
-// root-state vector the warm cache's incremental delta detection compares
-// across replans.
-func (rs *regionState) counts() []int {
-	out := make([]int, 0, rs.cells())
-	for ri := range rs.regions {
-		for ti := range rs.types {
-			out = append(out, rs.count(ri, ti))
-		}
-	}
-	return out
-}
-
 // shape identifies the region/type index layout of the state. Persisted DP
 // memo keys carry it so entries from one pool are only consulted for pools
 // whose counts matrix is indexed identically.

@@ -17,19 +17,6 @@ package planner
 // never change which plan a completed search returns: a warm Replan picks
 // the exact plan cold planning picks on the same pool, only faster.
 //
-// Incremental replanning (delta-scoped search) builds on the DP memos. The
-// memo shape key is count-independent — it names the region/type index
-// layout — and the per-node dpKey packs the absolute remaining counts, so
-// when a replan's pool differs from the previous root by a shrink confined
-// to one (region, type) cell, every memo miss can additionally probe the
-// dominating state one delta away (the counts the same spent vector would
-// leave under the previous root). A cached winner there is the exact
-// optimum over a superset of the feasible allocations; if its chain's
-// usage at the shrunk cell still fits — or the cached entry records
-// infeasibility — it is provably the exact winner for the current state
-// too, and the whole subtree is served without re-scanning. See solveDP;
-// Options.DisableIncremental turns the probe off for ablations.
-//
 // Concurrency and determinism: searches read a copy-on-write snapshot of
 // the DP memo map taken when the search starts and publish their newly
 // computed entries in one merge when they finish. Reads therefore never
@@ -88,12 +75,6 @@ type WarmCache struct {
 	est    map[string]core.Estimate
 	minTP  *minTPCache
 	merges int
-	// lastShape/lastRoot record the previous search's root availability
-	// (shape descriptor + flattened counts matrix), the reference point the
-	// incremental delta detection compares the next pool against (see
-	// deltaFrom and the probe in solveDP).
-	lastShape string
-	lastRoot  []int
 }
 
 // appendEstKey serializes every estimate-relevant field of a plan in replica
@@ -161,14 +142,12 @@ func (w *WarmCache) Clone() *WarmCache {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	return &WarmCache{
-		fp:        w.fp,
-		ev:        w.ev,
-		dp:        w.dp,
-		est:       w.est,
-		minTP:     w.minTP,
-		merges:    w.merges,
-		lastShape: w.lastShape,
-		lastRoot:  w.lastRoot,
+		fp:     w.fp,
+		ev:     w.ev,
+		dp:     w.dp,
+		est:    w.est,
+		minTP:  w.minTP,
+		merges: w.merges,
 	}
 }
 
@@ -229,54 +208,6 @@ func (w *WarmCache) merge(fp string, dp map[warmDPKey]*dpNode, est map[string]co
 		w.est = next
 	}
 	w.merges++
-}
-
-// noteRoot records the root availability a search ran against, so the next
-// search over the same fingerprint can detect a small pool delta and arm
-// the incremental memo probe. Wide or spill-keyed pools are not recorded —
-// the probe rewrites inline-packed key lanes only.
-func (w *WarmCache) noteRoot(fp string, rs *regionState) {
-	if rs.wide != nil || rs.cells() > dpKeyCells {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.fp != fp {
-		return
-	}
-	w.lastShape, w.lastRoot = rs.shape(), rs.counts()
-}
-
-// deltaFrom compares the current root availability against the recorded
-// one. It reports a probe-worthy delta — same shape, exactly one cell
-// shrunk, every other cell unchanged — as (cell index, shrink amount).
-// Growth deltas return false: a cached entry under a smaller root is a
-// feasible candidate but not provably the winner once more resources are
-// in play, so only shrinks admit the dominance argument the probe relies
-// on. An unchanged pool also returns false — exact keys already hit.
-func (w *WarmCache) deltaFrom(fp, shape string, cur []int) (int, int, bool) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	if w.fp != fp || w.lastShape != shape || len(w.lastRoot) != len(cur) {
-		return 0, 0, false
-	}
-	cell, amt := -1, 0
-	for i, c := range cur {
-		switch prev := w.lastRoot[i]; {
-		case prev == c:
-		case prev > c:
-			if cell >= 0 {
-				return 0, 0, false // delta spans more than one cell
-			}
-			cell, amt = i, prev-c
-		default:
-			return 0, 0, false // growth
-		}
-	}
-	if cell < 0 {
-		return 0, 0, false
-	}
-	return cell, amt, true
 }
 
 func hasNewKeys[K comparable, V any](have, pending map[K]V) bool {

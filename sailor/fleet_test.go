@@ -363,19 +363,20 @@ func TestSoloCandidates(t *testing.T) {
 }
 
 // TestRebalancePartitionedDeterminism is the parallel-rebalance acceptance
-// on a fleet where the partitioning actually engages: three jobs on three
+// on a fleet where the pre-search actually engages: three jobs on three
 // disjoint GPU types admit, get preempted, and re-admit. At every pass the
-// partitioned (default) service's step stream and full fleet snapshot —
-// including the ledger version trajectory — must byte-equal the
-// SequentialRebalance service's, at workers=1 and workers=8.
+// default service's step stream and full fleet snapshot — including the
+// ledger version trajectory — must byte-equal those of the reference
+// service that pre-searches nothing (every candidate searches inline at its
+// commit turn), at workers=1 and workers=8.
 func TestRebalancePartitionedDeterminism(t *testing.T) {
 	zone := GCPZone("us-central1", 'a')
 	types := []GPUType{A100, V100, RTX3090}
 	build := func(sequential bool, workers int) *Service {
 		led := NewLedger(NewPool().
 			Set(zone, A100, 16).Set(zone, V100, 16).Set(zone, RTX3090, 16))
-		svc := NewService(ServiceConfig{Workers: workers, MaxConcurrent: 4,
-			Fleet: led, SequentialRebalance: sequential})
+		svc := NewService(ServiceConfig{Workers: workers, MaxConcurrent: 4, Fleet: led})
+		svc.noPreSearch = sequential
 		for i, g := range types {
 			if err := svc.OpenJob(fmt.Sprintf("job-%d", i), OPT350M(),
 				[]GPUType{g}, len(types)-i); err != nil {
@@ -426,10 +427,10 @@ func TestRebalancePartitionedDeterminism(t *testing.T) {
 }
 
 // TestFleetScenarioSequentialParity replays both fleet golden scenarios
-// (the contending jobs all share one GPU type, so the partitioned pass must
-// detect the conflict and fall back) at workers=1 and workers=8: the step
+// (the contending jobs all share one GPU type, so the pass must detect the
+// conflict and pre-search nothing) at workers=1 and workers=8: the step
 // streams and fleet snapshots of the default service must byte-equal the
-// SequentialRebalance service's after every event batch.
+// no-pre-search reference's after every event batch.
 func TestFleetScenarioSequentialParity(t *testing.T) {
 	cases := []struct {
 		scenario string
@@ -450,8 +451,8 @@ func TestFleetScenarioSequentialParity(t *testing.T) {
 				build := func(sequential bool) *Service {
 					led := NewLedger(NewPool())
 					led.SetJobCap(cap)
-					svc := NewService(ServiceConfig{Workers: workers, MaxConcurrent: 4,
-						Fleet: led, SequentialRebalance: sequential})
+					svc := NewService(ServiceConfig{Workers: workers, MaxConcurrent: 4, Fleet: led})
+					svc.noPreSearch = sequential
 					for i := 0; i < tc.jobs; i++ {
 						if err := svc.OpenJob(fmt.Sprintf("job-%d", i), OPT350M(),
 							sc.GPUs, tc.jobs-i); err != nil {
@@ -527,5 +528,103 @@ func TestFleetConcurrentTenantsShareLedger(t *testing.T) {
 	}
 	if err := led.CheckInvariant(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRebalanceDoesNotShedItself is the regression for Rebalance shedding
+// its own candidates: four jobs on disjoint GPU types are all pre-searchable,
+// and with one planner slot and a one-deep wait queue the pre-searches used
+// to fill the admission queue themselves, leaving two jobs waiting on
+// ErrOverloaded. A pre-search that finds no idle slot must instead search
+// inline at its commit turn: all four admit, nothing counts as shed, and
+// the steps equal the no-pre-search reference's.
+func TestRebalanceDoesNotShedItself(t *testing.T) {
+	zone := GCPZone("us-central1", 'a')
+	types := []GPUType{A100, V100, RTX3090, T4}
+	run := func(noPreSearch bool) (string, ServiceStats) {
+		pool := NewPool()
+		for _, g := range types {
+			pool.Set(zone, g, 16)
+		}
+		svc := NewService(ServiceConfig{Workers: 1, MaxConcurrent: 1, MaxQueued: 1, Fleet: NewLedger(pool)})
+		svc.noPreSearch = noPreSearch
+		for i, g := range types {
+			if err := svc.OpenJob(fmt.Sprintf("job-%d", i), OPT350M(), []GPUType{g}, len(types)-i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		steps, err := svc.Rebalance(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range steps {
+			if s.Action != "admit" {
+				t.Errorf("noPreSearch=%v: job %s: action %q (%s), want admit", noPreSearch, s.Job, s.Action, s.Error)
+			}
+		}
+		st, err := svc.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return canonicalSteps(t, steps), st
+	}
+	got, st := run(false)
+	want, _ := run(true)
+	if got != want {
+		t.Errorf("steps diverged from the no-pre-search reference:\n%s\nvs\n%s", got, want)
+	}
+	if st.Overloaded != 0 {
+		t.Errorf("Overloaded = %d, want 0: Rebalance shed its own candidates", st.Overloaded)
+	}
+}
+
+// TestFleetModeNeverSpeculates drives the preemption-storm trace through a
+// three-job fleet and asserts the speculation layer stays out of it: no
+// rebalance step is marked SpeculativeHit and, once Quiesce has drained
+// whatever prefetch a fleet event or replan might have launched, every
+// spec_* counter still reads zero — nothing was consulted or precomputed,
+// so Quiesce had nothing to wait for.
+func TestFleetModeNeverSpeculates(t *testing.T) {
+	sc, ok := ScenarioByName("preemption-storm")
+	if !ok {
+		t.Fatal("preemption-storm not registered")
+	}
+	led := NewLedger(NewPool())
+	led.SetJobCap(sc.Defaults.Base / 2)
+	svc := NewService(ServiceConfig{Workers: 1, MaxConcurrent: 4, Fleet: led})
+	for i := 0; i < 3; i++ {
+		if err := svc.OpenJob(fmt.Sprintf("job-%d", i), OPT350M(), sc.GPUs, 3-i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replans := 0
+	for i, ev := range sc.TraceWith(1, ScenarioOpts{}).Events {
+		if _, err := svc.FleetEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+		steps, err := svc.Rebalance(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range steps {
+			if s.Action == "replan" {
+				replans++
+			}
+			if s.Result != nil && s.Result.SpeculativeHit {
+				t.Errorf("event %d: job %s answered from the speculation cache in fleet mode", i, s.Job)
+			}
+		}
+	}
+	if replans == 0 {
+		t.Fatal("the storm broke no lease: nothing a prefetch could have targeted")
+	}
+	svc.Quiesce()
+	st, err := svc.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.SpecHits != 0 || st.SpecMisses != 0 || st.SpecPrecomputed != 0 {
+		t.Errorf("fleet mode speculated: hits=%d misses=%d precomputed=%d",
+			st.SpecHits, st.SpecMisses, st.SpecPrecomputed)
 	}
 }

@@ -347,22 +347,6 @@ type System struct {
 	// that run to completion choose identical plans at any setting.
 	Workers int
 
-	// DisablePruning turns off the planner's bound-based pruning for
-	// ablations and perf comparisons. Pruning is exact — the chosen plan
-	// is identical either way — so leave this false outside measurements.
-	DisablePruning bool
-
-	// DisableDominancePruning turns off the planner's dominance pruning of
-	// stage compositions — the same ablation contract as DisablePruning:
-	// exact, so the chosen plan is identical either way.
-	DisableDominancePruning bool
-
-	// DisableIncremental turns off the planner's delta-scoped incremental
-	// probe of the warm cache (one-zone shrink replans re-scan every DP
-	// subtree instead of proving cached winners still hold) — the same
-	// ablation contract again: exact, so plans are identical either way.
-	DisableIncremental bool
-
 	simulator *sim.Simulator
 	gt        *groundtruth.Engine
 	// warm persists planner state across Replan calls (one cache per
@@ -374,12 +358,9 @@ type System struct {
 type Option func(*options)
 
 type options struct {
-	profSeed      uint64
-	gtSeed        uint64
-	workers       int
-	noPruning     bool
-	noDominance   bool
-	noIncremental bool
+	profSeed uint64
+	gtSeed   uint64
+	workers  int
 }
 
 // WithSeed fixes the deterministic seeds of the synthetic profiler noise
@@ -391,26 +372,6 @@ func WithSeed(seed uint64) Option {
 // WithWorkers sets the planner's search parallelism (0 = runtime.NumCPU()).
 func WithWorkers(n int) Option {
 	return func(o *options) { o.workers = n }
-}
-
-// WithoutBoundPruning disables the planner's exact bound-based pruning —
-// an ablation/measurement knob; plans are identical either way.
-func WithoutBoundPruning() Option {
-	return func(o *options) { o.noPruning = true }
-}
-
-// WithoutDominancePruning disables the planner's exact dominance pruning of
-// stage compositions — an ablation/measurement knob; plans are identical
-// either way.
-func WithoutDominancePruning() Option {
-	return func(o *options) { o.noDominance = true }
-}
-
-// WithoutIncremental disables the planner's exact delta-scoped incremental
-// replanning (the warm cache's dominating-state probe) — an ablation/
-// measurement knob; plans are identical either way.
-func WithoutIncremental() Option {
-	return func(o *options) { o.noIncremental = true }
 }
 
 // New profiles the model on every GPU type of the resource pool (§4.1) and
@@ -428,15 +389,12 @@ func New(m Model, gpus []GPUType, opts ...Option) (*System, error) {
 	gt := groundtruth.New(m)
 	gt.Seed = o.gtSeed
 	return &System{
-		Model:                   m,
-		Profile:                 prof,
-		Workers:                 o.workers,
-		DisablePruning:          o.noPruning,
-		DisableDominancePruning: o.noDominance,
-		DisableIncremental:      o.noIncremental,
-		simulator:               sim.New(m, prof),
-		gt:                      gt,
-		warm:                    planner.NewWarmCache(),
+		Model:     m,
+		Profile:   prof,
+		Workers:   o.workers,
+		simulator: sim.New(m, prof),
+		gt:        gt,
+		warm:      planner.NewWarmCache(),
 	}, nil
 }
 
@@ -450,13 +408,10 @@ func (s *System) workerCount() int {
 
 func (s *System) plannerOpts(obj Objective, cons Constraints, workers int) planner.Options {
 	return planner.Options{
-		Objective:               obj,
-		Constraints:             cons,
-		Heuristics:              planner.AllHeuristics(),
-		Workers:                 workers,
-		DisableBoundPruning:     s.DisablePruning,
-		DisableDominancePruning: s.DisableDominancePruning,
-		DisableIncremental:      s.DisableIncremental,
+		Objective:   obj,
+		Constraints: cons,
+		Heuristics:  planner.AllHeuristics(),
+		Workers:     workers,
 	}
 }
 

@@ -33,10 +33,6 @@ import (
 	"repro/internal/wire"
 )
 
-// ErrNoFleet is returned by the fleet-mode calls (FleetEvent, Rebalance,
-// FleetStats) of a service that has no capacity ledger configured.
-var ErrNoFleet = errors.New("sailor: fleet mode not enabled (set ServiceConfig.Fleet or call SetFleet)")
-
 // ErrOverloaded is the typed error of a request shed because the planner
 // wait queue was full (ServiceConfig.MaxQueued). It is rpc.ErrOverloaded,
 // so the condition survives the wire round-trip and the client retry
@@ -50,32 +46,6 @@ const WireVersion = wire.Version
 
 // ServiceStats is a point-in-time snapshot of a Service's counters.
 type ServiceStats = wire.ServiceStats
-
-// FleetStats is a point-in-time snapshot of the fleet capacity ledger.
-type FleetStats = wire.FleetStats
-
-// LeaseInfo is one row of the fleet's per-job lease table.
-type LeaseInfo = wire.LeaseInfo
-
-// RebalanceStep is one job's outcome in a Rebalance pass.
-type RebalanceStep = wire.RebalanceStep
-
-// Ledger is the shared cluster-state capacity ledger of fleet mode: total
-// fleet capacity, per-job leases, and deterministic preemption under
-// availability events. Build one with NewLedger and hand it to
-// ServiceConfig.Fleet (or call Service.SetFleet).
-type Ledger = fleet.Ledger
-
-// Lease is one job's hold on fleet capacity.
-type Lease = fleet.Lease
-
-// ErrLeaseConflict is the typed error of a lease grant that lost the
-// admission race against the fleet's free capacity.
-var ErrLeaseConflict = fleet.ErrConflict
-
-// NewLedger returns a fleet ledger over a total-capacity pool (which may be
-// empty when capacity arrives through availability events).
-func NewLedger(capacity *Pool) *Ledger { return fleet.NewLedger(capacity) }
 
 // ServiceConfig tunes a Service. The zero value is a working default.
 type ServiceConfig struct {
@@ -103,24 +73,6 @@ type ServiceConfig struct {
 	// via FleetEvent preempt leases in deterministic admission order; and
 	// Rebalance replans every leaseless job, warm, in priority order.
 	Fleet *fleet.Ledger
-	// WithoutSpeculation disables the speculative plan prefetch layer
-	// (see speculation.go): no forecasting, no prefetch cache, every replan
-	// runs its search. Ablation/bisection knob — plans and estimates are
-	// identical either way; only latency and the spec_* counters change.
-	WithoutSpeculation bool
-	// WithoutIncremental disables the planner's delta-scoped incremental
-	// replanning probe in every search the service runs, foreground and
-	// speculative alike. Ablation knob — plans are identical either way
-	// (the probe only ever serves provably exact winners).
-	WithoutIncremental bool
-	// SequentialRebalance forces Rebalance to replan every job in one
-	// goroutine, strictly in admission order — the pre-partitioning
-	// behavior. The default (false) searches jobs whose reachable fleet
-	// cells are disjoint concurrently and commits their leases in the same
-	// admission order, which produces byte-identical steps, plans, and
-	// ledger trajectories (asserted by TestRebalancePartitionedDeterminism);
-	// the knob exists for ablation and bisection.
-	SequentialRebalance bool
 }
 
 func (c ServiceConfig) withDefaults() ServiceConfig {
@@ -210,17 +162,21 @@ type Service struct {
 	overloaded atomic.Uint64
 	degraded   atomic.Uint64
 
-	// Speculation (see speculation.go): fleetForecast watches the ledger's
-	// capacity trajectory and fleetPredicted holds the pool keys of its
-	// last forecast, both guarded by mu; specWG tracks in-flight prefetch
+	// Speculation (see speculation.go): specWG tracks in-flight prefetch
 	// workers (Quiesce waits on it).
-	fleetForecast  *trace.Forecaster
-	fleetPredicted map[string]bool
-	specWG         sync.WaitGroup
+	specWG sync.WaitGroup
 
 	specHits        atomic.Uint64
 	specMisses      atomic.Uint64
 	specPrecomputed atomic.Uint64
+
+	// noSpeculation and noPreSearch switch off the two result-neutral
+	// shortcuts — the speculative prefetch layer, and Rebalance's concurrent
+	// pre-search of solo candidates — so the in-package parity tests have a
+	// reference run to compare against. Only tests set them, before the
+	// service's first request.
+	noSpeculation bool
+	noPreSearch   bool
 }
 
 var _ API = (*Service)(nil)
@@ -459,107 +415,127 @@ func (s *Service) degrade(ctx context.Context, j *serviceJob, searchErr error) (
 	return PlanResult{Plan: prev, Estimate: est, Degraded: true}, true
 }
 
-// Plan implements API: a cold planner search, identical to System.Plan on
-// the same inputs. In fleet mode the search runs over the shared ledger's
-// free view (pool is ignored — the ledger is authoritative) and the
-// returned plan holds a lease.
-func (s *Service) Plan(ctx context.Context, job string, pool *Pool, obj Objective, cons Constraints) (res PlanResult, err error) {
-	done := s.begin(&s.plans)
-	defer func() { done(err) }()
-	j, err := s.job(job)
-	if err != nil {
-		return PlanResult{}, err
-	}
-	if err := s.acquire(ctx); err != nil {
-		if deg, ok := s.degrade(ctx, j, err); ok {
-			return deg, nil
+// errNoIdleSlot is search's answer to background work that found every
+// planner slot busy. It never leaves the package.
+var errNoIdleSlot = errors.New("sailor: no idle planner slot")
+
+// searchReq is one planner search on a job's behalf. Every request path —
+// Plan, Replan, a fleet grant attempt, a Rebalance pre-search, a speculative
+// prefetch — is one of these plus what the caller does with the result.
+type searchReq struct {
+	// pool is the caller's pool. It is ignored when led is set.
+	pool *Pool
+	// led makes this a fleet search: the pool is the ledger's free capacity
+	// (plus the job's own lease) restricted to the job's declared GPU types,
+	// then capped — read once the slot is held, so time spent queueing
+	// cannot stale it — and a capacity guard keeps the search from spending
+	// more than that view. Filtering before capping means the per-job cap
+	// is spent on cells the job can use, and makes the view a pure function
+	// of the job's own-type cells — the independence property Rebalance's
+	// pre-search relies on.
+	led *fleet.Ledger
+	// prev is the incumbent to replan from; empty searches unseeded.
+	prev Plan
+	obj  Objective
+	cons Constraints
+	// warm searches against a warm cache: cache when set (a prefetch's
+	// private clone), otherwise the job's own — also read once the slot is
+	// held, so a queued request sees a cache a speculative hit adopted
+	// meanwhile.
+	warm  bool
+	cache *planner.WarmCache
+	// idle marks background work: it takes an idle planner slot or gives up
+	// with errNoIdleSlot — it never queues, so it can neither delay nor
+	// shed foreground requests.
+	idle bool
+}
+
+// search is the service's one planner call: take a slot, build the job's
+// planner, search, give the slot back.
+func (s *Service) search(ctx context.Context, name string, j *serviceJob, q searchReq) (PlanResult, error) {
+	if q.idle {
+		select {
+		case s.sem <- struct{}{}:
+		default:
+			return PlanResult{}, errNoIdleSlot
 		}
+	} else if err := s.acquire(ctx); err != nil {
 		return PlanResult{}, err
 	}
 	defer func() { <-s.sem }()
-	if led := s.ledger(); led != nil {
-		res, err = s.planFleet(ctx, job, j, led, Plan{}, false, obj, cons)
-		if err != nil {
-			if deg, ok := s.degrade(ctx, j, err); ok {
-				return deg, nil
-			}
-		}
-		return res, err
-	}
 	sys, err := s.jobSystem(j)
 	if err != nil {
 		return PlanResult{}, err
 	}
-	pl := planner.New(sys.Model, sys.simulator, s.searchOpts(sys, obj, cons))
-	res, err = pl.PlanContext(ctx, pool)
-	if err != nil {
-		if deg, ok := s.degrade(ctx, j, err); ok {
-			return deg, nil
+	opts := sys.plannerOpts(q.obj, q.cons, sys.workerCount())
+	if q.led != nil {
+		q.pool = q.led.ViewForTypes(name, j.gpus)
+		if q.pool.TotalGPUs() == 0 {
+			return PlanResult{}, fmt.Errorf("sailor: fleet has no free capacity for job %q", name)
 		}
-		return res, err
+		opts.Guard = planner.NewCapacityGuard(q.pool)
 	}
-	s.recordPlan(job, j, res.Plan, obj, cons)
-	return res, nil
+	if q.warm {
+		if opts.Warm = q.cache; opts.Warm == nil {
+			opts.Warm = s.warmRef(j)
+		}
+	}
+	// An empty prev seeds nothing, so a cold plan is the same call.
+	return planner.New(sys.Model, sys.simulator, opts).ReplanContext(ctx, q.prev, q.pool)
 }
 
-// Replan implements API: a warm replan against the job's private cache,
-// identical to System.Replan given the same request history. Fleet mode
-// behaves as in Plan. When the speculation layer precomputed this exact
-// request (see speculation.go) the cached result returns without a search
-// — and without waiting for a planner slot; the release below pairs with
-// the acquire on every later path.
-func (s *Service) Replan(ctx context.Context, job string, prev Plan, pool *Pool, obj Objective, cons Constraints) (res PlanResult, err error) {
-	done := s.begin(&s.replans)
+// serve is the foreground request path behind Plan and Replan. In fleet
+// mode the search runs over the shared ledger's view (the caller's pool is
+// ignored — the ledger is authoritative) and the returned plan holds a
+// lease.
+// Otherwise a warm request first consults the speculation layer (see
+// speculation.go): when this exact request was precomputed the cached
+// result returns without a search — and without waiting for a planner
+// slot. The slot of a real search is back before the prefetch round
+// observeReplan launches, so speculation starts with at least this
+// request's own slot idle.
+func (s *Service) serve(ctx context.Context, class *atomic.Uint64, job string, q searchReq) (res PlanResult, err error) {
+	done := s.begin(class)
 	defer func() { done(err) }()
 	j, err := s.job(job)
 	if err != nil {
 		return PlanResult{}, err
 	}
-	led := s.ledger()
-	if led == nil && s.speculative() {
-		if hit, ok := s.consultSpec(j, pool, prev, obj, cons); ok {
-			s.recordPlan(job, j, hit.Plan, obj, cons)
-			s.observeReplan(job, j, pool, hit.Plan, obj, cons)
-			return hit, nil
+	if q.led = s.ledger(); q.led != nil {
+		res, err = s.planFleet(ctx, job, j, q)
+	} else {
+		speculate, hit := q.warm && !s.noSpeculation, false
+		if speculate {
+			res, hit = s.consultSpec(j, q)
 		}
-	}
-	if err := s.acquire(ctx); err != nil {
-		if deg, ok := s.degrade(ctx, j, err); ok {
-			return deg, nil
+		if !hit {
+			res, err = s.search(ctx, job, j, q)
 		}
-		return PlanResult{}, err
-	}
-	if led != nil {
-		res, err = s.planFleet(ctx, job, j, led, prev, true, obj, cons)
-		<-s.sem
-		if err != nil {
-			if deg, ok := s.degrade(ctx, j, err); ok {
-				return deg, nil
+		if err == nil {
+			s.recordPlan(job, j, res.Plan, q.obj, q.cons)
+			if speculate {
+				s.observeReplan(job, j, res.Plan, q)
 			}
 		}
-		return res, err
 	}
-	sys, err := s.jobSystem(j)
-	if err != nil {
-		<-s.sem
-		return PlanResult{}, err
-	}
-	opts := s.searchOpts(sys, obj, cons)
-	opts.Warm = s.warmRef(j)
-	pl := planner.New(sys.Model, sys.simulator, opts)
-	res, err = pl.ReplanContext(ctx, prev, pool)
-	// Release before the prefetch round below, so speculation starts with
-	// at least this request's own slot idle.
-	<-s.sem
 	if err != nil {
 		if deg, ok := s.degrade(ctx, j, err); ok {
 			return deg, nil
 		}
-		return res, err
 	}
-	s.recordPlan(job, j, res.Plan, obj, cons)
-	s.observeReplan(job, j, pool, res.Plan, obj, cons)
-	return res, nil
+	return res, err
+}
+
+// Plan implements API: a cold planner search, identical to System.Plan on
+// the same inputs.
+func (s *Service) Plan(ctx context.Context, job string, pool *Pool, obj Objective, cons Constraints) (PlanResult, error) {
+	return s.serve(ctx, &s.plans, job, searchReq{pool: pool, obj: obj, cons: cons})
+}
+
+// Replan implements API: a warm replan against the job's private cache,
+// identical to System.Replan given the same request history.
+func (s *Service) Replan(ctx context.Context, job string, prev Plan, pool *Pool, obj Objective, cons Constraints) (PlanResult, error) {
+	return s.serve(ctx, &s.replans, job, searchReq{pool: pool, prev: prev, obj: obj, cons: cons, warm: true})
 }
 
 // recordPlan remembers a job's last successful request — the seed of the
@@ -573,388 +549,6 @@ func (s *Service) recordPlan(name string, j *serviceJob, plan Plan, obj Objectiv
 		s.rec.RecordJobPlan(name, plan, obj, cons)
 	}
 	s.mu.Unlock()
-}
-
-// planFleet runs one leased search for a fleet job: search the ledger's
-// view for the job (free capacity plus its own lease), then install the
-// resulting plan as the job's lease. A grant can lose the race against a
-// concurrent tenant between the view snapshot and the install; the loop
-// retries against a fresh view a few times before giving up with
-// ErrLeaseConflict.
-func (s *Service) planFleet(ctx context.Context, name string, j *serviceJob, led *fleet.Ledger, prev Plan, warm bool, obj Objective, cons Constraints) (PlanResult, error) {
-	const attempts = 3
-	var lastErr error
-	for a := 0; a < attempts; a++ {
-		res, err := s.searchFleet(ctx, name, j, led, prev, warm, obj, cons)
-		if err != nil {
-			return PlanResult{}, err
-		}
-		switch err := s.commitFleet(name, j, led, res, obj, cons); {
-		case err == nil:
-			return res, nil
-		case errors.Is(err, fleet.ErrConflict):
-			lastErr = err // the ledger moved under us; search a fresh view
-		default:
-			return PlanResult{}, err
-		}
-	}
-	return PlanResult{}, fmt.Errorf("sailor: job %q lost the fleet admission race %d times: %w", name, attempts, lastErr)
-}
-
-// searchFleet runs the planner search of one fleet grant attempt: the view
-// is the ledger's free capacity (plus the job's own lease) restricted to
-// the job's declared GPU types, then capped. Filtering before capping means
-// the per-job cap is spent on cells the job can use, and makes the view a
-// pure function of the job's own-type cells — the independence property the
-// partitioned rebalance relies on.
-func (s *Service) searchFleet(ctx context.Context, name string, j *serviceJob, led *fleet.Ledger, prev Plan, warm bool, obj Objective, cons Constraints) (PlanResult, error) {
-	sys, err := s.jobSystem(j)
-	if err != nil {
-		return PlanResult{}, err
-	}
-	view := led.ViewForTypes(name, j.gpus)
-	if view.TotalGPUs() == 0 {
-		return PlanResult{}, fmt.Errorf("sailor: fleet has no free capacity for job %q", name)
-	}
-	// A warm replan whose exact view was prefetched after a fleet event
-	// (see speculation.go) answers from the speculation cache; the key
-	// pins the full view bytes, so a view an earlier commit of this pass
-	// reshaped simply misses.
-	if warm && len(prev.Stages) > 0 && s.speculative() {
-		if res, ok := s.consultSpec(j, view, prev, obj, cons); ok {
-			return res, nil
-		}
-	}
-	opts := s.searchOpts(sys, obj, cons)
-	opts.Guard = planner.NewCapacityGuard(view)
-	if warm {
-		opts.Warm = s.warmRef(j)
-	}
-	pl := planner.New(sys.Model, sys.simulator, opts)
-	if warm && len(prev.Stages) > 0 {
-		return pl.ReplanContext(ctx, prev, view)
-	}
-	return pl.PlanContext(ctx, view)
-}
-
-// commitFleet installs a searched plan as job's lease and records it as the
-// job's last successful request. It returns fleet.ErrConflict when the
-// ledger moved between the search and the grant (callers retry or fall back
-// to a fresh search).
-func (s *Service) commitFleet(name string, j *serviceJob, led *fleet.Ledger, res PlanResult, obj Objective, cons Constraints) error {
-	granted, err := led.Install(name, j.priority, res.Plan)
-	if err != nil {
-		return err
-	}
-	// CloseJob may have raced the search: it releases the lease under
-	// s.mu, so re-check the job is still this open incarnation after
-	// the install and give the capacity back if it is not. The release
-	// is conditional on the grant version, so if the name was already
-	// reopened and re-leased, the new incarnation's lease survives.
-	s.mu.Lock()
-	open := s.jobs[name] == j
-	if open {
-		j.lastPlan, j.lastObj, j.lastCons = res.Plan, obj, cons
-		if s.rec != nil {
-			s.rec.RecordJobPlan(name, res.Plan, obj, cons)
-		}
-	}
-	s.mu.Unlock()
-	if !open {
-		led.ReleaseIf(name, granted)
-		return fmt.Errorf("sailor: job %q closed while planning", name)
-	}
-	return nil
-}
-
-// SetFleet implements API: install (or replace) the fleet capacity ledger.
-// Replacing an active ledger drops every lease; open jobs keep their warm
-// caches and last plans, so the next Rebalance re-admits them warm.
-func (s *Service) SetFleet(capacity *Pool, jobCapGPUs int) error {
-	led := fleet.NewLedger(capacity)
-	led.SetJobCap(jobCapGPUs)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.installFleetLocked(led)
-	return nil
-}
-
-// installFleetLocked makes led the service's ledger and, in durable mode,
-// journals its full post-install state before attaching the op observer —
-// so the initial cap is not double-journaled and every later mutation is.
-// Callers hold s.mu.
-func (s *Service) installFleetLocked(led *fleet.Ledger) {
-	s.fleet = led
-	if s.rec != nil {
-		s.rec.RecordSetFleet(led.Snapshot())
-		led.SetObserver(s.rec.RecordLedgerOp)
-	}
-}
-
-// SetFleetLedger installs (or replaces) a caller-built capacity ledger —
-// SetFleet for embedders that need to keep the handle, e.g. to move the
-// per-job cap mid-replay with Ledger.SetJobCap (demand autoscaling) or to
-// drive the ledger directly in a test harness. The same replacement
-// semantics as SetFleet apply: every lease is dropped, open jobs keep
-// their warm caches and last plans.
-func (s *Service) SetFleetLedger(led *Ledger) error {
-	if led == nil {
-		return fmt.Errorf("sailor: nil fleet ledger")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.installFleetLocked(led)
-	return nil
-}
-
-// FleetEvent implements API: apply one availability event to the fleet and
-// report the leases it broke, in admission order.
-func (s *Service) FleetEvent(ev TraceEvent) ([]LeaseInfo, error) {
-	led := s.ledger()
-	if led == nil {
-		return nil, ErrNoFleet
-	}
-	broken := led.Apply(ev)
-	s.observeFleetEvent(led, broken)
-	out := make([]LeaseInfo, len(broken))
-	for i, le := range broken {
-		out[i] = wire.FromLease(le)
-	}
-	return out, nil
-}
-
-// rebalCand is one leaseless job queued for a Rebalance pass, snapshotted
-// under s.mu so the pass works off a consistent candidate set.
-type rebalCand struct {
-	name string
-	j    *serviceJob
-	prev Plan
-	obj  Objective
-	cons Constraints
-	pri  int
-}
-
-// Rebalance implements API: replan every open job that holds no lease, in
-// deterministic priority order (priority descending, then job name
-// ascending). A job that deployed before replans warm from its last plan;
-// a never-admitted job plans cold. Jobs that find no feasible plan — or no
-// free capacity at all — are reported with action "wait" and retried on
-// the next call. Cancellation returns the steps completed so far.
-//
-// Jobs whose reachable fleet cells are disjoint from every other
-// candidate's — no GPU type with fleet capacity is shared — cannot contend
-// for the same GPUs, so their planner searches run concurrently (still
-// bounded by MaxConcurrent); leases are then committed strictly in
-// admission order, with the no-free-capacity pre-check re-evaluated at each
-// job's commit turn, so the steps, plans, telemetry, and ledger version
-// trajectory are byte-identical to the sequential pass. Candidates that do
-// share reachable cells keep the sequential search-at-commit-time path.
-// ServiceConfig.SequentialRebalance forces the sequential pass for every
-// job.
-func (s *Service) Rebalance(ctx context.Context) ([]RebalanceStep, error) {
-	led := s.ledger()
-	if led == nil {
-		return nil, ErrNoFleet
-	}
-	s.mu.Lock()
-	sequential := s.cfg.SequentialRebalance
-	cands := make([]rebalCand, 0, len(s.jobs))
-	for name, j := range s.jobs {
-		if led.Held(name) {
-			continue
-		}
-		cands = append(cands, rebalCand{name, j, j.lastPlan, j.lastObj, j.lastCons, j.priority})
-	}
-	s.mu.Unlock()
-	sort.Slice(cands, func(i, k int) bool {
-		if cands[i].pri != cands[k].pri {
-			return cands[i].pri > cands[k].pri
-		}
-		return cands[i].name < cands[k].name
-	})
-	if !sequential && len(cands) > 1 && led.FreeView().TotalGPUs() > 0 {
-		if solo := soloCandidates(led, cands); solo != nil {
-			return s.rebalancePartitioned(ctx, led, cands, solo)
-		}
-	}
-	return s.rebalanceSequential(ctx, led, cands)
-}
-
-// rebalanceSequential is the one-goroutine rebalance pass: each candidate
-// searches and commits at its own turn, in admission order.
-func (s *Service) rebalanceSequential(ctx context.Context, led *fleet.Ledger, cands []rebalCand) ([]RebalanceStep, error) {
-	var steps []RebalanceStep
-	for _, c := range cands {
-		if err := ctx.Err(); err != nil {
-			return steps, err
-		}
-		step := RebalanceStep{Job: c.name, Priority: c.pri, Action: "admit"}
-		if len(c.prev.Stages) > 0 {
-			step.Action = "replan"
-		}
-		if led.FreeView().TotalGPUs() == 0 {
-			step.Action, step.Error = "wait", "no free fleet capacity"
-			steps = append(steps, step)
-			continue
-		}
-		if err := s.acquire(ctx); err != nil {
-			return steps, err
-		}
-		// Rebalance searches always run against the job's warm cache: an
-		// admission populates it, so the preemption-driven replan that
-		// follows a capacity loss reuses the DP regions already solved.
-		res, err := s.planFleet(ctx, c.name, c.j, led, c.prev, true, c.obj, c.cons)
-		<-s.sem
-		if err != nil {
-			step.Action, step.Error = "wait", err.Error()
-		} else {
-			r := wire.FromResult(res)
-			step.Result = &r
-		}
-		steps = append(steps, step)
-	}
-	return steps, nil
-}
-
-// soloCandidates partitions the rebalance candidates by the fleet cells
-// their views can touch. A job's reachable cells are the fleet-capacity
-// cells of its declared GPU types, so two candidates conflict exactly when
-// they share a GPU type the fleet has capacity for. The returned mask marks
-// the singleton partitions — candidates conflicting with no other — whose
-// searches may run concurrently; nil when no candidate is solo (everything
-// falls back to the sequential pass).
-func soloCandidates(led *fleet.Ledger, cands []rebalCand) []bool {
-	capacity := led.Capacity()
-	users := map[GPUType]int{}
-	reach := make([][]GPUType, len(cands))
-	for i, c := range cands {
-		seen := map[GPUType]bool{}
-		for _, g := range c.j.gpus {
-			if !seen[g] && capacity.TotalOf(g) > 0 {
-				seen[g] = true
-				reach[i] = append(reach[i], g)
-				users[g]++
-			}
-		}
-	}
-	solo := make([]bool, len(cands))
-	any := false
-	for i := range cands {
-		solo[i] = true
-		for _, g := range reach[i] {
-			if users[g] > 1 {
-				solo[i] = false
-				break
-			}
-		}
-		if solo[i] {
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	return solo
-}
-
-// rebalancePartitioned is the two-phase rebalance pass. Phase one searches
-// every solo candidate concurrently under the planner semaphore: a solo
-// job's view is a pure function of its own-type cells, which no other
-// candidate's commit can touch, so the search result is identical to the
-// one the sequential pass would compute at the job's turn. Phase two walks
-// all candidates in admission order and commits — precomputed plans install
-// directly, conflicting candidates search inline exactly as the sequential
-// pass does — so the ledger version trajectory and every step are
-// byte-identical to rebalanceSequential (asserted by
-// TestRebalancePartitionedDeterminism).
-func (s *Service) rebalancePartitioned(ctx context.Context, led *fleet.Ledger, cands []rebalCand, solo []bool) ([]RebalanceStep, error) {
-	type searched struct {
-		res PlanResult
-		err error
-	}
-	pre := make([]*searched, len(cands))
-	var wg sync.WaitGroup
-	for i := range cands {
-		if !solo[i] {
-			continue
-		}
-		pre[i] = &searched{}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := cands[i]
-			if err := s.acquire(ctx); err != nil {
-				pre[i].err = err
-				return
-			}
-			defer func() { <-s.sem }()
-			pre[i].res, pre[i].err = s.searchFleet(ctx, c.name, c.j, led, c.prev, true, c.obj, c.cons)
-		}(i)
-	}
-	wg.Wait()
-	var steps []RebalanceStep
-	for i, c := range cands {
-		if err := ctx.Err(); err != nil {
-			return steps, err
-		}
-		step := RebalanceStep{Job: c.name, Priority: c.pri, Action: "admit"}
-		if len(c.prev.Stages) > 0 {
-			step.Action = "replan"
-		}
-		// The no-free-capacity pre-check is re-evaluated at each commit
-		// turn: it reads global free capacity, which earlier commits of
-		// this very pass may have consumed.
-		if led.FreeView().TotalGPUs() == 0 {
-			step.Action, step.Error = "wait", "no free fleet capacity"
-			steps = append(steps, step)
-			continue
-		}
-		var res PlanResult
-		var err error
-		inline := func() {
-			if err = s.acquire(ctx); err != nil {
-				return
-			}
-			res, err = s.planFleet(ctx, c.name, c.j, led, c.prev, true, c.obj, c.cons)
-			<-s.sem
-		}
-		switch {
-		case pre[i] == nil:
-			// A conflicting candidate: its view depends on this pass's
-			// earlier commits, so search at its turn, like the sequential
-			// pass.
-			inline()
-		case pre[i].err != nil:
-			err = pre[i].err
-		default:
-			res = pre[i].res
-			if err = s.commitFleet(c.name, c.j, led, res, c.obj, c.cons); errors.Is(err, fleet.ErrConflict) {
-				// An external tenant moved the ledger under the
-				// precomputed grant; fall back to a fresh inline search.
-				inline()
-			}
-		}
-		if ctxErr := ctx.Err(); ctxErr != nil && err != nil {
-			return steps, ctxErr
-		}
-		if err != nil {
-			step.Action, step.Error = "wait", err.Error()
-		} else {
-			r := wire.FromResult(res)
-			step.Result = &r
-		}
-		steps = append(steps, step)
-	}
-	return steps, nil
-}
-
-// FleetStats implements API with a consistent ledger snapshot.
-func (s *Service) FleetStats() (FleetStats, error) {
-	led := s.ledger()
-	if led == nil {
-		return FleetStats{}, ErrNoFleet
-	}
-	return wire.FromFleetSnapshot(led.Snapshot()), nil
 }
 
 // Simulate implements API: the analytical simulator's estimate of a plan.
@@ -1016,47 +610,4 @@ func (s *Service) Stats() (ServiceStats, error) {
 		SpecMisses:        s.specMisses.Load(),
 		SpecPrecomputed:   s.specPrecomputed.Load(),
 	}, nil
-}
-
-// systemLRU is a small least-recently-used cache of profiled Systems.
-// Callers hold s.mu; the LRU itself is not locked.
-type systemLRU struct {
-	cap   int
-	order []string // most recently used first
-	items map[string]*System
-}
-
-func newSystemLRU(cap int) *systemLRU {
-	return &systemLRU{cap: cap, items: map[string]*System{}}
-}
-
-func (l *systemLRU) len() int { return len(l.items) }
-
-func (l *systemLRU) touch(key string) {
-	for i, k := range l.order {
-		if k == key {
-			copy(l.order[1:i+1], l.order[:i])
-			l.order[0] = key
-			return
-		}
-	}
-	l.order = append([]string{key}, l.order...)
-}
-
-func (l *systemLRU) get(key string) (*System, bool) {
-	sys, ok := l.items[key]
-	if ok {
-		l.touch(key)
-	}
-	return sys, ok
-}
-
-func (l *systemLRU) put(key string, sys *System) {
-	l.items[key] = sys
-	l.touch(key)
-	for len(l.items) > l.cap {
-		last := l.order[len(l.order)-1]
-		l.order = l.order[:len(l.order)-1]
-		delete(l.items, last)
-	}
 }

@@ -1,0 +1,339 @@
+package sailor
+
+// Fleet mode of the Service: leased searches against the shared capacity
+// ledger, ledger installation, availability events, and the Rebalance pass.
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"sort"
+	"sync"
+
+	"repro/internal/fleet"
+	"repro/internal/wire"
+)
+
+// ErrNoFleet is returned by the fleet-mode calls (FleetEvent, Rebalance,
+// FleetStats) of a service that has no capacity ledger configured.
+var ErrNoFleet = errors.New("sailor: fleet mode not enabled (set ServiceConfig.Fleet or call SetFleet)")
+
+// FleetStats is a point-in-time snapshot of the fleet capacity ledger.
+type FleetStats = wire.FleetStats
+
+// LeaseInfo is one row of the fleet's per-job lease table.
+type LeaseInfo = wire.LeaseInfo
+
+// RebalanceStep is one job's outcome in a Rebalance pass.
+type RebalanceStep = wire.RebalanceStep
+
+// Ledger is the shared cluster-state capacity ledger of fleet mode: total
+// fleet capacity, per-job leases, and deterministic preemption under
+// availability events. Build one with NewLedger and hand it to
+// ServiceConfig.Fleet (or call Service.SetFleet).
+type Ledger = fleet.Ledger
+
+// Lease is one job's hold on fleet capacity.
+type Lease = fleet.Lease
+
+// ErrLeaseConflict is the typed error of a lease grant that lost the
+// admission race against the fleet's free capacity.
+var ErrLeaseConflict = fleet.ErrConflict
+
+// NewLedger returns a fleet ledger over a total-capacity pool (which may be
+// empty when capacity arrives through availability events).
+func NewLedger(capacity *Pool) *Ledger { return fleet.NewLedger(capacity) }
+
+// planFleet runs one leased search for a fleet job: search the ledger's
+// view for the job, then install the resulting plan as the job's lease. A
+// grant can lose the race against a concurrent tenant between the view
+// snapshot and the install; the loop retries against a fresh view a few
+// times before giving up with ErrLeaseConflict.
+func (s *Service) planFleet(ctx context.Context, name string, j *serviceJob, q searchReq) (PlanResult, error) {
+	const attempts = 3
+	var lastErr error
+	for a := 0; a < attempts; a++ {
+		res, err := s.search(ctx, name, j, q)
+		if err != nil {
+			return PlanResult{}, err
+		}
+		switch err := s.commitFleet(name, j, q, res); {
+		case err == nil:
+			return res, nil
+		case errors.Is(err, fleet.ErrConflict):
+			lastErr = err // the ledger moved under us; search a fresh view
+		default:
+			return PlanResult{}, err
+		}
+	}
+	return PlanResult{}, fmt.Errorf("sailor: job %q lost the fleet admission race %d times: %w", name, attempts, lastErr)
+}
+
+// commitFleet installs a searched plan as job's lease and records it as the
+// job's last successful request. It returns fleet.ErrConflict when the
+// ledger moved between the search and the grant (callers retry or fall back
+// to a fresh search).
+func (s *Service) commitFleet(name string, j *serviceJob, q searchReq, res PlanResult) error {
+	granted, err := q.led.Install(name, j.priority, res.Plan)
+	if err != nil {
+		return err
+	}
+	// CloseJob may have raced the search: it releases the lease under
+	// s.mu, so re-check the job is still this open incarnation after
+	// the install and give the capacity back if it is not. The release
+	// is conditional on the grant version, so if the name was already
+	// reopened and re-leased, the new incarnation's lease survives.
+	s.mu.Lock()
+	open := s.jobs[name] == j
+	if open {
+		j.lastPlan, j.lastObj, j.lastCons = res.Plan, q.obj, q.cons
+		if s.rec != nil {
+			s.rec.RecordJobPlan(name, res.Plan, q.obj, q.cons)
+		}
+	}
+	s.mu.Unlock()
+	if !open {
+		q.led.ReleaseIf(name, granted)
+		return fmt.Errorf("sailor: job %q closed while planning", name)
+	}
+	return nil
+}
+
+// SetFleet implements API: install (or replace) the fleet capacity ledger.
+// Replacing an active ledger drops every lease; open jobs keep their warm
+// caches and last plans, so the next Rebalance re-admits them warm.
+func (s *Service) SetFleet(capacity *Pool, jobCapGPUs int) error {
+	led := fleet.NewLedger(capacity)
+	led.SetJobCap(jobCapGPUs)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.installFleetLocked(led)
+	return nil
+}
+
+// installFleetLocked makes led the service's ledger and, in durable mode,
+// journals its full post-install state before attaching the op observer —
+// so the initial cap is not double-journaled and every later mutation is.
+// Callers hold s.mu.
+func (s *Service) installFleetLocked(led *fleet.Ledger) {
+	s.fleet = led
+	if s.rec != nil {
+		s.rec.RecordSetFleet(led.Snapshot())
+		led.SetObserver(s.rec.RecordLedgerOp)
+	}
+}
+
+// SetFleetLedger installs (or replaces) a caller-built capacity ledger —
+// SetFleet for embedders that need to keep the handle, e.g. to move the
+// per-job cap mid-replay with Ledger.SetJobCap (demand autoscaling) or to
+// drive the ledger directly in a test harness. The same replacement
+// semantics as SetFleet apply: every lease is dropped, open jobs keep
+// their warm caches and last plans.
+func (s *Service) SetFleetLedger(led *Ledger) error {
+	if led == nil {
+		return fmt.Errorf("sailor: nil fleet ledger")
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.installFleetLocked(led)
+	return nil
+}
+
+// FleetEvent implements API: apply one availability event to the fleet and
+// report the leases it broke, in admission order.
+func (s *Service) FleetEvent(ev TraceEvent) ([]LeaseInfo, error) {
+	led := s.ledger()
+	if led == nil {
+		return nil, ErrNoFleet
+	}
+	broken := led.Apply(ev)
+	out := make([]LeaseInfo, len(broken))
+	for i, le := range broken {
+		out[i] = wire.FromLease(le)
+	}
+	return out, nil
+}
+
+// rebalCand is one leaseless job queued for a Rebalance pass, snapshotted
+// under s.mu so the pass works off a consistent candidate set.
+type rebalCand struct {
+	name string
+	j    *serviceJob
+	// q is the job's last successful request, replayed warm: an admission
+	// populates the job's cache, so the preemption-driven replan that
+	// follows a capacity loss reuses the DP regions already solved.
+	q   searchReq
+	pri int
+}
+
+// Rebalance implements API: replan every open job that holds no lease, in
+// deterministic priority order (priority descending, then job name
+// ascending). A job that deployed before replans warm from its last plan;
+// a never-admitted job plans cold. Jobs that find no feasible plan — or no
+// free capacity at all — are reported with action "wait" and retried on
+// the next call. Cancellation returns the steps completed so far.
+//
+// The pass has two phases. Phase one (preSearch) searches ahead, on idle
+// planner slots, the candidates whose result cannot depend on this pass's
+// own commits. Phase two walks all candidates in admission order and
+// commits: a pre-searched plan installs directly; every other candidate —
+// and a pre-searched one an external tenant moved the ledger under —
+// searches inline at its turn. The no-free-capacity pre-check is evaluated
+// at each commit turn, so the steps, plans, telemetry, and ledger version
+// trajectory are byte-identical whether or not anything was pre-searched
+// (asserted by TestRebalancePartitionedDeterminism).
+func (s *Service) Rebalance(ctx context.Context) ([]RebalanceStep, error) {
+	led := s.ledger()
+	if led == nil {
+		return nil, ErrNoFleet
+	}
+	s.mu.Lock()
+	cands := make([]rebalCand, 0, len(s.jobs))
+	for name, j := range s.jobs {
+		if led.Held(name) {
+			continue
+		}
+		q := searchReq{led: led, prev: j.lastPlan, obj: j.lastObj, cons: j.lastCons, warm: true}
+		cands = append(cands, rebalCand{name, j, q, j.priority})
+	}
+	s.mu.Unlock()
+	sort.Slice(cands, func(i, k int) bool {
+		if cands[i].pri != cands[k].pri {
+			return cands[i].pri > cands[k].pri
+		}
+		return cands[i].name < cands[k].name
+	})
+	pre := s.preSearch(ctx, led, cands)
+	var steps []RebalanceStep
+	for i, c := range cands {
+		if err := ctx.Err(); err != nil {
+			return steps, err
+		}
+		step := RebalanceStep{Job: c.name, Priority: c.pri, Action: "admit"}
+		if len(c.q.prev.Stages) > 0 {
+			step.Action = "replan"
+		}
+		// The no-free-capacity pre-check is re-evaluated at each commit
+		// turn: it reads global free capacity, which earlier commits of
+		// this very pass may have consumed.
+		if led.FreeView().TotalGPUs() == 0 {
+			step.Action, step.Error = "wait", "no free fleet capacity"
+			steps = append(steps, step)
+			continue
+		}
+		var res PlanResult
+		var err error
+		if p := pre[i]; p != nil {
+			if res, err = p.res, p.err; err == nil {
+				err = s.commitFleet(c.name, c.j, c.q, res)
+			}
+		}
+		if pre[i] == nil || errors.Is(err, fleet.ErrConflict) {
+			// Not pre-searched — its view depends on this pass's earlier
+			// commits, or no planner slot was idle — or an external tenant
+			// moved the ledger under the precomputed grant: search now.
+			res, err = s.planFleet(ctx, c.name, c.j, c.q)
+		}
+		if ctxErr := ctx.Err(); ctxErr != nil && err != nil {
+			return steps, ctxErr
+		}
+		if err != nil {
+			step.Action, step.Error = "wait", err.Error()
+		} else {
+			r := wire.FromResult(res)
+			step.Result = &r
+		}
+		steps = append(steps, step)
+	}
+	return steps, nil
+}
+
+// preSearched is the outcome of one candidate's phase-one search.
+type preSearched struct {
+	res PlanResult
+	err error
+}
+
+// preSearch is phase one of Rebalance: every solo candidate searches
+// concurrently, each on an idle planner slot. A solo job's view is a pure
+// function of its own-type cells, which no other candidate's commit can
+// touch, so the result is identical to the one an inline search would
+// compute at the job's commit turn. A candidate that found no idle slot
+// stays nil and searches inline: pre-searches are the pass's own
+// speculation, and joining the admission queue with them would let one
+// Rebalance call shed its own candidates (or a tenant's request) under a
+// tight MaxQueued.
+func (s *Service) preSearch(ctx context.Context, led *fleet.Ledger, cands []rebalCand) []*preSearched {
+	pre := make([]*preSearched, len(cands))
+	if s.noPreSearch || len(cands) < 2 || led.FreeView().TotalGPUs() == 0 {
+		return pre
+	}
+	var wg sync.WaitGroup
+	for i, solo := range soloCandidates(led, cands) {
+		if !solo {
+			continue
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c := cands[i]
+			c.q.idle = true
+			res, err := s.search(ctx, c.name, c.j, c.q)
+			if !errors.Is(err, errNoIdleSlot) {
+				pre[i] = &preSearched{res, err}
+			}
+		}(i)
+	}
+	wg.Wait()
+	return pre
+}
+
+// soloCandidates partitions the rebalance candidates by the fleet cells
+// their views can touch. A job's reachable cells are the fleet-capacity
+// cells of its declared GPU types, so two candidates conflict exactly when
+// they share a GPU type the fleet has capacity for. The returned mask marks
+// the singleton partitions — candidates conflicting with no other — whose
+// searches may run ahead of their commit turn; nil when no candidate is
+// solo.
+func soloCandidates(led *fleet.Ledger, cands []rebalCand) []bool {
+	capacity := led.Capacity()
+	users := map[GPUType]int{}
+	reach := make([][]GPUType, len(cands))
+	for i, c := range cands {
+		seen := map[GPUType]bool{}
+		for _, g := range c.j.gpus {
+			if !seen[g] && capacity.TotalOf(g) > 0 {
+				seen[g] = true
+				reach[i] = append(reach[i], g)
+				users[g]++
+			}
+		}
+	}
+	solo := make([]bool, len(cands))
+	any := false
+	for i := range cands {
+		solo[i] = true
+		for _, g := range reach[i] {
+			if users[g] > 1 {
+				solo[i] = false
+				break
+			}
+		}
+		if solo[i] {
+			any = true
+		}
+	}
+	if !any {
+		return nil
+	}
+	return solo
+}
+
+// FleetStats implements API with a consistent ledger snapshot.
+func (s *Service) FleetStats() (FleetStats, error) {
+	led := s.ledger()
+	if led == nil {
+		return FleetStats{}, ErrNoFleet
+	}
+	return wire.FromFleetSnapshot(led.Snapshot()), nil
+}

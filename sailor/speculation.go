@@ -9,11 +9,10 @@ package sailor
 // was precomputed returns instantly with the cached result, marked
 // Result.SpeculativeHit; everything else falls through to the ordinary
 // search, and a miss purges the job's remaining entries (the forecast was
-// wrong, so whatever else it predicted is stale too). In fleet mode the
-// service forecasts the ledger's capacity trajectory instead: FleetEvent
-// prefetches the replans its broken leases will need at the next
-// Rebalance, and a capacity level the forecast did not predict invalidates
-// every job's speculation.
+// wrong, so whatever else it predicted is stale too). Fleet mode does not
+// speculate: a fleet replan's pool is the ledger view at its commit turn,
+// which other jobs' commits shape, and the search it would save is a small
+// part of a step that journals every lease change.
 //
 // Exactness: a prefetched result is a real planner search over a clone of
 // the job's warm cache — the exact cache state the foreground search would
@@ -24,14 +23,12 @@ package sailor
 // produced byte for byte (TestWireDeterminism still holds with the layer
 // on); on a miss every clone is discarded and the job's cache is untouched.
 // Only Result.SpeculativeHit distinguishes a served prefetch.
-// ServiceConfig.WithoutSpeculation ablates the whole layer.
 
 import (
 	"context"
 	"fmt"
 	"sync"
 
-	"repro/internal/fleet"
 	"repro/internal/planner"
 	"repro/internal/trace"
 )
@@ -48,19 +45,19 @@ const specMaxEntries = 64
 // specKey identifies one precomputable replan: the exact pool bytes, the
 // plan being replanned from, and the objective/constraints of the request.
 // Any difference in what the foreground search would see is a different key.
-func specKey(pool *Pool, prev Plan, obj Objective, cons Constraints) string {
-	return fmt.Sprintf("%v|%+v|%s|%s", obj, cons, planner.PlanKey(prev), pool.String())
+func specKey(q searchReq) string {
+	return fmt.Sprintf("%v|%+v|%s|%s", q.obj, q.cons, planner.PlanKey(q.prev), q.pool.String())
 }
 
 // specEntry is one speculated replan. done closes when the prefetch
 // resolves; res/ok are valid only after. An entry whose prefetch found no
 // idle planner capacity (or whose search failed) resolves with ok=false.
-// base is the job's warm cache at launch and warm the clone the prefetch
-// searched into; both are written before the worker starts.
+// q is the predicted request, searching into q.cache — a clone of base, the
+// job's warm cache at launch; both are written before the worker starts.
 type specEntry struct {
 	done chan struct{}
 	base *planner.WarmCache
-	warm *planner.WarmCache
+	q    searchReq
 	res  PlanResult
 	ok   bool
 }
@@ -123,28 +120,14 @@ func (c *specCache) purge() {
 	c.order = nil
 }
 
-// speculative reports whether the speculation layer is on.
-func (s *Service) speculative() bool { return !s.cfg.WithoutSpeculation }
-
-// searchOpts is plannerOpts plus the service-level ablation knobs: every
-// search the service runs — foreground or prefetch — goes through it, so
-// WithoutIncremental disables the delta-scoped probe uniformly.
-func (s *Service) searchOpts(sys *System, obj Objective, cons Constraints) planner.Options {
-	opts := sys.plannerOpts(obj, cons, sys.workerCount())
-	if s.cfg.WithoutIncremental {
-		opts.DisableIncremental = true
-	}
-	return opts
-}
-
 // consultSpec answers a replan from the job's speculation cache when the
 // exact request was precomputed. A pending prefetch is joined, not raced:
 // the result it is already computing is the result the foreground search
 // would compute. A miss purges the job's cache — the forecast that seeded
 // it mispredicted, so whatever else it predicted from the same state is
 // stale too.
-func (s *Service) consultSpec(j *serviceJob, pool *Pool, prev Plan, obj Objective, cons Constraints) (PlanResult, bool) {
-	e := j.spec.take(specKey(pool, prev, obj, cons))
+func (s *Service) consultSpec(j *serviceJob, q searchReq) (PlanResult, bool) {
+	e := j.spec.take(specKey(q))
 	if e != nil {
 		<-e.done
 		if e.ok {
@@ -168,7 +151,7 @@ func (s *Service) consultSpec(j *serviceJob, pool *Pool, prev Plan, obj Objectiv
 func (s *Service) adoptSpec(j *serviceJob, e *specEntry) {
 	s.mu.Lock()
 	if j.warm == e.base {
-		j.warm = e.warm
+		j.warm = e.q.cache
 	}
 	s.mu.Unlock()
 }
@@ -181,20 +164,15 @@ func (s *Service) warmRef(j *serviceJob) *planner.WarmCache {
 	return j.warm
 }
 
-// specTask is one pool a prefetch worker will speculate on.
-type specTask struct {
-	e    *specEntry
-	pool *Pool
-}
-
 // observeReplan feeds a completed replan into the job's forecaster and
-// launches a prefetch round for the predicted next pools. Called after the
+// launches a prefetch round for the predicted next pools: the same request
+// as q, replanned from the plan it just produced. Called after the
 // foreground result is in hand (and its planner slot released), so the
-// prefetch competes only for idle capacity.
-func (s *Service) observeReplan(name string, j *serviceJob, pool *Pool, plan Plan, obj Objective, cons Constraints) {
-	if !s.speculative() {
-		return
-	}
+// prefetch competes only for idle capacity. The round runs on one
+// background worker, sequentially — holding at most one planner slot, it
+// can always proceed whenever the service is otherwise idle, at any
+// MaxConcurrent.
+func (s *Service) observeReplan(name string, j *serviceJob, plan Plan, q searchReq) {
 	s.mu.Lock()
 	if s.jobs[name] != j {
 		s.mu.Unlock()
@@ -203,133 +181,48 @@ func (s *Service) observeReplan(name string, j *serviceJob, pool *Pool, plan Pla
 	if j.forecast == nil {
 		j.forecast = trace.NewForecaster()
 	}
-	j.forecast.ObservePool(pool)
+	j.forecast.ObservePool(q.pool)
 	preds := j.forecast.Forecast(specForecastK)
 	base := j.warm
 	s.mu.Unlock()
-	var tasks []specTask
+	q.prev, q.idle = plan, true
+	var round []*specEntry
 	for _, p := range preds {
-		if e := j.spec.begin(specKey(p, plan, obj, cons)); e != nil {
-			e.base, e.warm = base, base.Clone()
-			tasks = append(tasks, specTask{e, p})
+		q.pool = p
+		if e := j.spec.begin(specKey(q)); e != nil {
+			q.cache = base.Clone()
+			e.base, e.q = base, q
+			round = append(round, e)
 		}
 	}
-	s.launchPrefetch(j, tasks, plan, obj, cons, nil)
-}
-
-// launchPrefetch runs tasks on one background worker, sequentially — one
-// worker per round holds at most one planner slot, so a round can always
-// proceed whenever the service is otherwise idle, at any MaxConcurrent.
-// led, when non-nil, makes the searches fleet-style (capacity guard over
-// the task pool).
-func (s *Service) launchPrefetch(j *serviceJob, tasks []specTask, prev Plan, obj Objective, cons Constraints, led *fleet.Ledger) {
-	if len(tasks) == 0 {
+	if len(round) == 0 {
 		return
 	}
 	s.specWG.Add(1)
 	go func() {
 		defer s.specWG.Done()
-		for _, t := range tasks {
-			s.prefetchOne(j, t, prev, obj, cons, led)
+		for _, e := range round {
+			s.prefetch(name, j, e)
 		}
 	}()
 }
 
-// prefetchOne precomputes one speculated replan. The planner slot is taken
-// non-blocking: speculation only ever uses capacity the foreground load
-// left idle, and a busy semaphore resolves the entry as a miss rather than
-// queueing work the forecast may not even need.
-func (s *Service) prefetchOne(j *serviceJob, t specTask, prev Plan, obj Objective, cons Constraints, led *fleet.Ledger) {
-	defer close(t.e.done)
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		return
-	}
-	defer func() { <-s.sem }()
-	sys, err := s.jobSystem(j)
+// prefetch precomputes one speculated replan. The search is idle-slot only:
+// speculation uses capacity the foreground load left idle, and a busy
+// semaphore resolves the entry as a miss rather than queueing work the
+// forecast may not even need.
+func (s *Service) prefetch(name string, j *serviceJob, e *specEntry) {
+	defer close(e.done)
+	res, err := s.search(context.Background(), name, j, e.q)
 	if err != nil {
 		return
 	}
-	opts := s.searchOpts(sys, obj, cons)
-	opts.Warm = t.e.warm
-	if led != nil {
-		opts.Guard = planner.NewCapacityGuard(t.pool)
-	}
-	pl := planner.New(sys.Model, sys.simulator, opts)
-	res, err := pl.ReplanContext(context.Background(), prev, t.pool)
-	if err != nil {
-		return
-	}
-	t.e.res, t.e.ok = res, true
+	e.res, e.ok = res, true
 	s.specPrecomputed.Add(1)
 }
 
-// observeFleetEvent is FleetEvent's speculation hook. The service-level
-// forecaster watches the ledger's capacity trajectory; a capacity level the
-// previous forecast did not predict invalidates every job's speculation
-// (the cluster moved somewhere the precomputed plans never anticipated).
-// Then each job whose lease the event broke gets a prefetch round for the
-// warm replan it will run at the next Rebalance, against its current
-// ledger view.
-func (s *Service) observeFleetEvent(led *fleet.Ledger, broken []fleet.Lease) {
-	if !s.speculative() {
-		return
-	}
-	capacity := led.Capacity()
-	s.mu.Lock()
-	if s.fleet != led {
-		s.mu.Unlock()
-		return
-	}
-	predicted := s.fleetPredicted[capacity.String()]
-	if s.fleetForecast == nil {
-		s.fleetForecast = trace.NewForecaster()
-	}
-	s.fleetForecast.ObservePool(capacity)
-	preds := s.fleetForecast.Forecast(specForecastK)
-	s.fleetPredicted = make(map[string]bool, len(preds))
-	for _, p := range preds {
-		s.fleetPredicted[p.String()] = true
-	}
-	type cand struct {
-		name string
-		j    *serviceJob
-		base *planner.WarmCache
-		prev Plan
-		obj  Objective
-		cons Constraints
-	}
-	var jobs []*serviceJob
-	var cands []cand
-	for _, le := range broken {
-		if j, ok := s.jobs[le.Job]; ok && len(j.lastPlan.Stages) > 0 {
-			cands = append(cands, cand{le.Job, j, j.warm, j.lastPlan, j.lastObj, j.lastCons})
-		}
-	}
-	if !predicted {
-		for _, j := range s.jobs {
-			jobs = append(jobs, j)
-		}
-	}
-	s.mu.Unlock()
-	for _, j := range jobs {
-		j.spec.purge()
-	}
-	for _, c := range cands {
-		view := led.ViewForTypes(c.name, c.j.gpus)
-		if view.TotalGPUs() == 0 {
-			continue
-		}
-		if e := c.j.spec.begin(specKey(view, c.prev, c.obj, c.cons)); e != nil {
-			e.base, e.warm = c.base, c.base.Clone()
-			s.launchPrefetch(c.j, []specTask{{e, view}}, c.prev, c.obj, c.cons, led)
-		}
-	}
-}
-
 // Quiesce blocks until every in-flight speculative prefetch has resolved.
-// Replay tools and benchmarks call it between steps so the speculation
-// cache — and the warm-cache trajectory behind it — is a deterministic
-// function of the request history rather than of scheduling.
+// Benchmarks and tests call it between replans so the speculation cache —
+// and the warm-cache trajectory behind it — is a deterministic function of
+// the request history rather than of scheduling.
 func (s *Service) Quiesce() { s.specWG.Wait() }
