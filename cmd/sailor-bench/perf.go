@@ -44,6 +44,9 @@ type benchResult struct {
 	// run of the bench body (search work, not wall-clock).
 	Explored  int `json:"explored"`
 	CacheHits int `json:"cache_hits"`
+	// LiveHeapBytes is the heap a row's subject still holds after a final GC
+	// (only the rows that measure retention report it).
+	LiveHeapBytes int64 `json:"live_heap_bytes,omitempty"`
 	// Iters is the iteration count testing.Benchmark settled on — needed
 	// for the benchstat text lines, deliberately kept out of the JSON
 	// schema (iteration counts are machine noise, not trajectory).
@@ -212,6 +215,12 @@ func runPerfSuite(workers int) (benchDoc, error) {
 		MemAllocs: m1.Mallocs - m0.Mallocs, MemBytes: m1.TotalAlloc - m0.TotalAlloc}
 	doc.Benches = append(doc.Benches, row("replan_speculative/diurnal-wave", r, sExpl, sCacheHi))
 
+	churn, err := warmChurnRow()
+	if err != nil {
+		return doc, err
+	}
+	doc.Benches = append(doc.Benches, churn)
+
 	// Multi-tenant service front door: one op = one plan per tenant.
 	const tenants = 4
 	var svcPools []*cluster.Pool
@@ -324,6 +333,78 @@ func runPerfSuite(workers int) (benchDoc, error) {
 	return doc, nil
 }
 
+// warmChurnRow is the in-process replica of the end-to-end warm-churn
+// workload (benchmarks/loadgen): one Service at the daemon's settings, eight
+// A100 tenants each cycling the distinct pools of one scenario trace, one
+// op = one Replan, prefetches included. Beside bytes and allocs per op it
+// reports the heap the service still holds after a final GC — what the warm
+// caches retain, the number the end-to-end rss_p95_mb follows. The timed
+// loop runs unquiesced, like the daemon; explored/cache_hits come from one
+// quiesced round before it, which is deterministic.
+func warmChurnRow() (benchResult, error) {
+	const tenants, ops = 8, 8000
+	scenarios := []string{"preemption-storm", "diurnal-wave", "zone-outage", "geo-shift"}
+	bases := []int{16, 24, 32}
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	heapBefore := int64(m0.HeapAlloc)
+
+	svc := sailor.NewService(sailor.ServiceConfig{Workers: 1, MaxConcurrent: 2})
+	pools := make([][]*cluster.Pool, tenants)
+	prev := make([]core.Plan, tenants)
+	round := 0 // ops that walk every tenant through its whole cycle
+	for t := range pools {
+		sc, ok := trace.ScenarioByName(scenarios[t%len(scenarios)])
+		if !ok {
+			return benchResult{}, fmt.Errorf("%s scenario not registered", scenarios[t%len(scenarios)])
+		}
+		pools[t] = sc.TraceWith(int64(t), trace.ScenarioOpts{Base: bases[t%len(bases)]}).DistinctPools()
+		round = max(round, tenants*len(pools[t]))
+		if err := svc.OpenJob(fmt.Sprint("churn-", t), sailor.OPT350M(), []core.GPUType{core.A100}, 0); err != nil {
+			return benchResult{}, err
+		}
+	}
+	next := 0
+	drive := func(n int, quiesce bool) (explored, hits int, err error) {
+		for end := next + n; next < end; next++ {
+			t, step := next%tenants, next/tenants
+			if quiesce {
+				svc.Quiesce()
+			}
+			res, err := svc.Replan(context.Background(), fmt.Sprint("churn-", t), prev[t],
+				pools[t][step%len(pools[t])], core.MaxThroughput, core.Constraints{})
+			if err != nil {
+				return 0, 0, fmt.Errorf("service_warm_churn op %d: %w", next, err)
+			}
+			prev[t], explored, hits = res.Plan, explored+res.Explored, hits+res.CacheHits
+		}
+		svc.Quiesce()
+		return explored, hits, nil
+	}
+	if _, _, err := drive(2*round, true); err != nil { // fill the caches, lock the forecasters
+		return benchResult{}, err
+	}
+	explored, hits, err := drive(round, true)
+	if err != nil {
+		return benchResult{}, err
+	}
+	runtime.ReadMemStats(&m0)
+	t0 := time.Now()
+	if _, _, err := drive(ops, false); err != nil {
+		return benchResult{}, err
+	}
+	elapsed := time.Since(t0)
+	runtime.ReadMemStats(&m1)
+	res := row(fmt.Sprintf("service_warm_churn/tenants=%d", tenants), testing.BenchmarkResult{N: ops, T: elapsed,
+		MemAllocs: m1.Mallocs - m0.Mallocs, MemBytes: m1.TotalAlloc - m0.TotalAlloc}, explored, hits)
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	runtime.KeepAlive(svc)
+	res.LiveHeapBytes = max(int64(m1.HeapAlloc)-heapBefore, 0)
+	return res, nil
+}
+
 func row(name string, r testing.BenchmarkResult, explored, hits int) benchResult {
 	return benchResult{
 		Name:        name,
@@ -345,8 +426,12 @@ func printBenchstat(w io.Writer, doc benchDoc, header bool) {
 		fmt.Fprintf(w, "goos: %s\ngoarch: %s\npkg: repro/cmd/sailor-bench\n", runtime.GOOS, runtime.GOARCH)
 	}
 	for _, b := range doc.Benches {
-		fmt.Fprintf(w, "Benchmark_%s \t%8d\t%14.0f ns/op\t%10d B/op\t%8d allocs/op\t%8d explored/op\t%8d cache-hits/op\n",
+		fmt.Fprintf(w, "Benchmark_%s \t%8d\t%14.0f ns/op\t%10d B/op\t%8d allocs/op\t%8d explored/op\t%8d cache-hits/op",
 			b.Name, b.Iters, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp, b.Explored, b.CacheHits)
+		if b.LiveHeapBytes > 0 {
+			fmt.Fprintf(w, "\t%10d live-heap-B", b.LiveHeapBytes)
+		}
+		fmt.Fprintln(w)
 	}
 }
 

@@ -43,7 +43,7 @@ var ErrConflict = errors.New("fleet: lease conflicts with current free capacity"
 type OpKind int
 
 const (
-	// OpInstall is a lease grant or replacement (Acquire/Resize/Install).
+	// OpInstall is a lease grant or replacement (Install).
 	OpInstall OpKind = iota
 	// OpRelease is a lease drop (Release/ReleaseIf). Evictions driven by
 	// OpApply and OpSetCap are not separate ops: they are deterministic
@@ -175,23 +175,12 @@ func (l *Ledger) FreeView() *cluster.Pool {
 	return l.freeLocked("")
 }
 
-// ViewFor returns the capacity a replan of job may draw from: the free view
-// plus the job's own lease (a job may always reshuffle capacity it holds),
-// truncated to the per-job cap when one is set.
-func (l *Ledger) ViewFor(job string) *cluster.Pool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	view := l.freeLocked(job)
-	if l.jobCap > 0 {
-		view = view.CapTotal(l.jobCap)
-	}
-	return view
-}
-
-// ViewForTypes is ViewFor restricted to the GPU types the job's profiled
-// System can actually plan with: the free view plus the job's own lease,
-// filtered to gpus *before* the per-job cap is applied, so the cap is spent
-// on usable cells only. An empty type list means no filter. Because the
+// ViewForTypes returns the capacity a replan of job may draw from,
+// restricted to the GPU types the job's profiled System can actually plan
+// with: the free view plus the job's own lease (a job may always reshuffle
+// capacity it holds), filtered to gpus *before* the per-job cap is applied,
+// so the cap is spent on usable cells only. An empty type list means no
+// filter. Because the
 // filtered view is a pure function of the free counts in the job's own-type
 // cells, jobs whose type sets are disjoint see views that are independent
 // of each other's grants — the property Service.Rebalance's partitioned
@@ -257,30 +246,6 @@ func (l *Ledger) Held(job string) bool {
 	defer l.mu.Unlock()
 	_, ok := l.leases[job]
 	return ok
-}
-
-// Acquire grants a new lease for job's plan, validating the demand against
-// the free view. It fails if the job already holds a lease (use Resize) or
-// with ErrConflict if the plan no longer fits the free capacity.
-func (l *Ledger) Acquire(job string, priority int, plan core.Plan) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if _, ok := l.leases[job]; ok {
-		return fmt.Errorf("fleet: job %q already holds a lease (use Resize)", job)
-	}
-	return l.grantLocked(job, priority, plan)
-}
-
-// Resize atomically replaces job's lease with a new plan, keeping its
-// priority. The job's current hold counts as free for its own resize.
-func (l *Ledger) Resize(job string, plan core.Plan) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	le, ok := l.leases[job]
-	if !ok {
-		return fmt.Errorf("fleet: job %q holds no lease to resize", job)
-	}
-	return l.grantLocked(job, le.Priority, plan)
 }
 
 // Install grants or replaces job's lease in one step — the acquire-or-resize

@@ -19,6 +19,12 @@ var (
 	zoneB = cluster.GCPZone("us-central1", 'b')
 )
 
+// install is Install for tests that need only the error.
+func install(l *Ledger, job string, priority int, plan core.Plan) error {
+	_, err := l.Install(job, priority, plan)
+	return err
+}
+
 // flatPlan builds a one-stage plan of n replicas of tp GPUs each in z.
 func flatPlan(z core.Zone, g core.GPUType, n, tp int) core.Plan {
 	reps := make([]core.StageReplica, n)
@@ -35,29 +41,32 @@ func TestLedgerAcquireReleaseFreeView(t *testing.T) {
 	if v := l.Version(); v != 0 {
 		t.Errorf("fresh ledger version = %d, want 0", v)
 	}
-	if err := l.Acquire("a", 1, flatPlan(zoneA, core.A100, 2, 4)); err != nil {
+	if err := install(l, "a", 1, flatPlan(zoneA, core.A100, 2, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.FreeView().TotalGPUs(); got != 8 {
 		t.Errorf("free after 8-GPU lease = %d, want 8", got)
 	}
-	// A second lease for the same job must be a Resize, not an Acquire.
-	if err := l.Acquire("a", 1, flatPlan(zoneA, core.A100, 1, 4)); err == nil {
-		t.Error("double Acquire must fail")
+	// A second grant for the same job replaces its lease; it does not add one.
+	if err := install(l, "a", 1, flatPlan(zoneA, core.A100, 2, 4)); err != nil {
+		t.Fatalf("re-install of the same plan: %v", err)
+	}
+	if got := l.FreeView().TotalGPUs(); got != 8 {
+		t.Errorf("free after re-install = %d, want 8", got)
 	}
 	// The remaining 8 GPUs admit job b but not a 12-GPU plan.
-	if err := l.Acquire("b", 1, flatPlan(zoneA, core.A100, 3, 4)); !errors.Is(err, ErrConflict) {
+	if err := install(l, "b", 1, flatPlan(zoneA, core.A100, 3, 4)); !errors.Is(err, ErrConflict) {
 		t.Errorf("oversized acquire = %v, want ErrConflict", err)
 	}
-	if err := l.Acquire("b", 1, flatPlan(zoneA, core.A100, 2, 4)); err != nil {
+	if err := install(l, "b", 1, flatPlan(zoneA, core.A100, 2, 4)); err != nil {
 		t.Fatal(err)
 	}
 	if got := l.FreeView().TotalGPUs(); got != 0 {
 		t.Errorf("free after both leases = %d, want 0", got)
 	}
-	// ViewFor offers the job its own capacity back.
-	if got := l.ViewFor("a").TotalGPUs(); got != 8 {
-		t.Errorf("ViewFor(a) = %d GPUs, want 8", got)
+	// The job's view offers it its own capacity back.
+	if got := l.ViewForTypes("a", nil).TotalGPUs(); got != 8 {
+		t.Errorf("ViewForTypes(a) = %d GPUs, want 8", got)
 	}
 	if !l.Release("a") {
 		t.Error("Release(a) = false, want true")
@@ -106,22 +115,19 @@ func TestReleaseIf(t *testing.T) {
 
 func TestLedgerResize(t *testing.T) {
 	l := NewLedger(cluster.NewPool().Set(zoneA, core.A100, 16))
-	if err := l.Resize("a", flatPlan(zoneA, core.A100, 1, 4)); err == nil {
-		t.Error("Resize without a lease must fail")
-	}
-	if err := l.Acquire("a", 7, flatPlan(zoneA, core.A100, 3, 4)); err != nil {
+	if err := install(l, "a", 7, flatPlan(zoneA, core.A100, 3, 4)); err != nil {
 		t.Fatal(err)
 	}
 	// Growing within the fleet works because the job's own 12 GPUs count as
 	// free for its resize.
-	if err := l.Resize("a", flatPlan(zoneA, core.A100, 4, 4)); err != nil {
+	if err := install(l, "a", 7, flatPlan(zoneA, core.A100, 4, 4)); err != nil {
 		t.Fatalf("grow-in-place resize: %v", err)
 	}
 	snap := l.Snapshot()
 	if len(snap.Leases) != 1 || snap.Leases[0].GPUs() != 16 || snap.Leases[0].Priority != 7 {
 		t.Errorf("lease after resize = %+v, want 16 GPUs at priority 7", snap.Leases)
 	}
-	if err := l.Resize("a", flatPlan(zoneA, core.A100, 5, 4)); !errors.Is(err, ErrConflict) {
+	if err := install(l, "a", 7, flatPlan(zoneA, core.A100, 5, 4)); !errors.Is(err, ErrConflict) {
 		t.Errorf("oversized resize = %v, want ErrConflict", err)
 	}
 	// A failed resize leaves the old lease untouched.
@@ -145,16 +151,16 @@ func TestJobCap(t *testing.T) {
 		t.Errorf("JobCap = %d, want 6", got)
 	}
 	// Views truncate to the cap; grants beyond it are refused outright.
-	if got := l.ViewFor("a").TotalGPUs(); got != 6 {
-		t.Errorf("capped ViewFor = %d GPUs, want 6", got)
+	if got := l.ViewForTypes("a", nil).TotalGPUs(); got != 6 {
+		t.Errorf("capped view = %d GPUs, want 6", got)
 	}
-	if err := l.Acquire("a", 1, flatPlan(zoneA, core.A100, 2, 4)); err == nil {
+	if err := install(l, "a", 1, flatPlan(zoneA, core.A100, 2, 4)); err == nil {
 		t.Error("8-GPU plan above the 6-GPU cap must be refused")
 	}
-	if err := l.Acquire("a", 1, flatPlan(zoneA, core.A100, 1, 4)); err != nil {
+	if err := install(l, "a", 1, flatPlan(zoneA, core.A100, 1, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Acquire("b", 2, flatPlan(zoneA, core.A100, 1, 6)); err != nil {
+	if err := install(l, "b", 2, flatPlan(zoneA, core.A100, 1, 6)); err != nil {
 		t.Fatal(err)
 	}
 	// Tightening the cap evicts the now-oversized lease (b, 6 GPUs) and
@@ -168,8 +174,8 @@ func TestJobCap(t *testing.T) {
 	}
 	// Removing the cap restores the full view.
 	l.SetJobCap(0)
-	if got := l.ViewFor("x").TotalGPUs(); got != 12 {
-		t.Errorf("uncapped ViewFor = %d GPUs, want 12 free", got)
+	if got := l.ViewForTypes("x", nil).TotalGPUs(); got != 12 {
+		t.Errorf("uncapped view = %d GPUs, want 12 free", got)
 	}
 	if err := l.CheckInvariant(); err != nil {
 		t.Fatal(err)
@@ -178,10 +184,10 @@ func TestJobCap(t *testing.T) {
 
 func TestLedgerRejectsBadGrants(t *testing.T) {
 	l := NewLedger(cluster.NewPool().Set(zoneA, core.A100, 8))
-	if err := l.Acquire("", 1, flatPlan(zoneA, core.A100, 1, 4)); err == nil {
+	if err := install(l, "", 1, flatPlan(zoneA, core.A100, 1, 4)); err == nil {
 		t.Error("empty job name must fail")
 	}
-	if err := l.Acquire("a", 1, core.Plan{}); err == nil {
+	if err := install(l, "a", 1, core.Plan{}); err == nil {
 		t.Error("empty plan must fail")
 	}
 	if _, err := l.Install("a", 1, flatPlan(zoneB, core.V100, 1, 4)); !errors.Is(err, ErrConflict) {
@@ -199,7 +205,7 @@ func TestApplyEvictsInAdmissionOrder(t *testing.T) {
 		name string
 		pri  int
 	}{{"b", 1}, {"hi", 9}, {"a", 1}} {
-		if err := l.Acquire(j.name, j.pri, flatPlan(zoneA, core.A100, 1, 4)); err != nil {
+		if err := install(l, j.name, j.pri, flatPlan(zoneA, core.A100, 1, 4)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -236,10 +242,10 @@ func TestApplyEvictsInAdmissionOrder(t *testing.T) {
 // not just totals — a zone loss breaks exactly the leases pinned there.
 func TestApplyKeepsHighPriorityAcrossZones(t *testing.T) {
 	l := NewLedger(cluster.NewPool().Set(zoneA, core.A100, 8).Set(zoneB, core.A100, 8))
-	if err := l.Acquire("inA", 1, flatPlan(zoneA, core.A100, 2, 4)); err != nil {
+	if err := install(l, "inA", 1, flatPlan(zoneA, core.A100, 2, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Acquire("inB", 9, flatPlan(zoneB, core.A100, 2, 4)); err != nil {
+	if err := install(l, "inB", 9, flatPlan(zoneB, core.A100, 2, 4)); err != nil {
 		t.Fatal(err)
 	}
 	// Zone B blacks out: only inB breaks even though it outranks inA.
@@ -323,7 +329,7 @@ func TestLedgerPropertyRandom(t *testing.T) {
 				_, _ = l.Install(job, rng.Intn(4), flatPlan(z, core.A100, 1+rng.Intn(3), 1+rng.Intn(4)))
 			case 3:
 				if l.Held(job) {
-					_ = l.Resize(job, flatPlan(z, core.A100, 1+rng.Intn(2), 1+rng.Intn(4)))
+					_ = install(l, job, rng.Intn(4), flatPlan(z, core.A100, 1+rng.Intn(2), 1+rng.Intn(4)))
 				}
 			case 4:
 				l.Release(job)
@@ -377,7 +383,7 @@ func TestLedgerConcurrentSafety(t *testing.T) {
 				case 1:
 					_ = l.Apply(trace.Event{Zone: zoneA, GPU: core.A100, Delta: []int{-2, 2}[(i/4)%2]})
 				case 2:
-					_ = l.FreeView().TotalGPUs() + l.ViewFor(job).TotalGPUs()
+					_ = l.FreeView().TotalGPUs() + l.ViewForTypes(job, nil).TotalGPUs()
 				case 3:
 					l.Release(job)
 				}

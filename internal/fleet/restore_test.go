@@ -35,7 +35,7 @@ func TestObserverOrderAndReplay(t *testing.T) {
 		t.Fatal("Release(a) = false")
 	}
 	// A failed grant must emit nothing.
-	if err := l.Acquire("c", 0, flatPlan(zoneA, core.A100, 9, 4)); err == nil {
+	if err := install(l, "c", 0, flatPlan(zoneA, core.A100, 9, 4)); err == nil {
 		t.Fatal("oversized acquire must fail")
 	}
 
@@ -107,13 +107,11 @@ func TestObserverSilentOnFailedMutations(t *testing.T) {
 		name string
 		call func() error
 	}{
-		{"acquire duplicate", func() error { return l.Acquire("a", 1, fits) }},
-		{"acquire empty job", func() error { return l.Acquire("", 1, fits) }},
-		{"acquire empty plan", func() error { return l.Acquire("b", 1, core.Plan{}) }},
-		{"acquire over job cap", func() error { return l.Acquire("b", 1, flatPlan(zoneA, core.A100, 1, 7)) }},
-		{"acquire conflict", func() error { return l.Acquire("b", 1, flatPlan(zoneA, core.A100, 1, 5)) }},
-		{"resize unheld", func() error { return l.Resize("ghost", fits) }},
-		{"install conflict", func() error { _, err := l.Install("b", 1, flatPlan(zoneA, core.A100, 1, 5)); return err }},
+		{"install empty job", func() error { return install(l, "", 1, fits) }},
+		{"install empty plan", func() error { return install(l, "b", 1, core.Plan{}) }},
+		{"install over job cap", func() error { return install(l, "b", 1, flatPlan(zoneA, core.A100, 1, 7)) }},
+		{"install conflict", func() error { return install(l, "b", 1, flatPlan(zoneA, core.A100, 1, 5)) }},
+		{"re-install conflict", func() error { return install(l, "a", 1, flatPlan(zoneA, core.A100, 1, 5+4)) }},
 		{"release unheld", func() error {
 			if l.Release("ghost") {
 				return fmt.Errorf("Release(ghost) = true")
@@ -147,11 +145,23 @@ func TestObserverSilentOnFailedMutations(t *testing.T) {
 	}
 	// The ledger is still live after the gauntlet: the next grant emits
 	// exactly one op at the next contiguous version.
-	if err := l.Acquire("b", 1, fits); err != nil {
+	if err := install(l, "b", 1, fits); err != nil {
 		t.Fatal(err)
 	}
 	if len(ops) != 1 || ops[0].Kind != OpInstall || ops[0].Version != ver+1 {
 		t.Fatalf("post-gauntlet grant ops = %+v, want one OpInstall at version %d", ops, ver+1)
+	}
+}
+
+// TestOpKindNames pins the names journal records carry for each op kind.
+func TestOpKindNames(t *testing.T) {
+	for k, want := range map[OpKind]string{
+		OpInstall: "lease-install", OpRelease: "lease-release",
+		OpApply: "fleet-event", OpSetCap: "set-cap", OpKind(9): "OpKind(9)",
+	} {
+		if got := k.String(); got != want {
+			t.Errorf("OpKind(%d).String() = %q, want %q", int(k), got, want)
+		}
 	}
 }
 

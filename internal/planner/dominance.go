@@ -55,13 +55,7 @@ func (t *task) initDominance(layers []int) {
 	eb := t.s.evalBoundsFor(t.mbs, t.recompute)
 	t.domMinRate = eb.minRate
 	pp := len(layers)
-	if cap(t.domSufSum) < pp+1 {
-		t.domSufSum = make([]float64, pp+1)
-		t.domSufMax = make([]float64, pp+1)
-	} else {
-		t.domSufSum = t.domSufSum[:pp+1]
-		t.domSufMax = t.domSufMax[:pp+1]
-	}
+	t.domSufSum, t.domSufMax = resized(t.domSufSum, pp+1), resized(t.domSufMax, pp+1)
 	t.domSufSum[pp], t.domSufMax[pp] = 0, 0
 	for s := pp - 1; s >= 0; s-- {
 		// The floor sweeps the types available anywhere at task start;

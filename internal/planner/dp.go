@@ -19,10 +19,10 @@ package planner
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 	"strconv"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/hardware"
 	"repro/internal/memory"
@@ -55,36 +55,49 @@ type stageChoice struct {
 	rateUSD float64
 }
 
-// allocGroups detaches a choice's group composition from the enumeration
-// scratch buffer, for choices that outlive one stageCombos generation
-// (memoized winners and budget-path nodes). The copies are carved out of
-// chunked arenas owned by the task: a chunk is never grown in place once
-// handed out, so earlier copies stay valid for the life of the task while
-// the allocation count drops from one per winner to one per chunk.
-func (t *task) allocGroups(groups []replicaGroup) []replicaGroup {
-	const groupChunk = 4096
-	if len(t.groupArena)+len(groups) > cap(t.groupArena) {
-		n := groupChunk
-		if len(groups) > n {
-			n = len(groups)
-		}
-		t.groupArena = make([]replicaGroup, 0, n)
-	}
-	off := len(t.groupArena)
-	t.groupArena = append(t.groupArena, groups...)
-	return t.groupArena[off:len(t.groupArena):len(t.groupArena)]
+// chunked is a rewindable bump allocator over fixed-size chunks: take never
+// moves what it handed out, rewind makes every chunk reusable. The task's
+// next DP degree carves the chunks again, so nothing taken from them may
+// outlive the degree (the ownership rule is stated in warm.go).
+type chunked[T any] struct {
+	chunks [][]T
+	cur    int // the chunk being carved
 }
 
-// newNode hands out one zeroed dpNode from the task's chunked slab. Memo
-// entries and the warm cache hold references into the chunks, so a chunk is
-// never recycled — the slab only amortises the allocation count.
-func (t *task) newNode() *dpNode {
-	if len(t.nodeSlab) == 0 {
-		t.nodeSlab = make([]dpNode, 512)
+func (c *chunked[T]) take(n, chunk int) []T {
+	for ; c.cur < len(c.chunks); c.cur++ {
+		if a := c.chunks[c.cur]; len(a)+n <= cap(a) {
+			c.chunks[c.cur] = a[:len(a)+n]
+			return a[len(a) : len(a)+n : len(a)+n]
+		}
 	}
-	n := &t.nodeSlab[0]
-	t.nodeSlab = t.nodeSlab[1:]
-	return n
+	if chunk < n {
+		chunk = n
+	}
+	c.chunks = append(c.chunks, make([]T, n, chunk))
+	return c.chunks[c.cur][:n:n]
+}
+
+func (c *chunked[T]) rewind() {
+	for i := range c.chunks {
+		c.chunks[i] = c.chunks[i][:0]
+	}
+	c.cur = 0
+}
+
+// allocGroups detaches a choice's group composition from the enumeration
+// scratch buffer, for choices that outlive one stageCombos generation
+// (memoized winners and budget-path nodes), into the task's group arena.
+func (t *task) allocGroups(groups []replicaGroup) []replicaGroup {
+	out := t.groups.take(len(groups), 4096)
+	copy(out, groups)
+	return out
+}
+
+// newNode hands out one dpNode from the task's node arena, holding whatever
+// the previous job left there; every caller assigns it whole.
+func (t *task) newNode() *dpNode {
+	return &t.nodes.take(1, 512)[0]
 }
 
 // dpNode is the memoized solution of the suffix starting at one stage.
@@ -148,7 +161,7 @@ func (t *task) sigLess(a, b *dpNode) bool {
 
 // nodeStats are the value-typed metrics of a candidate suffix node. The
 // combos loop compares candidates through these without allocating a
-// dpNode per loser; the arithmetic mirrors combine/leafNode exactly.
+// dpNode per loser; the arithmetic mirrors combine exactly.
 type nodeStats struct {
 	straggler float64
 	sumTime   float64
@@ -160,7 +173,7 @@ func (s nodeStats) metric(nb int) float64 {
 	return float64(nb)*s.straggler + s.sumTime + s.maxSync
 }
 
-// statsOf computes the metrics combine(choice, child) — or leafNode(choice)
+// statsOf computes the metrics combine(choice, child) — a leaf's
 // when child is nil — would produce, without building the node.
 func statsOf(c stageChoice, child *dpNode) nodeStats {
 	if child == nil {
@@ -178,14 +191,26 @@ func statsOf(c stageChoice, child *dpNode) nodeStats {
 	return st
 }
 
-// materialise builds the node a winning (choice, child) pair stands for.
-func (t *task) materialise(c stageChoice, child *dpNode, st nodeStats) *dpNode {
-	n := t.newNode()
-	*n = dpNode{
+// nodeOf is the node a winning (choice, child) pair stands for.
+func nodeOf(c stageChoice, child *dpNode, st nodeStats) dpNode {
+	return dpNode{
 		choice: c, next: child,
 		straggler: st.straggler, sumTime: st.sumTime,
 		maxSync: st.maxSync, rateUSD: st.rateUSD,
 	}
+}
+
+// winner materialises a memoized state's winner, detaching its groups from
+// the incumbent buffer. A warm task publishes every such node, so it is born
+// cache-owned (as its child was, or the cache served it); a cold task's
+// nodes die with the DP degree and come from the arenas.
+func (t *task) winner(c stageChoice, child *dpNode, st nodeStats) *dpNode {
+	if t.s.warmOn {
+		return ownedNode(nodeOf(c, child, st))
+	}
+	c.groups = t.allocGroups(c.groups)
+	n := t.newNode()
+	*n = nodeOf(c, child, st)
 	return n
 }
 
@@ -230,18 +255,15 @@ func (t *task) solveDP(rs *regionState, layers []int, i, ri, d, mbs, nb int, bud
 		// Warm start: consult the snapshot of DP memos persisted by earlier
 		// replans. A hit short-circuits the whole subtree (it neither counts
 		// as explored nor recurses), which is where Replan's speedup on
-		// churn traces comes from. Hits are re-published into pending so
-		// the merge's over-cap eviction keeps the live working set rather
-		// than retaining only the latest search's misses.
-		if t.warmOn {
+		// churn traces comes from. Hits are re-published so the merge's
+		// over-cap eviction keeps the live working set rather than retaining
+		// only the latest search's misses.
+		if t.s.warmOn {
 			full := t.warmKey(memoKey)
 			if n, ok := t.s.warmDP[full]; ok {
 				t.warmHits++
 				t.memoPut(memoKey, n)
-				if t.pending == nil {
-					t.pending = map[warmDPKey]*dpNode{}
-				}
-				t.pending[full] = n
+				t.pend.dp = append(t.pend.dp, warmEntry[warmDPKey, *dpNode]{full, n})
 				return n
 			}
 		}
@@ -318,21 +340,17 @@ func (t *task) solveDP(rs *regionState, layers []int, i, ri, d, mbs, nb int, bud
 		}
 	}
 	if have {
-		bestChoice.groups = t.allocGroups(bestChoice.groups)
-		best = t.materialise(bestChoice, bestChild, bestStats)
+		best = t.winner(bestChoice, bestChild, bestStats)
 	}
 	if memoized {
 		t.memoPut(memoKey, best)
-		if t.warmOn && !t.s.expired() {
+		if t.s.warmOn && !t.s.expired() {
 			// Persist only nodes from uncancelled exploration: a cut-off
 			// subtree may have skipped choices, and caching its partial
 			// best would poison later replans. nil results (infeasible
 			// suffixes) are cached too — knowing a region state cannot
 			// host the remaining stages is as reusable as a solution.
-			if t.pending == nil {
-				t.pending = map[warmDPKey]*dpNode{}
-			}
-			t.pending[t.warmKey(memoKey)] = best
+			t.pend.dp = append(t.pend.dp, warmEntry[warmDPKey, *dpNode]{t.warmKey(memoKey), best})
 		}
 	}
 	return best
@@ -349,7 +367,7 @@ func (t *task) solveWithBudget(rs *regionState, layers []int, i, r, d, mbs, nb i
 	applyChoice(rs, choice)
 	defer undoChoice(rs, choice)
 	if i == pp-1 {
-		n := t.leafNode(choice)
+		n := t.combine(choice, nil)
 		if n.costPerIter(nb) > budget {
 			return nil
 		}
@@ -380,17 +398,10 @@ func (t *task) solveWithBudget(rs *regionState, layers []int, i, r, d, mbs, nb i
 	return nil
 }
 
-func (t *task) leafNode(c stageChoice) *dpNode {
-	n := t.newNode()
-	*n = dpNode{
-		choice: c, straggler: c.perMB, sumTime: c.perMB,
-		maxSync: c.sync, rateUSD: c.rateUSD,
-	}
-	return n
-}
-
 func (t *task) combine(c stageChoice, child *dpNode) *dpNode {
-	return t.materialise(c, child, statsOf(c, child))
+	n := t.newNode()
+	*n = nodeOf(c, child, statsOf(c, child))
+	return n
 }
 
 func applyChoice(rs *regionState, c stageChoice) {
@@ -423,10 +434,12 @@ func (t *task) stageCombos(rs *regionState, region, layers, stage, pp, d, mbs, n
 	// The cell arrays are sized here, not in init: a warm task whose scans
 	// are served from the snapshot never enumerates a combo, so it never
 	// pays for them.
-	if cells := pp * len(rs.regions); len(t.comboOK) < cells {
-		t.comboCache = make([][]stageChoice, cells)
-		t.comboGroups = make([][]replicaGroup, cells)
-		t.comboOK = make([]bool, cells)
+	// Growing keeps the cells' buffers: an earlier, shallower job's lists
+	// are stale (comboOK is false until rebuilt) but their capacity is not.
+	if grow := pp*len(rs.regions) - len(t.comboOK); grow > 0 {
+		t.comboCache = append(t.comboCache, make([][]stageChoice, grow)...)
+		t.comboGroups = append(t.comboGroups, make([][]replicaGroup, grow)...)
+		t.comboOK = append(t.comboOK, make([]bool, grow)...)
 	}
 	idx := stage*len(rs.regions) + region
 	if !t.comboOK[idx] {
@@ -725,21 +738,29 @@ func (t *task) minTP(g core.GPUType, ti, layers, stage, pp, mbs, nb int) int {
 
 // --- plan materialisation --------------------------------------------------
 
+// planBuf backs one plan under evaluation: its stages and, carved from one
+// array, their replicas.
+type planBuf struct {
+	stages   []core.StagePlan
+	replicas []core.StageReplica
+}
+
 // buildPlan converts a DP solution chain into a concrete core.Plan, mapping
-// the consolidated region back onto real zones of the original pool.
-func (t *task) buildPlan(node *dpNode, layers []int, mbs int, origPool *cluster.Pool) (core.Plan, bool) {
-	pp := len(layers)
-	plan := core.Plan{MicroBatchSize: mbs, Recompute: t.recompute, Stages: make([]core.StagePlan, 0, pp)}
+// the consolidated region back onto real zones through the search's zone
+// table: each replica (tp GPUs of one type, one zone per H1) lands in the
+// zone of its region bucket with the most remaining capacity. The plan
+// lives in buf until the next buildPlan into it (see detachPlan).
+func (t *task) buildPlan(node *dpNode, layers []int, mbs int, buf *planBuf) (core.Plan, bool) {
+	s := t.s
+	pp, types := len(layers), len(s.rs.types)
 	// Remaining availability per real zone for zone assignment.
-	remain := origPool.Clone()
-	zonesByRegion := map[string][]core.Zone{}
-	for _, z := range remain.Zones() {
-		zonesByRegion[z.Region] = append(zonesByRegion[z.Region], z)
-		if !t.pl.Opts.Heuristics.H6MergeZones {
-			// Zone-granular search: region names are zone names.
-			zonesByRegion[z.Name] = append(zonesByRegion[z.Name], z)
-		}
+	t.zoneLeft = append(t.zoneLeft[:0], s.zoneAvail...)
+	d := 0
+	for _, g := range node.choice.groups {
+		d += g.count
 	}
+	reps := resized(buf.replicas, pp*d)[:0]
+	stages := buf.stages[:0]
 	first := 0
 	cur := node
 	for i := 0; i < pp; i++ {
@@ -747,38 +768,36 @@ func (t *task) buildPlan(node *dpNode, layers []int, mbs int, origPool *cluster.
 			return core.Plan{}, false
 		}
 		ch := cur.choice
-		regionName := t.s.rs.regions[ch.region]
-		st := core.StagePlan{FirstLayer: first, NumLayers: layers[i]}
+		from := len(reps)
 		for _, g := range ch.groups {
-			gpu := t.s.rs.types[g.typeIdx]
+			gpu := s.rs.types[g.typeIdx]
 			for r := 0; r < g.count; r++ {
-				z, ok := pickZone(remain, zonesByRegion, regionName, gpu, g.tp)
-				if !ok {
+				best, bestN := -1, -1
+				for _, zi := range s.bucketZones[ch.region] {
+					if n := t.zoneLeft[zi*types+g.typeIdx]; n >= g.tp && n > bestN {
+						best, bestN = zi, n
+					}
+				}
+				if best < 0 {
 					return core.Plan{}, false
 				}
-				st.Replicas = append(st.Replicas, core.StageReplica{GPU: gpu, TP: g.tp, Zone: z})
+				t.zoneLeft[best*types+g.typeIdx] -= g.tp
+				reps = append(reps, core.StageReplica{GPU: gpu, TP: g.tp, Zone: s.zones[best]})
 			}
 		}
-		plan.Stages = append(plan.Stages, st)
+		stages = append(stages, core.StagePlan{FirstLayer: first, NumLayers: layers[i], Replicas: reps[from:len(reps):len(reps)]})
 		first += layers[i]
 		cur = cur.next
 	}
-	return plan, true
+	buf.stages, buf.replicas = stages, reps
+	return core.Plan{MicroBatchSize: mbs, Recompute: t.recompute, Stages: stages}, true
 }
 
-// pickZone places one replica (tp GPUs of one type, one zone per H1) in the
-// real zone of the region with the most remaining capacity.
-func pickZone(remain *cluster.Pool, zonesByRegion map[string][]core.Zone, region string, g core.GPUType, tp int) (core.Zone, bool) {
-	var best core.Zone
-	bestN := -1
-	for _, z := range zonesByRegion[region] {
-		if n := remain.Available(z, g); n >= tp && n > bestN {
-			best, bestN = z, n
-		}
+// detachPlan returns a copy of a scratch-backed plan in storage of its own.
+func detachPlan(p core.Plan) core.Plan {
+	p.Stages = slices.Clone(p.Stages)
+	for i := range p.Stages {
+		p.Stages[i].Replicas = slices.Clone(p.Stages[i].Replicas)
 	}
-	if bestN < 0 {
-		return core.Zone{}, false
-	}
-	remain.Add(best, g, -tp)
-	return best, true
+	return p
 }

@@ -8,9 +8,10 @@ package planner
 // epoch live in one slot struct so a probe touches a single cache line
 // rather than three parallel arrays. Scans are reset by bumping an epoch —
 // stale slots simply read as vacant — so clearing costs nothing regardless
-// of how large the previous scan grew. Stale vals keep pointing into the
-// task's node slab, which outlives every scan of the task anyway, so the
-// retained memory is the slab the task already owns.
+// of how large the previous scan grew — and the slots are kept across the
+// jobs of a search too (the table is part of the task scratch). Stale vals
+// point into the task's node arena or at cache-owned nodes; they are never
+// read, and the table dies with the search.
 type dpTable struct {
 	slots []dpSlot
 	epoch uint32

@@ -8,6 +8,7 @@ package planner
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/model"
 	"repro/internal/profiler"
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // dpLab builds an initialised search/task pair over a pool, mirroring the
@@ -32,10 +34,11 @@ func dpLab(tb testing.TB, pool *cluster.Pool, gpus ...core.GPUType) (*Planner, *
 	rs := newRegionState(pool, true)
 	s := newSearch(pl, context.Background())
 	tb.Cleanup(s.stop)
-	s.bindState(rs)
+	s.bindState(rs, pool)
 	layers := partitionLayers(cfg.Layers, 4)
-	t := &task{s: s, pl: pl, mbs: 2}
-	t.init(rs, layers)
+	t := s.taskFor(0)
+	t.reset(rs, 2, false, nil)
+	t.init(layers)
 	t.resetMemo(2, cfg.GlobalBatch/(2*2))
 	return pl, s, t, rs, layers
 }
@@ -45,8 +48,8 @@ func dpLab(tb testing.TB, pool *cluster.Pool, gpus ...core.GPUType) (*Planner, *
 // touches the heap.
 func TestSolveDPMemoHitAllocFree(t *testing.T) {
 	pool := cluster.NewPool().Set(zoneA, core.A100, 16)
-	_, _, tk, rs, layers := dpLab(t, pool, core.A100)
-	work := rs.clone()
+	_, _, tk, _, layers := dpLab(t, pool, core.A100)
+	work := &tk.rs
 	nb := tk.pl.Cfg.GlobalBatch / (2 * 2)
 	if n := tk.solveDP(work, layers, 0, 0, 2, 2, nb, 0); n == nil {
 		t.Fatal("cold pass found no solution")
@@ -64,8 +67,8 @@ func TestSolveDPMemoHitAllocFree(t *testing.T) {
 // implementation it replaced spent thousands here).
 func TestSolveDPColdAllocCeiling(t *testing.T) {
 	pool := cluster.NewPool().Set(zoneA, core.A100, 16)
-	_, _, tk, rs, layers := dpLab(t, pool, core.A100)
-	work := rs.clone()
+	_, _, tk, _, layers := dpLab(t, pool, core.A100)
+	work := &tk.rs
 	nb := tk.pl.Cfg.GlobalBatch / (2 * 2)
 	const ceiling = 256
 	allocs := testing.AllocsPerRun(20, func() {
@@ -83,8 +86,8 @@ func TestSolveDPColdAllocCeiling(t *testing.T) {
 // key build plus one map probe per stage state.
 func BenchmarkDPMemoHit(b *testing.B) {
 	pool := cluster.NewPool().Set(zoneA, core.A100, 16)
-	_, _, tk, rs, layers := dpLab(b, pool, core.A100)
-	work := rs.clone()
+	_, _, tk, _, layers := dpLab(b, pool, core.A100)
+	work := &tk.rs
 	nb := tk.pl.Cfg.GlobalBatch / (2 * 2)
 	if n := tk.solveDP(work, layers, 0, 0, 2, 2, nb, 0); n == nil {
 		b.Fatal("cold pass found no solution")
@@ -93,5 +96,105 @@ func BenchmarkDPMemoHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tk.solveDP(work, layers, 0, 0, 2, 2, nb, 0)
+	}
+}
+
+// TestWarmReplanAllocCeiling: a fully-warm replan chain — every DP state and
+// every estimate served from the cache, Explored 0 — over the preemption-storm
+// base-32 cycle stays under a third of the bytes and allocations it cost
+// while every search rebuilt its tasks, cloned the pool per candidate and
+// collected its pending entries in maps (44 341 allocs / 8 470 284 B per
+// chain of 19 replans; 4 075 / 1 247 878 when this pin was written).
+func TestWarmReplanAllocCeiling(t *testing.T) {
+	const parentAllocs, parentBytes = 44341, 8470284
+	cfg := model.OPT350M()
+	prof, err := profiler.Collect(cfg, []core.GPUType{core.A100}, nil, profiler.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := New(cfg, sim.New(cfg, prof), Options{
+		Objective: core.MaxThroughput, Heuristics: AllHeuristics(), Workers: 1, Warm: NewWarmCache(),
+	})
+	sc, ok := trace.ScenarioByName("preemption-storm")
+	if !ok {
+		t.Fatal("preemption-storm scenario not registered")
+	}
+	pools := sc.TraceWith(1, trace.ScenarioOpts{Base: 32}).DistinctPools()
+	var prev core.Plan
+	explored := 0
+	chain := func() {
+		explored = 0
+		for _, pool := range pools {
+			res, err := pl.Replan(prev, pool)
+			if err != nil {
+				t.Fatal(err)
+			}
+			explored += res.Explored
+			prev = res.Plan
+		}
+	}
+	chain() // fill the cache
+	if chain(); explored != 0 {
+		t.Fatalf("second pass explored %d nodes; the pin is about fully-warm replans", explored)
+	}
+	const runs = 10
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	allocs := testing.AllocsPerRun(runs, chain)
+	runtime.ReadMemStats(&m1)
+	bytes := (m1.TotalAlloc - m0.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+	t.Logf("fully-warm chain of %d replans: %.0f allocs, %d bytes", len(pools), allocs, bytes)
+	if allocs > parentAllocs/3 {
+		t.Errorf("fully-warm chain allocates %.0f times; ceiling %d", allocs, parentAllocs/3)
+	}
+	if bytes > parentBytes/3 {
+		t.Errorf("fully-warm chain allocates %d bytes; ceiling %d", bytes, parentBytes/3)
+	}
+}
+
+// TestScratchReusedAcrossJobs: within one search, a (pp, mbs) job that needs
+// no more capacity than the jobs before it runs entirely in the scratch they
+// left — readying the task allocates nothing, and the arena chunks, node
+// slab, dense tables and DP table are the same memory afterwards.
+func TestScratchReusedAcrossJobs(t *testing.T) {
+	pool := cluster.NewPool().Set(zoneA, core.A100, 16)
+	pl, s, tk, rs, deep := dpLab(t, pool, core.A100)
+	shallow := partitionLayers(pl.Cfg.Layers, 2)
+	run := func(layers []int) {
+		tk.reset(rs, 2, false, nil)
+		tk.searchDP(layers, 2)
+	}
+	run(deep)
+	if s.best == nil || len(tk.nodes.chunks) == 0 || len(tk.groups.chunks) == 0 || tk.dpMemo.slots == nil {
+		t.Fatal("precondition: the first job must search cold and fill the scratch")
+	}
+	type identity struct {
+		nodes, groups            int
+		node                     *dpNode
+		group                    *replicaGroup
+		slot                     *dpSlot
+		stageT, syncT            *float64
+		stageTok, fitTok, syncTk *uint8
+		minTPT                   *int16
+	}
+	snap := func() identity {
+		return identity{
+			len(tk.nodes.chunks), len(tk.groups.chunks),
+			&tk.nodes.chunks[0][:1][0], &tk.groups.chunks[0][:1][0], &tk.dpMemo.slots[0],
+			&tk.stageT[0], &tk.syncT[0], &tk.stageTok[0], &tk.fitTok[0], &tk.syncTok[0], &tk.minTPT[0],
+		}
+	}
+	before := snap()
+	for _, layers := range [][]int{shallow, deep} {
+		run(layers)
+		if after := snap(); after != before {
+			t.Errorf("pp=%d job after a pp=%d job re-allocated scratch:\nbefore %+v\nafter  %+v", len(layers), len(deep), before, after)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			tk.reset(rs, 2, false, nil)
+			tk.init(layers)
+		}); allocs != 0 {
+			t.Errorf("readying the scratch for a pp=%d job allocates %.1f times; want 0", len(layers), allocs)
+		}
 	}
 }

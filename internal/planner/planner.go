@@ -268,8 +268,9 @@ func (pl *Planner) seedFromPrev(prev core.Plan, pool *cluster.Pool) *candidate {
 func (pl *Planner) seedEstimate(prev core.Plan) (core.Estimate, error) {
 	if w := pl.Opts.Warm; w != nil {
 		if _, est, _, ok := w.snapshot(pl.fingerprint(), pl.Sim); ok {
-			if e, ok := est[estKey(prev)]; ok {
-				return e, nil
+			var buf [256]byte
+			if e, ok := est[string(appendEstKey(buf[:0], prev))]; ok {
+				return e.est, nil
 			}
 		}
 	}
@@ -317,7 +318,7 @@ func (pl *Planner) planContext(ctx context.Context, pool *cluster.Pool, seed *ca
 		s.runPass(rs, pool, true)
 	}
 	if s.warmOn {
-		pl.Opts.Warm.merge(pl.fingerprint(), s.pending, s.pendEst)
+		pl.Opts.Warm.merge(s.fp, s.pending())
 	}
 	// The seed is a fallback, not a competitor: a search that runs to
 	// completion returns exactly what cold planning returns, and the
@@ -390,11 +391,11 @@ func (pl *Planner) mbsCandidates() []int {
 	return []int{1, 2, 4, 8}
 }
 
-// dCandidates lists data-parallel degrees in the order the objective's
-// heuristic dictates (H3 descending for throughput, H4 ascending for cost);
-// without H3/H4 the full ascending list is explored with no early stop.
-func (pl *Planner) dCandidates(maxD int) []int {
-	var ds []int
+// appendDCandidates appends to ds (passed empty) the data-parallel degrees
+// in the order the objective's heuristic dictates (H3 descending for
+// throughput, H4 ascending for cost); without H3/H4 the full ascending list
+// is explored with no early stop.
+func (pl *Planner) appendDCandidates(ds []int, maxD int) []int {
 	for d := 1; d <= maxD; d *= 2 {
 		ds = append(ds, d)
 	}

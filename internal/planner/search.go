@@ -3,6 +3,7 @@ package planner
 import (
 	"bytes"
 	"context"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -36,20 +37,30 @@ type search struct {
 	boundMu sync.Mutex
 	bounds  map[evalBoundsKey]evalBounds
 
+	// The pool as plan materialisation needs it, built once per pass: its
+	// zones, their availability as a flat [zone][type] table, and per region
+	// bucket of rs the zones a replica placed there may land in.
+	zones       []core.Zone
+	zoneAvail   []int
+	bucketZones [][]int
+
 	// Warm start (Options.Warm): warmDP/warmEst are read-only snapshots of
 	// the persisted DP memos and plan estimates taken when the search
-	// starts — every task may read them lock-free — and pendMu guards the
-	// entries this search computes for the single merge back into the
-	// cache at the end. shape is the pool-shape descriptor shared by every
-	// persisted key of this search.
+	// starts — every task may read them lock-free; what the search merges
+	// back into the cache at the end accumulates per worker (task.pend).
+	// fp is the fingerprint the cache is bound to, shape the pool-shape
+	// descriptor shared by every persisted key of this search.
 	warmOn   bool
+	fp       string
 	shape    string
 	warmDP   map[warmDPKey]*dpNode
-	warmEst  map[string]core.Estimate
+	warmEst  map[string]*estEntry
 	warmHits atomic.Int64
-	pendMu   sync.Mutex
-	pending  map[warmDPKey]*dpNode
-	pendEst  map[string]core.Estimate
+
+	// scratch holds one task per worker, reset — not reallocated — between
+	// the (pp, mbs) jobs that worker runs, and dies with the search: no
+	// result and no warm-cache entry points into it.
+	scratch []*task
 
 	// mu guards the incumbent. Workers publish candidates through offer's
 	// objective-aware compare-and-swap; ties break on the plan signature,
@@ -84,7 +95,8 @@ func (c *candidate) signature() string {
 func newSearch(pl *Planner, ctx context.Context) *search {
 	s := &search{pl: pl, watch: make(chan struct{})}
 	if w := pl.Opts.Warm; w != nil {
-		if dp, est, mt, ok := w.snapshot(pl.fingerprint(), pl.Sim); ok {
+		s.fp = pl.fingerprint()
+		if dp, est, mt, ok := w.snapshot(s.fp, pl.Sim); ok {
 			s.warmOn, s.warmDP, s.warmEst, s.minTP = true, dp, est, mt
 		}
 	}
@@ -110,9 +122,26 @@ func (s *search) stop() { close(s.watch) }
 
 func (s *search) expired() bool { return s.done.Load() }
 
-// bindState resolves the per-typeIdx evaluator constants for a pass.
-func (s *search) bindState(rs *regionState) {
+// bindState resolves the per-typeIdx evaluator constants and the zone table
+// for a pass.
+func (s *search) bindState(rs *regionState, pool *cluster.Pool) {
 	s.rs = rs
+	s.zones = pool.Zones()
+	s.zoneAvail = make([]int, 0, len(s.zones)*len(rs.types))
+	for _, z := range s.zones {
+		for _, g := range rs.types {
+			s.zoneAvail = append(s.zoneAvail, pool.Available(z, g))
+		}
+	}
+	s.bucketZones = make([][]int, len(rs.regions))
+	for ri, name := range rs.regions {
+		for zi, z := range s.zones {
+			// In zone-granular search (no H6) bucket names are zone names.
+			if z.Region == name || !s.pl.Opts.Heuristics.H6MergeZones && z.Name == name {
+				s.bucketZones[ri] = append(s.bucketZones[ri], zi)
+			}
+		}
+	}
 	if s.warmOn {
 		s.shape = rs.shape()
 	}
@@ -127,47 +156,38 @@ func (s *search) bindState(rs *regionState) {
 	}
 }
 
-// finishTask folds one finished task's computed DP entries into the
-// search-wide pending set for the end-of-search cache merge, and flushes
-// its locally batched telemetry counters (batched so the DP's inner loop
-// performs no atomic operations).
-func (s *search) finishTask(t *task) {
-	s.explored.Add(t.explored)
-	s.warmHits.Add(t.warmHits)
-	if len(t.pending) == 0 && len(t.pendEst) == 0 {
-		return
+// pending gathers what the search's workers publish: the first worker's
+// lists, the others' appended.
+func (s *search) pending() (p warmPending) {
+	for i, t := range s.scratch {
+		if i == 0 {
+			p = t.pend
+			continue
+		}
+		p.dp = append(p.dp, t.pend.dp...)
+		p.est = append(p.est, t.pend.est...)
 	}
-	s.pendMu.Lock()
-	if s.pending == nil {
-		s.pending = make(map[warmDPKey]*dpNode, len(t.pending))
-	}
-	for k, v := range t.pending {
-		s.pending[k] = v
-	}
-	if s.pendEst == nil {
-		s.pendEst = make(map[string]core.Estimate, len(t.pendEst))
-	}
-	for k, v := range t.pendEst {
-		s.pendEst[k] = v
-	}
-	s.pendMu.Unlock()
+	return p
 }
 
 // offer publishes a candidate to the shared incumbent. The incumbent is a
-// private copy, so later lazy-signature fills on the caller's candidate
-// never race with other workers' comparisons.
+// private copy, its plan detached from the caller's scratch, so neither the
+// worker's next job nor later lazy-signature fills on the caller's candidate
+// race with other workers' comparisons.
 func (s *search) offer(c *candidate) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.best == nil || s.pl.betterCand(c, s.best) {
 		cp := *c
+		cp.res.Plan = detachPlan(c.res.Plan)
 		s.best = &cp
 	}
 }
 
 // runPass fans the (pp, mbs) candidate grid across the worker pool. Each
-// job gets a fresh task — its own DP memo and region-state clone — so
-// workers share nothing hot but the incumbent and the minimum-TP cache.
+// worker runs its jobs on its own scratch task — its own DP memo and
+// region-state copy — so workers share nothing hot but the incumbent and the
+// minimum-TP cache.
 //
 // Before the fan-out, one deterministically chosen job (the floor job) runs
 // to completion and its best candidate becomes the pruning floor every
@@ -189,27 +209,32 @@ func (s *search) runPass(rs *regionState, pool *cluster.Pool, recompute bool) {
 	if len(jobs) == 0 {
 		return
 	}
-	s.bindState(rs)
+	s.bindState(rs, pool)
 
-	runJob := func(j job, floor *Result) *Result {
+	runJob := func(t *task, j job, floor *Result) {
 		if s.expired() {
-			return nil
+			return
 		}
-		t := &task{s: s, pl: s.pl, recompute: recompute, mbs: j.mbs, floor: floor}
-		local := t.searchDP(rs.clone(), pool, j.layers, j.mbs)
-		s.finishTask(t)
-		if local == nil {
-			return nil
-		}
-		return &local.res
+		t.reset(rs, j.mbs, recompute, floor)
+		t.searchDP(j.layers, j.mbs)
+		// Counters are batched per job: no atomics in the DP's inner loop.
+		s.explored.Add(t.explored)
+		s.warmHits.Add(t.warmHits)
 	}
 
 	// Floor pass: the largest microbatch size at the shallowest pipeline
 	// depth — cheap to evaluate and usually competitive, so its result
 	// gives the bound-based pruning a useful incumbent from the start. Any
-	// choice is correct (pruning is exact); this one just prunes well.
+	// choice is correct (pruning is exact); this one just prunes well. A
+	// pass starts without an incumbent, so after the floor job the incumbent
+	// is that job's best; the floor is a copy of it, fixed for the pass.
 	floorIdx := len(s.pl.mbsCandidates()) - 1
-	floor := runJob(jobs[floorIdx], nil)
+	runJob(s.taskFor(0), jobs[floorIdx], nil)
+	var floor *Result
+	if s.best != nil {
+		f := s.best.res
+		floor = &f
+	}
 
 	rest := make([]job, 0, len(jobs)-1)
 	for i, j := range jobs {
@@ -226,7 +251,7 @@ func (s *search) runPass(rs *regionState, pool *cluster.Pool, recompute bool) {
 			if s.expired() {
 				return
 			}
-			runJob(j, floor)
+			runJob(s.taskFor(0), j, floor)
 		}
 		return
 	}
@@ -234,12 +259,12 @@ func (s *search) runPass(rs *regionState, pool *cluster.Pool, recompute bool) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(t *task) {
 			defer wg.Done()
 			for j := range ch {
-				runJob(j, floor)
+				runJob(t, j, floor)
 			}
-		}()
+		}(s.taskFor(w))
 	}
 	for _, j := range rest {
 		if s.expired() {
@@ -251,14 +276,33 @@ func (s *search) runPass(rs *regionState, pool *cluster.Pool, recompute bool) {
 	wg.Wait()
 }
 
+// taskFor returns worker w's scratch task, creating it on first use (only
+// the goroutine driving the pass calls it, before the workers start).
+func (s *search) taskFor(w int) *task {
+	for len(s.scratch) <= w {
+		s.scratch = append(s.scratch, &task{s: s, pl: s.pl})
+	}
+	return s.scratch[w]
+}
+
 // task is one worker's state while exploring a single (pp, mbs) candidate:
 // the DP memo is valid only within one DP-degree scan, and the cost-lean
 // and recompute flags change what the DP optimises. The scratch buffers
 // and query caches below make the DP's inner loops allocation-free without
 // changing any comparison.
+//
+// A task is also its worker's scratch for the whole search: reset readies it
+// for the next job and searchDP rewinds its arenas degree by degree, so a
+// job needing no more capacity than the jobs before it allocates nothing
+// here. Nothing carved from it outlives the degree it was carved for: the
+// incumbent carries a detached plan (search.offer), and nodes bound for the
+// warm cache are never carved from it (winner; warm.go).
 type task struct {
 	s  *search
 	pl *Planner
+
+	// rs is the task's mutable copy of the search's region state.
+	rs regionState
 
 	// dpMemo holds the scan-local memo for inline-packed states (the
 	// common case; its pointer-free key and open-addressed layout make the
@@ -278,17 +322,13 @@ type task struct {
 	// (nil while the floor job itself runs).
 	floor *Result
 
-	// warmOn marks the task as persisting DP entries; scan carries the
-	// per-scan key fields (d, nb, recompute, costLean) all persisted keys
-	// of the current DP-degree scan share.
-	warmOn bool
-	scan   warmDPKey
-	// pending/pendEst accumulate this task's computed DP entries and plan
-	// estimates under their persisted keys, flushed once into the search
-	// after searchDP returns. explored/warmHits batch the telemetry
-	// counters the same way.
-	pending  map[warmDPKey]*dpNode
-	pendEst  map[string]core.Estimate
+	// scan carries the key fields (shape, pp, mbs, d, nb, recompute,
+	// costLean) all persisted keys of the current DP-degree scan share.
+	scan warmDPKey
+	// pend accumulates, over every job this worker runs, the DP entries and
+	// plan estimates the search will publish (see search.pending).
+	// explored/warmHits batch one job's telemetry counters.
+	pend     warmPending
 	explored int64
 	warmHits int64
 
@@ -300,15 +340,11 @@ type task struct {
 	domSufSum  []float64
 	domSufMax  []float64
 
-	// Allocation recycling for the DP's escaping values: nodeSlab hands out
-	// dpNodes from chunked backing arrays and groupArena does the same for
-	// winning group compositions. Handed-out entries are never overwritten
-	// within a task's lifetime (memo entries and the warm cache hold
-	// references into the chunks) — the chunks only amortise the allocation
-	// count. sigA/sigB are the scratch buffers of the piecewise signature
-	// tie-breaks.
-	nodeSlab   []dpNode
-	groupArena []replicaGroup
+	// nodes and groups are the arenas of the DP's escaping values (newNode,
+	// allocGroups) other than those a warm task publishes (winner).
+	// sigA/sigB are the scratch of the piecewise signature tie-breaks.
+	nodes      chunked[dpNode]
+	groups     chunked[replicaGroup]
 	sigA, sigB []byte
 
 	// Per-depth enumeration scratch (see stageCombos) and dense per-task
@@ -337,35 +373,55 @@ type task struct {
 	// minTPT is the dense per-task front of the shared H2 cache, indexed
 	// by (stage, type, in-flight count capped at pp); -1 marks empty.
 	minTPT []int16
+
+	// Plan materialisation scratch (buildPlan): the remaining per-zone
+	// availability; per DP solution of one degree (time-optimal, cost-lean)
+	// the plan under evaluation and its candidate; the job's best so far,
+	// its plan in bestPlan. dBuf holds the job's DP degrees.
+	zoneLeft []int
+	plans    [2]planBuf
+	cands    [2]candidate
+	bestPlan planBuf
+	best     candidate
+	dBuf     []int
+}
+
+// reset readies the scratch for one (pp, mbs) job, keeping all capacity.
+func (t *task) reset(rs *regionState, mbs int, recompute bool, floor *Result) {
+	t.mbs, t.recompute, t.floor = mbs, recompute, floor
+	t.explored, t.warmHits = 0, 0
+	rs.copyTo(&t.rs)
+}
+
+// resized returns buf at length n, contents unspecified, reusing its array
+// when large enough.
+func resized[T any](buf []T, n int) []T {
+	return slices.Grow(buf[:0], n)[:n]
 }
 
 // init sizes the task's scratch buffers and dense caches for one layer
-// partition and attaches the warm-key prefix.
-func (t *task) init(rs *regionState, layers []int) {
-	pp := len(layers)
-	if len(t.combosBuf) < pp {
-		t.combosBuf = make([][]stageChoice, pp)
-		t.bestGBuf = make([][]replicaGroup, pp)
-		for i := range t.bestGBuf {
-			t.bestGBuf[i] = make([]replicaGroup, 0, 4)
-		}
+// partition, clearing in place what the previous job left.
+func (t *task) init(layers []int) {
+	pp, types := len(layers), len(t.rs.types)
+	for len(t.combosBuf) < pp {
+		t.combosBuf = append(t.combosBuf, nil)
+		t.bestGBuf = append(t.bestGBuf, make([]replicaGroup, 0, 4))
 	}
 	t.partition = layers
-	n := pp * len(rs.types) * taskTPSlots
-	t.stageT = make([]float64, n)
-	t.stageTok = make([]uint8, n)
-	t.fitTok = make([]uint8, n)
-	t.syncT = make([]float64, pp*taskTPSlots)
-	t.syncTok = make([]uint8, pp*taskTPSlots)
-	t.minTPT = make([]int16, pp*len(rs.types)*(pp+1))
+	n := pp * types * taskTPSlots
+	t.stageT = resized(t.stageT, n) // guarded by stageTok
+	t.stageTok = resized(t.stageTok, n)
+	t.fitTok = resized(t.fitTok, n)
+	clear(t.stageTok)
+	clear(t.fitTok)
+	t.syncT = resized(t.syncT, pp*taskTPSlots) // guarded by syncTok
+	t.syncTok = resized(t.syncTok, pp*taskTPSlots)
+	t.minTPT = resized(t.minTPT, pp*types*(pp+1))
 	for i := range t.minTPT {
 		t.minTPT[i] = -1
 	}
 	t.initDominance(layers)
-	if t.s.warmOn {
-		t.warmOn = true
-		t.scan = warmDPKey{shape: t.s.shape, pp: int32(pp), mbs: int32(t.mbs)}
-	}
+	t.scan = warmDPKey{shape: t.s.shape, pp: int32(pp), mbs: int32(t.mbs)}
 }
 
 // warmKey extends the task's current scan prefix with one node's packed
@@ -393,41 +449,40 @@ func (t *task) resetMemo(d, nb int) {
 	for i := range t.comboOK {
 		t.comboOK[i] = false
 	}
-	if t.warmOn {
-		t.scan.d, t.scan.nb = int32(d), int32(nb)
-		t.scan.recompute, t.scan.costLean = t.recompute, t.costLean
-	}
+	t.scan.d, t.scan.nb = int32(d), int32(nb)
+	t.scan.recompute, t.scan.costLean = t.recompute, t.costLean
 }
 
 // searchDP explores DP degrees for one (layer partition, mbs) and publishes
-// improvements to the shared incumbent, returning its local best. The H3/H4
+// improvements of its local best to the shared incumbent. The H3/H4
 // early stop is scoped to this task's own scan — never to the cross-worker
 // incumbent — so the set of explored configurations is identical at any
 // worker count and the heuristic ablations stay meaningful. Bound-based
 // pruning (prunable) additionally skips DP degrees that provably cannot
 // beat the floor job's result, the task's own best, or the constraints;
 // the bounds are admissible, so the surviving winner is the same plan.
-func (t *task) searchDP(rs *regionState, origPool *cluster.Pool, layers []int, mbs int) *candidate {
-	pl := t.pl
+func (t *task) searchDP(layers []int, mbs int) {
+	pl, rs := t.pl, &t.rs
 	pp := len(layers)
 	maxPer := pl.Cfg.GlobalBatch / mbs
 	if maxPer < 1 {
-		return nil
+		return
 	}
 	maxD := rs.totalGPUs() / pp // upper bound: 1 GPU per stage replica
 	if maxD > maxPer {
 		maxD = maxPer
 	}
 	if maxD < 1 {
-		return nil
+		return
 	}
-	t.init(rs, layers)
+	t.init(layers)
 	bounds := t.candidateBounds(layers)
 	var localBest *candidate
 	noImprove := 0
-	for _, d := range pl.dCandidates(maxD) {
+	t.dBuf = pl.appendDCandidates(t.dBuf[:0], maxD)
+	for _, d := range t.dBuf {
 		if t.s.expired() {
-			return localBest
+			return
 		}
 		nb := pl.Cfg.GlobalBatch / (d * mbs)
 		if nb < 1 {
@@ -444,23 +499,31 @@ func (t *task) searchDP(rs *regionState, origPool *cluster.Pool, layers []int, m
 			// the end, which is where Listing 1 validates constraints too.
 			budget = 0
 		}
-		var nodes []*dpNode
+		// The previous degree's nodes died with its candidates.
+		t.nodes.rewind()
+		t.groups.rewind()
+		var nodes [2]*dpNode
+		nn := 0
 		t.costLean = false
 		t.resetMemo(d, nb)
 		if n := t.solveDP(rs, layers, 0, 0, d, mbs, nb, budget); n != nil {
-			nodes = append(nodes, n)
+			nodes[nn] = n
+			nn++
 		}
 		if pl.Opts.Constraints.MaxCostPerIter > 0 && budget == 0 {
 			t.costLean = true
 			t.resetMemo(d, nb)
 			if n := t.solveDP(rs, layers, 0, 0, d, mbs, nb, 0); n != nil {
-				nodes = append(nodes, n)
+				nodes[nn] = n
+				nn++
 			}
 			t.costLean = false
 		}
+		// Candidates are materialised and compared in the task's scratch.
 		var cand *candidate
-		for _, node := range nodes {
-			plan, ok := t.buildPlan(node, layers, mbs, origPool)
+		won := 0
+		for ni, node := range nodes[:nn] {
+			plan, ok := t.buildPlan(node, layers, mbs, &t.plans[ni])
 			if !ok {
 				continue
 			}
@@ -471,17 +534,22 @@ func (t *task) searchDP(rs *regionState, origPool *cluster.Pool, layers []int, m
 			if !pl.Opts.Constraints.Satisfied(est.IterTime, est.Cost()) {
 				continue
 			}
-			c := &candidate{res: Result{Plan: plan, Estimate: est}}
+			c := &t.cands[ni]
+			*c = candidate{res: Result{Plan: plan, Estimate: est}}
 			if cand == nil || pl.betterCand(c, cand) {
-				cand = c
+				cand, won = c, ni
 			}
 		}
 		if cand == nil {
 			continue
 		}
 		if localBest == nil || pl.betterCand(cand, localBest) {
-			localBest = cand
-			t.s.offer(cand)
+			// The winner's plan buffer becomes the job's best; the displaced
+			// one is free for the next degree's candidates.
+			t.best = *cand
+			t.plans[won], t.bestPlan = t.bestPlan, t.plans[won]
+			localBest = &t.best
+			t.s.offer(localBest)
 			noImprove = 0
 		} else if pl.Opts.Heuristics.H3H4DPOrdering {
 			noImprove++
@@ -491,11 +559,10 @@ func (t *task) searchDP(rs *regionState, origPool *cluster.Pool, layers []int, m
 			// ~ rate*D*T with T ~ 1/D), so H4 keeps the ascending order
 			// but scans every degree — the list is only log2(GPUs) long.
 			if pl.Opts.Objective != core.MinCost && noImprove >= 2 {
-				return localBest
+				return
 			}
 		}
 	}
-	return localBest
 }
 
 // estimate scores one materialised candidate plan, serving repeats from the
@@ -503,30 +570,24 @@ func (t *task) searchDP(rs *regionState, origPool *cluster.Pool, layers []int, m
 // of a replan, and churn traces re-materialise the same candidates over and
 // over. The key — built only when a warm cache is attached, so cold
 // searches pay nothing here — is estKey's order-preserving serialization,
-// assembled once per plan into the task's reusable scratch buffer. Served
-// estimates count as cache hits, not as explored nodes.
+// assembled once per plan into the task's reusable scratch buffer (a string
+// only once a computed estimate is filed under it). Served estimates count
+// as cache hits, not as explored nodes, and are re-published so over-cap
+// eviction keeps the working set.
 func (t *task) estimate(plan core.Plan) (core.Estimate, error) {
-	key := ""
 	if t.s.warmOn {
 		t.estBuf = appendEstKey(t.estBuf[:0], plan)
-		key = string(t.estBuf)
-		if est, ok := t.s.warmEst[key]; ok {
+		if e, ok := t.s.warmEst[string(t.estBuf)]; ok {
 			t.warmHits++
-			// Re-publish so over-cap eviction keeps the working set.
-			if t.pendEst == nil {
-				t.pendEst = map[string]core.Estimate{}
-			}
-			t.pendEst[key] = est
-			return est, nil
+			t.pend.est = append(t.pend.est, warmEntry[string, *estEntry]{e.key, e})
+			return e.est, nil
 		}
 	}
 	est, err := t.pl.Sim.Estimate(plan)
 	t.explored++
-	if err == nil && key != "" {
-		if t.pendEst == nil {
-			t.pendEst = map[string]core.Estimate{}
-		}
-		t.pendEst[key] = est
+	if err == nil && t.s.warmOn {
+		e := &estEntry{key: string(t.estBuf), est: est}
+		t.pend.est = append(t.pend.est, warmEntry[string, *estEntry]{e.key, e})
 	}
 	return est, err
 }

@@ -1,7 +1,7 @@
 package planner
 
 // Region-indexed resource state and the search-wide shared caches. Each
-// worker clones the regionState before mutating it; the minimum-TP cache is
+// worker mutates its own copy of the regionState; the minimum-TP cache is
 // shared across workers behind sharded locks.
 
 import (
@@ -131,17 +131,19 @@ func (rs *regionState) totalGPUs() int {
 	return n
 }
 
-func (rs *regionState) clone() *regionState {
-	c := &regionState{regions: rs.regions, types: rs.types, zones: rs.zones}
-	if rs.wide != nil {
-		c.wide = make([][]int, len(rs.wide))
-		for i, row := range rs.wide {
-			c.wide[i] = append([]int(nil), row...)
-		}
-		return c
+// copyTo makes dst an independent copy of rs, reusing dst's count storage:
+// the immutable index is shared, the counts are copied.
+func (rs *regionState) copyTo(dst *regionState) {
+	dst.regions, dst.types, dst.zones = rs.regions, rs.types, rs.zones
+	dst.words = append(dst.words[:0], rs.words...)
+	if rs.wide == nil {
+		dst.wide = nil
+		return
 	}
-	c.words = append([]uint64(nil), rs.words...)
-	return c
+	dst.wide = resized(dst.wide, len(rs.wide))
+	for i, row := range rs.wide {
+		dst.wide[i] = append(dst.wide[i][:0], row...)
+	}
 }
 
 // shape identifies the region/type index layout of the state. Persisted DP

@@ -17,6 +17,14 @@ package planner
 // never change which plan a completed search returns: a warm Replan picks
 // the exact plan cold planning picks on the same pool, only faster.
 //
+// Ownership: the cache owns every byte it keeps alive. A search works in
+// scratch it recycles between its (pp, mbs) jobs and drops when it ends
+// (search.go), and nothing it publishes points into that scratch: a DP node
+// that will be published is built in storage of its own — node and group
+// composition in one exactly-sized allocation (ownedNode), its child either
+// such a node or one the cache served — so a cache entry costs its own size,
+// not the arena chunk it happened to be carved from.
+//
 // Concurrency and determinism: searches read a copy-on-write snapshot of
 // the DP memo map taken when the search starts and publish their newly
 // computed entries in one merge when they finish. Reads therefore never
@@ -32,6 +40,7 @@ package planner
 // incompatible entries.
 
 import (
+	"maps"
 	"strconv"
 	"sync"
 
@@ -61,6 +70,46 @@ type warmDPKey struct {
 	key       dpKey
 }
 
+// warmEntry is one key/value pair a search publishes.
+type warmEntry[K comparable, V any] struct {
+	key K
+	val V
+}
+
+// estEntry is one persisted plan estimate; it carries its key so a search it
+// served can re-publish it without rebuilding the key string.
+type estEntry struct {
+	key string
+	est core.Estimate
+}
+
+// owned lays a cache-owned dpNode and its group composition — G is an array
+// of replicaGroup — out in one exactly-sized allocation.
+type owned[G any] struct {
+	n dpNode
+	g G
+}
+
+// ownedNode builds a node in storage of its own, copying its group
+// composition out of whatever scratch holds it.
+func ownedNode(n dpNode) *dpNode {
+	var dst *dpNode
+	var groups []replicaGroup
+	switch len(n.choice.groups) {
+	case 1:
+		o := new(owned[[1]replicaGroup])
+		dst, groups = &o.n, o.g[:0]
+	case 2: // a stage mixes at most two GPU types
+		o := new(owned[[2]replicaGroup])
+		dst, groups = &o.n, o.g[:0]
+	default:
+		dst = new(dpNode)
+	}
+	*dst = n
+	dst.choice.groups = append(groups, n.choice.groups...)
+	return dst
+}
+
 // WarmCache carries planner state across replans. The zero value is not
 // usable; call NewWarmCache.
 type WarmCache struct {
@@ -70,11 +119,10 @@ type WarmCache struct {
 	// against, compared by identity. Holding the reference also keeps the
 	// evaluator alive, so a recycled allocation can never alias a new
 	// evaluator onto stale entries.
-	ev     Evaluator
-	dp     map[warmDPKey]*dpNode
-	est    map[string]core.Estimate
-	minTP  *minTPCache
-	merges int
+	ev    Evaluator
+	dp    map[warmDPKey]*dpNode
+	est   map[string]*estEntry
+	minTP *minTPCache
 }
 
 // appendEstKey serializes every estimate-relevant field of a plan in replica
@@ -125,7 +173,7 @@ func PlanKey(plan core.Plan) string { return estKey(plan) }
 func NewWarmCache() *WarmCache {
 	return &WarmCache{
 		dp:    map[warmDPKey]*dpNode{},
-		est:   map[string]core.Estimate{},
+		est:   map[string]*estEntry{},
 		minTP: newMinTPCache(),
 	}
 }
@@ -141,21 +189,14 @@ func NewWarmCache() *WarmCache {
 func (w *WarmCache) Clone() *WarmCache {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	return &WarmCache{
-		fp:     w.fp,
-		ev:     w.ev,
-		dp:     w.dp,
-		est:    w.est,
-		minTP:  w.minTP,
-		merges: w.merges,
-	}
+	return &WarmCache{fp: w.fp, ev: w.ev, dp: w.dp, est: w.est, minTP: w.minTP}
 }
 
 // snapshot binds the cache to (fp, ev) on first use and returns the
 // current read-only DP memo and estimate generations plus the shared
 // minimum-TP cache. ok is false when the cache already belongs to a
 // different fingerprint or evaluator instance.
-func (w *WarmCache) snapshot(fp string, ev Evaluator) (map[warmDPKey]*dpNode, map[string]core.Estimate, *minTPCache, bool) {
+func (w *WarmCache) snapshot(fp string, ev Evaluator) (map[warmDPKey]*dpNode, map[string]*estEntry, *minTPCache, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.fp == "" && w.ev == nil {
@@ -167,11 +208,19 @@ func (w *WarmCache) snapshot(fp string, ev Evaluator) (map[warmDPKey]*dpNode, ma
 	return w.dp, w.est, w.minTP, true
 }
 
-// merge publishes the entries a finished search computed. The published
-// maps are rebuilt copy-on-write so snapshots handed to in-flight searches
-// are never mutated underneath them.
-func (w *WarmCache) merge(fp string, dp map[warmDPKey]*dpNode, est map[string]core.Estimate) {
-	if len(dp) == 0 && len(est) == 0 {
+// warmPending is what a search publishes when it ends: the entries the
+// snapshot served it (so over-cap eviction keeps the working set) and the
+// entries it computed.
+type warmPending struct {
+	dp  []warmEntry[warmDPKey, *dpNode]
+	est []warmEntry[string, *estEntry]
+}
+
+// merge publishes the entries of a finished search. The published maps are
+// rebuilt copy-on-write so snapshots handed to in-flight searches are never
+// mutated underneath them.
+func (w *WarmCache) merge(fp string, p warmPending) {
+	if len(p.dp) == 0 && len(p.est) == 0 {
 		return
 	}
 	w.mu.Lock()
@@ -179,44 +228,37 @@ func (w *WarmCache) merge(fp string, dp map[warmDPKey]*dpNode, est map[string]co
 	if w.fp != fp {
 		return
 	}
-	// A steady-state search re-publishes only entries the cache already
-	// holds; since cached values are pure functions of their keys, there is
-	// nothing to write and the O(cache)-sized copy-on-write rebuild can be
-	// skipped entirely — the merge degrades to an O(pending) key scan.
-	if hasNewKeys(w.dp, dp) {
-		next := make(map[warmDPKey]*dpNode, len(w.dp)+len(dp))
-		if len(w.dp)+len(dp) <= warmMaxEntries {
-			for k, v := range w.dp {
-				next[k] = v
-			}
-		}
-		for k, v := range dp {
-			next[k] = v
-		}
-		w.dp = next
-	}
-	if hasNewKeys(w.est, est) {
-		next := make(map[string]core.Estimate, len(w.est)+len(est))
-		if len(w.est)+len(est) <= warmMaxEntries {
-			for k, v := range w.est {
-				next[k] = v
-			}
-		}
-		for k, v := range est {
-			next[k] = v
-		}
-		w.est = next
-	}
-	w.merges++
+	w.dp = publish(w.dp, p.dp)
+	w.est = publish(w.est, p.est)
 }
 
-func hasNewKeys[K comparable, V any](have, pending map[K]V) bool {
-	for k := range pending {
-		if _, ok := have[k]; !ok {
-			return true
+// publish returns the generation that follows cur once a search's entries
+// are folded in. A steady-state search re-publishes only entries the cache
+// already holds — values are pure functions of their keys, so nothing is
+// written and cur is returned as is: the merge is an O(pending) key scan.
+// Past warmMaxEntries the old generation is dropped and the next holds just
+// the search's own entries; either way it is sized for what it will hold.
+func publish[K comparable, V any](cur map[K]V, pending []warmEntry[K, V]) map[K]V {
+	missing := 0
+	for _, e := range pending {
+		if _, ok := cur[e.key]; !ok {
+			missing++
 		}
 	}
-	return false
+	if missing == 0 {
+		return cur
+	}
+	var next map[K]V
+	if len(cur)+len(pending) <= warmMaxEntries {
+		next = make(map[K]V, len(cur)+missing)
+		maps.Copy(next, cur)
+	} else {
+		next = make(map[K]V, len(pending))
+	}
+	for _, e := range pending {
+		next[e.key] = e.val
+	}
+	return next
 }
 
 // Entries reports the persisted cache size (DP memos plus plan estimates).
@@ -224,11 +266,4 @@ func (w *WarmCache) Entries() int {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
 	return len(w.dp) + len(w.est)
-}
-
-// Merges reports how many searches have published entries into the cache.
-func (w *WarmCache) Merges() int {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return w.merges
 }

@@ -2,6 +2,8 @@ package planner
 
 import (
 	"context"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -278,5 +280,139 @@ func TestWarmCacheConcurrentReplans(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// diurnalParity is the (Explored, CacheHits) of every replan of two passes
+// over the diurnal-wave base-16 cycle, recorded at the commit before warm
+// entries owned their memory. Where copies live must not change what is
+// searched, so the counters are pinned exactly.
+var diurnalParity = [2][21][2]int{
+	{{613, 0}, {310, 135}, {247, 173}, {238, 184}, {573, 165}, {0, 113}, {0, 112}, {0, 110}, {0, 109}, {180, 85}, {163, 76},
+		{106, 40}, {74, 57}, {56, 30}, {51, 30}, {0, 48}, {0, 62}, {0, 64}, {0, 85}, {0, 88}, {0, 109}},
+	{{0, 109}, {0, 110}, {0, 112}, {0, 113}, {0, 132}, {0, 113}, {0, 112}, {0, 110}, {0, 109}, {0, 88}, {0, 85},
+		{0, 64}, {0, 62}, {0, 48}, {0, 47}, {0, 48}, {0, 62}, {0, 64}, {0, 85}, {0, 88}, {0, 109}},
+}
+
+// TestWarmVsColdParityDiurnalCycle walks a whole diurnal-wave cycle twice
+// at workers 1 and 8: every warm Replan — computing its entries on the
+// first pass, served entirely from cache-owned copies on the second —
+// returns the plan and estimate a cold Plan of the same pool returns, with
+// the search counters of the parent commit.
+func TestWarmVsColdParityDiurnalCycle(t *testing.T) {
+	cfg := model.OPT350M()
+	mk := warmLab(t, cfg, core.A100)
+	sc, ok := trace.ScenarioByName("diurnal-wave")
+	if !ok {
+		t.Fatal("diurnal-wave scenario not registered")
+	}
+	pools := sc.TraceWith(1, trace.ScenarioOpts{Base: 16}).DistinctPools()
+	if len(pools) != len(diurnalParity[0]) {
+		t.Fatalf("cycle has %d pools, the recorded counters cover %d", len(pools), len(diurnalParity[0]))
+	}
+	cold := make([]Result, len(pools))
+	for i, pool := range pools {
+		res, err := mk(Options{Objective: core.MaxThroughput, Workers: 1}).Plan(pool)
+		if err != nil {
+			t.Fatalf("pool %d: cold plan: %v", i, err)
+		}
+		cold[i] = res
+	}
+	for _, workers := range []int{1, 8} {
+		pl := mk(Options{Objective: core.MaxThroughput, Workers: workers, Warm: NewWarmCache()})
+		var prev core.Plan
+		for pass := range diurnalParity {
+			for i, pool := range pools {
+				warm, err := pl.Replan(prev, pool)
+				if err != nil {
+					t.Fatalf("workers=%d pass %d pool %d: %v", workers, pass, i, err)
+				}
+				if !reflect.DeepEqual(warm.Plan, cold[i].Plan) {
+					t.Errorf("workers=%d pass %d pool %d: warm plan differs from cold:\nwarm: %s\ncold: %s",
+						workers, pass, i, warm.Plan, cold[i].Plan)
+				}
+				if !reflect.DeepEqual(warm.Estimate, cold[i].Estimate) {
+					t.Errorf("workers=%d pass %d pool %d: warm estimate %+v, cold %+v",
+						workers, pass, i, warm.Estimate, cold[i].Estimate)
+				}
+				if got, want := [2]int{warm.Explored, warm.CacheHits}, diurnalParity[pass][i]; got != want {
+					t.Errorf("workers=%d pass %d pool %d: (explored, hits) = %v, recorded %v", workers, pass, i, got, want)
+				}
+				prev = warm.Plan
+			}
+		}
+	}
+}
+
+// TestWarmCacheOverCapKeepsWorkingSet drives a cache past warmMaxEntries: the
+// merge that would overflow drops the old generation and retains exactly
+// the overflowing search's working set — sized for it, not for the cap —
+// and the following replan, served from that set alone, is bit-identical to
+// cold planning.
+func TestWarmCacheOverCapKeepsWorkingSet(t *testing.T) {
+	cfg := model.OPT350M()
+	mk := warmLab(t, cfg, core.A100)
+	warm := NewWarmCache()
+	pl := mk(Options{Objective: core.MaxThroughput, Workers: 1, Warm: warm})
+	pools := stormPools(1)
+	first, err := pl.Replan(core.Plan{}, pools[0]) // binds the cache, files pools[0]'s entries
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Fill the DP generation to the cap with entries no search will ask for.
+	var filler warmPending
+	for i := len(warm.dp); i < warmMaxEntries; i++ {
+		filler.dp = append(filler.dp, warmEntry[warmDPKey, *dpNode]{key: warmDPKey{shape: "filler", pp: int32(i)}})
+	}
+	warm.merge(pl.fingerprint(), filler)
+	if got := len(warm.dp); got != warmMaxEntries {
+		t.Fatalf("filled cache holds %d DP entries, want %d", got, warmMaxEntries)
+	}
+
+	// A search over a new pool publishes hits and fresh entries; one fresh
+	// key is enough to overflow.
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	over, err := pl.Replan(first.Plan, pools[1])
+	runtime.ReadMemStats(&m1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if over.Explored == 0 {
+		t.Fatal("precondition: the second pool must compute new entries")
+	}
+	if got := len(warm.dp); got >= warmMaxEntries/2 {
+		t.Fatalf("over-cap merge kept %d DP entries: the old generation was not dropped", got)
+	}
+	for k := range warm.dp {
+		if k.shape == "filler" {
+			t.Fatal("over-cap merge retained an entry outside the last search's working set")
+		}
+	}
+	// A cap-sized map alone is > 10 MB; the whole replan stays far below.
+	if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 4<<20 {
+		t.Errorf("over-cap replan allocated %d bytes: the next generation is sized for the cap, not its contents", grew)
+	}
+
+	// The retained set is that search's whole working set: replanning the
+	// same pool explores nothing, touches no other key, and matches cold.
+	kept := len(warm.dp) + len(warm.est)
+	again, err := pl.Replan(over.Plan, pools[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, err := mk(Options{Objective: core.MaxThroughput, Workers: 1}).Plan(pools[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Explored != 0 || again.CacheHits == 0 {
+		t.Errorf("replan over the retained set: explored %d, hits %d; want 0 explored, served from the cache",
+			again.Explored, again.CacheHits)
+	}
+	if warm.Entries() != kept {
+		t.Errorf("a fully-served replan changed the cache: %d entries, was %d", warm.Entries(), kept)
+	}
+	if !reflect.DeepEqual(again.Plan, cold.Plan) || !reflect.DeepEqual(again.Estimate, cold.Estimate) {
+		t.Errorf("replan after eviction differs from cold:\nwarm: %s\ncold: %s", again.Plan, cold.Plan)
 	}
 }

@@ -47,10 +47,10 @@ func TestFleetEventRoundTrip(t *testing.T) {
 func TestFromLeaseAndSnapshot(t *testing.T) {
 	z := cluster.GCPZone("us-central1", 'a')
 	l := fleet.NewLedger(cluster.NewPool().Set(z, core.A100, 16))
-	if err := l.Acquire("lo", 1, fleetTestPlan(z, 1, 4)); err != nil {
+	if _, err := l.Install("lo", 1, fleetTestPlan(z, 1, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Acquire("hi", 5, fleetTestPlan(z, 2, 4)); err != nil {
+	if _, err := l.Install("hi", 5, fleetTestPlan(z, 2, 4)); err != nil {
 		t.Fatal(err)
 	}
 	st := FromFleetSnapshot(l.Snapshot())
