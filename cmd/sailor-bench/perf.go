@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/model"
+	"repro/internal/persist"
 	"repro/internal/planner"
 	"repro/internal/profiler"
 	"repro/internal/sim"
@@ -47,6 +48,8 @@ type benchResult struct {
 	// LiveHeapBytes is the heap a row's subject still holds after a final GC
 	// (only the rows that measure retention report it).
 	LiveHeapBytes int64 `json:"live_heap_bytes,omitempty"`
+	// Records is the journal records one op replays (recovery rows only).
+	Records int `json:"records,omitempty"`
 	// Iters is the iteration count testing.Benchmark settled on — needed
 	// for the benchstat text lines, deliberately kept out of the JSON
 	// schema (iteration counts are machine noise, not trajectory).
@@ -101,14 +104,7 @@ func runPerfSuite(workers int) (benchDoc, error) {
 		if err != nil {
 			return doc, fmt.Errorf("%s: %w", pc.name, err)
 		}
-		r := testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := mk().Plan(pc.pool); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		r := timed(func() error { _, err := mk().Plan(pc.pool); return err })
 		doc.Benches = append(doc.Benches, row(pc.name, r, probe.Explored, probe.CacheHits))
 	}
 
@@ -146,14 +142,7 @@ func runPerfSuite(workers int) (benchDoc, error) {
 	if err != nil {
 		return doc, err
 	}
-	r := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := warmChain(warmPl); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	r := timed(func() error { _, _, err := warmChain(warmPl); return err })
 	doc.Benches = append(doc.Benches, row("replan_warm/preemption-storm", r, explored, hits))
 
 	// Speculative serving: a diurnal-wave replan chain through a Service
@@ -259,14 +248,7 @@ func runPerfSuite(workers int) (benchDoc, error) {
 	if err != nil {
 		return doc, err
 	}
-	r = testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := svcOp(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	r = timed(func() error { _, _, err := svcOp(); return err })
 	doc.Benches = append(doc.Benches, row("service_plan/tenants=4", r, svcExplored, svcHits))
 
 	// Fleet scheduler: one op = the whole preemption-storm trace driven
@@ -289,14 +271,7 @@ func runPerfSuite(workers int) (benchDoc, error) {
 		if err != nil {
 			return doc, err
 		}
-		r = testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := experiments.DriveFleetStorm(fleetSvc, fleetTrace, 8); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		r = timed(func() error { _, _, err := experiments.DriveFleetStorm(fleetSvc, fleetTrace, 8); return err })
 		doc.Benches = append(doc.Benches, row(fmt.Sprintf("fleet_rebalance/jobs=%d", jobs), r, fExplored, fHits))
 	}
 
@@ -321,16 +296,85 @@ func runPerfSuite(workers int) (benchDoc, error) {
 	if err != nil {
 		return doc, err
 	}
-	r = testing.Benchmark(func(b *testing.B) {
+	r = timed(func() error {
+		_, _, err := experiments.DriveFleetColdRebalance(coldSvc, coldModel, coldTypes, coldPool)
+		return err
+	})
+	doc.Benches = append(doc.Benches, row("fleet_rebalance_cold/jobs=4", r, cExplored, cHits))
+
+	recovery, err := recoverRow()
+	if err != nil {
+		return doc, err
+	}
+	doc.Benches = append(doc.Benches, recovery)
+	return doc, nil
+}
+
+// timed benchmarks one op, allocations reported.
+func timed(op func() error) testing.BenchmarkResult {
+	return testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := experiments.DriveFleetColdRebalance(coldSvc, coldModel, coldTypes, coldPool); err != nil {
+			if err := op(); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-	doc.Benches = append(doc.Benches, row("fleet_rebalance_cold/jobs=4", r, cExplored, cHits))
-	return doc, nil
+}
+
+// recoverRow times crash recovery of a fleet journal (writeFleetJournal):
+// one op is persist.Open of the data dir — load the snapshot, replay the
+// whole journal. BenchmarkPersistRecover is the same loop as a Go benchmark.
+func recoverRow() (benchResult, error) {
+	dir, err := os.MkdirTemp("", "sailor-bench-recover-")
+	if err != nil {
+		return benchResult{}, err
+	}
+	defer os.RemoveAll(dir)
+	if err := writeFleetJournal(dir); err != nil {
+		return benchResult{}, err
+	}
+	cfg := persist.Config{Fsync: persist.FsyncNone}
+	_, probe, err := persist.Open(dir, cfg)
+	if err != nil {
+		return benchResult{}, err
+	}
+	res := row("persist_recover/fleet-storm", timed(func() error { _, _, err := persist.Open(dir, cfg); return err }), 0, 0)
+	res.Records = probe.RecordsReplayed
+	return res, nil
+}
+
+// writeFleetJournal leaves in dir what a durable Service (fsync off) killed
+// without a final snapshot leaves: eight prioritised A100 jobs through
+// sixteen preemption storms, every event followed by a Rebalance, as the
+// end-to-end fleet-durable workload drives its daemon.
+func writeFleetJournal(dir string) (err error) {
+	store, _, err := persist.Open(dir, persist.Config{Fsync: persist.FsyncNone})
+	if err != nil {
+		return err
+	}
+	defer func() {
+		// Close reports a poisoned journal or a failed final close.
+		if cerr := store.Close(); err == nil {
+			err = cerr
+		}
+	}()
+	svc := sailor.NewService(sailor.ServiceConfig{Workers: 1})
+	if err := store.Rotate(svc.PersistState()); err != nil {
+		return err
+	}
+	svc.SetRecorder(store)
+	for i := 0; i < 8; i++ {
+		if err := svc.OpenJob(fmt.Sprint("fleet-", i), sailor.OPT350M(), []core.GPUType{core.A100}, 8-i); err != nil {
+			return err
+		}
+	}
+	for s := int64(0); s < 16; s++ {
+		if _, _, err := experiments.DriveFleetStorm(svc, trace.PreemptionStorm().TraceWith(s, trace.ScenarioOpts{Base: 32}), 8); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // warmChurnRow is the in-process replica of the end-to-end warm-churn
@@ -430,6 +474,9 @@ func printBenchstat(w io.Writer, doc benchDoc, header bool) {
 			b.Name, b.Iters, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp, b.Explored, b.CacheHits)
 		if b.LiveHeapBytes > 0 {
 			fmt.Fprintf(w, "\t%10d live-heap-B", b.LiveHeapBytes)
+		}
+		if b.Records > 0 {
+			fmt.Fprintf(w, "\t%8d records/op", b.Records)
 		}
 		fmt.Fprintln(w)
 	}

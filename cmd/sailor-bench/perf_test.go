@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/persist"
 )
 
 // TestCompareBenchJSONGate pins the CI perf gate: shared rows must keep
@@ -63,4 +65,26 @@ func TestCompareBenchJSONGate(t *testing.T) {
 	if err := compareBenchJSON(filepath.Join(dir, "missing.json"), base, 0.10, io.Discard); err == nil {
 		t.Error("missing candidate document passed the gate")
 	}
+}
+
+// BenchmarkPersistRecover is the persist_recover/fleet-storm row alone, the
+// quick loop for recovery work:
+//
+//	go test ./cmd/sailor-bench -run xxx -bench PersistRecover -benchmem
+func BenchmarkPersistRecover(b *testing.B) {
+	dir := b.TempDir()
+	if err := writeFleetJournal(dir); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	records := 0
+	for i := 0; i < b.N; i++ {
+		_, rec, err := persist.Open(dir, persist.Config{Fsync: persist.FsyncNone})
+		if err != nil {
+			b.Fatal(err)
+		}
+		records = rec.RecordsReplayed
+	}
+	b.ReportMetric(float64(records), "records/op")
 }

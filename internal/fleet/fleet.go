@@ -45,7 +45,7 @@ type OpKind int
 const (
 	// OpInstall is a lease grant or replacement (Install).
 	OpInstall OpKind = iota
-	// OpRelease is a lease drop (Release/ReleaseIf). Evictions driven by
+	// OpRelease is a lease drop (Release). Evictions driven by
 	// OpApply and OpSetCap are not separate ops: they are deterministic
 	// consequences of replaying those ops against the same ledger state.
 	OpRelease
@@ -152,8 +152,8 @@ func NewLedger(pool *cluster.Pool) *Ledger {
 	return &Ledger{capacity: pool.Clone(), leases: map[string]*Lease{}}
 }
 
-// Version returns the mutation counter: it advances on every Acquire,
-// Resize, Release, and Apply, so observers can cheaply detect fleet drift.
+// Version returns the mutation counter: it advances on every Install,
+// Release, Apply, and SetJobCap, so observers can cheaply detect fleet drift.
 func (l *Ledger) Version() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -251,8 +251,7 @@ func (l *Ledger) Held(job string) bool {
 // Install grants or replaces job's lease in one step — the acquire-or-resize
 // a planner-driven admission loop wants. On failure the previous lease (if
 // any) is left untouched. On success it returns the grant's Acquired
-// version, the token ReleaseIf needs to undo exactly this grant and not a
-// newer one.
+// version, the ledger version this grant produced.
 func (l *Ledger) Install(job string, priority int, plan core.Plan) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -289,23 +288,6 @@ func (l *Ledger) Release(job string) bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if _, ok := l.leases[job]; !ok {
-		return false
-	}
-	l.version++
-	delete(l.leases, job)
-	l.notifyLocked(Op{Kind: OpRelease, Job: job})
-	return true
-}
-
-// ReleaseIf drops job's lease only if it is still the grant identified by
-// acquired (the version Install returned) — the compare-and-release a
-// caller compensating its own stale grant needs, so it can never drop a
-// newer lease installed by a later incarnation of the job.
-func (l *Ledger) ReleaseIf(job string, acquired uint64) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	le, ok := l.leases[job]
-	if !ok || le.Acquired != acquired {
 		return false
 	}
 	l.version++

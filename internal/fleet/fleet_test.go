@@ -82,37 +82,6 @@ func TestLedgerAcquireReleaseFreeView(t *testing.T) {
 	}
 }
 
-// TestReleaseIf: compare-and-release only drops the exact grant it names —
-// a stale holder can never release a newer lease installed under the same
-// job name (the CloseJob/reopen race in sailor.Service.planFleet).
-func TestReleaseIf(t *testing.T) {
-	l := NewLedger(cluster.NewPool().Set(zoneA, core.A100, 16))
-	stale, err := l.Install("a", 1, flatPlan(zoneA, core.A100, 1, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The job is closed and reopened: a newer incarnation installs again.
-	fresh, err := l.Install("a", 2, flatPlan(zoneA, core.A100, 2, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stale == fresh {
-		t.Fatal("two grants must have distinct versions")
-	}
-	if l.ReleaseIf("a", stale) {
-		t.Error("stale grant version must not release the newer lease")
-	}
-	if !l.Held("a") {
-		t.Fatal("newer lease must survive the stale compare-and-release")
-	}
-	if !l.ReleaseIf("a", fresh) {
-		t.Error("current grant version must release")
-	}
-	if l.ReleaseIf("a", fresh) {
-		t.Error("ReleaseIf on a gone lease must report false")
-	}
-}
-
 func TestLedgerResize(t *testing.T) {
 	l := NewLedger(cluster.NewPool().Set(zoneA, core.A100, 16))
 	if err := install(l, "a", 7, flatPlan(zoneA, core.A100, 3, 4)); err != nil {

@@ -1,0 +1,154 @@
+package persist
+
+// On-disk compatibility: the frame bytes of every record kind are pinned,
+// and a journal in the older two-records-per-grant shape still recovers to
+// the state it recovered to when it was written.
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/testutil"
+	"repro/internal/trace"
+	"repro/internal/wire"
+)
+
+// TestRecordFramesGolden pins the frame of one record of each op kind,
+// HTML-escaped names included, and checks the frames decode back to the
+// records. Lines are "<length><crc32> <payload>", header in hex.
+func TestRecordFramesGolden(t *testing.T) {
+	job := "a<b>&c"
+	wm := wire.FromModel(testModel("m<1>"))
+	plan := wire.FromPlan(flatPlan(zoneA, core.A100, 2, 4))
+	cons := wire.FromConstraints(core.Constraints{MinThroughput: 0.5, MaxCostPerIter: 3})
+	ev := wire.FromFleetEvent(trace.Event{At: time.Minute, Zone: zoneB, GPU: core.V100, Delta: -4})
+	noCap := 0
+	recs := []Record{
+		{Op: OpOpenJob, Job: job, Priority: 2, Model: &wm, GPUs: []string{string(core.A100)}},
+		{Op: OpSetFleet, Fleet: testState(t).Fleet},
+		{Op: OpInstall, Job: job, Priority: 2, Plan: &plan, Version: 4},
+		{Op: OpJobPlan, Job: job, Plan: &plan, Objective: core.MinCost.String(), Constraints: &cons},
+		{Op: OpEvent, Event: &ev, Version: 5},
+		{Op: OpSetCap, JobCap: &noCap, Version: 6},
+		{Op: OpRelease, Job: job, Version: 7},
+		{Op: OpCloseJob, Job: job},
+	}
+	var img, golden bytes.Buffer
+	for i := range recs {
+		recs[i].Seq = uint64(i) + 1
+		frame, err := encodeRecord(recs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		img.Write(frame)
+		fmt.Fprintf(&golden, "%x %s\n", frame[:8], frame[8:])
+	}
+	testutil.CheckGolden(t, "record-frames.golden", golden.Bytes())
+	back, tail, err := decodeJournal(img.Bytes())
+	if err != nil || tail != 0 || !reflect.DeepEqual(back, recs) {
+		t.Errorf("frames decoded to %+v (tail %d, err %v), want %+v", back, tail, err, recs)
+	}
+}
+
+// TestPairedRecordJournalRecovers: testdata/paired-records is a data dir
+// whose journal follows every fleet grant's lease-install with a job-plan
+// of the same job — four A100 jobs through a preemption storm, one moved to
+// MinCost under a throughput floor, one closed and reopened — and
+// paired-records.state.json is the state recovery produced from it when it
+// was written. Replay must still produce exactly that state.
+func TestPairedRecordJournalRecovers(t *testing.T) {
+	src := filepath.Join("testdata", "paired-records")
+	dir := t.TempDir()
+	for _, name := range []string{snapshotName(1), journalName(1)} {
+		raw, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw, err := os.ReadFile(filepath.Join(dir, journalName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := decodeJournal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	installs := 0
+	for i, rec := range recs {
+		if rec.Op != OpInstall {
+			continue
+		}
+		installs++
+		if i+1 == len(recs) || recs[i+1].Op != OpJobPlan || recs[i+1].Job != rec.Job {
+			t.Fatalf("record %d: lease-install of %q is not followed by its job-plan", rec.Seq, rec.Job)
+		}
+	}
+	if installs == 0 {
+		t.Fatal("fixture journal holds no lease-install")
+	}
+
+	_, rec, err := Open(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := EncodeSnapshot(rec.SnapshotGen, rec.State)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "paired-records.state.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("recovered state diverged:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
+// failingSync is a journal file whose Sync always fails.
+type failingSync struct{ JournalFile }
+
+func (failingSync) Sync() error { return errors.New("injected sync failure") }
+
+// TestCloseReportsFinalSync: a Close whose final journal flush fails says
+// so — the last records may not be durable — and a poisoned journal still
+// reports its sticky append error instead.
+func TestCloseReportsFinalSync(t *testing.T) {
+	cfg := Config{Fsync: FsyncAlways, WrapJournal: func(_ uint64, f JournalFile) JournalFile { return failingSync{f} }}
+	st, _, err := Open(t.TempDir(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Rotate(&State{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err == nil || !strings.Contains(err.Error(), "injected sync failure") {
+		t.Errorf("Close = %v, want the final sync failure", err)
+	}
+
+	st, _, err = Open(t.TempDir(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Rotate(&State{}); err != nil {
+		t.Fatal(err)
+	}
+	st.RecordCloseJob("a")
+	sticky := st.Err()
+	if sticky == nil {
+		t.Fatal("failed append sync did not poison the journal")
+	}
+	if err := st.Close(); err != sticky {
+		t.Errorf("Close = %v, want the sticky append error %v", err, sticky)
+	}
+}

@@ -178,13 +178,13 @@ func TestRotateErrors(t *testing.T) {
 		t.Errorf("Rotate(nil) = %v", err)
 	}
 	// Occupy the temp slot with a directory: writeAtomic cannot open it.
-	if err := os.Mkdir(filepath.Join(st.Dir(), snapshotName(1)+".tmp"), 0o755); err != nil {
+	if err := os.Mkdir(filepath.Join(st.dir, snapshotName(1)+".tmp"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if err := st.Rotate(&State{}); err == nil {
 		t.Error("Rotate with an occupied temp slot succeeded")
 	}
-	if got := st.Gen(); got != 0 {
+	if got := st.gen; got != 0 {
 		t.Errorf("failed Rotate advanced the generation to %d", got)
 	}
 }

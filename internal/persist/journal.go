@@ -54,9 +54,11 @@ type Record struct {
 	// Model and GPUs register the job (open-job).
 	Model *wire.Model `json:"model,omitempty"`
 	GPUs  []string    `json:"gpus,omitempty"`
-	// Plan is the deployed plan (job-plan, lease-install).
+	// Plan is the deployed plan (job-plan, lease-install). Replay makes a
+	// lease-install's plan the last plan of a job that has a triple.
 	Plan *wire.Plan `json:"plan,omitempty"`
-	// Objective and Constraints complete the job-plan triple.
+	// Objective and Constraints complete the job-plan triple, recorded on a
+	// fleet job's first grant and whenever they change.
 	Objective   string            `json:"objective,omitempty"`
 	Constraints *wire.Constraints `json:"constraints,omitempty"`
 	// Fleet is the full post-install ledger state (set-fleet).
@@ -70,15 +72,44 @@ type Record struct {
 	Version uint64 `json:"version,omitempty"`
 }
 
+// envelope is wire.Envelope with a typed body, so a snapshot or record
+// encodes and decodes in one JSON pass, to the same bytes.
+type envelope[T any] struct {
+	V    int    `json:"v"`
+	Kind string `json:"kind"`
+	Body T      `json:"body"`
+}
+
+// decodeEnvelope parses a document of the given kind strictly, rejecting
+// other schema versions, kinds, and unknown fields by name.
+func decodeEnvelope[T any](data []byte, kind string) (T, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	var env envelope[T]
+	var zero T
+	err := dec.Decode(&env)
+	if err != nil && env.V == 0 {
+		return zero, fmt.Errorf("persist: decode %s: %w", kind, err)
+	}
+	// Decode fills the header past an unknown or mistyped body field: name
+	// another version or kind rather than the field it tripped on.
+	if verr := wire.Check(env.V); verr != nil {
+		return zero, fmt.Errorf("persist: %s: %w", kind, verr)
+	}
+	if env.Kind != kind {
+		return zero, fmt.Errorf("persist: envelope kind %q, want %q", env.Kind, kind)
+	}
+	if err != nil {
+		return zero, fmt.Errorf("persist: decode %s: %w", kind, err)
+	}
+	return env.Body, nil
+}
+
 // encodeRecord renders one framed journal record.
 func encodeRecord(rec Record) ([]byte, error) {
-	body, err := json.Marshal(rec)
+	payload, err := json.Marshal(envelope[Record]{V: FormatVersion, Kind: wire.KindJournal, Body: rec})
 	if err != nil {
 		return nil, fmt.Errorf("persist: marshal record %d: %w", rec.Seq, err)
-	}
-	payload, err := json.Marshal(wire.Envelope{V: FormatVersion, Kind: wire.KindJournal, Body: body})
-	if err != nil {
-		return nil, fmt.Errorf("persist: marshal record %d envelope: %w", rec.Seq, err)
 	}
 	if len(payload) > maxRecordBytes {
 		return nil, fmt.Errorf("persist: record %d is %d bytes, over the %d limit", rec.Seq, len(payload), maxRecordBytes)
@@ -111,7 +142,7 @@ func decodeJournal(data []byte) (recs []Record, tail int, err error) {
 		if crc32.ChecksumIEEE(payload) != sum {
 			return recs, len(rest), nil
 		}
-		rec, decErr := decodeRecordPayload(payload)
+		rec, decErr := decodeRecord(payload)
 		if decErr != nil {
 			// The checksum passed, so these bytes were written this way: a
 			// schema mismatch, not a torn tail. Fail recovery loudly.
@@ -128,30 +159,15 @@ func decodeJournal(data []byte) (recs []Record, tail int, err error) {
 	}
 }
 
-// decodeRecordPayload parses one checksummed envelope payload strictly.
-func decodeRecordPayload(payload []byte) (Record, error) {
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
-	var env wire.Envelope
-	if err := dec.Decode(&env); err != nil {
-		return Record{}, fmt.Errorf("persist: decode record envelope: %w", err)
-	}
-	if err := wire.Check(env.V); err != nil {
-		return Record{}, fmt.Errorf("persist: journal: %w", err)
-	}
-	if env.Kind != wire.KindJournal {
-		return Record{}, fmt.Errorf("persist: record kind %q, want %q", env.Kind, wire.KindJournal)
-	}
-	bodyDec := json.NewDecoder(bytes.NewReader(env.Body))
-	bodyDec.DisallowUnknownFields()
-	var rec Record
-	if err := bodyDec.Decode(&rec); err != nil {
-		return Record{}, fmt.Errorf("persist: decode record body: %w", err)
+// decodeRecord parses one checksummed frame payload strictly.
+func decodeRecord(payload []byte) (Record, error) {
+	rec, err := decodeEnvelope[Record](payload, wire.KindJournal)
+	if err != nil {
+		return Record{}, err
 	}
 	switch rec.Op {
 	case OpOpenJob, OpCloseJob, OpJobPlan, OpSetFleet, OpInstall, OpRelease, OpEvent, OpSetCap:
-	default:
-		return Record{}, fmt.Errorf("persist: unknown journal op %q", rec.Op)
+		return rec, nil
 	}
-	return rec, nil
+	return Record{}, fmt.Errorf("persist: unknown journal op %q", rec.Op)
 }

@@ -13,7 +13,9 @@
 //     events, cap changes, last-plan updates), one length-prefixed CRC-32
 //     record per op, fsynced per the configured policy. Ledger ops are
 //     appended from inside the ledger's critical section (fleet.SetObserver),
-//     so journal order is exactly ledger-version order.
+//     so journal order is exactly ledger-version order. A fleet grant is one
+//     lease-install record; a job-plan record follows only on the job's
+//     first grant or an objective/constraint change.
 //
 //   - Recovery: Open loads the latest valid snapshot, replays the journal
 //     suffix — driving a real fleet.Ledger so evictions and version bumps
@@ -162,16 +164,6 @@ func Open(dir string, cfg Config) (*Store, *Recovered, error) {
 	return st, rec, nil
 }
 
-// Dir returns the store's data directory.
-func (st *Store) Dir() string { return st.dir }
-
-// Gen returns the live generation (0 before the first Rotate of a fresh dir).
-func (st *Store) Gen() uint64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.gen
-}
-
 // Err returns the sticky journal-append error, if any. A failed append
 // poisons the journal (later records would replay out of order past the
 // gap); the next successful Rotate clears it, because the fresh snapshot
@@ -223,16 +215,23 @@ func (st *Store) Rotate(state *State) error {
 }
 
 // Close flushes and closes the journal, returning the sticky append error
-// if the journal is poisoned. The dir stays recoverable either way.
+// if the journal is poisoned, else the first final sync or close error (the
+// last records may not be durable). The dir stays recoverable either way.
 func (st *Store) Close() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	var err error
 	if st.f != nil {
 		if st.fsync {
-			st.f.Sync()
+			err = st.f.Sync()
 		}
-		st.f.Close()
+		if cerr := st.f.Close(); err == nil {
+			err = cerr
+		}
 		st.f = nil
+	}
+	if st.err == nil && err != nil {
+		return fmt.Errorf("persist: close journal: %w", err)
 	}
 	return st.err
 }
@@ -324,7 +323,9 @@ func (st *Store) RecordCloseJob(job string) {
 }
 
 // RecordJobPlan journals a job's last successful request — the seed of the
-// warm replans Rebalance issues after recovery.
+// warm replans Rebalance issues after recovery. A fleet grant's lease-install
+// carries the plan, so a grant records this only when the objective or
+// constraints change.
 func (st *Store) RecordJobPlan(job string, plan core.Plan, obj core.Objective, cons core.Constraints) {
 	wp := wire.FromPlan(plan)
 	wc := wire.FromConstraints(cons)

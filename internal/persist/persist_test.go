@@ -332,7 +332,7 @@ func TestStoreCorruptSnapshotFallback(t *testing.T) {
 	if err := st2.Rotate(rec.State); err != nil {
 		t.Fatal(err)
 	}
-	if got := st2.Gen(); got != 4 {
+	if got := st2.gen; got != 4 {
 		t.Errorf("post-fallback rotation gen = %d, want 4 (past the corrupt 3)", got)
 	}
 	if _, err := os.Stat(filepath.Join(dir, snapshotName(3))); !os.IsNotExist(err) {
@@ -451,6 +451,9 @@ func TestSnapshotRejectsByName(t *testing.T) {
 		{"wrong kind", `"kind":"journal"`, `"kind":"trace"`, `"trace"`},
 		{"unknown field", `"op":"close-job"`, `"op":"close-job","extra":1`, "extra"},
 		{"unknown op", `"op":"close-job"`, `"op":"explode-job"`, "explode-job"},
+		// A body this build cannot parse still names the version or kind.
+		{"future version and field", `"v":1,"kind":"journal","body":{`, `"v":7,"kind":"journal","body":{"extra":1,`, "7"},
+		{"wrong kind and field", `"kind":"journal","body":{`, `"kind":"trace","body":{"extra":1,`, `"trace"`},
 	} {
 		mut := bytes.Replace(payload, []byte(tc.old), []byte(tc.new), 1)
 		if _, _, err := decodeJournal(reframe(mut)); err == nil || !strings.Contains(err.Error(), tc.want) {

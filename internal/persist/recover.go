@@ -119,19 +119,11 @@ func replay(state *State, recs []Record) error {
 			return err
 		}
 	}
-	checkVersion := func(rec Record) error {
-		if got := led.Version(); got != rec.Version {
-			return fmt.Errorf("record %d (%s) replayed to ledger version %d, want %d — journal does not match snapshot", rec.Seq, rec.Op, got, rec.Version)
-		}
-		return nil
-	}
-	needLedger := func(rec Record) error {
-		if led == nil {
+	for _, rec := range recs {
+		ledgerOp := rec.Op == OpInstall || rec.Op == OpRelease || rec.Op == OpEvent || rec.Op == OpSetCap
+		if ledgerOp && led == nil {
 			return fmt.Errorf("record %d (%s) without a fleet ledger", rec.Seq, rec.Op)
 		}
-		return nil
-	}
-	for _, rec := range recs {
 		switch rec.Op {
 		case OpOpenJob:
 			if _, ok := jobs[rec.Job]; ok {
@@ -164,57 +156,44 @@ func replay(state *State, recs []Record) error {
 				return fmt.Errorf("record %d: %w", rec.Seq, err)
 			}
 		case OpInstall:
-			if err := needLedger(rec); err != nil {
-				return err
-			}
 			if rec.Plan == nil {
 				return fmt.Errorf("record %d installs a lease for %q without a plan", rec.Seq, rec.Job)
 			}
 			if _, err := led.Install(rec.Job, rec.Priority, rec.Plan.Core()); err != nil {
 				return fmt.Errorf("record %d: %w", rec.Seq, err)
 			}
-			if err := checkVersion(rec); err != nil {
-				return err
+			// A grant is the job's new last plan. A job-plan follows it on a
+			// first grant (setting the whole triple) or a new objective.
+			if j, ok := jobs[rec.Job]; ok && j.LastPlan != nil {
+				j.LastPlan = rec.Plan
 			}
 		case OpRelease:
-			if err := needLedger(rec); err != nil {
-				return err
-			}
 			if !led.Release(rec.Job) {
 				return fmt.Errorf("record %d releases %q, which holds no lease", rec.Seq, rec.Job)
 			}
-			if err := checkVersion(rec); err != nil {
-				return err
-			}
 		case OpEvent:
-			if err := needLedger(rec); err != nil {
-				return err
-			}
 			if rec.Event == nil {
 				return fmt.Errorf("record %d applies an empty fleet event", rec.Seq)
 			}
 			led.Apply(rec.Event.Trace())
-			if err := checkVersion(rec); err != nil {
-				return err
-			}
 		case OpSetCap:
-			if err := needLedger(rec); err != nil {
-				return err
-			}
 			if rec.JobCap == nil {
 				return fmt.Errorf("record %d sets no cap value", rec.Seq)
 			}
 			led.SetJobCap(*rec.JobCap)
-			if err := checkVersion(rec); err != nil {
-				return err
-			}
 		default:
 			return fmt.Errorf("record %d has unknown op %q", rec.Seq, rec.Op)
 		}
+		if !ledgerOp {
+			continue
+		}
+		if got := led.Version(); got != rec.Version {
+			return fmt.Errorf("record %d (%s) replayed to ledger version %d, want %d — journal does not match snapshot", rec.Seq, rec.Op, got, rec.Version)
+		}
 	}
-	// A torn tail can cut between a close-job record and the compensating
-	// lease release its racing planner would have journaled next. Complete
-	// the compensation here, in admission order, so no capacity leaks.
+	// An older journal can hold a grant for a job closed while it planned,
+	// its compensating release cut off by a torn tail. Complete the
+	// compensation here, in admission order, so no capacity leaks.
 	if led != nil {
 		for _, le := range led.Snapshot().Leases {
 			if _, ok := jobs[le.Job]; !ok {

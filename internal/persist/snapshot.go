@@ -9,7 +9,6 @@ package persist
 // the posture of internal/trace files.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"sort"
@@ -96,9 +95,9 @@ func FleetStateFrom(s fleet.Snapshot) *FleetState {
 	return fs
 }
 
-// FleetSnapshot converts the durable shape back to a fleet.Snapshot, ready
-// for fleet.FromSnapshot.
-func (fs *FleetState) FleetSnapshot() fleet.Snapshot {
+// Ledger restores a live fleet ledger from the durable shape, re-validating
+// every invariant (see fleet.FromSnapshot).
+func (fs *FleetState) Ledger() (*fleet.Ledger, error) {
 	s := fleet.Snapshot{
 		Version:  fs.Version,
 		JobCap:   fs.JobCap,
@@ -112,13 +111,7 @@ func (fs *FleetState) FleetSnapshot() fleet.Snapshot {
 			Plan:     le.Plan.Core(),
 		})
 	}
-	return s
-}
-
-// Ledger restores a live fleet ledger from the durable shape, re-validating
-// every invariant (see fleet.FromSnapshot).
-func (fs *FleetState) Ledger() (*fleet.Ledger, error) {
-	l, err := fleet.FromSnapshot(fs.FleetSnapshot())
+	l, err := fleet.FromSnapshot(s)
 	if err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
@@ -173,42 +166,20 @@ func EncodeSnapshot(gen uint64, state *State) ([]byte, error) {
 	if err := state.validate(); err != nil {
 		return nil, err
 	}
-	body, err := json.Marshal(snapshotBody{Gen: gen, State: *state})
+	doc, err := json.MarshalIndent(envelope[snapshotBody]{V: FormatVersion, Kind: wire.KindSnapshot,
+		Body: snapshotBody{Gen: gen, State: *state}}, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("persist: marshal snapshot: %w", err)
 	}
-	doc, err := json.Marshal(wire.Envelope{V: FormatVersion, Kind: wire.KindSnapshot, Body: body})
-	if err != nil {
-		return nil, fmt.Errorf("persist: marshal snapshot envelope: %w", err)
-	}
-	var out bytes.Buffer
-	if err := json.Indent(&out, doc, "", "  "); err != nil {
-		return nil, fmt.Errorf("persist: indent snapshot: %w", err)
-	}
-	out.WriteByte('\n')
-	return out.Bytes(), nil
+	return append(doc, '\n'), nil
 }
 
 // DecodeSnapshot parses a snapshot document, rejecting unknown schema
 // versions, kinds, and fields by name.
 func DecodeSnapshot(data []byte) (uint64, *State, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var env wire.Envelope
-	if err := dec.Decode(&env); err != nil {
-		return 0, nil, fmt.Errorf("persist: decode snapshot envelope: %w", err)
-	}
-	if err := wire.Check(env.V); err != nil {
-		return 0, nil, fmt.Errorf("persist: snapshot: %w", err)
-	}
-	if env.Kind != wire.KindSnapshot {
-		return 0, nil, fmt.Errorf("persist: envelope kind %q, want %q", env.Kind, wire.KindSnapshot)
-	}
-	bodyDec := json.NewDecoder(bytes.NewReader(env.Body))
-	bodyDec.DisallowUnknownFields()
-	var body snapshotBody
-	if err := bodyDec.Decode(&body); err != nil {
-		return 0, nil, fmt.Errorf("persist: decode snapshot body: %w", err)
+	body, err := decodeEnvelope[snapshotBody](data, wire.KindSnapshot)
+	if err != nil {
+		return 0, nil, err
 	}
 	if err := body.State.validate(); err != nil {
 		return 0, nil, err

@@ -62,8 +62,9 @@ func (s *Service) SetRecorder(rec Recorder) {
 // PersistState captures the service's durable state: open jobs (model, GPU
 // set, priority, last deployed plan), the fleet ledger, and the
 // profiled-system LRU keys. Call it on a quiesced service (before serving,
-// or after draining) — a capture during an in-flight fleet commit could
-// catch a lease mid-compensation.
+// or after draining): a mutation landing between the capture and the
+// Rotate that snapshots it would be journaled into the superseded
+// generation and lost.
 func (s *Service) PersistState() *persist.State {
 	s.mu.Lock()
 	defer s.mu.Unlock()

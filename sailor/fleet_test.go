@@ -185,12 +185,13 @@ func TestFleetModeErrors(t *testing.T) {
 
 // TestServiceJobLifecycleRaces hammers one job name with concurrent
 // OpenJob/CloseJob/Plan (run under -race): every call either succeeds or
-// fails with a lifecycle error, nothing panics, and in fleet mode the final
-// CloseJob sweep leaves zero leases behind.
+// fails with a lifecycle error, nothing panics, in fleet mode the final
+// CloseJob sweep leaves zero leases behind, and a durable fleet's data dir
+// recovers to the live state.
 func TestServiceJobLifecycleRaces(t *testing.T) {
 	zone := GCPZone("us-central1", 'a')
-	for _, fleetMode := range []bool{false, true} {
-		name := map[bool]string{false: "plain", true: "fleet"}[fleetMode]
+	for _, name := range []string{"plain", "fleet", "durable"} {
+		fleetMode := name != "plain"
 		t.Run(name, func(t *testing.T) {
 			cfg := ServiceConfig{Workers: 1, MaxConcurrent: 2}
 			var led *Ledger
@@ -198,7 +199,10 @@ func TestServiceJobLifecycleRaces(t *testing.T) {
 				led = NewLedger(NewPool().Set(zone, A100, 8))
 				cfg.Fleet = led
 			}
-			svc := NewService(cfg)
+			svc, dir := NewService(cfg), ""
+			if name == "durable" {
+				svc, dir, _ = openDurable(t, led) // the same config, journaled
+			}
 			pool := NewPool().Set(zone, A100, 8)
 			var wg sync.WaitGroup
 			for g := 0; g < 6; g++ {
@@ -246,6 +250,9 @@ func TestServiceJobLifecycleRaces(t *testing.T) {
 				if err := led.CheckInvariant(); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if dir != "" {
+				checkRecovers(t, svc, dir)
 			}
 			st, err := svc.Stats()
 			if err != nil {

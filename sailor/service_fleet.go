@@ -69,33 +69,30 @@ func (s *Service) planFleet(ctx context.Context, name string, j *serviceJob, q s
 	return PlanResult{}, fmt.Errorf("sailor: job %q lost the fleet admission race %d times: %w", name, attempts, lastErr)
 }
 
-// commitFleet installs a searched plan as job's lease and records it as the
-// job's last successful request. It returns fleet.ErrConflict when the
-// ledger moved between the search and the grant (callers retry or fall back
-// to a fresh search).
+// commitFleet installs a searched plan as job's lease and makes it the job's
+// last successful request under s.mu (lock order s.mu → ledger → recorder,
+// as in CloseJob). It refuses a job closed while it planned and a ledger
+// replaced since, so every journaled grant is the open incarnation's plan
+// on the live ledger. fleet.ErrConflict means the ledger moved between the
+// search and the grant (callers retry or fall back to a fresh search).
 func (s *Service) commitFleet(name string, j *serviceJob, q searchReq, res PlanResult) error {
-	granted, err := q.led.Install(name, j.priority, res.Plan)
-	if err != nil {
-		return err
-	}
-	// CloseJob may have raced the search: it releases the lease under
-	// s.mu, so re-check the job is still this open incarnation after
-	// the install and give the capacity back if it is not. The release
-	// is conditional on the grant version, so if the name was already
-	// reopened and re-leased, the new incarnation's lease survives.
 	s.mu.Lock()
-	open := s.jobs[name] == j
-	if open {
-		j.lastPlan, j.lastObj, j.lastCons = res.Plan, q.obj, q.cons
-		if s.rec != nil {
-			s.rec.RecordJobPlan(name, res.Plan, q.obj, q.cons)
-		}
-	}
-	s.mu.Unlock()
-	if !open {
-		q.led.ReleaseIf(name, granted)
+	defer s.mu.Unlock()
+	if s.jobs[name] != j {
 		return fmt.Errorf("sailor: job %q closed while planning", name)
 	}
+	if q.led != s.fleet {
+		return fmt.Errorf("sailor: fleet ledger replaced while planning job %q", name)
+	}
+	if _, err := q.led.Install(name, j.priority, res.Plan); err != nil {
+		return err
+	}
+	// Replay takes the lease-install as the job's last plan; a job-plan is
+	// needed only to set or change the objective and constraints.
+	if s.rec != nil && (len(j.lastPlan.Stages) == 0 || j.lastObj != q.obj || j.lastCons != q.cons) {
+		s.rec.RecordJobPlan(name, res.Plan, q.obj, q.cons)
+	}
+	j.lastPlan, j.lastObj, j.lastCons = res.Plan, q.obj, q.cons
 	return nil
 }
 
@@ -114,8 +111,11 @@ func (s *Service) SetFleet(capacity *Pool, jobCapGPUs int) error {
 // installFleetLocked makes led the service's ledger and, in durable mode,
 // journals its full post-install state before attaching the op observer —
 // so the initial cap is not double-journaled and every later mutation is.
-// Callers hold s.mu.
+// The replaced ledger stops journaling. Callers hold s.mu.
 func (s *Service) installFleetLocked(led *fleet.Ledger) {
+	if s.fleet != nil && s.fleet != led {
+		s.fleet.SetObserver(nil)
+	}
 	s.fleet = led
 	if s.rec != nil {
 		s.rec.RecordSetFleet(led.Snapshot())
