@@ -1,5 +1,5 @@
 // Package repro's root benchmarks regenerate every table and figure of the
-// paper's evaluation (one benchmark per artefact; see DESIGN.md §3) plus
+// paper's evaluation (one benchmark per artefact; see internal/experiments) plus
 // micro-benchmarks of the core components and ablations of the design
 // decisions D1-D6.
 //
@@ -289,28 +289,6 @@ func BenchmarkPlannerParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkPlanBatch measures the facade's many-pools serving shape: 8
-// availability snapshots planned concurrently through sailor.PlanBatch.
-func BenchmarkPlanBatch(b *testing.B) {
-	sys, err := sailor.New(sailor.OPT350M(), []core.GPUType{core.A100})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var pools []*cluster.Pool
-	for i := 0; i < 8; i++ {
-		pools = append(pools, cluster.NewPool().Set(benchZone, core.A100, 16+8*i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, errs := sys.PlanBatch(context.Background(), pools, core.MaxThroughput, core.Constraints{})
-		for _, err := range errs {
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
 // BenchmarkServicePlanThroughput measures the multi-tenant front door: 4
 // concurrent tenants issuing plan requests against one sailor.Service,
 // with the cross-tenant planner concurrency bound at 1 and at NumCPU. One
@@ -384,51 +362,37 @@ func BenchmarkFleetRebalance(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetRebalanceCold measures the cold fleet admission pass the
-// rebalance pre-search targets: one op = reopen one job per GPU type
-// (dropping warm caches and leases), reset the ledger, and run a single
-// Rebalance that admits all jobs from scratch. The jobs declare disjoint
-// single-type quotas, so Rebalance pre-searches them concurrently on
-// however many planner slots are idle; with one slot at most one runs
-// ahead and the rest search in turn. Plans and ledger trajectory are
-// byte-identical across variants (asserted by
-// TestRebalancePartitionedDeterminism); only wall-clock changes.
+// BenchmarkFleetRebalanceCold measures the cold fleet admission pass: one
+// op = reopen one job per GPU type (dropping warm caches and leases), reset
+// the ledger, and run a single Rebalance that admits all four jobs from
+// scratch, one search after another in admission order.
 func BenchmarkFleetRebalanceCold(b *testing.B) {
 	types := []core.GPUType{core.A100, core.V100, core.RTX3090, core.T4}
 	pool := cluster.NewPool()
 	for _, g := range types {
 		pool.Set(benchZone, g, 64)
 	}
-	for _, bc := range []struct {
-		name string
-		cfg  sailor.ServiceConfig
-	}{
-		{"jobs=4/max-concurrent=1", sailor.ServiceConfig{Workers: 1, MaxConcurrent: 1}},
-		{fmt.Sprintf("jobs=4/max-concurrent=%d", goruntime.NumCPU()),
-			sailor.ServiceConfig{Workers: 1, MaxConcurrent: goruntime.NumCPU()}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			svc := sailor.NewService(bc.cfg)
-			m := sailor.OPT350M()
-			// Profile the per-type Systems once so ops measure the search,
-			// not first-touch profiling.
-			if _, _, err := experiments.DriveFleetColdRebalance(svc, m, types, pool); err != nil {
+	b.Run("jobs=4", func(b *testing.B) {
+		svc := sailor.NewService(sailor.ServiceConfig{Workers: 1})
+		m := sailor.OPT350M()
+		// Profile the per-type Systems once so ops measure the search,
+		// not first-touch profiling.
+		if _, _, err := experiments.DriveFleetColdRebalance(svc, m, types, pool); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		b.ReportAllocs()
+		var explored, hits int
+		for i := 0; i < b.N; i++ {
+			var err error
+			explored, hits, err = experiments.DriveFleetColdRebalance(svc, m, types, pool)
+			if err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			b.ReportAllocs()
-			var explored, hits int
-			for i := 0; i < b.N; i++ {
-				var err error
-				explored, hits, err = experiments.DriveFleetColdRebalance(svc, m, types, pool)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(explored), "explored/op")
-			b.ReportMetric(float64(hits), "cache-hits/op")
-		})
-	}
+		}
+		b.ReportMetric(float64(explored), "explored/op")
+		b.ReportMetric(float64(hits), "cache-hits/op")
+	})
 }
 
 // replanPools materialises the distinct availability snapshots of a

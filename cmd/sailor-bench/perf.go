@@ -277,17 +277,14 @@ func runPerfSuite(workers int) (benchDoc, error) {
 
 	// Cold fleet admission: one op = reopen one job per GPU type (dropping
 	// every warm cache and lease), reset the ledger to a four-type pool,
-	// and run a single Rebalance pass that admits all four from scratch.
-	// The disjoint single-type quotas make every candidate solo, so
-	// Rebalance pre-searches them concurrently on idle planner slots
-	// (MaxConcurrent = workers); at workers=1 the searches run one at a
-	// time, the baseline the committed trajectory pins.
+	// and run a single Rebalance pass that admits all four from scratch,
+	// one cold search after another.
 	coldTypes := []core.GPUType{core.A100, core.V100, core.RTX3090, core.T4}
 	coldPool := cluster.NewPool()
 	for _, g := range coldTypes {
 		coldPool.Set(zone, g, 64)
 	}
-	coldSvc := sailor.NewService(sailor.ServiceConfig{Workers: 1, MaxConcurrent: workers})
+	coldSvc := sailor.NewService(sailor.ServiceConfig{Workers: 1})
 	coldModel := sailor.OPT350M()
 	if _, _, err := experiments.DriveFleetColdRebalance(coldSvc, coldModel, coldTypes, coldPool); err != nil { // profile the per-type Systems
 		return doc, err

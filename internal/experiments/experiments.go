@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§5). Each experiment is a pure function returning a Table;
-// cmd/sailor-bench prints them and bench_test.go times them. DESIGN.md §3
-// maps experiment ids to paper artefacts.
+// cmd/sailor-bench prints them and bench_test.go times them. Registry maps
+// experiment ids to paper artefacts.
 package experiments
 
 import (

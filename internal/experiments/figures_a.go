@@ -127,7 +127,7 @@ func Figure2(o Opts) (Table, error) {
 			fmt.Sprintf("%d", tr.CountAt(at, zoneB, core.A100)),
 		})
 	}
-	t.Notes = append(t.Notes, "synthetic regeneration of the April-2024 GCP trace shape (DESIGN.md)")
+	t.Notes = append(t.Notes, "synthetic regeneration of the April-2024 GCP trace shape (trace.GCPA100Trace)")
 	return t, nil
 }
 

@@ -330,7 +330,7 @@ func Figure13(o Opts) (Table, error) {
 	if err == nil {
 		t.Notes = append(t.Notes,
 			"paper shape: Sailor cheapest (40% under Galvatron); here Sailor lands within ~10% of the",
-			"post-hoc cheapest because compute cost is nearly flat in DP under per-GPU-hour pricing (see EXPERIMENTS.md)")
+			"post-hoc cheapest because compute cost is nearly flat in DP under per-GPU-hour pricing")
 	}
 	return t, err
 }

@@ -45,11 +45,9 @@ func DriveFleetStorm(svc *sailor.Service, tr *trace.Trace, jobCap int) (explored
 // benchmarks (BenchmarkFleetRebalanceCold and the fleet_rebalance_cold row
 // of BENCH_planner.json): reopen one job per GPU type — dropping every
 // warm cache and lease — reset the ledger to the given pool, then run a
-// single Rebalance pass that must admit all jobs from scratch. Because
-// each job declares a single distinct type, Rebalance sees every candidate
-// as solo and pre-searches them concurrently on idle planner slots; with
-// MaxConcurrent 1 the same op measures one search at a time. Returns the
-// accumulated planner telemetry.
+// single Rebalance pass that must admit all jobs from scratch, one cold
+// search per job in admission order. Returns the accumulated planner
+// telemetry.
 func DriveFleetColdRebalance(svc *sailor.Service, m sailor.Model, types []core.GPUType, pool *cluster.Pool) (explored, hits int, err error) {
 	for i, g := range types {
 		name := fmt.Sprintf("cold-%d", i)

@@ -8,8 +8,9 @@ import (
 )
 
 // The paper's headline claims, asserted as invariants over the regenerated
-// artefacts. These run at Quick scale; the full-scale shapes are recorded in
-// EXPERIMENTS.md.
+// artefacts. These run at Quick scale, on the tables TestSmokeAll shares
+// (quickTable); `go run ./cmd/sailor-bench -id <artefact>` prints the
+// full-scale shapes.
 
 func quickOpts() Opts { return Opts{Quick: true, SlowPlannerCap: 2 * time.Second} }
 
@@ -36,10 +37,7 @@ func TestFigure1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
 	}
-	tab, err := Figure1(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "fig1")
 	c0 := cellF(t, tab, byLabel(0, "c0"), 2)
 	c3 := cellF(t, tab, byLabel(0, "c3"), 2)
 	c5 := cellF(t, tab, byLabel(0, "c5"), 2)
@@ -57,10 +55,7 @@ func TestFigure1Shape(t *testing.T) {
 }
 
 func TestFigure2Shape(t *testing.T) {
-	tab, err := Figure2(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "fig2")
 	last := tab.Rows[len(tab.Rows)-1]
 	if last[1] != "8" {
 		t.Errorf("zone A must end at 8 GPUs, got %s", last[1])
@@ -76,11 +71,8 @@ func TestFigure5Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
 	}
-	for _, run := range []func(Opts) (Table, error){Figure5a, Figure5b} {
-		tab, err := run(quickOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, id := range []string{"fig5a", "fig5b"} {
+		tab := quickTable(t, id)
 		// Sailor's mean error must be the lowest of all planners.
 		sailor := cellF(t, tab, byLabel(0, "Sailor"), 3)
 		for _, r := range tab.Rows {
@@ -105,10 +97,7 @@ func TestFigure6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
 	}
-	tab, err := Figure6(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "fig6")
 	sailor := cellF(t, tab, byLabel(0, "Sailor"), 3)
 	flash := cellF(t, tab, byLabel(0, "FlashFlex"), 3)
 	if sailor >= flash {
@@ -120,10 +109,7 @@ func TestFigure7Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
 	}
-	tab, err := Figure7(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "fig7")
 	// Sailor must match or beat every baseline at every size.
 	var sailorRow []string
 	for _, r := range tab.Rows {
@@ -162,10 +148,7 @@ func TestFigure8Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
 	}
-	tab, err := Figure8a(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "fig8a")
 	// Per cluster size: Sailor >= AMP/FlashFlex; Sailor OOM count is 0.
 	byPlanner := map[string][]string{}
 	for _, r := range tab.Rows {
@@ -197,10 +180,7 @@ func TestFigure12Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
 	}
-	tab, err := Figure12(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "fig12")
 	// Sailor must beat DTFM on throughput and cost at each size.
 	for i := 0; i+1 < len(tab.Rows); i += 2 {
 		dt, sr := tab.Rows[i], tab.Rows[i+1]
@@ -227,14 +207,10 @@ func TestFigure13Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
 	}
-	o := quickOpts()
-	tab, err := Figure13(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "fig13")
 	// Every deployed row satisfies the throughput floor; Sailor's cost is
-	// at or near the minimum (EXPERIMENTS.md documents the flat
-	// cost-vs-DP deviation that lets one baseline tie or slightly
+	// at or near the minimum (compute cost is nearly flat in DP under
+	// per-GPU-hour pricing, which lets one baseline tie or slightly
 	// undercut it).
 	floor := 0.05 // quick-mode constraint
 	var sailorCost float64 = -1
@@ -279,10 +255,7 @@ func TestFigure14Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
 	}
-	tab, err := Figure14(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "fig14")
 	var sailorTput float64 = -1
 	for _, r := range tab.Rows {
 		if r[1] == "X" {
@@ -314,10 +287,7 @@ func TestTable1Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
 	}
-	tab, err := Table1(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "tab1")
 	if len(tab.Rows) != 10 { // 9 baselines + Sailor
 		t.Fatalf("Table 1 rows = %d, want 10", len(tab.Rows))
 	}
@@ -338,10 +308,7 @@ func TestReconfigurationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip()
 	}
-	tab, err := Reconfiguration(quickOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := quickTable(t, "reconf")
 	total := cellF(t, tab, byLabel(0, "total"), 1)
 	if total < 5 || total > 40 {
 		t.Errorf("reconfiguration total %vs outside the ~11s band", total)

@@ -75,7 +75,7 @@ func TestFmtF(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	// DESIGN.md promises an entry for every evaluation artefact.
+	// Every evaluation artefact of the paper has an entry.
 	want := []string{
 		"fig1", "fig2", "fig3", "fig5a", "fig5b", "fig6", "fig7",
 		"fig8a", "fig8b", "fig9a", "fig9b", "fig10", "fig11", "fig12",

@@ -180,11 +180,7 @@ func (l *Ledger) FreeView() *cluster.Pool {
 // with: the free view plus the job's own lease (a job may always reshuffle
 // capacity it holds), filtered to gpus *before* the per-job cap is applied,
 // so the cap is spent on usable cells only. An empty type list means no
-// filter. Because the
-// filtered view is a pure function of the free counts in the job's own-type
-// cells, jobs whose type sets are disjoint see views that are independent
-// of each other's grants — the property Service.Rebalance's partitioned
-// pass relies on.
+// filter.
 func (l *Ledger) ViewForTypes(job string, gpus []core.GPUType) *cluster.Pool {
 	l.mu.Lock()
 	defer l.mu.Unlock()

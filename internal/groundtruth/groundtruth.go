@@ -1,6 +1,6 @@
 // Package groundtruth is the measurement substrate of this reproduction: a
 // high-fidelity discrete-event execution of a training plan that stands in
-// for the paper's real clusters (see DESIGN.md, substitution table).
+// for the paper's real clusters.
 //
 // Where the analytical simulator (internal/sim) uses closed-form 1F1B
 // timing over fitted network coefficients, this engine executes the exact

@@ -3,9 +3,9 @@
 // bandwidth model, and cloud pricing.
 //
 // The paper profiles real machines (§4.1); this package substitutes public
-// datasheet figures and a parametric link model, as recorded in DESIGN.md.
-// Everything downstream (profiler, simulator, planner) consumes only these
-// numbers, so the substitution is contained here.
+// datasheet figures and a parametric link model. Everything downstream
+// (profiler, simulator, planner) consumes only these numbers, so the
+// substitution is contained here.
 package hardware
 
 import (

@@ -156,11 +156,6 @@ func Check(cfg model.Config, plan core.Plan) (peak int64, peakGPU core.GPUType, 
 // It returns 0 when no degree up to the node size fits. The result is
 // independent of availability, so the planner caches it across replans.
 func MinTP(cfg model.Config, g core.GPUType, layers, stageIdx, pp, mbs, nb int) int {
-	return MinTPWith(cfg, g, layers, stageIdx, pp, mbs, nb, false)
-}
-
-// MinTPWith is MinTP with an explicit activation-recomputation mode.
-func MinTPWith(cfg model.Config, g core.GPUType, layers, stageIdx, pp, mbs, nb int, recompute bool) int {
 	spec, err := hardware.Lookup(g)
 	if err != nil {
 		return 0
@@ -171,7 +166,6 @@ func MinTPWith(cfg model.Config, g core.GPUType, layers, stageIdx, pp, mbs, nb i
 			Layers: layers, StageIdx: stageIdx, PP: pp, TP: tp,
 			MicroBS: mbs, NumMicro: nb,
 			FirstStg: stageIdx == 0, LastStg: stageIdx == pp-1,
-			Recompute: recompute,
 		}
 		if Fits(WorkerFootprint(cfg, w).Total(), spec.MemoryBytes) {
 			return tp

@@ -52,7 +52,7 @@ func (t *task) initDominance(layers []int) {
 	if t.pl.Opts.DisableDominancePruning || !t.s.pruneOK {
 		return
 	}
-	eb := t.s.evalBoundsFor(t.mbs, t.recompute)
+	eb := t.s.evalBoundsFor(t.mbs)
 	t.domMinRate = eb.minRate
 	pp := len(layers)
 	t.domSufSum, t.domSufMax = resized(t.domSufSum, pp+1), resized(t.domSufMax, pp+1)

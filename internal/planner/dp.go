@@ -654,7 +654,7 @@ func (t *task) stageTimeAt(stage, ti, tp int) (float64, bool) {
 
 func (t *task) stageTimeRaw(stage, ti, tp int) (float64, error) {
 	last := stage == len(t.partition)-1
-	return t.pl.Sim.StageComputeTimeWith(t.s.rs.types[ti], tp, t.mbs, t.partition[stage], last, t.recompute)
+	return t.pl.Sim.StageComputeTimeWith(t.s.rs.types[ti], tp, t.mbs, t.partition[stage], last, false)
 }
 
 // fitsMemoryAt resolves the per-worker memory check through the dense
@@ -682,7 +682,6 @@ func (t *task) fitsMemoryRaw(stage, ti, tp int) bool {
 	w := memory.WorkerShape{
 		Layers: t.partition[stage], StageIdx: stage, PP: pp, TP: tp,
 		MicroBS: t.mbs, NumMicro: pp, FirstStg: stage == 0, LastStg: stage == pp-1,
-		Recompute: t.recompute,
 	}
 	spec, err := hardware.Lookup(t.s.rs.types[ti])
 	if err != nil {
@@ -718,18 +717,18 @@ func (t *task) minTP(g core.GPUType, ti, layers, stage, pp, mbs, nb int) int {
 	if nb > pp {
 		nb = pp
 	}
-	// Dense per-task front for the sharded search-wide cache: pp, mbs and
-	// recompute are fixed within a task and layers is a function of stage,
+	// Dense per-task front for the sharded search-wide cache: pp and mbs
+	// are fixed within a task and layers is a function of stage,
 	// so (stage, ti, capped nb) is a complete key and the common case is
 	// one array load instead of a hash, a lock and a map probe.
 	idx := (stage*len(t.s.rs.types)+ti)*(pp+1) + nb
 	if v := t.minTPT[idx]; v >= 0 {
 		return int(v)
 	}
-	k := minTPKey{g, layers, stage, pp, mbs, nb, t.recompute}
+	k := minTPKey{g, layers, stage, pp, mbs, nb}
 	v, ok := t.s.minTP.get(k)
 	if !ok {
-		v = memory.MinTPWith(t.pl.Cfg, g, layers, stage, pp, mbs, nb, t.recompute)
+		v = memory.MinTP(t.pl.Cfg, g, layers, stage, pp, mbs, nb)
 		t.s.minTP.put(k, v)
 	}
 	t.minTPT[idx] = int16(v)
@@ -790,7 +789,7 @@ func (t *task) buildPlan(node *dpNode, layers []int, mbs int, buf *planBuf) (cor
 		cur = cur.next
 	}
 	buf.stages, buf.replicas = stages, reps
-	return core.Plan{MicroBatchSize: mbs, Recompute: t.recompute, Stages: stages}, true
+	return core.Plan{MicroBatchSize: mbs, Stages: stages}, true
 }
 
 // detachPlan returns a copy of a scratch-backed plan in storage of its own.

@@ -37,7 +37,7 @@ func dpLab(tb testing.TB, pool *cluster.Pool, gpus ...core.GPUType) (*Planner, *
 	s.bindState(rs, pool)
 	layers := partitionLayers(cfg.Layers, 4)
 	t := s.taskFor(0)
-	t.reset(rs, 2, false, nil)
+	t.reset(rs, 2, nil)
 	t.init(layers)
 	t.resetMemo(2, cfg.GlobalBatch/(2*2))
 	return pl, s, t, rs, layers
@@ -161,7 +161,7 @@ func TestScratchReusedAcrossJobs(t *testing.T) {
 	pl, s, tk, rs, deep := dpLab(t, pool, core.A100)
 	shallow := partitionLayers(pl.Cfg.Layers, 2)
 	run := func(layers []int) {
-		tk.reset(rs, 2, false, nil)
+		tk.reset(rs, 2, nil)
 		tk.searchDP(layers, 2)
 	}
 	run(deep)
@@ -191,7 +191,7 @@ func TestScratchReusedAcrossJobs(t *testing.T) {
 			t.Errorf("pp=%d job after a pp=%d job re-allocated scratch:\nbefore %+v\nafter  %+v", len(layers), len(deep), before, after)
 		}
 		if allocs := testing.AllocsPerRun(20, func() {
-			tk.reset(rs, 2, false, nil)
+			tk.reset(rs, 2, nil)
 			tk.init(layers)
 		}); allocs != 0 {
 			t.Errorf("readying the scratch for a pp=%d job allocates %.1f times; want 0", len(layers), allocs)

@@ -95,10 +95,6 @@ type Options struct {
 	MaxPP int
 	// MBSCandidates overrides the microbatch sizes to explore.
 	MBSCandidates []int
-	// AllowRecompute lets the planner fall back to full activation
-	// recomputation when no plan fits memory otherwise — the
-	// rematerialisation extension the paper defers to future work (§6).
-	AllowRecompute bool
 	// Warm persists the minimum-TP cache and the DP memos across
 	// Plan/Replan calls (see WarmCache). Nil means every search starts
 	// cold. The cache binds to the first planner fingerprint that uses it;
@@ -163,7 +159,8 @@ type Evaluator interface {
 	core.Estimator
 	// StageComputeTimeWith returns the per-microbatch fwd+bwd seconds of
 	// one stage replica (time_for_stage), with an explicit
-	// rematerialisation mode.
+	// rematerialisation mode. The planner always asks for recompute=false;
+	// it never emits a rematerialising plan.
 	StageComputeTimeWith(g core.GPUType, tp, mbs, layers int, last, recompute bool) (float64, error)
 	// GPUHourUSD prices one GPU-hour of a type (cost_for_stage).
 	GPUHourUSD(g core.GPUType) float64
@@ -311,12 +308,7 @@ func (pl *Planner) planContext(ctx context.Context, pool *cluster.Pool, seed *ca
 
 	s := newSearch(pl, ctx)
 	defer s.stop()
-	s.runPass(rs, pool, false)
-	if s.best == nil && pl.Opts.AllowRecompute && !s.expired() {
-		// Nothing fits memory; retry with activation recomputation, which
-		// trades ~1/3 extra compute for a far smaller footprint.
-		s.runPass(rs, pool, true)
-	}
+	s.runPass(rs, pool)
 	if s.warmOn {
 		pl.Opts.Warm.merge(s.fp, s.pending())
 	}

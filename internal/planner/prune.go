@@ -49,7 +49,7 @@ type candidateBounds struct {
 	minLayers int
 	// perLayerMin is the fastest per-layer fwd+bwd seconds over every GPU
 	// type with available capacity and every TP degree on its node, at the
-	// task's microbatch size and recompute mode. Zero disables pruning
+	// task's microbatch size. Zero disables pruning
 	// (no admissible bound could be formed).
 	perLayerMin float64
 	// minRate is the cheapest USD/second per GPU over the available types.
@@ -57,8 +57,8 @@ type candidateBounds struct {
 }
 
 // candidateBounds resolves the bound inputs for one (layer partition, mbs)
-// candidate: the partition's smallest stage joins the per-(mbs, recompute)
-// evaluator sweep, which is computed once per search pass and shared by
+// candidate: the partition's smallest stage joins the per-mbs evaluator
+// sweep, which is computed once per search pass and shared by
 // every task (the bound depends only on the pool's types, not on the
 // partition). Pruning activates only when the evaluator declares the
 // admissibility property (BoundPrunable) — an unknown backend searches
@@ -67,7 +67,7 @@ func (t *task) candidateBounds(layers []int) candidateBounds {
 	if t.pl.Opts.DisableBoundPruning || !t.s.pruneOK {
 		return candidateBounds{}
 	}
-	eb := t.s.evalBoundsFor(t.mbs, t.recompute)
+	eb := t.s.evalBoundsFor(t.mbs)
 	b := candidateBounds{minLayers: layers[0], perLayerMin: eb.perLayerMin, minRate: eb.minRate}
 	for _, l := range layers {
 		if l < b.minLayers {
@@ -77,26 +77,20 @@ func (t *task) candidateBounds(layers []int) candidateBounds {
 	return b
 }
 
-// evalBounds is the (mbs, recompute)-dependent part of the pruning bound.
+// evalBounds is the mbs-dependent part of the pruning bound.
 type evalBounds struct {
 	perLayerMin float64
 	minRate     float64
 }
 
-type evalBoundsKey struct {
-	mbs       int
-	recompute bool
-}
-
-// evalBoundsFor computes (once per search pass and key, under a mutex —
+// evalBoundsFor computes (once per search pass and mbs, under a mutex —
 // the handful of evaluator queries per key make contention irrelevant)
 // the fastest per-layer fwd+bwd over every available GPU type and TP
 // degree, and the cheapest per-GPU rate.
-func (s *search) evalBoundsFor(mbs int, recompute bool) evalBounds {
-	k := evalBoundsKey{mbs, recompute}
+func (s *search) evalBoundsFor(mbs int) evalBounds {
 	s.boundMu.Lock()
 	defer s.boundMu.Unlock()
-	if b, ok := s.bounds[k]; ok {
+	if b, ok := s.bounds[mbs]; ok {
 		return b
 	}
 	var b evalBounds
@@ -112,7 +106,7 @@ func (s *search) evalBoundsFor(mbs int, recompute bool) evalBounds {
 			continue
 		}
 		for tp := 1; tp <= s.nodeCap[ti]; tp *= 2 {
-			v, err := s.pl.Sim.StageComputeTimeWith(g, tp, mbs, 1, false, recompute)
+			v, err := s.pl.Sim.StageComputeTimeWith(g, tp, mbs, 1, false, false)
 			if err == nil && (b.perLayerMin == 0 || v < b.perLayerMin) {
 				b.perLayerMin = v
 			}
@@ -122,9 +116,9 @@ func (s *search) evalBoundsFor(mbs int, recompute bool) evalBounds {
 		}
 	}
 	if s.bounds == nil {
-		s.bounds = map[evalBoundsKey]evalBounds{}
+		s.bounds = map[int]evalBounds{}
 	}
-	s.bounds[k] = b
+	s.bounds[mbs] = b
 	return b
 }
 

@@ -31,11 +31,11 @@ type search struct {
 	nodeCap    []int
 
 	// pruneOK marks the evaluator as declaring the bound-pruning
-	// admissibility property; bounds caches the per-(mbs, recompute)
-	// evaluator sweeps shared by every task of the pass.
+	// admissibility property; bounds caches the per-mbs evaluator sweeps
+	// shared by every task of the pass.
 	pruneOK bool
 	boundMu sync.Mutex
-	bounds  map[evalBoundsKey]evalBounds
+	bounds  map[int]evalBounds
 
 	// The pool as plan materialisation needs it, built once per pass: its
 	// zones, their availability as a flat [zone][type] table, and per region
@@ -194,7 +194,7 @@ func (s *search) offer(c *candidate) {
 // other job measures its admissible bounds against. Because the floor is
 // fixed before any worker starts, the set of explored configurations is
 // identical at any worker count.
-func (s *search) runPass(rs *regionState, pool *cluster.Pool, recompute bool) {
+func (s *search) runPass(rs *regionState, pool *cluster.Pool) {
 	type job struct {
 		layers []int
 		mbs    int
@@ -215,7 +215,7 @@ func (s *search) runPass(rs *regionState, pool *cluster.Pool, recompute bool) {
 		if s.expired() {
 			return
 		}
-		t.reset(rs, j.mbs, recompute, floor)
+		t.reset(rs, j.mbs, floor)
 		t.searchDP(j.layers, j.mbs)
 		// Counters are batched per job: no atomics in the DP's inner loop.
 		s.explored.Add(t.explored)
@@ -287,7 +287,7 @@ func (s *search) taskFor(w int) *task {
 
 // task is one worker's state while exploring a single (pp, mbs) candidate:
 // the DP memo is valid only within one DP-degree scan, and the cost-lean
-// and recompute flags change what the DP optimises. The scratch buffers
+// flag changes what the DP optimises. The scratch buffers
 // and query caches below make the DP's inner loops allocation-free without
 // changing any comparison.
 //
@@ -314,16 +314,14 @@ type task struct {
 	// costLean flips the DP's comparison to prefer cheap stages over fast
 	// ones; the budget fallback uses it for its second pass.
 	costLean bool
-	// recompute marks the current search pass as rematerialisation-mode.
-	recompute bool
 	// mbs is the task's microbatch size.
 	mbs int
 	// floor is the search-wide pruning incumbent computed by the floor job
 	// (nil while the floor job itself runs).
 	floor *Result
 
-	// scan carries the key fields (shape, pp, mbs, d, nb, recompute,
-	// costLean) all persisted keys of the current DP-degree scan share.
+	// scan carries the key fields (shape, pp, mbs, d, nb, costLean) all
+	// persisted keys of the current DP-degree scan share.
 	scan warmDPKey
 	// pend accumulates, over every job this worker runs, the DP entries and
 	// plan estimates the search will publish (see search.pending).
@@ -387,8 +385,8 @@ type task struct {
 }
 
 // reset readies the scratch for one (pp, mbs) job, keeping all capacity.
-func (t *task) reset(rs *regionState, mbs int, recompute bool, floor *Result) {
-	t.mbs, t.recompute, t.floor = mbs, recompute, floor
+func (t *task) reset(rs *regionState, mbs int, floor *Result) {
+	t.mbs, t.floor = mbs, floor
 	t.explored, t.warmHits = 0, 0
 	rs.copyTo(&t.rs)
 }
@@ -434,7 +432,7 @@ func (t *task) warmKey(k dpKey) warmDPKey {
 
 // resetMemo starts a fresh DP-degree scan: the scan-local memo is cleared
 // and the persisted-key prefix is recomputed from the scan parameters.
-// Callers set costLean/recompute before calling.
+// Callers set costLean before calling.
 func (t *task) resetMemo(d, nb int) {
 	// The table's slots are reused across scans (reset bumps its epoch, so
 	// later scans insert without re-growing); entries never leak between
@@ -450,7 +448,7 @@ func (t *task) resetMemo(d, nb int) {
 		t.comboOK[i] = false
 	}
 	t.scan.d, t.scan.nb = int32(d), int32(nb)
-	t.scan.recompute, t.scan.costLean = t.recompute, t.costLean
+	t.scan.costLean = t.costLean
 }
 
 // searchDP explores DP degrees for one (layer partition, mbs) and publishes

@@ -230,13 +230,12 @@ func (rs *regionState) packedKey(stage, ri int) dpKey {
 // minTPKey identifies one stage shape. The in-flight count is capped at the
 // pipeline depth before keying (see task.minTP).
 type minTPKey struct {
-	g         core.GPUType
-	layers    int
-	stage     int
-	pp        int
-	mbs       int
-	nb        int
-	recompute bool
+	g      core.GPUType
+	layers int
+	stage  int
+	pp     int
+	mbs    int
+	nb     int
 }
 
 // minTPShards keeps lock contention negligible at high worker counts while
@@ -273,9 +272,6 @@ func (c *minTPCache) shardOf(k minTPKey) int {
 	mix(uint32(k.pp))
 	mix(uint32(k.mbs))
 	mix(uint32(k.nb))
-	if k.recompute {
-		mix(1)
-	}
 	return int(h % minTPShards)
 }
 

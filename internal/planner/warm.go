@@ -6,7 +6,7 @@ package planner
 //   - the H2 minimum-TP cache, whose entries are independent of
 //     availability and fully reusable across replans,
 //   - the per-candidate DP memos, keyed by (pool shape, pp, mbs, d, nb,
-//     recompute, cost-lean, stage, region, remaining counts) — the complete
+//     cost-lean, stage, region, remaining counts) — the complete
 //     input of one solveDP node — so successive replans skip every region
 //     state an earlier search already solved, and
 //   - the candidate-plan estimates, keyed by the plan signature, so
@@ -60,14 +60,13 @@ const warmMaxEntries = 1 << 17
 // re-hashing fmt-built strings — the shape string is computed once per
 // search and shared by every key of that search.
 type warmDPKey struct {
-	shape     string
-	pp        int32
-	mbs       int32
-	d         int32
-	nb        int32
-	recompute bool
-	costLean  bool
-	key       dpKey
+	shape    string
+	pp       int32
+	mbs      int32
+	d        int32
+	nb       int32
+	costLean bool
+	key      dpKey
 }
 
 // warmEntry is one key/value pair a search publishes.

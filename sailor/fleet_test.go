@@ -9,8 +9,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"repro/internal/fleet"
 )
 
 // TestFleetSoloParity is the no-contention determinism acceptance test: a
@@ -302,194 +300,65 @@ func canonicalFleet(t *testing.T, svc *Service) string {
 	return string(data)
 }
 
-// TestSoloCandidates pins the rebalance conflict partitioning: candidates
-// are solo exactly when they share no fleet-capacity GPU type with any
-// other candidate.
-func TestSoloCandidates(t *testing.T) {
-	zone := GCPZone("us-central1", 'a')
-	cand := func(name string, gpus ...GPUType) rebalCand {
-		return rebalCand{name: name, j: &serviceJob{gpus: gpus}}
-	}
-	cases := []struct {
-		name  string
-		pool  *Pool
-		cands []rebalCand
-		want  []bool // nil = everything conflicts
-	}{
-		{
-			name:  "disjoint-types",
-			pool:  NewPool().Set(zone, A100, 8).Set(zone, V100, 8),
-			cands: []rebalCand{cand("a", A100), cand("b", V100)},
-			want:  []bool{true, true},
-		},
-		{
-			name:  "same-type",
-			pool:  NewPool().Set(zone, A100, 8),
-			cands: []rebalCand{cand("a", A100), cand("b", A100)},
-			want:  nil,
-		},
-		{
-			name: "mixed",
-			pool: NewPool().Set(zone, A100, 8).Set(zone, V100, 8),
-			cands: []rebalCand{
-				cand("a", A100), cand("b", A100), cand("c", V100)},
-			want: []bool{false, false, true},
-		},
-		{
-			name: "bridge-job-joins-partitions",
-			pool: NewPool().Set(zone, A100, 8).Set(zone, V100, 8),
-			cands: []rebalCand{
-				cand("a", A100), cand("b", A100, V100), cand("c", V100)},
-			want: nil,
-		},
-		{
-			name: "type-without-capacity-is-unreachable",
-			pool: NewPool().Set(zone, A100, 8),
-			// b's V100 has no fleet capacity, so b reaches nothing and a is
-			// the only A100 user: both are solo.
-			cands: []rebalCand{cand("a", A100), cand("b", V100)},
-			want:  []bool{true, true},
-		},
-		{
-			name: "duplicate-types-in-one-job",
-			pool: NewPool().Set(zone, A100, 8),
-			// a listing A100 twice must not count as two users.
-			cands: []rebalCand{cand("a", A100, A100), cand("b", V100)},
-			want:  []bool{true, true},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			led := fleet.NewLedger(tc.pool)
-			got := soloCandidates(led, tc.cands)
-			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
-				t.Errorf("soloCandidates = %v, want %v", got, tc.want)
-			}
-		})
-	}
-}
-
-// TestRebalancePartitionedDeterminism is the parallel-rebalance acceptance
-// on a fleet where the pre-search actually engages: three jobs on three
-// disjoint GPU types admit, get preempted, and re-admit. At every pass the
-// default service's step stream and full fleet snapshot — including the
-// ledger version trajectory — must byte-equal those of the reference
-// service that pre-searches nothing (every candidate searches inline at its
-// commit turn), at workers=1 and workers=8.
+// TestRebalancePartitionedDeterminism drives three jobs on three disjoint
+// GPU types through admission, a preemption that empties one type and
+// shrinks another, and recovery. After every Rebalance pass the step stream
+// and the full fleet snapshot — including the ledger version trajectory —
+// must byte-equal a reference run's at workers=1 and at workers=8: the
+// ordered pass is a function of the ledger state and the candidate order
+// alone, whatever the search parallelism.
 func TestRebalancePartitionedDeterminism(t *testing.T) {
 	zone := GCPZone("us-central1", 'a')
 	types := []GPUType{A100, V100, RTX3090}
-	build := func(sequential bool, workers int) *Service {
+	run := func(t *testing.T, workers int) []string {
+		t.Helper()
 		led := NewLedger(NewPool().
 			Set(zone, A100, 16).Set(zone, V100, 16).Set(zone, RTX3090, 16))
 		svc := NewService(ServiceConfig{Workers: workers, MaxConcurrent: 4, Fleet: led})
-		svc.noPreSearch = sequential
 		for i, g := range types {
 			if err := svc.OpenJob(fmt.Sprintf("job-%d", i), OPT350M(),
 				[]GPUType{g}, len(types)-i); err != nil {
 				t.Fatal(err)
 			}
 		}
-		return svc
+		var out []string
+		pass := func(phase string, ev ...TraceEvent) {
+			t.Helper()
+			for _, e := range ev {
+				if _, err := svc.FleetEvent(e); err != nil {
+					t.Fatalf("%s: %v", phase, err)
+				}
+			}
+			steps, err := svc.Rebalance(context.Background())
+			if err != nil {
+				t.Fatalf("%s: %v", phase, err)
+			}
+			out = append(out, phase+" steps: "+canonicalSteps(t, steps),
+				phase+" fleet: "+canonicalFleet(t, svc))
+		}
+		pass("admit")
+		// The emptied job's search fails and it waits; the shrunk job replans.
+		pass("shrink",
+			TraceEvent{At: time.Hour, Zone: zone, GPU: V100, Delta: -16},
+			TraceEvent{At: time.Hour, Zone: zone, GPU: RTX3090, Delta: -8})
+		// Recovery: the waiting jobs replan warm.
+		pass("recover",
+			TraceEvent{At: 2 * time.Hour, Zone: zone, GPU: V100, Delta: 16},
+			TraceEvent{At: 2 * time.Hour, Zone: zone, GPU: RTX3090, Delta: 8})
+		return out
+	}
+	ref := run(t, 1)
+	if !strings.Contains(ref[2], `"action":"wait"`) {
+		t.Fatalf("the shrink left no job waiting: %s", ref[2])
 	}
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			seq := build(true, workers)
-			par := build(false, workers)
-			ctx := context.Background()
-			both := func(phase string, ev ...TraceEvent) {
-				t.Helper()
-				for _, svc := range []*Service{seq, par} {
-					for _, e := range ev {
-						if _, err := svc.FleetEvent(e); err != nil {
-							t.Fatalf("%s: %v", phase, err)
-						}
-					}
-				}
-				s1, err1 := seq.Rebalance(ctx)
-				s2, err2 := par.Rebalance(ctx)
-				if err1 != nil || err2 != nil {
-					t.Fatalf("%s: sequential err %v, partitioned err %v", phase, err1, err2)
-				}
-				if a, b := canonicalSteps(t, s1), canonicalSteps(t, s2); a != b {
-					t.Errorf("%s: step streams diverged:\n%s\nvs\n%s", phase, a, b)
-				}
-				if a, b := canonicalFleet(t, seq), canonicalFleet(t, par); a != b {
-					t.Errorf("%s: fleet snapshots diverged:\n%s\nvs\n%s", phase, a, b)
+			for i, got := range run(t, workers) {
+				if got != ref[i] {
+					t.Errorf("diverged from the workers=1 reference:\n%s\nvs\n%s", got, ref[i])
 				}
 			}
-			// Cold admission: all three partitions search concurrently.
-			both("admit")
-			// A capacity loss empties one partition and shrinks another:
-			// the emptied job's search must fail identically in both modes.
-			both("shrink",
-				TraceEvent{At: time.Hour, Zone: zone, GPU: V100, Delta: -16},
-				TraceEvent{At: time.Hour, Zone: zone, GPU: RTX3090, Delta: -8})
-			// Recovery: the waiting jobs replan warm.
-			both("recover",
-				TraceEvent{At: 2 * time.Hour, Zone: zone, GPU: V100, Delta: 16},
-				TraceEvent{At: 2 * time.Hour, Zone: zone, GPU: RTX3090, Delta: 8})
 		})
-	}
-}
-
-// TestFleetScenarioSequentialParity replays both fleet golden scenarios
-// (the contending jobs all share one GPU type, so the pass must detect the
-// conflict and pre-search nothing) at workers=1 and workers=8: the step
-// streams and fleet snapshots of the default service must byte-equal the
-// no-pre-search reference's after every event batch.
-func TestFleetScenarioSequentialParity(t *testing.T) {
-	cases := []struct {
-		scenario string
-		jobs     int
-	}{
-		{"preemption-storm", 3},
-		{"zone-outage", 2},
-	}
-	for _, tc := range cases {
-		for _, workers := range []int{1, 8} {
-			t.Run(fmt.Sprintf("%s/workers=%d", tc.scenario, workers), func(t *testing.T) {
-				sc, ok := ScenarioByName(tc.scenario)
-				if !ok {
-					t.Fatalf("scenario %q not registered", tc.scenario)
-				}
-				tr := sc.TraceWith(1, ScenarioOpts{})
-				cap := sc.Defaults.Base / 2
-				build := func(sequential bool) *Service {
-					led := NewLedger(NewPool())
-					led.SetJobCap(cap)
-					svc := NewService(ServiceConfig{Workers: workers, MaxConcurrent: 4, Fleet: led})
-					svc.noPreSearch = sequential
-					for i := 0; i < tc.jobs; i++ {
-						if err := svc.OpenJob(fmt.Sprintf("job-%d", i), OPT350M(),
-							sc.GPUs, tc.jobs-i); err != nil {
-							t.Fatal(err)
-						}
-					}
-					return svc
-				}
-				seq, par := build(true), build(false)
-				ctx := context.Background()
-				for i, ev := range tr.Events {
-					for _, svc := range []*Service{seq, par} {
-						if _, err := svc.FleetEvent(ev); err != nil {
-							t.Fatal(err)
-						}
-					}
-					s1, err1 := seq.Rebalance(ctx)
-					s2, err2 := par.Rebalance(ctx)
-					if err1 != nil || err2 != nil {
-						t.Fatalf("event %d: sequential err %v, partitioned err %v", i, err1, err2)
-					}
-					if a, b := canonicalSteps(t, s1), canonicalSteps(t, s2); a != b {
-						t.Fatalf("event %d: step streams diverged:\n%s\nvs\n%s", i, a, b)
-					}
-					if a, b := canonicalFleet(t, seq), canonicalFleet(t, par); a != b {
-						t.Fatalf("event %d: fleet snapshots diverged:\n%s\nvs\n%s", i, a, b)
-					}
-				}
-			})
-		}
 	}
 }
 
@@ -538,47 +407,37 @@ func TestFleetConcurrentTenantsShareLedger(t *testing.T) {
 	}
 }
 
-// TestRebalanceDoesNotShedItself is the regression for Rebalance shedding
-// its own candidates: four jobs on disjoint GPU types are all pre-searchable,
-// and with one planner slot and a one-deep wait queue the pre-searches used
-// to fill the admission queue themselves, leaving two jobs waiting on
-// ErrOverloaded. A pre-search that finds no idle slot must instead search
-// inline at its commit turn: all four admit, nothing counts as shed, and
-// the steps equal the no-pre-search reference's.
+// TestRebalanceDoesNotShedItself: a Rebalance pass takes one planner slot
+// per candidate, in turn, so with one slot and a one-deep wait queue all
+// four jobs still admit and nothing counts as shed.
 func TestRebalanceDoesNotShedItself(t *testing.T) {
 	zone := GCPZone("us-central1", 'a')
 	types := []GPUType{A100, V100, RTX3090, T4}
-	run := func(noPreSearch bool) (string, ServiceStats) {
-		pool := NewPool()
-		for _, g := range types {
-			pool.Set(zone, g, 16)
-		}
-		svc := NewService(ServiceConfig{Workers: 1, MaxConcurrent: 1, MaxQueued: 1, Fleet: NewLedger(pool)})
-		svc.noPreSearch = noPreSearch
-		for i, g := range types {
-			if err := svc.OpenJob(fmt.Sprintf("job-%d", i), OPT350M(), []GPUType{g}, len(types)-i); err != nil {
-				t.Fatal(err)
-			}
-		}
-		steps, err := svc.Rebalance(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range steps {
-			if s.Action != "admit" {
-				t.Errorf("noPreSearch=%v: job %s: action %q (%s), want admit", noPreSearch, s.Job, s.Action, s.Error)
-			}
-		}
-		st, err := svc.Stats()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return canonicalSteps(t, steps), st
+	pool := NewPool()
+	for _, g := range types {
+		pool.Set(zone, g, 16)
 	}
-	got, st := run(false)
-	want, _ := run(true)
-	if got != want {
-		t.Errorf("steps diverged from the no-pre-search reference:\n%s\nvs\n%s", got, want)
+	svc := NewService(ServiceConfig{Workers: 1, MaxConcurrent: 1, MaxQueued: 1, Fleet: NewLedger(pool)})
+	for i, g := range types {
+		if err := svc.OpenJob(fmt.Sprintf("job-%d", i), OPT350M(), []GPUType{g}, len(types)-i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	steps, err := svc.Rebalance(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(steps) != len(types) {
+		t.Fatalf("steps = %+v, want one per job", steps)
+	}
+	for _, s := range steps {
+		if s.Action != "admit" {
+			t.Errorf("job %s: action %q (%s), want admit", s.Job, s.Action, s.Error)
+		}
+	}
+	st, err := svc.Stats()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if st.Overloaded != 0 {
 		t.Errorf("Overloaded = %d, want 0: Rebalance shed its own candidates", st.Overloaded)

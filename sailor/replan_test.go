@@ -52,11 +52,11 @@ func TestReplanMatchesPlan(t *testing.T) {
 	}
 }
 
-// TestReplanConcurrentWithPlanBatch is the race-coverage satellite:
+// TestReplanConcurrentWithPlanContext is the race-coverage satellite:
 // concurrent Replan chains on one shared System against concurrent
-// PlanBatch calls must be data-race free (run under -race) and every warm
+// PlanContext calls must be data-race free (run under -race), and every
 // result must equal cold planning on the same pool.
-func TestReplanConcurrentWithPlanBatch(t *testing.T) {
+func TestReplanConcurrentWithPlanContext(t *testing.T) {
 	sys, err := New(OPT350M(), []GPUType{A100}, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
@@ -91,20 +91,20 @@ func TestReplanConcurrentWithPlanBatch(t *testing.T) {
 		}(g)
 	}
 	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			results, errs := sys.PlanBatch(context.Background(), pools, MaxThroughput, Constraints{})
-			for i, err := range errs {
+		for i, pool := range pools {
+			wg.Add(1)
+			go func(g, i int, pool *Pool) {
+				defer wg.Done()
+				res, err := sys.PlanContext(context.Background(), pool, MaxThroughput, Constraints{})
 				if err != nil {
-					t.Errorf("batch %d pool %d: %v", g, i, err)
-					continue
+					t.Errorf("planner %d pool %d: %v", g, i, err)
+					return
 				}
-				if results[i].Plan.String() != cold[i] {
-					t.Errorf("batch %d pool %d: batch plan diverged from cold", g, i)
+				if res.Plan.String() != cold[i] {
+					t.Errorf("planner %d pool %d: plan diverged from cold", g, i)
 				}
-			}
-		}(g)
+			}(g, i, pool)
+		}
 	}
 	wg.Wait()
 }

@@ -178,6 +178,60 @@ func TestServicePlanDegradesToIncumbent(t *testing.T) {
 	if _, err := svc.Plan(ctx, "fresh", pool, MaxThroughput, Constraints{}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("deadline-cut plan without an incumbent = %v, want DeadlineExceeded", err)
 	}
+
+	// An incumbent the request's pool cannot fit is not a deployable
+	// answer: the deadline error surfaces.
+	zone := GCPZone("us-central1", 'a')
+	if err := svc.OpenJob("big", OPT350M(), []GPUType{A100}, 0); err != nil {
+		t.Fatal(err)
+	}
+	big, err := svc.Plan(context.Background(), "big", NewPool().Set(zone, A100, 32), MaxThroughput, Constraints{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := NewPool().Set(zone, A100, 8)
+	if small.CanFit(big.Plan) {
+		t.Fatalf("incumbent %s fits the 8-GPU pool; the case needs one that does not", big.Plan)
+	}
+	if res, err := svc.Plan(ctx, "big", small, MaxThroughput, Constraints{}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("deadline-cut plan on a pool the incumbent overflows = (%d GPUs, degraded=%v, %v), want DeadlineExceeded",
+			res.Plan.GPUCount(), res.Degraded, err)
+	}
+	if res, err := svc.Replan(ctx, "big", big.Plan, small, MaxThroughput, Constraints{}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("deadline-cut replan on a pool the incumbent overflows = (%d GPUs, degraded=%v, %v), want DeadlineExceeded",
+			res.Plan.GPUCount(), res.Degraded, err)
+	}
+
+	// Fleet mode: once an availability event breaks the job's lease, its
+	// incumbent holds no capacity and must not come back as a degraded plan.
+	led := NewLedger(NewPool().Set(zone, A100, 32))
+	fl := NewService(ServiceConfig{Workers: 1, Fleet: led})
+	if err := fl.OpenJob("f", OPT350M(), []GPUType{A100}, 0); err != nil {
+		t.Fatal(err)
+	}
+	leased, err := fl.Plan(context.Background(), "f", nil, MaxThroughput, Constraints{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if leased.Plan.GPUCount() <= 8 {
+		t.Fatalf("fleet plan uses %d GPUs; the case needs one the shrunk fleet cannot hold", leased.Plan.GPUCount())
+	}
+	if _, err := fl.FleetEvent(TraceEvent{At: time.Hour, Zone: zone, GPU: A100, Delta: -24}); err != nil {
+		t.Fatal(err)
+	}
+	if led.Held("f") {
+		t.Fatal("the -24 event left the 32-GPU lease standing")
+	}
+	if res, err := fl.Replan(ctx, "f", leased.Plan, nil, MaxThroughput, Constraints{}); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("deadline-cut fleet replan after the lease broke = (%d GPUs, degraded=%v, %v), want DeadlineExceeded",
+			res.Plan.GPUCount(), res.Degraded, err)
+	}
+	if led.Held("f") {
+		t.Error("a deadline-cut replan acquired a lease")
+	}
+	if st, _ := svc.Stats(); st.Degraded != 1 {
+		t.Errorf("Stats.Degraded = %d after the refused cases, want 1", st.Degraded)
+	}
 }
 
 // TestDeadlineDegradesOverWire: a per-request deadline crosses the rpc

@@ -52,9 +52,7 @@
 // across Workers goroutines (sailor.WithWorkers, default runtime.NumCPU())
 // and, when the search runs to completion, returns the identical plan at
 // any worker count. PlanContext exposes caller-controlled cancellation
-// (a cut-off search returns the best plan found so far), and PlanBatch
-// plans many pools concurrently — the serving shape of a controller
-// replanning a fleet of jobs.
+// (a cut-off search returns the best plan found so far).
 //
 // Elastic runs replay availability scenarios: the Scenario* constructors
 // (and the name registry behind Scenarios/ScenarioByName) synthesize
@@ -81,7 +79,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -342,9 +339,9 @@ type System struct {
 	Profile *profiler.Profile
 
 	// Workers is the planner's search parallelism: how many goroutines
-	// explore candidate configurations concurrently (and how many pools
-	// PlanBatch plans at once). Zero means runtime.NumCPU(). Searches
-	// that run to completion choose identical plans at any setting.
+	// explore candidate configurations concurrently. Zero means
+	// runtime.NumCPU(). Searches that run to completion choose identical
+	// plans at any setting.
 	Workers int
 
 	simulator *sim.Simulator
@@ -375,8 +372,8 @@ func WithWorkers(n int) Option {
 }
 
 // New profiles the model on every GPU type of the resource pool (§4.1) and
-// returns a ready System. Profiling is synthetic in this reproduction; see
-// DESIGN.md for the substitution.
+// returns a ready System. Profiling is synthetic in this reproduction (see
+// internal/profiler).
 func New(m Model, gpus []GPUType, opts ...Option) (*System, error) {
 	o := options{profSeed: 1, gtSeed: 1}
 	for _, f := range opts {
@@ -406,12 +403,12 @@ func (s *System) workerCount() int {
 	return goruntime.NumCPU()
 }
 
-func (s *System) plannerOpts(obj Objective, cons Constraints, workers int) planner.Options {
+func (s *System) plannerOpts(obj Objective, cons Constraints) planner.Options {
 	return planner.Options{
 		Objective:   obj,
 		Constraints: cons,
 		Heuristics:  planner.AllHeuristics(),
-		Workers:     workers,
+		Workers:     s.workerCount(),
 	}
 }
 
@@ -426,33 +423,8 @@ func (s *System) Plan(pool *Pool, obj Objective, cons Constraints) (PlanResult, 
 // done the search stops at the next candidate boundary and returns the
 // best plan found so far (or an error when nothing valid was found yet).
 func (s *System) PlanContext(ctx context.Context, pool *Pool, obj Objective, cons Constraints) (PlanResult, error) {
-	pl := planner.New(s.Model, s.simulator, s.plannerOpts(obj, cons, s.workerCount()))
+	pl := planner.New(s.Model, s.simulator, s.plannerOpts(obj, cons))
 	return pl.PlanContext(ctx, pool)
-}
-
-// PlanBatch plans many pools concurrently — the serving shape of a
-// controller replanning a fleet of jobs against availability snapshots.
-// Up to Workers pools are planned at once, each by a single-worker search
-// so the batch saturates the machine without oversubscribing it. Results
-// and errors are returned in input order; results[i] is valid iff
-// errs[i] == nil, and each equals what planning pools[i] alone returns.
-func (s *System) PlanBatch(ctx context.Context, pools []*Pool, obj Objective, cons Constraints) (results []PlanResult, errs []error) {
-	results = make([]PlanResult, len(pools))
-	errs = make([]error, len(pools))
-	sem := make(chan struct{}, s.workerCount())
-	var wg sync.WaitGroup
-	for i := range pools {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			pl := planner.New(s.Model, s.simulator, s.plannerOpts(obj, cons, 1))
-			results[i], errs[i] = pl.PlanContext(ctx, pools[i])
-		}(i)
-	}
-	wg.Wait()
-	return results, errs
 }
 
 // Replan is the elastic hot path: plan `pool` warm-started from the plan
@@ -462,7 +434,7 @@ func (s *System) PlanBatch(ctx context.Context, pools []*Pool, obj Objective, co
 // lets successive replans skip DP region states earlier searches already
 // solved. A warm replan that runs to completion returns exactly the plan
 // Plan returns on the same pool; PlanResult.CacheHits reports the reuse.
-// Replan is safe to call concurrently with itself and with Plan/PlanBatch.
+// Replan is safe to call concurrently with itself and with Plan.
 //
 // The warm cache binds to the first (objective, constraints) pair that
 // replans; calls with a different pair still work but search cold.
@@ -472,20 +444,10 @@ func (s *System) Replan(prev Plan, pool *Pool, obj Objective, cons Constraints) 
 
 // ReplanContext is Replan with caller-controlled cancellation.
 func (s *System) ReplanContext(ctx context.Context, prev Plan, pool *Pool, obj Objective, cons Constraints) (PlanResult, error) {
-	opts := s.plannerOpts(obj, cons, s.workerCount())
+	opts := s.plannerOpts(obj, cons)
 	opts.Warm = s.warm
 	pl := planner.New(s.Model, s.simulator, opts)
 	return pl.ReplanContext(ctx, prev, pool)
-}
-
-// PlanWithRecompute is Plan with the activation-recomputation fallback
-// enabled: when nothing fits memory, the planner retries with
-// rematerialisation, trading ~1/3 extra compute for a smaller footprint.
-func (s *System) PlanWithRecompute(pool *Pool, obj Objective, cons Constraints) (PlanResult, error) {
-	opts := s.plannerOpts(obj, cons, s.workerCount())
-	opts.AllowRecompute = true
-	pl := planner.New(s.Model, s.simulator, opts)
-	return pl.Plan(pool)
 }
 
 // Simulate estimates a plan's iteration time, memory footprint, and cost
@@ -508,7 +470,7 @@ func (s *System) GroundTruth() Estimator { return s.gt }
 // system's planner, ground truth, and persistent warm-start cache — a
 // System.Replan call and a controller replan warm each other up.
 func (s *System) NewController() *Controller {
-	opts := s.plannerOpts(core.MaxThroughput, Constraints{}, s.workerCount())
+	opts := s.plannerOpts(core.MaxThroughput, Constraints{})
 	opts.Warm = s.warm
 	pl := planner.New(s.Model, s.simulator, opts)
 	return runtime.NewController(runtime.ControllerConfig{Planner: pl, GT: s.gt})

@@ -101,3 +101,60 @@ func TestNewRejectsBadInput(t *testing.T) {
 		t.Error("want error for invalid model")
 	}
 }
+
+// TestWorkersConfigurationDeterminism: the facade returns the identical
+// plan at any Workers setting.
+func TestWorkersConfigurationDeterminism(t *testing.T) {
+	z := GCPZone("us-central1", 'a')
+	pool := NewPool().Set(z, A100, 32).Set(z, V100, 32)
+	var ref string
+	for i, w := range []int{1, 8} {
+		sys, err := New(OPT350M(), []GPUType{A100, V100}, WithWorkers(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Plan(pool, MaxThroughput, Constraints{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			ref = res.Plan.String()
+		} else if got := res.Plan.String(); got != ref {
+			t.Errorf("workers=%d plan differs:\n%s\n%s", w, ref, got)
+		}
+	}
+}
+
+// TestEstimatorSeam: the simulator and ground truth both stand behind the
+// shared Estimator interface and agree a planned configuration fits.
+func TestEstimatorSeam(t *testing.T) {
+	sys, err := New(OPT350M(), []GPUType{A100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := GCPZone("us-central1", 'a')
+	res, err := sys.Plan(NewPool().Set(z, A100, 16), MaxThroughput, Constraints{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, e := range map[string]Estimator{
+		"simulator":   sys.Simulator(),
+		"groundtruth": sys.GroundTruth(),
+	} {
+		est, err := e.Estimate(res.Plan)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !est.FitsMemory || est.IterTime <= 0 {
+			t.Errorf("%s: implausible estimate %+v", name, est)
+		}
+		tput, err := e.Throughput(res.Plan)
+		if err != nil || tput <= 0 {
+			t.Errorf("%s: throughput %v, err %v", name, tput, err)
+		}
+		peak, err := e.PeakMemory(res.Plan)
+		if err != nil || peak <= 0 {
+			t.Errorf("%s: peak memory %v, err %v", name, peak, err)
+		}
+	}
+}

@@ -170,13 +170,10 @@ type Service struct {
 	specMisses      atomic.Uint64
 	specPrecomputed atomic.Uint64
 
-	// noSpeculation and noPreSearch switch off the two result-neutral
-	// shortcuts — the speculative prefetch layer, and Rebalance's concurrent
-	// pre-search of solo candidates — so the in-package parity tests have a
-	// reference run to compare against. Only tests set them, before the
-	// service's first request.
+	// noSpeculation switches off the result-neutral speculative prefetch
+	// layer, so the in-package parity tests have a reference run to compare
+	// against. Only tests set it, before the service's first request.
 	noSpeculation bool
-	noPreSearch   bool
 }
 
 var _ API = (*Service)(nil)
@@ -198,8 +195,7 @@ type serviceJob struct {
 	model Model
 
 	// gpus is the job's declared GPU-type set: the cells of the fleet its
-	// searches may draw from (fleet views are filtered to these types) and
-	// the key of the rebalance conflict partitioning.
+	// searches may draw from (fleet views are filtered to these types).
 	gpus     []GPUType
 	priority int
 	// lastPlan/lastObj/lastCons are the job's most recent successful
@@ -384,13 +380,17 @@ func (s *Service) acquire(ctx context.Context) error {
 
 // degrade is the graceful-degradation path of Plan and Replan: when a
 // search was cut off by the request deadline and the job has a warm
-// incumbent (its last successful plan), answer with the incumbent
-// re-estimated and marked Degraded instead of surfacing the deadline
-// error. The ledger is never touched — in fleet mode the incumbent's
-// lease (if any) is exactly what the job already holds. Cancellation and
-// overload shedding do not degrade: a cancelled caller is gone, and a
-// shed request must surface ErrOverloaded so the client backs off.
-func (s *Service) degrade(ctx context.Context, j *serviceJob, searchErr error) (PlanResult, bool) {
+// incumbent (its last successful plan) that is still deployable, answer
+// with the incumbent re-estimated and marked Degraded instead of surfacing
+// the deadline error. Deployable means the incumbent fits the request's
+// pool or, in fleet mode, that the job still holds its lease — commitFleet
+// installs the lease and sets the incumbent together under s.mu, so a held
+// lease is exactly the incumbent and the ledger is never touched. An
+// incumbent the pool no longer fits, or whose lease broke, surfaces the
+// deadline error. Cancellation and overload shedding do not degrade: a
+// cancelled caller is gone, and a shed request must surface ErrOverloaded
+// so the client backs off.
+func (s *Service) degrade(ctx context.Context, name string, j *serviceJob, q searchReq, searchErr error) (PlanResult, bool) {
 	if !errors.Is(searchErr, context.DeadlineExceeded) && !errors.Is(ctx.Err(), context.DeadlineExceeded) {
 		return PlanResult{}, false
 	}
@@ -399,8 +399,14 @@ func (s *Service) degrade(ctx context.Context, j *serviceJob, searchErr error) (
 	}
 	s.mu.Lock()
 	prev := j.lastPlan
+	deployable := len(prev.Stages) > 0
+	if q.led != nil {
+		deployable = deployable && s.fleet.Held(name)
+	} else {
+		deployable = deployable && q.pool != nil && q.pool.CanFit(prev)
+	}
 	s.mu.Unlock()
-	if len(prev.Stages) == 0 {
+	if !deployable {
 		return PlanResult{}, false
 	}
 	sys, err := s.jobSystem(j)
@@ -420,8 +426,8 @@ func (s *Service) degrade(ctx context.Context, j *serviceJob, searchErr error) (
 var errNoIdleSlot = errors.New("sailor: no idle planner slot")
 
 // searchReq is one planner search on a job's behalf. Every request path —
-// Plan, Replan, a fleet grant attempt, a Rebalance pre-search, a speculative
-// prefetch — is one of these plus what the caller does with the result.
+// Plan, Replan, a fleet grant attempt, a speculative prefetch — is one of
+// these plus what the caller does with the result.
 type searchReq struct {
 	// pool is the caller's pool. It is ignored when led is set.
 	pool *Pool
@@ -430,9 +436,7 @@ type searchReq struct {
 	// then capped — read once the slot is held, so time spent queueing
 	// cannot stale it — and a capacity guard keeps the search from spending
 	// more than that view. Filtering before capping means the per-job cap
-	// is spent on cells the job can use, and makes the view a pure function
-	// of the job's own-type cells — the independence property Rebalance's
-	// pre-search relies on.
+	// is spent on cells the job can use.
 	led *fleet.Ledger
 	// prev is the incumbent to replan from; empty searches unseeded.
 	prev Plan
@@ -467,7 +471,7 @@ func (s *Service) search(ctx context.Context, name string, j *serviceJob, q sear
 	if err != nil {
 		return PlanResult{}, err
 	}
-	opts := sys.plannerOpts(q.obj, q.cons, sys.workerCount())
+	opts := sys.plannerOpts(q.obj, q.cons)
 	if q.led != nil {
 		q.pool = q.led.ViewForTypes(name, j.gpus)
 		if q.pool.TotalGPUs() == 0 {
@@ -519,7 +523,7 @@ func (s *Service) serve(ctx context.Context, class *atomic.Uint64, job string, q
 		}
 	}
 	if err != nil {
-		if deg, ok := s.degrade(ctx, j, err); ok {
+		if deg, ok := s.degrade(ctx, job, j, q, err); ok {
 			return deg, nil
 		}
 	}

@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/fleet"
 	"repro/internal/wire"
@@ -74,7 +73,7 @@ func (s *Service) planFleet(ctx context.Context, name string, j *serviceJob, q s
 // as in CloseJob). It refuses a job closed while it planned and a ledger
 // replaced since, so every journaled grant is the open incarnation's plan
 // on the live ledger. fleet.ErrConflict means the ledger moved between the
-// search and the grant (callers retry or fall back to a fresh search).
+// search and the grant (planFleet retries against a fresh view).
 func (s *Service) commitFleet(name string, j *serviceJob, q searchReq, res PlanResult) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -173,15 +172,10 @@ type rebalCand struct {
 // free capacity at all — are reported with action "wait" and retried on
 // the next call. Cancellation returns the steps completed so far.
 //
-// The pass has two phases. Phase one (preSearch) searches ahead, on idle
-// planner slots, the candidates whose result cannot depend on this pass's
-// own commits. Phase two walks all candidates in admission order and
-// commits: a pre-searched plan installs directly; every other candidate —
-// and a pre-searched one an external tenant moved the ledger under —
-// searches inline at its turn. The no-free-capacity pre-check is evaluated
-// at each commit turn, so the steps, plans, telemetry, and ledger version
-// trajectory are byte-identical whether or not anything was pre-searched
-// (asserted by TestRebalancePartitionedDeterminism).
+// The pass is one ordered loop: each candidate checks free capacity, then
+// searches and commits at its turn, so it sees every earlier commit of the
+// pass and the steps, plans and ledger trajectory are a function of the
+// ledger state and the candidate order alone.
 func (s *Service) Rebalance(ctx context.Context) ([]RebalanceStep, error) {
 	led := s.ledger()
 	if led == nil {
@@ -203,9 +197,8 @@ func (s *Service) Rebalance(ctx context.Context) ([]RebalanceStep, error) {
 		}
 		return cands[i].name < cands[k].name
 	})
-	pre := s.preSearch(ctx, led, cands)
 	var steps []RebalanceStep
-	for i, c := range cands {
+	for _, c := range cands {
 		if err := ctx.Err(); err != nil {
 			return steps, err
 		}
@@ -213,27 +206,12 @@ func (s *Service) Rebalance(ctx context.Context) ([]RebalanceStep, error) {
 		if len(c.q.prev.Stages) > 0 {
 			step.Action = "replan"
 		}
-		// The no-free-capacity pre-check is re-evaluated at each commit
-		// turn: it reads global free capacity, which earlier commits of
-		// this very pass may have consumed.
 		if led.FreeView().TotalGPUs() == 0 {
 			step.Action, step.Error = "wait", "no free fleet capacity"
 			steps = append(steps, step)
 			continue
 		}
-		var res PlanResult
-		var err error
-		if p := pre[i]; p != nil {
-			if res, err = p.res, p.err; err == nil {
-				err = s.commitFleet(c.name, c.j, c.q, res)
-			}
-		}
-		if pre[i] == nil || errors.Is(err, fleet.ErrConflict) {
-			// Not pre-searched — its view depends on this pass's earlier
-			// commits, or no planner slot was idle — or an external tenant
-			// moved the ledger under the precomputed grant: search now.
-			res, err = s.planFleet(ctx, c.name, c.j, c.q)
-		}
+		res, err := s.planFleet(ctx, c.name, c.j, c.q)
 		if ctxErr := ctx.Err(); ctxErr != nil && err != nil {
 			return steps, ctxErr
 		}
@@ -246,87 +224,6 @@ func (s *Service) Rebalance(ctx context.Context) ([]RebalanceStep, error) {
 		steps = append(steps, step)
 	}
 	return steps, nil
-}
-
-// preSearched is the outcome of one candidate's phase-one search.
-type preSearched struct {
-	res PlanResult
-	err error
-}
-
-// preSearch is phase one of Rebalance: every solo candidate searches
-// concurrently, each on an idle planner slot. A solo job's view is a pure
-// function of its own-type cells, which no other candidate's commit can
-// touch, so the result is identical to the one an inline search would
-// compute at the job's commit turn. A candidate that found no idle slot
-// stays nil and searches inline: pre-searches are the pass's own
-// speculation, and joining the admission queue with them would let one
-// Rebalance call shed its own candidates (or a tenant's request) under a
-// tight MaxQueued.
-func (s *Service) preSearch(ctx context.Context, led *fleet.Ledger, cands []rebalCand) []*preSearched {
-	pre := make([]*preSearched, len(cands))
-	if s.noPreSearch || len(cands) < 2 || led.FreeView().TotalGPUs() == 0 {
-		return pre
-	}
-	var wg sync.WaitGroup
-	for i, solo := range soloCandidates(led, cands) {
-		if !solo {
-			continue
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := cands[i]
-			c.q.idle = true
-			res, err := s.search(ctx, c.name, c.j, c.q)
-			if !errors.Is(err, errNoIdleSlot) {
-				pre[i] = &preSearched{res, err}
-			}
-		}(i)
-	}
-	wg.Wait()
-	return pre
-}
-
-// soloCandidates partitions the rebalance candidates by the fleet cells
-// their views can touch. A job's reachable cells are the fleet-capacity
-// cells of its declared GPU types, so two candidates conflict exactly when
-// they share a GPU type the fleet has capacity for. The returned mask marks
-// the singleton partitions — candidates conflicting with no other — whose
-// searches may run ahead of their commit turn; nil when no candidate is
-// solo.
-func soloCandidates(led *fleet.Ledger, cands []rebalCand) []bool {
-	capacity := led.Capacity()
-	users := map[GPUType]int{}
-	reach := make([][]GPUType, len(cands))
-	for i, c := range cands {
-		seen := map[GPUType]bool{}
-		for _, g := range c.j.gpus {
-			if !seen[g] && capacity.TotalOf(g) > 0 {
-				seen[g] = true
-				reach[i] = append(reach[i], g)
-				users[g]++
-			}
-		}
-	}
-	solo := make([]bool, len(cands))
-	any := false
-	for i := range cands {
-		solo[i] = true
-		for _, g := range reach[i] {
-			if users[g] > 1 {
-				solo[i] = false
-				break
-			}
-		}
-		if solo[i] {
-			any = true
-		}
-	}
-	if !any {
-		return nil
-	}
-	return solo
 }
 
 // FleetStats implements API with a consistent ledger snapshot.
