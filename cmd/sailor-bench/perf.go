@@ -89,6 +89,11 @@ func runPerfSuite(workers int) (benchDoc, error) {
 			cluster.NewPool().Set(zone, core.A100, 128)},
 		{"planner_cold/heterogeneous64", []core.GPUType{core.A100, core.V100},
 			cluster.NewPool().Set(zone, core.A100, 32).Set(zone, core.V100, 32)},
+		// Two regions, so the DP's memo keys see suffixes that start past
+		// the first region: the one row whose search work watches them.
+		{"planner_cold/geo-hetero", []core.GPUType{core.A100, core.V100},
+			cluster.NewPool().Set(zone, core.A100, 20).Set(cluster.GCPZone("us-central1", 'b'), core.V100, 20).
+				Set(cluster.GCPZone("europe-west4", 'a'), core.A100, 8)},
 	}
 	for _, pc := range pools {
 		cfg, ev, err := perfLab(pc.gpus...)

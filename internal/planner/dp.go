@@ -1,7 +1,8 @@
 package planner
 
 // The per-stage dynamic program of Listing 1: assign resources to pipeline
-// stages suffix by suffix, memoizing on the remaining resource state, with
+// stages suffix by suffix, memoizing on the resources the suffix can still
+// reach (the regions from its scan position on; see packedKey), with
 // an exact budget-threading recursion for shallow pipelines and a beam-
 // bounded fallback for deep ones. All methods run on a single task — the
 // DP itself is sequential; parallelism lives one level up in search.go.

@@ -170,7 +170,8 @@ func (rs *regionState) shape() string {
 const dpKeyCells = 8
 
 // dpKey is the packed, comparable memo key of one solveDP call: the stage
-// index, the region scan position, and the remaining availability matrix.
+// index, the region scan position ri, and the counts of regions ri..R-1 —
+// the only availability the call reads (lanes of earlier regions are zero).
 // It replaces the fmt-built string key that dominated the cold-search
 // profile — building one is a handful of shifts and hashing it is one
 // memhash over a 40-byte struct, with no allocation. The map probe itself
@@ -180,9 +181,10 @@ type dpKey struct {
 	stage  uint16
 	ri     uint16
 	n      uint16
-	// spill holds a varint encoding of the counts matrix when it does not
-	// fit the inline cells (too many cells or a count >= 1<<16). The words
-	// are zeroed in that case so equal spills compare equal.
+	// spill holds a varint encoding of the counts of regions ri..R-1 when
+	// the matrix does not fit the inline cells (too many cells or a count
+	// >= 1<<16). The words are zeroed in that case so equal spills compare
+	// equal.
 	spill string
 }
 
@@ -201,28 +203,39 @@ func fastKey(k dpKey) dpFastKey {
 		meta: uint64(k.stage) | uint64(k.ri)<<16 | uint64(k.n)<<32}
 }
 
-// packedKey builds the memo key for (stage, ri) over the current counts.
-// The packed representation makes the common case a straight word copy: the
-// live availability lanes already use the dpKey layout, so pools with at
-// most dpKeyCells cells need no per-cell packing at all.
+// packedKey builds the memo key for (stage, ri) over the counts of regions
+// ri..R-1 — all that solveDP(stage, ri) reads, since H5 scans regions
+// forward only — so suffix states that differ only in GPUs spent in earlier
+// regions share one key. Pools with at most dpKeyCells cells need no
+// per-cell packing: the live lanes already use the dpKey layout, and the
+// key is their words with the lanes before region ri masked off.
 func (rs *regionState) packedKey(stage, ri int) dpKey {
 	cells := rs.cells()
 	k := dpKey{stage: uint16(stage), ri: uint16(ri), n: uint16(cells)}
 	if rs.wide == nil && cells <= dpKeyCells {
-		k.w0 = rs.words[0]
+		spent := ri * len(rs.types) * 16 // bits of the lanes before region ri
+		k.w0 = rs.words[0] & lanesFrom(spent)
 		if len(rs.words) > 1 {
-			k.w1 = rs.words[1]
+			k.w1 = rs.words[1] & lanesFrom(spent-64)
 		}
 		return k
 	}
-	buf := make([]byte, 0, 4*cells)
-	for ri := range rs.regions {
+	buf := make([]byte, 0, 4*(len(rs.regions)-ri)*len(rs.types))
+	for r := ri; r < len(rs.regions); r++ {
 		for ti := range rs.types {
-			buf = binary.AppendVarint(buf, int64(rs.count(ri, ti)))
+			buf = binary.AppendVarint(buf, int64(rs.count(r, ti)))
 		}
 	}
 	k.spill = string(buf)
 	return k
+}
+
+// lanesFrom masks a word down to its bits at offset >= bits.
+func lanesFrom(bits int) uint64 {
+	if bits <= 0 {
+		return ^uint64(0)
+	}
+	return ^uint64(0) << uint(bits) // zero once bits >= 64
 }
 
 // --- shared minimum-TP cache (H2) -----------------------------------------

@@ -6,8 +6,8 @@ package planner
 //   - the H2 minimum-TP cache, whose entries are independent of
 //     availability and fully reusable across replans,
 //   - the per-candidate DP memos, keyed by (pool shape, pp, mbs, d, nb,
-//     cost-lean, stage, region, remaining counts) — the complete
-//     input of one solveDP node — so successive replans skip every region
+//     cost-lean, stage, region ri, counts of regions ri..R-1) — everything
+//     one solveDP node reads — so successive replans skip every suffix
 //     state an earlier search already solved, and
 //   - the candidate-plan estimates, keyed by the plan signature, so
 //     re-materialised candidates skip the simulator's 1F1B makespan
