@@ -23,8 +23,9 @@
 // the latest snapshot plus the journal's intact suffix, then continues
 // planning bit-identically to an uninterrupted run. When the dir holds a
 // previous incarnation's state, that state wins over the -fleet/-fleet-cap
-// flags (which describe the first boot). Without -data-dir the daemon is
-// pure in-memory, exactly as before.
+// flags (which describe the first boot). The daemon rotates a fresh snapshot
+// whenever the journal outgrows its snapshot (persist.RotateRatio), so a kill
+// -9 replays a bounded journal. Without -data-dir it is pure in-memory.
 //
 // Overload: at most -max-concurrent planner searches run at once; up to
 // -max-queue more wait their turn, and anything beyond that is shed with a

@@ -358,7 +358,15 @@ type Snapshot struct {
 }
 
 // Snapshot returns the ledger's current state under one lock acquisition.
-func (l *Ledger) Snapshot() Snapshot {
+func (l *Ledger) Snapshot() (s Snapshot) {
+	l.WithSnapshot(func(snap Snapshot) { s = snap })
+	return s
+}
+
+// WithSnapshot calls fn with the ledger's current state under the ledger
+// lock, so no mutation (nor observer op) lands until fn returns — the hook a
+// journal rotation captures through. fn must not call back into the ledger.
+func (l *Ledger) WithSnapshot(fn func(Snapshot)) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s := Snapshot{
@@ -370,7 +378,7 @@ func (l *Ledger) Snapshot() Snapshot {
 	for _, job := range l.orderLocked() {
 		s.Leases = append(s.Leases, *l.leases[job])
 	}
-	return s
+	fn(s)
 }
 
 // FromSnapshot rebuilds a ledger at the exact state a Snapshot captured:

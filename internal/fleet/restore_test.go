@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -208,5 +209,41 @@ func TestFromSnapshotRejects(t *testing.T) {
 		if _, err := FromSnapshot(s); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestWithSnapshotHoldsTheLock: WithSnapshot hands fn the same state
+// Snapshot returns, and a mutation racing fn lands — and reaches the
+// observer — only after fn returns, so a journal rotated inside fn never
+// misses an op.
+func TestWithSnapshotHoldsTheLock(t *testing.T) {
+	l := NewLedger(cluster.NewPool().Set(zoneA, core.A100, 16))
+	if _, err := l.Install("a", 1, flatPlan(zoneA, core.A100, 2, 4)); err != nil {
+		t.Fatal(err)
+	}
+	var ops []uint64
+	l.SetObserver(func(op Op) { ops = append(ops, op.Version) })
+	want := l.Snapshot()
+	done := make(chan struct{})
+	l.WithSnapshot(func(s Snapshot) {
+		if !reflect.DeepEqual(s, want) {
+			t.Errorf("WithSnapshot saw %+v, want %+v", s, want)
+		}
+		go func() {
+			l.Apply(trace.Event{Zone: zoneA, GPU: core.A100, Delta: 4})
+			close(done)
+		}()
+		select {
+		case <-done:
+			t.Error("a mutation landed while WithSnapshot held the lock")
+		case <-time.After(20 * time.Millisecond):
+		}
+		if len(ops) != 0 {
+			t.Errorf("observer saw %v inside WithSnapshot", ops)
+		}
+	})
+	<-done
+	if len(ops) != 1 || ops[0] != want.Version+1 {
+		t.Errorf("observer saw %v after WithSnapshot, want [%d]", ops, want.Version+1)
 	}
 }

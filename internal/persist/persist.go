@@ -31,6 +31,9 @@
 // same plans and the same ledger-version trajectory as an uninterrupted run
 // — the property the crash-recovery goldens in package sailor pin.
 //
+// A durable service also rotates whenever the journal outgrows its
+// snapshot (Store.RotateDue), so replay is bounded by state, not uptime.
+//
 // Layout of a data dir (one generation live at a time, two only mid-rotation):
 //
 //	snapshot-0000000000000003.json   # state as of rotation 3
@@ -57,6 +60,11 @@ import (
 // records. It moves in lockstep with wire.Version (pinned by a test):
 // decoding rejects every other version by name.
 const FormatVersion = wire.Version
+
+// A journal is due for rotation at max(RotateRatio × its snapshot's bytes,
+// RotateMinBytes): replay then costs about what loading the snapshot does,
+// and a near-empty boot snapshot does not rotate every few records.
+const RotateRatio, RotateMinBytes = 8, 1 << 20
 
 // FsyncPolicy says when the journal is flushed to stable storage.
 type FsyncPolicy string
@@ -137,6 +145,8 @@ type Store struct {
 	seq uint64 // last record sequence number appended to the open journal
 	f   JournalFile
 	err error // sticky: first append failure poisons the journal until the next Rotate
+
+	snapBytes, journalBytes int64 // the current snapshot's size, and what the journal appended since
 }
 
 // Open attaches a store to dir (created if missing) and recovers whatever a
@@ -211,7 +221,16 @@ func (st *Store) Rotate(state *State) error {
 	}
 	st.syncDir()
 	st.gen, st.seq, st.err = gen, 0, nil
+	st.snapBytes, st.journalBytes = int64(len(doc)), 0
 	return nil
+}
+
+// RotateDue reports whether the open journal has outgrown its snapshot (see
+// RotateRatio). A poisoned or unopened journal is never due.
+func (st *Store) RotateDue() bool {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.f != nil && st.err == nil && st.journalBytes >= max(RotateRatio*st.snapBytes, RotateMinBytes)
 }
 
 // Close flushes and closes the journal, returning the sticky append error
@@ -308,6 +327,7 @@ func (st *Store) append(rec Record) {
 		}
 	}
 	st.seq = rec.Seq
+	st.journalBytes += int64(len(frame))
 }
 
 // RecordOpenJob journals a job registration.

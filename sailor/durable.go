@@ -8,6 +8,8 @@ package sailor
 //
 //	boot:     persist.Open → Restore(recovered) → store.Rotate(PersistState())
 //	          → SetRecorder(store) → serve
+//	serving:  after each journaling call, once store.RotateDue():
+//	          store.Rotate(live state), captured under the service locks
 //	shutdown: drain → store.Rotate(PersistState()) → store.Close()
 //
 // Restored jobs carry no profiled System: profiling re-warms lazily on each
@@ -39,16 +41,29 @@ type Recorder interface {
 	RecordLedgerOp(op fleet.Op)
 }
 
-var _ Recorder = (*persist.Store)(nil)
+// rotator is the optional side of a Recorder whose journal the service
+// rotates itself (rotateIfDue).
+type rotator interface {
+	RotateDue() bool
+	Rotate(*persist.State) error
+}
+
+var _ interface {
+	Recorder
+	rotator
+} = (*persist.Store)(nil)
 
 // SetRecorder attaches (or, with nil, detaches) the mutation recorder,
 // including the fleet ledger's op observer. Attach before serving traffic:
 // mutations made while no recorder is attached are not journaled, so the
-// caller must snapshot (Rotate) the current state first.
+// caller must snapshot (Rotate) the current state first. A *persist.Store
+// is then rotated by the service itself whenever it is due.
 func (s *Service) SetRecorder(rec Recorder) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.rec = rec
+	rot, _ := rec.(rotator)
+	s.rot.Store(&rot)
 	if s.fleet == nil {
 		return
 	}
@@ -68,7 +83,32 @@ func (s *Service) SetRecorder(rec Recorder) {
 func (s *Service) PersistState() *persist.State {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := &persist.State{}
+	var st *persist.State
+	s.captureLocked(func(c *persist.State) { st = c })
+	return st
+}
+
+// rotateIfDue runs after every journaling entry point has released its
+// locks: once the store is due, it re-checks and rotates under s.mu and
+// then the ledger lock (the order every Record* call nests in), so no
+// mutation can journal into the superseded generation. A failed Rotate
+// keeps the old journal (due, so the next call retries) or leaves the store
+// without one, which its next append reports as journal_error.
+func (s *Service) rotateIfDue() {
+	if p := s.rot.Load(); p == nil || *p == nil || !(*p).RotateDue() {
+		return
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if rot, ok := s.rec.(rotator); ok && rot.RotateDue() { // not rotated meanwhile
+		s.captureLocked(func(st *persist.State) { _ = rot.Rotate(st) }) // the store reports a failure, as above
+	}
+}
+
+// captureLocked hands fn the durable state with the ledger lock (fleet
+// mode) still held. Callers hold s.mu.
+func (s *Service) captureLocked(fn func(*persist.State)) {
+	st := &persist.State{LRUKeys: append([]string(nil), s.systems.order...)}
 	for name, j := range s.jobs {
 		js := persist.JobState{
 			Name:     name,
@@ -84,11 +124,14 @@ func (s *Service) PersistState() *persist.State {
 		st.Jobs = append(st.Jobs, js)
 	}
 	st.Normalize()
-	if s.fleet != nil {
-		st.Fleet = persist.FleetStateFrom(s.fleet.Snapshot())
+	if s.fleet == nil {
+		fn(st)
+		return
 	}
-	st.LRUKeys = append([]string(nil), s.systems.order...)
-	return st
+	s.fleet.WithSnapshot(func(snap fleet.Snapshot) {
+		st.Fleet = persist.FleetStateFrom(snap)
+		fn(st)
+	})
 }
 
 // Restore loads a recovered state into an empty service: jobs re-register

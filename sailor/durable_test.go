@@ -12,9 +12,9 @@ import (
 	"repro/internal/persist"
 )
 
-// openDurable returns a fleet service journaling into a fresh data dir,
+// openDurable returns a service of cfg journaling into a fresh data dir,
 // and a probe that counts the records a recovery of the dir replays.
-func openDurable(t *testing.T, led *Ledger) (*Service, string, func() int) {
+func openDurable(t *testing.T, cfg ServiceConfig) (*Service, string, func() int) {
 	t.Helper()
 	dir := filepath.Join(t.TempDir(), "state")
 	store, _, err := persist.Open(dir, persist.Config{Fsync: persist.FsyncNone})
@@ -22,7 +22,7 @@ func openDurable(t *testing.T, led *Ledger) (*Service, string, func() int) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { store.Close() })
-	svc := NewService(ServiceConfig{Workers: 1, MaxConcurrent: 2, Fleet: led})
+	svc := NewService(cfg)
 	if err := store.Rotate(svc.PersistState()); err != nil {
 		t.Fatal(err)
 	}
@@ -39,8 +39,9 @@ func openDurable(t *testing.T, led *Ledger) (*Service, string, func() int) {
 }
 
 // checkRecovers asserts that recovering dir yields exactly svc's live state.
-// The profiled-system LRU keys are telemetry no journal record carries, so
-// they are left out of the comparison, as is nil versus empty for no jobs.
+// The profiled-system LRU keys are telemetry no journal record carries (a
+// snapshot holds them as of its rotation), so they are left out of the
+// comparison, as is nil versus empty for no jobs.
 func checkRecovers(t *testing.T, svc *Service, dir string) {
 	t.Helper()
 	_, rec, err := persist.Open(dir, persist.Config{Fsync: persist.FsyncNone})
@@ -48,7 +49,7 @@ func checkRecovers(t *testing.T, svc *Service, dir string) {
 		t.Fatal(err)
 	}
 	got, want := rec.State, svc.PersistState()
-	want.LRUKeys = nil
+	got.LRUKeys, want.LRUKeys = nil, nil
 	if len(got.Jobs) == 0 {
 		got.Jobs = nil
 	}
@@ -68,7 +69,7 @@ func TestDurableFleetRunRecovers(t *testing.T) {
 	const jobs = 8
 	led := NewLedger(NewPool())
 	led.SetJobCap(8)
-	svc, dir, records := openDurable(t, led)
+	svc, dir, records := openDurable(t, ServiceConfig{Workers: 1, MaxConcurrent: 2, Fleet: led})
 	for i := 0; i < jobs; i++ {
 		if err := svc.OpenJob(fmt.Sprintf("fleet-%d", i), OPT350M(), []GPUType{A100}, jobs-i); err != nil {
 			t.Fatal(err)
@@ -148,7 +149,7 @@ func TestStaleLedgerGrantRefused(t *testing.T) {
 	zone := GCPZone("us-central1", 'a')
 	pool := NewPool().Set(zone, A100, 16)
 	stale := NewLedger(pool)
-	svc, dir, records := openDurable(t, stale)
+	svc, dir, records := openDurable(t, ServiceConfig{Workers: 1, MaxConcurrent: 2, Fleet: stale})
 	if err := svc.OpenJob("a", OPT350M(), []GPUType{A100}, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -199,7 +199,7 @@ func TestServiceJobLifecycleRaces(t *testing.T) {
 			}
 			svc, dir := NewService(cfg), ""
 			if name == "durable" {
-				svc, dir, _ = openDurable(t, led) // the same config, journaled
+				svc, dir, _ = openDurable(t, cfg) // the same config, journaled
 			}
 			pool := NewPool().Set(zone, A100, 8)
 			var wg sync.WaitGroup

@@ -144,8 +144,9 @@ type Service struct {
 	jobs     map[string]*serviceJob
 	systems  *systemLRU
 	fleet    *fleet.Ledger
-	rec      Recorder            // mutation recorder (nil = not durable)
-	recovery *wire.RecoveryStats // set by Restore; surfaced in Stats
+	rec      Recorder                // mutation recorder (nil = not durable)
+	rot      atomic.Pointer[rotator] // rec's rotating side, read without s.mu (rotateIfDue)
+	recovery *wire.RecoveryStats     // set by Restore; surfaced in Stats
 
 	requests  atomic.Uint64
 	plans     atomic.Uint64
@@ -255,6 +256,7 @@ func (s *Service) OpenJob(job string, m Model, gpus []GPUType, priority int) err
 	if len(gpus) == 0 {
 		return fmt.Errorf("sailor: job %q lists no GPU types", job)
 	}
+	defer s.rotateIfDue()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.jobs[job]; ok {
@@ -311,6 +313,7 @@ func (s *Service) jobSystem(j *serviceJob) (*System, error) {
 // shared System stays in the LRU for future tenants; its warm cache is
 // dropped.
 func (s *Service) CloseJob(job string) error {
+	defer s.rotateIfDue()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.jobs[job]; !ok {
@@ -499,6 +502,7 @@ func (s *Service) search(ctx context.Context, name string, j *serviceJob, q sear
 // observeReplan launches, so speculation starts with at least this
 // request's own slot idle.
 func (s *Service) serve(ctx context.Context, class *atomic.Uint64, job string, q searchReq) (res PlanResult, err error) {
+	defer s.rotateIfDue()
 	done := s.begin(class)
 	defer func() { done(err) }()
 	j, err := s.job(job)

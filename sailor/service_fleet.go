@@ -101,10 +101,7 @@ func (s *Service) commitFleet(name string, j *serviceJob, q searchReq, res PlanR
 func (s *Service) SetFleet(capacity *Pool, jobCapGPUs int) error {
 	led := fleet.NewLedger(capacity)
 	led.SetJobCap(jobCapGPUs)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.installFleetLocked(led)
-	return nil
+	return s.SetFleetLedger(led)
 }
 
 // installFleetLocked makes led the service's ledger and, in durable mode,
@@ -132,6 +129,7 @@ func (s *Service) SetFleetLedger(led *Ledger) error {
 	if led == nil {
 		return fmt.Errorf("sailor: nil fleet ledger")
 	}
+	defer s.rotateIfDue()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.installFleetLocked(led)
@@ -141,6 +139,7 @@ func (s *Service) SetFleetLedger(led *Ledger) error {
 // FleetEvent implements API: apply one availability event to the fleet and
 // report the leases it broke, in admission order.
 func (s *Service) FleetEvent(ev TraceEvent) ([]LeaseInfo, error) {
+	defer s.rotateIfDue()
 	led := s.ledger()
 	if led == nil {
 		return nil, ErrNoFleet
@@ -177,6 +176,7 @@ type rebalCand struct {
 // pass and the steps, plans and ledger trajectory are a function of the
 // ledger state and the candidate order alone.
 func (s *Service) Rebalance(ctx context.Context) ([]RebalanceStep, error) {
+	defer s.rotateIfDue()
 	led := s.ledger()
 	if led == nil {
 		return nil, ErrNoFleet
