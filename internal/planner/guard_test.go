@@ -100,7 +100,7 @@ func TestGuardInSearch(t *testing.T) {
 
 	// A warm seed that exceeds the guard view is not used as a fallback.
 	pl := New(cfg, ev, tight)
-	if seed := pl.seedFromPrev(plain.Plan, pool); seed != nil {
+	if seed := pl.seedFromPrev(&plain.Plan, pool, ""); seed != nil {
 		t.Error("seed exceeding the guard view must be dropped")
 	}
 }

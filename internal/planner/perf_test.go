@@ -32,7 +32,7 @@ func dpLab(tb testing.TB, pool *cluster.Pool, gpus ...core.GPUType) (*Planner, *
 		Objective: core.MaxThroughput, Heuristics: AllHeuristics(), Workers: 1,
 	})
 	rs := newRegionState(pool, true)
-	s := newSearch(pl, context.Background())
+	s := newSearch(pl, context.Background(), "")
 	tb.Cleanup(s.stop)
 	s.bindState(rs, pool)
 	layers := partitionLayers(cfg.Layers, 4)
@@ -104,7 +104,9 @@ func BenchmarkDPMemoHit(b *testing.B) {
 // base-32 cycle stays under a third of the bytes and allocations it cost
 // while every search rebuilt its tasks, cloned the pool per candidate and
 // collected its pending entries in maps (44 341 allocs / 8 470 284 B per
-// chain of 19 replans; 4 075 / 1 247 878 when this pin was written).
+// chain of 19 replans; 4 075 / 1 247 878 when this pin was written). Each
+// chain starts with no stored search results, so the first replan of every
+// pool is the DP-memo-served search this pins, not a stored-result hit.
 func TestWarmReplanAllocCeiling(t *testing.T) {
 	const parentAllocs, parentBytes = 44341, 8470284
 	cfg := model.OPT350M()
@@ -124,6 +126,7 @@ func TestWarmReplanAllocCeiling(t *testing.T) {
 	explored := 0
 	chain := func() {
 		explored = 0
+		pl.Opts.Warm.res = map[string]*Result{}
 		for _, pool := range pools {
 			res, err := pl.Replan(prev, pool)
 			if err != nil {
@@ -149,6 +152,39 @@ func TestWarmReplanAllocCeiling(t *testing.T) {
 	}
 	if bytes > parentBytes/3 {
 		t.Errorf("fully-warm chain allocates %d bytes; ceiling %d", bytes, parentBytes/3)
+	}
+}
+
+// TestReplanMemoHitAllocCeiling: a replan of a pool the warm cache has
+// already solved is a lookup. It costs the fingerprint, the pool key and the
+// copy of the stored result — no region state, no search.
+func TestReplanMemoHitAllocCeiling(t *testing.T) {
+	const ceiling = 24
+	cfg := model.OPT350M()
+	prof, err := profiler.Collect(cfg, []core.GPUType{core.A100}, nil, profiler.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := New(cfg, sim.New(cfg, prof), Options{
+		Objective: core.MaxThroughput, Heuristics: AllHeuristics(), Workers: 1, Warm: NewWarmCache(),
+	})
+	pool := cluster.NewPool().Set(zoneA, core.A100, 16).Set(zoneB, core.A100, 16)
+	first, err := pl.Plan(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res Result
+	allocs := testing.AllocsPerRun(100, func() {
+		if res, err = pl.Replan(first.Plan, pool); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if res.Explored != 0 || res.CacheHits != 1 {
+		t.Fatalf("precondition: (explored, hits) = (%d, %d), want a stored-result hit (0, 1)", res.Explored, res.CacheHits)
+	}
+	t.Logf("stored-result hit: %.0f allocs", allocs)
+	if allocs > ceiling {
+		t.Errorf("stored-result hit allocates %.0f times; ceiling %d", allocs, ceiling)
 	}
 }
 

@@ -29,10 +29,11 @@
 //
 // Replanning on a churn trace is warm-started: Replan/ReplanContext seed a
 // fallback incumbent from the previously deployed plan and, with a
-// WarmCache configured (Options.Warm), persist the minimum-TP cache and the
-// DP memos across calls so a replan skips every region state an earlier
-// search already solved. Warm results are bit-identical to cold planning on
-// the same pool — the caches hold pure functions of their keys.
+// WarmCache configured (Options.Warm), persist the minimum-TP cache, the DP
+// memos and completed search results across calls, so a replan skips every
+// region state an earlier search already solved and a replan of a solved
+// pool is a lookup. Warm results are bit-identical to cold planning on the
+// same pool — the caches hold pure functions of their keys.
 //
 // The code is split across five files: planner.go (configuration and the
 // Plan/PlanContext/Replan entry points), search.go (the worker pool and the
@@ -95,8 +96,8 @@ type Options struct {
 	MaxPP int
 	// MBSCandidates overrides the microbatch sizes to explore.
 	MBSCandidates []int
-	// Warm persists the minimum-TP cache and the DP memos across
-	// Plan/Replan calls (see WarmCache). Nil means every search starts
+	// Warm persists the planner's caches and completed search results
+	// across Plan/Replan calls (see WarmCache). Nil means every search starts
 	// cold. The cache binds to the first planner fingerprint that uses it;
 	// a planner with a different model, objective, constraints, heuristic
 	// set, or evaluator instance ignores it and searches cold.
@@ -136,7 +137,8 @@ type Result struct {
 	WarmStart bool
 	// CacheHits counts DP subtrees served from the warm cache instead of
 	// being re-explored; each hit also subtracts the whole subtree from
-	// Explored.
+	// Explored. A result served whole from the warm cache's stored searches
+	// reports one hit, Explored 0 and WarmStart true.
 	CacheHits int
 	// Degraded marks a result the serving layer substituted for a fresh
 	// search that was cut off by its deadline: the job's warm incumbent
@@ -232,39 +234,40 @@ func (pl *Planner) Replan(prev core.Plan, pool *cluster.Pool) (Result, error) {
 
 // ReplanContext is Replan with caller-controlled cancellation.
 func (pl *Planner) ReplanContext(ctx context.Context, prev core.Plan, pool *cluster.Pool) (Result, error) {
-	return pl.planContext(ctx, pool, pl.seedFromPrev(prev, pool))
+	return pl.planContext(ctx, pool, &prev)
 }
 
 // seedFromPrev evaluates the previous plan against the new pool: if the
 // pool still holds every GPU the plan occupies and the estimate passes the
 // memory check and constraints, the plan is usable as a fallback incumbent.
-func (pl *Planner) seedFromPrev(prev core.Plan, pool *cluster.Pool) *candidate {
-	if len(prev.Stages) == 0 {
+// fp is the planner's fingerprint when a warm cache is configured.
+func (pl *Planner) seedFromPrev(prev *core.Plan, pool *cluster.Pool, fp string) *candidate {
+	if prev == nil || len(prev.Stages) == 0 {
 		return nil
 	}
-	if !pool.CanFit(prev) {
+	if !pool.CanFit(*prev) {
 		return nil
 	}
-	if pl.Opts.Guard.Check(prev) != nil {
+	if pl.Opts.Guard.Check(*prev) != nil {
 		return nil
 	}
-	est, err := pl.seedEstimate(prev)
+	est, err := pl.seedEstimate(*prev, fp)
 	if err != nil || !est.FitsMemory {
 		return nil
 	}
 	if !pl.Opts.Constraints.Satisfied(est.IterTime, est.Cost()) {
 		return nil
 	}
-	return &candidate{res: Result{Plan: prev, Estimate: est}}
+	return &candidate{res: Result{Plan: *prev, Estimate: est}}
 }
 
 // seedEstimate scores the previous plan, serving it from the warm cache's
 // estimate map when possible: the deployed plan was once a materialised
 // candidate, so at warm steady state its estimate is already persisted and
 // the seed check costs no simulator call.
-func (pl *Planner) seedEstimate(prev core.Plan) (core.Estimate, error) {
+func (pl *Planner) seedEstimate(prev core.Plan, fp string) (core.Estimate, error) {
 	if w := pl.Opts.Warm; w != nil {
-		if _, est, _, ok := w.snapshot(pl.fingerprint(), pl.Sim); ok {
+		if _, est, _, ok := w.snapshot(fp, pl.Sim); ok {
 			var buf [256]byte
 			if e, ok := est[string(appendEstKey(buf[:0], prev))]; ok {
 				return e.est, nil
@@ -286,31 +289,54 @@ func (pl *Planner) fingerprint() string {
 		pl.Opts.MaxPP, pl.mbsCandidates())
 }
 
-func (pl *Planner) planContext(ctx context.Context, pool *cluster.Pool, seed *candidate) (Result, error) {
+// planContext runs one search; prev, when set, is the deployed plan a
+// replan seeds its fallback incumbent from.
+func (pl *Planner) planContext(ctx context.Context, pool *cluster.Pool, prev *core.Plan) (Result, error) {
 	start := time.Now()
 	if pl.Opts.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, pl.Opts.Deadline)
 		defer cancel()
 	}
+	var fp, key string
+	if pl.Opts.Warm != nil {
+		fp = pl.fingerprint()
+	}
 	if err := ctx.Err(); err != nil {
-		if seed != nil {
+		if seed := pl.seedFromPrev(prev, pool, fp); seed != nil {
 			res := seed.res
 			res.SearchTime = time.Since(start)
 			return res, nil
 		}
 		return Result{}, fmt.Errorf("planner: %w", err)
 	}
+	if w := pl.Opts.Warm; w != nil {
+		key = poolKey(pool)
+		if res, ok := w.result(fp, pl.Sim, key); ok {
+			if err := pl.Opts.Guard.Check(res.Plan); err != nil {
+				return Result{SearchTime: time.Since(start)}, err
+			}
+			res.SearchTime = time.Since(start)
+			res.Explored, res.WarmStart, res.CacheHits = 0, true, 1
+			return res, nil
+		}
+	}
+	seed := pl.seedFromPrev(prev, pool, fp)
 	rs := newRegionState(pool, pl.Opts.Heuristics.H6MergeZones)
 	if rs.totalGPUs() == 0 {
 		return Result{}, fmt.Errorf("planner: empty resource pool")
 	}
 
-	s := newSearch(pl, ctx)
+	s := newSearch(pl, ctx, fp)
 	defer s.stop()
 	s.runPass(rs, pool)
 	if s.warmOn {
-		pl.Opts.Warm.merge(s.fp, s.pending())
+		p := s.pending()
+		if s.best != nil && !s.expired() {
+			r := detachResult(s.best.res)
+			p.res = []warmEntry[string, *Result]{{key, &r}}
+		}
+		pl.Opts.Warm.merge(fp, p)
 	}
 	// The seed is a fallback, not a competitor: a search that runs to
 	// completion returns exactly what cold planning returns, and the

@@ -48,10 +48,9 @@ type search struct {
 	// the persisted DP memos and plan estimates taken when the search
 	// starts — every task may read them lock-free; what the search merges
 	// back into the cache at the end accumulates per worker (task.pend).
-	// fp is the fingerprint the cache is bound to, shape the pool-shape
-	// descriptor shared by every persisted key of this search.
+	// shape is the pool-shape descriptor shared by every persisted key of
+	// this search.
 	warmOn   bool
-	fp       string
 	shape    string
 	warmDP   map[warmDPKey]*dpNode
 	warmEst  map[string]*estEntry
@@ -92,11 +91,11 @@ func (c *candidate) signature() string {
 	return c.sig
 }
 
-func newSearch(pl *Planner, ctx context.Context) *search {
+// newSearch starts a search; fp is the fingerprint of a warm planner.
+func newSearch(pl *Planner, ctx context.Context, fp string) *search {
 	s := &search{pl: pl, watch: make(chan struct{})}
 	if w := pl.Opts.Warm; w != nil {
-		s.fp = pl.fingerprint()
-		if dp, est, mt, ok := w.snapshot(s.fp, pl.Sim); ok {
+		if dp, est, mt, ok := w.snapshot(fp, pl.Sim); ok {
 			s.warmOn, s.warmDP, s.warmEst, s.minTP = true, dp, est, mt
 		}
 	}

@@ -1,6 +1,6 @@
 package planner
 
-// Warm-start replanning state. A WarmCache persists the planner's two
+// Warm-start replanning state. A WarmCache persists the planner's
 // expensive caches across Plan/Replan calls on a churn trace:
 //
 //   - the H2 minimum-TP cache, whose entries are independent of
@@ -11,14 +11,20 @@ package planner
 //     state an earlier search already solved, and
 //   - the candidate-plan estimates, keyed by the plan signature, so
 //     re-materialised candidates skip the simulator's 1F1B makespan
-//     evaluation (the measured hot spot of a warm replan).
+//     evaluation (the measured hot spot of a warm replan), and
+//   - the results of completed searches, keyed by the pool they searched
+//     (poolKey), so a replan of a pool already solved — a diurnal wave
+//     cycling, a preemption storm returning to its base — is a lookup
+//     that builds no region state. Only a search that ran to completion
+//     publishes its result; a deadline-cut or cancelled one stores nothing.
 //
-// Both caches hold pure functions of their keys, so serving from them can
+// Every cache holds pure functions of its keys, so serving from them can
 // never change which plan a completed search returns: a warm Replan picks
 // the exact plan cold planning picks on the same pool, only faster.
 //
-// Ownership: the cache owns every byte it keeps alive. A search works in
-// scratch it recycles between its (pp, mbs) jobs and drops when it ends
+// Ownership: the cache owns every byte it keeps alive. A stored result is a
+// detached copy and each hit returns its own copy. A search works in scratch
+// it recycles between its (pp, mbs) jobs and drops when it ends
 // (search.go), and nothing it publishes points into that scratch: a DP node
 // that will be published is built in storage of its own — node and group
 // composition in one exactly-sized allocation (ownedNode), its child either
@@ -41,9 +47,11 @@ package planner
 
 import (
 	"maps"
+	"slices"
 	"strconv"
 	"sync"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 )
 
@@ -53,6 +61,9 @@ import (
 // re-publish the entries they hit, so the retained set is the live working
 // set, not just the latest search's misses.
 const warmMaxEntries = 1 << 17
+
+// warmMaxResults caps the stored search results under the same rule.
+const warmMaxResults = 1 << 10
 
 // warmDPKey is the packed persisted-memo key: the pool-shape descriptor,
 // the scan parameters that change what the DP optimises, and the packed
@@ -121,7 +132,43 @@ type WarmCache struct {
 	ev    Evaluator
 	dp    map[warmDPKey]*dpNode
 	est   map[string]*estEntry
+	res   map[string]*Result
 	minTP *minTPCache
+}
+
+// poolKey is the result-cache key of a pool: every cell a search reads —
+// each zone's region and name (Zones order) and its count of each GPU type
+// (GPUTypes order), negative counts included, which Pool.Entries skips.
+// Zero-count cells read as absent, so a pool carrying an explicit zero
+// shares the key of its zero-free twin; the region is part of the key
+// because region state buckets zones by it (Pool.String drops it).
+func poolKey(pool *cluster.Pool) string {
+	types := pool.GPUTypes()
+	var buf [256]byte
+	b := buf[:0]
+	for _, g := range types {
+		b = append(b, g...)
+		b = append(b, 0)
+	}
+	for _, z := range pool.Zones() {
+		b = append(b, '|')
+		b = append(b, z.Region...)
+		b = append(b, 0)
+		b = append(b, z.Name...)
+		for _, g := range types {
+			b = append(b, 0)
+			b = strconv.AppendInt(b, int64(pool.Available(z, g)), 10)
+		}
+	}
+	return string(b)
+}
+
+// detachResult copies a result's plan and stage times out of whatever
+// storage they share.
+func detachResult(r Result) Result {
+	r.Plan = detachPlan(r.Plan)
+	r.Estimate.StageTimes = slices.Clone(r.Estimate.StageTimes)
+	return r
 }
 
 // appendEstKey serializes every estimate-relevant field of a plan in replica
@@ -173,13 +220,14 @@ func NewWarmCache() *WarmCache {
 	return &WarmCache{
 		dp:    map[warmDPKey]*dpNode{},
 		est:   map[string]*estEntry{},
+		res:   map[string]*Result{},
 		minTP: newMinTPCache(),
 	}
 }
 
 // Clone returns an independent warm cache holding the same entries. The
-// published DP and estimate generations are immutable (merge rebuilds them
-// copy-on-write), so the clone shares them at zero cost, and the shared
+// published DP, estimate and result generations are immutable (merge
+// rebuilds them copy-on-write), so the clone shares them at zero cost; the
 // minimum-TP cache holds pure functions of its keys, so it stays shared
 // too. Searches that merge into the clone never touch the original: the
 // serving layer runs speculative prefetches on clones so a mispredicted
@@ -188,7 +236,7 @@ func NewWarmCache() *WarmCache {
 func (w *WarmCache) Clone() *WarmCache {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	return &WarmCache{fp: w.fp, ev: w.ev, dp: w.dp, est: w.est, minTP: w.minTP}
+	return &WarmCache{fp: w.fp, ev: w.ev, dp: w.dp, est: w.est, res: w.res, minTP: w.minTP}
 }
 
 // snapshot binds the cache to (fp, ev) on first use and returns the
@@ -207,19 +255,32 @@ func (w *WarmCache) snapshot(fp string, ev Evaluator) (map[warmDPKey]*dpNode, ma
 	return w.dp, w.est, w.minTP, true
 }
 
+// result returns a copy of the stored result of a completed search over the
+// pool keyed key, when the cache is bound to (fp, ev) and holds one.
+func (w *WarmCache) result(fp string, ev Evaluator, key string) (Result, bool) {
+	w.mu.RLock()
+	defer w.mu.RUnlock()
+	r, ok := w.res[key]
+	if !ok || w.fp != fp || w.ev != ev {
+		return Result{}, false
+	}
+	return detachResult(*r), true
+}
+
 // warmPending is what a search publishes when it ends: the entries the
-// snapshot served it (so over-cap eviction keeps the working set) and the
-// entries it computed.
+// snapshot served it (so over-cap eviction keeps the working set), the
+// entries it computed and, when it ran to completion, its result.
 type warmPending struct {
 	dp  []warmEntry[warmDPKey, *dpNode]
 	est []warmEntry[string, *estEntry]
+	res []warmEntry[string, *Result]
 }
 
 // merge publishes the entries of a finished search. The published maps are
 // rebuilt copy-on-write so snapshots handed to in-flight searches are never
 // mutated underneath them.
 func (w *WarmCache) merge(fp string, p warmPending) {
-	if len(p.dp) == 0 && len(p.est) == 0 {
+	if len(p.dp) == 0 && len(p.est) == 0 && len(p.res) == 0 {
 		return
 	}
 	w.mu.Lock()
@@ -227,17 +288,18 @@ func (w *WarmCache) merge(fp string, p warmPending) {
 	if w.fp != fp {
 		return
 	}
-	w.dp = publish(w.dp, p.dp)
-	w.est = publish(w.est, p.est)
+	w.dp = publish(w.dp, p.dp, warmMaxEntries)
+	w.est = publish(w.est, p.est, warmMaxEntries)
+	w.res = publish(w.res, p.res, warmMaxResults)
 }
 
 // publish returns the generation that follows cur once a search's entries
 // are folded in. A steady-state search re-publishes only entries the cache
 // already holds — values are pure functions of their keys, so nothing is
 // written and cur is returned as is: the merge is an O(pending) key scan.
-// Past warmMaxEntries the old generation is dropped and the next holds just
+// Past limit entries the old generation is dropped and the next holds just
 // the search's own entries; either way it is sized for what it will hold.
-func publish[K comparable, V any](cur map[K]V, pending []warmEntry[K, V]) map[K]V {
+func publish[K comparable, V any](cur map[K]V, pending []warmEntry[K, V], limit int) map[K]V {
 	missing := 0
 	for _, e := range pending {
 		if _, ok := cur[e.key]; !ok {
@@ -248,7 +310,7 @@ func publish[K comparable, V any](cur map[K]V, pending []warmEntry[K, V]) map[K]
 		return cur
 	}
 	var next map[K]V
-	if len(cur)+len(pending) <= warmMaxEntries {
+	if len(cur)+len(pending) <= limit {
 		next = make(map[K]V, len(cur)+missing)
 		maps.Copy(next, cur)
 	} else {
@@ -260,7 +322,8 @@ func publish[K comparable, V any](cur map[K]V, pending []warmEntry[K, V]) map[K]
 	return next
 }
 
-// Entries reports the persisted cache size (DP memos plus plan estimates).
+// Entries reports the persisted cache size: DP memos plus plan estimates.
+// Stored search results are not counted.
 func (w *WarmCache) Entries() int {
 	w.mu.RLock()
 	defer w.mu.RUnlock()

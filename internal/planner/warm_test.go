@@ -200,7 +200,7 @@ func TestReplanSeedRespectsConstraints(t *testing.T) {
 		Objective:   core.MaxThroughput,
 		Constraints: core.Constraints{MinThroughput: 2 / first.Estimate.IterTime},
 	})
-	seed := tight.seedFromPrev(first.Plan, pool)
+	seed := tight.seedFromPrev(&first.Plan, pool, "")
 	if seed != nil {
 		t.Error("seed violating MinThroughput must be rejected")
 	}
@@ -284,21 +284,23 @@ func TestWarmCacheConcurrentReplans(t *testing.T) {
 }
 
 // diurnalParity is the (Explored, CacheHits) of every replan of two passes
-// over the diurnal-wave base-16 cycle, recorded at the commit before warm
-// entries owned their memory. Where copies live must not change what is
-// searched, so the counters are pinned exactly.
+// over the diurnal-wave base-16 cycle. The misses' counters were recorded at
+// the commit before warm entries owned their memory: where copies live must
+// not change what is searched, so they are pinned exactly. Every pool the
+// cycle revisits — pools 5-8 and 15-20 of the first pass, all of the second
+// — is served whole from the stored search results: (0, 1).
 var diurnalParity = [2][21][2]int{
-	{{613, 0}, {310, 135}, {247, 173}, {238, 184}, {573, 165}, {0, 113}, {0, 112}, {0, 110}, {0, 109}, {180, 85}, {163, 76},
-		{106, 40}, {74, 57}, {56, 30}, {51, 30}, {0, 48}, {0, 62}, {0, 64}, {0, 85}, {0, 88}, {0, 109}},
-	{{0, 109}, {0, 110}, {0, 112}, {0, 113}, {0, 132}, {0, 113}, {0, 112}, {0, 110}, {0, 109}, {0, 88}, {0, 85},
-		{0, 64}, {0, 62}, {0, 48}, {0, 47}, {0, 48}, {0, 62}, {0, 64}, {0, 85}, {0, 88}, {0, 109}},
+	{{613, 0}, {310, 135}, {247, 173}, {238, 184}, {573, 165}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {180, 85}, {163, 76},
+		{106, 40}, {74, 57}, {56, 30}, {51, 30}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}},
+	{{0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1},
+		{0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}},
 }
 
 // TestWarmVsColdParityDiurnalCycle walks a whole diurnal-wave cycle twice
 // at workers 1 and 8: every warm Replan — computing its entries on the
-// first pass, served entirely from cache-owned copies on the second —
-// returns the plan and estimate a cold Plan of the same pool returns, with
-// the search counters of the parent commit.
+// first pass, served from stored results once its pool repeats — returns
+// the plan and estimate a cold Plan of the same pool returns, with the
+// recorded search counters.
 func TestWarmVsColdParityDiurnalCycle(t *testing.T) {
 	cfg := model.OPT350M()
 	mk := warmLab(t, cfg, core.A100)
@@ -396,7 +398,9 @@ func TestWarmCacheOverCapKeepsWorkingSet(t *testing.T) {
 
 	// The retained set is that search's whole working set: replanning the
 	// same pool explores nothing, touches no other key, and matches cold.
+	// Its stored result is dropped first, so the replan searches the set.
 	kept := len(warm.dp) + len(warm.est)
+	warm.res = map[string]*Result{}
 	again, err := pl.Replan(over.Plan, pools[1])
 	if err != nil {
 		t.Fatal(err)

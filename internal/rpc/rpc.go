@@ -399,8 +399,12 @@ func (c *Client) Call(method string, req, resp any) error {
 // budget rides the request envelope (the server bounds the handler with
 // it), and a context that expires while the call is in flight abandons the
 // reply and returns ctx.Err(). The connection stays usable — a late reply
-// to an abandoned id is dropped by the read loop.
+// to an abandoned id is dropped by the read loop. A context that is already
+// done never touches the wire.
 func (c *Client) CallContext(ctx context.Context, method string, req, resp any) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
