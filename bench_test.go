@@ -166,39 +166,6 @@ func BenchmarkSimEstimate(b *testing.B) {
 	}
 }
 
-// BenchmarkPruning quantifies the bound-based pruning: the same search with
-// pruning on and off, with the explored-node counts reported so the bench
-// log shows what the bounds skipped. The chosen plan is identical in both
-// variants (asserted by TestBoundPruningExact).
-func BenchmarkPruning(b *testing.B) {
-	cfg := model.OPT350M()
-	s, _ := benchLab(b, cfg, core.A100)
-	pool := cluster.NewPool().Set(benchZone, core.A100, 64)
-	for _, bc := range []struct {
-		name    string
-		disable bool
-	}{
-		{"pruned", false},
-		{"unpruned", true},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			explored := 0
-			for i := 0; i < b.N; i++ {
-				pl := planner.New(cfg, s, planner.Options{
-					Objective: core.MaxThroughput, Heuristics: planner.AllHeuristics(),
-					Workers: 1, DisableBoundPruning: bc.disable,
-				})
-				res, err := pl.Plan(pool)
-				if err != nil {
-					b.Fatal(err)
-				}
-				explored = res.Explored
-			}
-			b.ReportMetric(float64(explored), "explored/op")
-		})
-	}
-}
-
 // BenchmarkGroundTruthMeasure measures one discrete-event execution — the
 // testbed substitute's cost per deployment.
 func BenchmarkGroundTruthMeasure(b *testing.B) {

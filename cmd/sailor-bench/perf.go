@@ -150,6 +150,12 @@ func runPerfSuite(workers int) (benchDoc, error) {
 	r := timed(func() error { _, _, err := warmChain(warmPl); return err })
 	doc.Benches = append(doc.Benches, row("replan_warm/preemption-storm", r, explored, hits))
 
+	novel, err := novelRow(*cfg, ev, workers)
+	if err != nil {
+		return doc, err
+	}
+	doc.Benches = append(doc.Benches, novel)
+
 	// Speculative serving: a diurnal-wave replan chain through a Service
 	// whose forecaster has locked onto the cycle, so every measured replan
 	// is answered from the prefetch cache. Prefetches resolve off the clock
@@ -388,9 +394,7 @@ func writeFleetJournal(dir string) (err error) {
 // loop runs unquiesced, like the daemon; explored/cache_hits come from one
 // quiesced round before it, which is deterministic.
 func warmChurnRow() (benchResult, error) {
-	const tenants, ops = 8, 8000
-	scenarios := []string{"preemption-storm", "diurnal-wave", "zone-outage", "geo-shift"}
-	bases := []int{16, 24, 32}
+	const tenants, ops = churnTenants, 8000
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
@@ -401,11 +405,10 @@ func warmChurnRow() (benchResult, error) {
 	prev := make([]core.Plan, tenants)
 	round := 0 // ops that walk every tenant through its whole cycle
 	for t := range pools {
-		sc, ok := trace.ScenarioByName(scenarios[t%len(scenarios)])
-		if !ok {
-			return benchResult{}, fmt.Errorf("%s scenario not registered", scenarios[t%len(scenarios)])
+		var err error
+		if pools[t], err = churnPools(t); err != nil {
+			return benchResult{}, err
 		}
-		pools[t] = sc.TraceWith(int64(t), trace.ScenarioOpts{Base: bases[t%len(bases)]}).DistinctPools()
 		round = max(round, tenants*len(pools[t]))
 		if err := svc.OpenJob(fmt.Sprint("churn-", t), sailor.OPT350M(), []core.GPUType{core.A100}, 0); err != nil {
 			return benchResult{}, err
@@ -449,6 +452,81 @@ func warmChurnRow() (benchResult, error) {
 	runtime.KeepAlive(svc)
 	res.LiveHeapBytes = max(int64(m1.HeapAlloc)-heapBefore, 0)
 	return res, nil
+}
+
+// churnTenants is the number of tenant traces the warm-churn workload
+// cycles.
+const churnTenants = 8
+
+// churnPools returns warm-churn tenant t's replan sequence: the distinct
+// pools of the t%4-th scenario below replayed at seed t and the t%3-th
+// base, as the warm-churn workload's tenant slots do.
+func churnPools(t int) ([]*cluster.Pool, error) {
+	scenarios := []string{"preemption-storm", "diurnal-wave", "zone-outage", "geo-shift"}
+	bases := []int{16, 24, 32}
+	sc, ok := trace.ScenarioByName(scenarios[t%len(scenarios)])
+	if !ok {
+		return nil, fmt.Errorf("%s scenario not registered", scenarios[t%len(scenarios)])
+	}
+	return sc.TraceWith(int64(t), trace.ScenarioOpts{Base: bases[t%len(bases)]}).DistinctPools(), nil
+}
+
+// novelPools returns each warm-churn tenant's pools in first-visit order,
+// every revisit removed: a replan chain over one never repeats a pool, so
+// no stored search result answers it and every replan searches — warm only
+// through the DP memos earlier pools of the chain left behind.
+func novelPools() ([][]*cluster.Pool, error) {
+	traces := make([][]*cluster.Pool, churnTenants)
+	for t := range traces {
+		pools, err := churnPools(t)
+		if err != nil {
+			return nil, err
+		}
+		seen := map[string]bool{}
+		for _, pool := range pools {
+			if k := pool.String(); !seen[k] {
+				seen[k] = true
+				traces[t] = append(traces[t], pool)
+			}
+		}
+	}
+	return traces, nil
+}
+
+// novelChain replans every trace's novel pools in order, each trace on a
+// planner with a fresh WarmCache, and sums the search counters.
+func novelChain(cfg model.Config, ev planner.Evaluator, workers int, traces [][]*cluster.Pool) (explored, hits int, err error) {
+	for _, pools := range traces {
+		pl := planner.New(cfg, ev, planner.Options{
+			Objective: core.MaxThroughput, Heuristics: planner.AllHeuristics(),
+			Workers: workers, Warm: planner.NewWarmCache(),
+		})
+		var prev core.Plan
+		for _, pool := range pools {
+			res, err := pl.Replan(prev, pool)
+			if err != nil {
+				return 0, 0, err
+			}
+			prev, explored, hits = res.Plan, explored+res.Explored, hits+res.CacheHits
+		}
+	}
+	return explored, hits, nil
+}
+
+// novelRow is replan_novel/warm-churn: one op is novelChain over the
+// warm-churn traces — the first visits of a pool, the path the warm
+// cache's DP memo generation serves.
+func novelRow(cfg model.Config, ev planner.Evaluator, workers int) (benchResult, error) {
+	traces, err := novelPools()
+	if err != nil {
+		return benchResult{}, err
+	}
+	explored, hits, err := novelChain(cfg, ev, workers, traces)
+	if err != nil {
+		return benchResult{}, fmt.Errorf("replan_novel: %w", err)
+	}
+	r := timed(func() error { _, _, err := novelChain(cfg, ev, workers, traces); return err })
+	return row("replan_novel/warm-churn", r, explored, hits), nil
 }
 
 func row(name string, r testing.BenchmarkResult, explored, hits int) benchResult {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/persist"
 )
 
@@ -87,4 +88,35 @@ func BenchmarkPersistRecover(b *testing.B) {
 		records = rec.RecordsReplayed
 	}
 	b.ReportMetric(float64(records), "records/op")
+}
+
+// BenchmarkReplanNovel is the replan_novel/warm-churn row alone: warm
+// replan chains over pools that never repeat, so the DP memo generation is
+// the only warm state that can answer.
+//
+//	go test ./cmd/sailor-bench -run xxx -bench ReplanNovel -benchmem
+func BenchmarkReplanNovel(b *testing.B) {
+	cfg, ev, err := perfLab(core.A100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	traces, err := novelPools()
+	if err != nil {
+		b.Fatal(err)
+	}
+	replans := 0
+	for _, pools := range traces {
+		replans += len(pools)
+	}
+	explored, hits := 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if explored, hits, err = novelChain(*cfg, ev, 1, traces); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(replans), "replans/op")
+	b.ReportMetric(float64(explored), "explored/op")
+	b.ReportMetric(float64(hits), "cache-hits/op")
 }

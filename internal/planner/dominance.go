@@ -36,24 +36,27 @@ package planner
 // first, so the bound used there is the rate one: the composition's own
 // rate plus at least rest*d GPUs (TP >= 1) of the cheapest available type.
 //
-// The same discipline as prune.go applies: bounds are scaled by pruneSafety
-// so floating-point reassociation can never flip an exact tie, pruning fires
-// only on strict inequality, and it activates only for evaluators declaring
-// the BoundPrunable admissibility property. Options.DisableDominancePruning
-// turns it off for ablations; like DisableBoundPruning it is excluded from
-// the warm-cache fingerprint because cached entries are pure functions of
-// their keys either way.
+// Bounds are scaled by pruneSafety so floating-point reassociation between
+// the bound's arithmetic and the DP's own sums can never flip an exact tie,
+// pruning fires only on strict inequality, and it activates only for
+// evaluators declaring the BoundPrunable admissibility property — an unknown
+// backend searches unpruned. Options.DisableDominancePruning turns it off
+// for ablations; it is excluded from the warm-cache fingerprint because
+// cached entries are pure functions of their keys either way.
+
+// pruneSafety shrinks every lower bound by one part in 10^9 — far above
+// float64 accumulation error over these expressions, far below any real
+// metric difference — so bounds stay admissible under reassociation.
+const pruneSafety = 1 - 1e-9
 
 // initDominance resolves the per-task dominance-bound inputs for one layer
 // partition: the per-stage time floors (folded into suffix sums and suffix
-// maxima) and the cheapest GPU rate for the cost-lean comparison.
+// maxima).
 func (t *task) initDominance(layers []int) {
 	t.domOn = false
 	if t.pl.Opts.DisableDominancePruning || !t.s.pruneOK {
 		return
 	}
-	eb := t.s.evalBoundsFor(t.mbs)
-	t.domMinRate = eb.minRate
 	pp := len(layers)
 	t.domSufSum, t.domSufMax = resized(t.domSufSum, pp+1), resized(t.domSufMax, pp+1)
 	t.domSufSum[pp], t.domSufMax[pp] = 0, 0
@@ -63,14 +66,7 @@ func (t *task) initDominance(layers []int) {
 		// this superset stays a valid floor for every reachable state.
 		floor := 0.0
 		for ti := range t.s.rs.types {
-			avail := false
-			for ri := range t.s.rs.regions {
-				if t.s.rs.count(ri, ti) > 0 {
-					avail = true
-					break
-				}
-			}
-			if !avail {
+			if !t.s.rs.available(ti) {
 				continue
 			}
 			for tp := 1; tp <= t.s.nodeCap[ti]; tp *= 2 {
@@ -97,7 +93,7 @@ func (t *task) initDominance(layers []int) {
 func (t *task) dominated(c stageChoice, best nodeStats, i, pp, d, nb int) bool {
 	if t.costLean {
 		rest := pp - 1 - i
-		rateLB := (c.rateUSD + float64(rest*d)*t.domMinRate) * pruneSafety
+		rateLB := (c.rateUSD + float64(rest*d)*t.s.minRate) * pruneSafety
 		return rateLB > best.rateUSD
 	}
 	straggler := c.perMB

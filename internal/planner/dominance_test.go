@@ -10,94 +10,7 @@ import (
 	"repro/internal/sim"
 )
 
-// TestBoundPruningExact is the pruning admissibility oracle: on pools
-// covering the homogeneous, heterogeneous, geo-distributed, constrained,
-// and cost-objective shapes, the search with bound-based pruning must
-// return the identical plan and estimate the unpruned search returns —
-// pruning may only skip work, never change the answer. Explored must never
-// grow, and must shrink somewhere across the suite (the bounds actually
-// fire).
-func TestBoundPruningExact(t *testing.T) {
-	cfg := model.OPT350M()
-	prof, err := profiler.Collect(cfg, []core.GPUType{core.A100, core.V100}, nil, profiler.Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := sim.New(cfg, prof)
-	cases := []struct {
-		name string
-		pool *cluster.Pool
-		opts Options
-	}{
-		{
-			name: "homogeneous-throughput",
-			pool: cluster.NewPool().Set(zoneA, core.A100, 64),
-			opts: Options{Objective: core.MaxThroughput},
-		},
-		{
-			name: "heterogeneous-throughput",
-			pool: cluster.NewPool().Set(zoneA, core.A100, 32).Set(zoneA, core.V100, 32),
-			opts: Options{Objective: core.MaxThroughput},
-		},
-		{
-			name: "geo-min-cost",
-			pool: cluster.NewPool().Set(zoneA, core.A100, 16).Set(zoneW, core.A100, 16),
-			opts: Options{Objective: core.MinCost},
-		},
-		{
-			name: "budget-constrained",
-			pool: cluster.NewPool().Set(zoneA, core.A100, 16),
-			opts: Options{Objective: core.MaxThroughput, Constraints: core.Constraints{MaxCostPerIter: 0.5}},
-		},
-		{
-			name: "min-throughput-constrained",
-			pool: cluster.NewPool().Set(zoneA, core.A100, 32),
-			opts: Options{Objective: core.MinCost, Constraints: core.Constraints{MinThroughput: 0.01}},
-		},
-		{
-			name: "no-heuristics-ablation",
-			pool: cluster.NewPool().Set(zoneA, core.A100, 8).Set(zoneB, core.A100, 8),
-			opts: Options{Objective: core.MaxThroughput, Heuristics: NoHeuristics()},
-		},
-	}
-	anyPruned := false
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if tc.opts.Heuristics == (Heuristics{}) && tc.name != "no-heuristics-ablation" {
-				tc.opts.Heuristics = AllHeuristics()
-			}
-			pruned := tc.opts
-			unpruned := tc.opts
-			unpruned.DisableBoundPruning = true
-			a, errA := New(cfg, ev, pruned).Plan(tc.pool)
-			b, errB := New(cfg, ev, unpruned).Plan(tc.pool)
-			if (errA == nil) != (errB == nil) {
-				t.Fatalf("error mismatch: pruned=%v unpruned=%v", errA, errB)
-			}
-			if errA != nil {
-				return
-			}
-			if a.Plan.String() != b.Plan.String() {
-				t.Errorf("pruning changed the chosen plan:\npruned:   %s\nunpruned: %s", a.Plan, b.Plan)
-			}
-			if a.Estimate.IterTime != b.Estimate.IterTime || a.Estimate.Cost() != b.Estimate.Cost() {
-				t.Errorf("pruning changed the estimate: %+v vs %+v", a.Estimate, b.Estimate)
-			}
-			if a.Explored > b.Explored {
-				t.Errorf("pruned search explored more than unpruned: %d > %d", a.Explored, b.Explored)
-			}
-			if a.Explored < b.Explored {
-				anyPruned = true
-			}
-		})
-	}
-	if !anyPruned {
-		t.Error("bounds never fired across the whole suite; pruning is dead code")
-	}
-}
-
-// TestDominancePruningExact is the dominance-pruning admissibility oracle —
-// the TestBoundPruningExact pattern with the dominance knob isolated. On
+// TestDominancePruningExact is the dominance-pruning admissibility oracle. On
 // heterogeneous and geo-distributed pool shapes the search with dominance
 // pruning (the default) must return the identical plan and estimate the
 // dominance-disabled search returns: the completion bound only skips
@@ -189,16 +102,16 @@ type noMarkerEval struct{ Evaluator }
 
 // TestPruningRequiresBoundPrunable: an evaluator that does not declare the
 // admissibility property is searched unpruned — identical Explored to an
-// explicitly unpruned search — because the bounds are only proven for
-// backends that opt in.
+// explicitly unpruned search — because the bound is only proven for
+// backends that opt in. The pool is heterogeneous, where dominance fires.
 func TestPruningRequiresBoundPrunable(t *testing.T) {
 	cfg := model.OPT350M()
-	prof, err := profiler.Collect(cfg, []core.GPUType{core.A100}, nil, profiler.Options{Seed: 1})
+	prof, err := profiler.Collect(cfg, []core.GPUType{core.A100, core.V100}, nil, profiler.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ev := sim.New(cfg, prof)
-	pool := cluster.NewPool().Set(zoneA, core.A100, 64)
+	pool := cluster.NewPool().Set(zoneA, core.A100, 16).Set(zoneA, core.V100, 16)
 	opts := Options{Objective: core.MaxThroughput, Heuristics: AllHeuristics(), Workers: 1}
 
 	wrapped, err := New(cfg, noMarkerEval{ev}, opts).Plan(pool)
@@ -206,7 +119,6 @@ func TestPruningRequiresBoundPrunable(t *testing.T) {
 		t.Fatal(err)
 	}
 	unprunedOpts := opts
-	unprunedOpts.DisableBoundPruning = true
 	unprunedOpts.DisableDominancePruning = true
 	unpruned, err := New(cfg, ev, unprunedOpts).Plan(pool)
 	if err != nil {

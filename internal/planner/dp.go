@@ -710,28 +710,18 @@ func (t *task) dpSyncTimeAt(stage, minTP, d int) float64 {
 }
 
 // minTP resolves heuristic H2's minimum viable tensor-parallel degree
-// through the search-wide shared cache. The in-flight count saturates at
-// the pipeline depth, so the cache key does not include nb beyond that cap
-// (the paper notes the minimum is independent of availability and reusable
-// across replans).
+// through the task's dense cache. The in-flight count saturates at the
+// pipeline depth, and pp and mbs are fixed within a task while layers is a
+// function of stage, so (stage, ti, capped nb) is a complete key.
 func (t *task) minTP(g core.GPUType, ti, layers, stage, pp, mbs, nb int) int {
 	if nb > pp {
 		nb = pp
 	}
-	// Dense per-task front for the sharded search-wide cache: pp and mbs
-	// are fixed within a task and layers is a function of stage,
-	// so (stage, ti, capped nb) is a complete key and the common case is
-	// one array load instead of a hash, a lock and a map probe.
 	idx := (stage*len(t.s.rs.types)+ti)*(pp+1) + nb
 	if v := t.minTPT[idx]; v >= 0 {
 		return int(v)
 	}
-	k := minTPKey{g, layers, stage, pp, mbs, nb}
-	v, ok := t.s.minTP.get(k)
-	if !ok {
-		v = memory.MinTP(t.pl.Cfg, g, layers, stage, pp, mbs, nb)
-		t.s.minTP.put(k, v)
-	}
+	v := memory.MinTP(t.pl.Cfg, g, layers, stage, pp, mbs, nb)
 	t.minTPT[idx] = int16(v)
 	return v
 }

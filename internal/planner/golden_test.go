@@ -148,8 +148,10 @@ func TestMultiRegionColdGolden(t *testing.T) {
 // heterogeneous and geo-distributed pools, a cost budget, a throughput
 // floor, the no-heuristics ablation, and GPT-Neo-2.7B under a Figure-14
 // style budget and a Figure-13 style throughput floor. Each case is a
-// subtest matched against its own golden line. Regenerate only for an
-// intended change in which plans the planner picks:
+// subtest matched against its own golden line. The golden predates the
+// deletion of the scan-level bound pruning, so it pins that the deletion
+// changed no plan, estimate or tie-break. Regenerate only for an intended
+// change in which plans the planner picks:
 //
 //	go test ./internal/planner -run TestConstrainedColdGolden -update
 

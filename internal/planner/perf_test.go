@@ -37,7 +37,7 @@ func dpLab(tb testing.TB, pool *cluster.Pool, gpus ...core.GPUType) (*Planner, *
 	s.bindState(rs, pool)
 	layers := partitionLayers(cfg.Layers, 4)
 	t := s.taskFor(0)
-	t.reset(rs, 2, nil)
+	t.reset(rs, 2)
 	t.init(layers)
 	t.resetMemo(2, cfg.GlobalBatch/(2*2))
 	return pl, s, t, rs, layers
@@ -99,8 +99,8 @@ func BenchmarkDPMemoHit(b *testing.B) {
 	}
 }
 
-// TestWarmReplanAllocCeiling: a fully-warm replan chain — every DP state and
-// every estimate served from the cache, Explored 0 — over the preemption-storm
+// TestWarmReplanAllocCeiling: a fully-warm replan chain — every DP state
+// served from the cache, no DP node explored — over the preemption-storm
 // base-32 cycle stays under a third of the bytes and allocations it cost
 // while every search rebuilt its tasks, cloned the pool per candidate and
 // collected its pending entries in maps (44 341 allocs / 8 470 284 B per
@@ -110,11 +110,8 @@ func BenchmarkDPMemoHit(b *testing.B) {
 func TestWarmReplanAllocCeiling(t *testing.T) {
 	const parentAllocs, parentBytes = 44341, 8470284
 	cfg := model.OPT350M()
-	prof, err := profiler.Collect(cfg, []core.GPUType{core.A100}, nil, profiler.Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pl := New(cfg, sim.New(cfg, prof), Options{
+	ev := newCountingEval(t, cfg, core.A100)
+	pl := New(cfg, ev, Options{
 		Objective: core.MaxThroughput, Heuristics: AllHeuristics(), Workers: 1, Warm: NewWarmCache(),
 	})
 	sc, ok := trace.ScenarioByName("preemption-storm")
@@ -123,22 +120,23 @@ func TestWarmReplanAllocCeiling(t *testing.T) {
 	}
 	pools := sc.TraceWith(1, trace.ScenarioOpts{Base: 32}).DistinctPools()
 	var prev core.Plan
-	explored := 0
+	nodes := int64(0)
 	chain := func() {
-		explored = 0
 		pl.Opts.Warm.res = map[string]*Result{}
 		for _, pool := range pools {
+			est0 := ev.estimates.Load()
 			res, err := pl.Replan(prev, pool)
 			if err != nil {
 				t.Fatal(err)
 			}
-			explored += res.Explored
+			nodes += dpNodes(res, ev.estimates.Load()-est0, prev, pool)
 			prev = res.Plan
 		}
 	}
 	chain() // fill the cache
-	if chain(); explored != 0 {
-		t.Fatalf("second pass explored %d nodes; the pin is about fully-warm replans", explored)
+	nodes = 0
+	if chain(); nodes != 0 {
+		t.Fatalf("second pass explored %d DP nodes; the pin is about fully-warm replans", nodes)
 	}
 	const runs = 10
 	var m0, m1 runtime.MemStats
@@ -197,7 +195,7 @@ func TestScratchReusedAcrossJobs(t *testing.T) {
 	pl, s, tk, rs, deep := dpLab(t, pool, core.A100)
 	shallow := partitionLayers(pl.Cfg.Layers, 2)
 	run := func(layers []int) {
-		tk.reset(rs, 2, nil)
+		tk.reset(rs, 2)
 		tk.searchDP(layers, 2)
 	}
 	run(deep)
@@ -227,7 +225,7 @@ func TestScratchReusedAcrossJobs(t *testing.T) {
 			t.Errorf("pp=%d job after a pp=%d job re-allocated scratch:\nbefore %+v\nafter  %+v", len(layers), len(deep), before, after)
 		}
 		if allocs := testing.AllocsPerRun(20, func() {
-			tk.reset(rs, 2, nil)
+			tk.reset(rs, 2)
 			tk.init(layers)
 		}); allocs != 0 {
 			t.Errorf("readying the scratch for a pp=%d job allocates %.1f times; want 0", len(layers), allocs)

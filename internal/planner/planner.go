@@ -18,8 +18,8 @@
 //
 // The planner is a concurrent search engine: the outer (pp, mbs) candidate
 // loop fans out across a worker pool (Options.Workers), each worker owning
-// its own resource-state clone and DP memo while sharing the H2 minimum-TP
-// cache and the incumbent best plan. A search that runs to completion
+// its own resource-state clone and DP memo while sharing only the incumbent
+// best plan. A search that runs to completion
 // returns a bit-identical result at any worker count: per-candidate
 // evaluation is deterministic, H3/H4 early stops are scoped to one
 // worker's scan, and ties between equally good plans break on the plan
@@ -29,8 +29,8 @@
 //
 // Replanning on a churn trace is warm-started: Replan/ReplanContext seed a
 // fallback incumbent from the previously deployed plan and, with a
-// WarmCache configured (Options.Warm), persist the minimum-TP cache, the DP
-// memos and completed search results across calls, so a replan skips every
+// WarmCache configured (Options.Warm), persist the DP memos and completed
+// search results across calls, so a replan skips every
 // region state an earlier search already solved and a replan of a solved
 // pool is a lookup. Warm results are bit-identical to cold planning on the
 // same pool — the caches hold pure functions of their keys.
@@ -39,7 +39,7 @@
 // Plan/PlanContext/Replan entry points), search.go (the worker pool and the
 // per-candidate DP-degree scan), dp.go (the Listing-1 dynamic program and
 // plan materialisation), state.go (region-indexed resource state and the
-// shared caches), and warm.go (the cross-replan warm-start cache).
+// packed memo keys), and warm.go (the cross-replan warm-start cache).
 package planner
 
 import (
@@ -107,17 +107,12 @@ type Options struct {
 	// defence against a search accidentally spending capacity other jobs
 	// hold. It never changes which plan the search prefers.
 	Guard *CapacityGuard
-	// DisableBoundPruning turns off the admissible bound-based pruning of
-	// DP-degree scans. Pruning is exact — the chosen plan is identical
-	// either way — so this exists only for ablations and for measuring the
-	// pruning's effect on Explored (see BenchmarkPruning). Excluded from
-	// the warm-cache fingerprint: cached entries are pure functions of
-	// their keys and remain valid under either setting.
-	DisableBoundPruning bool
 	// DisableDominancePruning turns off the dominance pruning of stage
-	// compositions inside the DP (see dominance.go). Also exact and also
-	// excluded from the warm-cache fingerprint; exists for ablations and
-	// for measuring the dominance filter's effect on Explored.
+	// compositions inside the DP (see dominance.go). Pruning is exact — the
+	// chosen plan is identical either way — so this exists only for
+	// ablations and for measuring the filter's effect on Explored. Excluded
+	// from the warm-cache fingerprint: cached entries are pure functions of
+	// their keys and remain valid under either setting.
 	DisableDominancePruning bool
 }
 
@@ -135,10 +130,12 @@ type Result struct {
 	// WarmStart reports whether the search ran against a warm cache
 	// snapshot (Options.Warm set and fingerprint-compatible).
 	WarmStart bool
-	// CacheHits counts DP subtrees served from the warm cache instead of
-	// being re-explored; each hit also subtracts the whole subtree from
-	// Explored. A result served whole from the warm cache's stored searches
-	// reports one hit, Explored 0 and WarmStart true.
+	// CacheHits counts DP subtrees served from the warm cache's memo
+	// generation instead of being re-explored; each hit also subtracts the
+	// whole subtree from Explored (the candidate plans' simulator
+	// evaluations still count there). A result served whole from the warm
+	// cache's stored searches reports exactly one hit, Explored 0 and
+	// WarmStart true.
 	CacheHits int
 	// Degraded marks a result the serving layer substituted for a fresh
 	// search that was cut off by its deadline: the job's warm incumbent
@@ -172,14 +169,17 @@ type Evaluator interface {
 }
 
 // BoundPrunable is an optional Evaluator extension. An implementation
-// declares that its Estimate never reports an iteration time below the
-// serialized stage-busy bound the planner's pruning relies on (every stage
-// executes nb forward+backward passes back to back or waiting, so
-// iteration time is at least nb — capped per prune.go for the
-// extrapolated regime — times the cheapest per-layer fwd+bwd it could
-// quote). Bound-based pruning activates only for evaluators that declare
-// this; an Evaluator without the marker is searched unpruned, so exactness
-// is never traded for speed on an unknown estimation backend.
+// declares that its stage-level quotes are pure functions of their
+// arguments — StageComputeTimeWith always quotes the same seconds for the
+// same (type, TP, microbatch, layers) and GPUHourUSD a fixed price — which
+// is what dominance pruning's completion bound (dominance.go) rests on: a
+// suffix of the DP, whether solved in this search or served from the warm
+// cache, costs at least nb times its slowest per-stage floor plus the sum of
+// those floors, each floor being the fastest quote over every available GPU
+// type and TP degree, and at least its GPU count at the cheapest available
+// rate. Dominance pruning activates only for evaluators that declare this;
+// an Evaluator without the marker is searched unpruned, so exactness is
+// never traded for speed on an unknown estimation backend.
 type BoundPrunable interface {
 	// StageBusyLowerBounded reports whether the admissibility property
 	// above holds for this evaluator instance.
@@ -240,8 +240,7 @@ func (pl *Planner) ReplanContext(ctx context.Context, prev core.Plan, pool *clus
 // seedFromPrev evaluates the previous plan against the new pool: if the
 // pool still holds every GPU the plan occupies and the estimate passes the
 // memory check and constraints, the plan is usable as a fallback incumbent.
-// fp is the planner's fingerprint when a warm cache is configured.
-func (pl *Planner) seedFromPrev(prev *core.Plan, pool *cluster.Pool, fp string) *candidate {
+func (pl *Planner) seedFromPrev(prev *core.Plan, pool *cluster.Pool) *candidate {
 	if prev == nil || len(prev.Stages) == 0 {
 		return nil
 	}
@@ -251,7 +250,7 @@ func (pl *Planner) seedFromPrev(prev *core.Plan, pool *cluster.Pool, fp string) 
 	if pl.Opts.Guard.Check(*prev) != nil {
 		return nil
 	}
-	est, err := pl.seedEstimate(*prev, fp)
+	est, err := pl.Sim.Estimate(*prev)
 	if err != nil || !est.FitsMemory {
 		return nil
 	}
@@ -259,22 +258,6 @@ func (pl *Planner) seedFromPrev(prev *core.Plan, pool *cluster.Pool, fp string) 
 		return nil
 	}
 	return &candidate{res: Result{Plan: *prev, Estimate: est}}
-}
-
-// seedEstimate scores the previous plan, serving it from the warm cache's
-// estimate map when possible: the deployed plan was once a materialised
-// candidate, so at warm steady state its estimate is already persisted and
-// the seed check costs no simulator call.
-func (pl *Planner) seedEstimate(prev core.Plan, fp string) (core.Estimate, error) {
-	if w := pl.Opts.Warm; w != nil {
-		if _, est, _, ok := w.snapshot(fp, pl.Sim); ok {
-			var buf [256]byte
-			if e, ok := est[string(appendEstKey(buf[:0], prev))]; ok {
-				return e.est, nil
-			}
-		}
-	}
-	return pl.Sim.Estimate(prev)
 }
 
 // fingerprint identifies the search configuration a WarmCache binds to.
@@ -303,7 +286,7 @@ func (pl *Planner) planContext(ctx context.Context, pool *cluster.Pool, prev *co
 		fp = pl.fingerprint()
 	}
 	if err := ctx.Err(); err != nil {
-		if seed := pl.seedFromPrev(prev, pool, fp); seed != nil {
+		if seed := pl.seedFromPrev(prev, pool); seed != nil {
 			res := seed.res
 			res.SearchTime = time.Since(start)
 			return res, nil
@@ -321,7 +304,7 @@ func (pl *Planner) planContext(ctx context.Context, pool *cluster.Pool, prev *co
 			return res, nil
 		}
 	}
-	seed := pl.seedFromPrev(prev, pool, fp)
+	seed := pl.seedFromPrev(prev, pool)
 	rs := newRegionState(pool, pl.Opts.Heuristics.H6MergeZones)
 	if rs.totalGPUs() == 0 {
 		return Result{}, fmt.Errorf("planner: empty resource pool")

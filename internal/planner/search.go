@@ -12,14 +12,11 @@ import (
 )
 
 // search is the shared state of one Plan/PlanContext invocation: the
-// cancellation signal, the exploration counter, the H2 minimum-TP cache
-// (sound to share — the minimum is a property of the stage shape, not of
-// the scan exploring it), and the incumbent best plan.
+// cancellation signal, the exploration counter and the incumbent best plan.
 type search struct {
 	pl       *Planner
 	done     atomic.Bool
 	explored atomic.Int64
-	minTP    *minTPCache
 
 	// rs is the top-level region state the pass was built from; tasks use
 	// its immutable region/type index (their own mutable clone carries the
@@ -30,12 +27,11 @@ type search struct {
 	ratePerSec []float64
 	nodeCap    []int
 
-	// pruneOK marks the evaluator as declaring the bound-pruning
-	// admissibility property; bounds caches the per-mbs evaluator sweeps
-	// shared by every task of the pass.
+	// pruneOK marks the evaluator as declaring the dominance-pruning
+	// admissibility property (BoundPrunable); minRate is the cheapest
+	// per-GPU USD/second over the GPU types available anywhere in the pool.
 	pruneOK bool
-	boundMu sync.Mutex
-	bounds  map[int]evalBounds
+	minRate float64
 
 	// The pool as plan materialisation needs it, built once per pass: its
 	// zones, their availability as a flat [zone][type] table, and per region
@@ -44,16 +40,14 @@ type search struct {
 	zoneAvail   []int
 	bucketZones [][]int
 
-	// Warm start (Options.Warm): warmDP/warmEst are read-only snapshots of
-	// the persisted DP memos and plan estimates taken when the search
-	// starts — every task may read them lock-free; what the search merges
-	// back into the cache at the end accumulates per worker (task.pend).
-	// shape is the pool-shape descriptor shared by every persisted key of
-	// this search.
+	// Warm start (Options.Warm): warmDP is a read-only snapshot of the
+	// persisted DP memos taken when the search starts — every task may read
+	// it lock-free; what the search merges back into the cache at the end
+	// accumulates per worker (task.pend). shape is the pool-shape descriptor
+	// shared by every persisted key of this search.
 	warmOn   bool
 	shape    string
 	warmDP   map[warmDPKey]*dpNode
-	warmEst  map[string]*estEntry
 	warmHits atomic.Int64
 
 	// scratch holds one task per worker, reset — not reallocated — between
@@ -95,12 +89,9 @@ func (c *candidate) signature() string {
 func newSearch(pl *Planner, ctx context.Context, fp string) *search {
 	s := &search{pl: pl, watch: make(chan struct{})}
 	if w := pl.Opts.Warm; w != nil {
-		if dp, est, mt, ok := w.snapshot(fp, pl.Sim); ok {
-			s.warmOn, s.warmDP, s.warmEst, s.minTP = true, dp, est, mt
+		if dp, ok := w.snapshot(fp, pl.Sim); ok {
+			s.warmOn, s.warmDP = true, dp
 		}
-	}
-	if s.minTP == nil {
-		s.minTP = newMinTPCache()
 	}
 	if d := ctx.Done(); d != nil {
 		// Latch cancellation into an atomic so the hot DP loop polls a
@@ -121,8 +112,8 @@ func (s *search) stop() { close(s.watch) }
 
 func (s *search) expired() bool { return s.done.Load() }
 
-// bindState resolves the per-typeIdx evaluator constants and the zone table
-// for a pass.
+// bindState resolves the per-typeIdx evaluator constants, the cheapest
+// available rate and the zone table for a pass.
 func (s *search) bindState(rs *regionState, pool *cluster.Pool) {
 	s.rs = rs
 	s.zones = pool.Zones()
@@ -149,6 +140,9 @@ func (s *search) bindState(rs *regionState, pool *cluster.Pool) {
 	for ti, g := range rs.types {
 		s.ratePerSec[ti] = s.pl.Sim.GPUHourUSD(g) / 3600
 		s.nodeCap[ti] = nodeGPUs(g)
+		if r := s.ratePerSec[ti]; rs.available(ti) && (s.minRate == 0 || r < s.minRate) {
+			s.minRate = r
+		}
 	}
 	if bp, ok := s.pl.Sim.(BoundPrunable); ok && bp.StageBusyLowerBounded() {
 		s.pruneOK = true
@@ -164,7 +158,6 @@ func (s *search) pending() (p warmPending) {
 			continue
 		}
 		p.dp = append(p.dp, t.pend.dp...)
-		p.est = append(p.est, t.pend.est...)
 	}
 	return p
 }
@@ -185,14 +178,7 @@ func (s *search) offer(c *candidate) {
 
 // runPass fans the (pp, mbs) candidate grid across the worker pool. Each
 // worker runs its jobs on its own scratch task — its own DP memo and
-// region-state copy — so workers share nothing hot but the incumbent and the
-// minimum-TP cache.
-//
-// Before the fan-out, one deterministically chosen job (the floor job) runs
-// to completion and its best candidate becomes the pruning floor every
-// other job measures its admissible bounds against. Because the floor is
-// fixed before any worker starts, the set of explored configurations is
-// identical at any worker count.
+// region-state copy — so workers share nothing hot but the incumbent.
 func (s *search) runPass(rs *regionState, pool *cluster.Pool) {
 	type job struct {
 		layers []int
@@ -210,47 +196,21 @@ func (s *search) runPass(rs *regionState, pool *cluster.Pool) {
 	}
 	s.bindState(rs, pool)
 
-	runJob := func(t *task, j job, floor *Result) {
+	runJob := func(t *task, j job) {
 		if s.expired() {
 			return
 		}
-		t.reset(rs, j.mbs, floor)
+		t.reset(rs, j.mbs)
 		t.searchDP(j.layers, j.mbs)
 		// Counters are batched per job: no atomics in the DP's inner loop.
 		s.explored.Add(t.explored)
 		s.warmHits.Add(t.warmHits)
 	}
 
-	// Floor pass: the largest microbatch size at the shallowest pipeline
-	// depth — cheap to evaluate and usually competitive, so its result
-	// gives the bound-based pruning a useful incumbent from the start. Any
-	// choice is correct (pruning is exact); this one just prunes well. A
-	// pass starts without an incumbent, so after the floor job the incumbent
-	// is that job's best; the floor is a copy of it, fixed for the pass.
-	floorIdx := len(s.pl.mbsCandidates()) - 1
-	runJob(s.taskFor(0), jobs[floorIdx], nil)
-	var floor *Result
-	if s.best != nil {
-		f := s.best.res
-		floor = &f
-	}
-
-	rest := make([]job, 0, len(jobs)-1)
-	for i, j := range jobs {
-		if i != floorIdx {
-			rest = append(rest, j)
-		}
-	}
-	workers := s.pl.workerCount()
-	if workers > len(rest) {
-		workers = len(rest)
-	}
+	workers := min(s.pl.workerCount(), len(jobs))
 	if workers <= 1 {
-		for _, j := range rest {
-			if s.expired() {
-				return
-			}
-			runJob(s.taskFor(0), j, floor)
+		for _, j := range jobs {
+			runJob(s.taskFor(0), j)
 		}
 		return
 	}
@@ -261,11 +221,11 @@ func (s *search) runPass(rs *regionState, pool *cluster.Pool) {
 		go func(t *task) {
 			defer wg.Done()
 			for j := range ch {
-				runJob(t, j, floor)
+				runJob(t, j)
 			}
 		}(s.taskFor(w))
 	}
-	for _, j := range rest {
+	for _, j := range jobs {
 		if s.expired() {
 			break
 		}
@@ -315,27 +275,22 @@ type task struct {
 	costLean bool
 	// mbs is the task's microbatch size.
 	mbs int
-	// floor is the search-wide pruning incumbent computed by the floor job
-	// (nil while the floor job itself runs).
-	floor *Result
 
 	// scan carries the key fields (shape, pp, mbs, d, nb, costLean) all
 	// persisted keys of the current DP-degree scan share.
 	scan warmDPKey
-	// pend accumulates, over every job this worker runs, the DP entries and
-	// plan estimates the search will publish (see search.pending).
+	// pend accumulates, over every job this worker runs, the DP entries the
+	// search will publish (see search.pending).
 	// explored/warmHits batch one job's telemetry counters.
 	pend     warmPending
 	explored int64
 	warmHits int64
 
 	// Dominance pruning inputs (see dominance.go): suffix sums and maxima
-	// of the partition's per-stage time floors, plus the cheapest GPU rate
-	// for the cost-lean comparison.
-	domOn      bool
-	domMinRate float64
-	domSufSum  []float64
-	domSufMax  []float64
+	// of the partition's per-stage time floors.
+	domOn     bool
+	domSufSum []float64
+	domSufMax []float64
 
 	// nodes and groups are the arenas of the DP's escaping values (newNode,
 	// allocGroups) other than those a warm task publishes (winner).
@@ -360,15 +315,14 @@ type task struct {
 	optsBuf   []typeOption
 	tpsBuf    []int
 	availBuf  []int
-	estBuf    []byte
 	partition []int
 	stageT    []float64
 	stageTok  []uint8
 	fitTok    []uint8
 	syncT     []float64
 	syncTok   []uint8
-	// minTPT is the dense per-task front of the shared H2 cache, indexed
-	// by (stage, type, in-flight count capped at pp); -1 marks empty.
+	// minTPT is the per-task H2 cache, indexed by (stage, type, in-flight
+	// count capped at pp); -1 marks empty.
 	minTPT []int16
 
 	// Plan materialisation scratch (buildPlan): the remaining per-zone
@@ -384,8 +338,8 @@ type task struct {
 }
 
 // reset readies the scratch for one (pp, mbs) job, keeping all capacity.
-func (t *task) reset(rs *regionState, mbs int, floor *Result) {
-	t.mbs, t.floor = mbs, floor
+func (t *task) reset(rs *regionState, mbs int) {
+	t.mbs = mbs
 	t.explored, t.warmHits = 0, 0
 	rs.copyTo(&t.rs)
 }
@@ -454,10 +408,7 @@ func (t *task) resetMemo(d, nb int) {
 // improvements of its local best to the shared incumbent. The H3/H4
 // early stop is scoped to this task's own scan — never to the cross-worker
 // incumbent — so the set of explored configurations is identical at any
-// worker count and the heuristic ablations stay meaningful. Bound-based
-// pruning (prunable) additionally skips DP degrees that provably cannot
-// beat the floor job's result, the task's own best, or the constraints;
-// the bounds are admissible, so the surviving winner is the same plan.
+// worker count and the heuristic ablations stay meaningful.
 func (t *task) searchDP(layers []int, mbs int) {
 	pl, rs := t.pl, &t.rs
 	pp := len(layers)
@@ -473,7 +424,6 @@ func (t *task) searchDP(layers []int, mbs int) {
 		return
 	}
 	t.init(layers)
-	bounds := t.candidateBounds(layers)
 	var localBest *candidate
 	noImprove := 0
 	t.dBuf = pl.appendDCandidates(t.dBuf[:0], maxD)
@@ -483,9 +433,6 @@ func (t *task) searchDP(layers []int, mbs int) {
 		}
 		nb := pl.Cfg.GlobalBatch / (d * mbs)
 		if nb < 1 {
-			continue
-		}
-		if t.prunable(bounds, pp, d, nb, localBest) {
 			continue
 		}
 		budget := pl.Opts.Constraints.MaxCostPerIter
@@ -562,31 +509,11 @@ func (t *task) searchDP(layers []int, mbs int) {
 	}
 }
 
-// estimate scores one materialised candidate plan, serving repeats from the
-// warm cache: the simulator's makespan evaluation is the measured hot spot
-// of a replan, and churn traces re-materialise the same candidates over and
-// over. The key — built only when a warm cache is attached, so cold
-// searches pay nothing here — is estKey's order-preserving serialization,
-// assembled once per plan into the task's reusable scratch buffer (a string
-// only once a computed estimate is filed under it). Served estimates count
-// as cache hits, not as explored nodes, and are re-published so over-cap
-// eviction keeps the working set.
+// estimate scores one materialised candidate plan with the simulator; each
+// call counts as one explored node.
 func (t *task) estimate(plan core.Plan) (core.Estimate, error) {
-	if t.s.warmOn {
-		t.estBuf = appendEstKey(t.estBuf[:0], plan)
-		if e, ok := t.s.warmEst[string(t.estBuf)]; ok {
-			t.warmHits++
-			t.pend.est = append(t.pend.est, warmEntry[string, *estEntry]{e.key, e})
-			return e.est, nil
-		}
-	}
-	est, err := t.pl.Sim.Estimate(plan)
 	t.explored++
-	if err == nil && t.s.warmOn {
-		e := &estEntry{key: string(t.estBuf), est: est}
-		t.pend.est = append(t.pend.est, warmEntry[string, *estEntry]{e.key, e})
-	}
-	return est, err
+	return t.pl.Sim.Estimate(plan)
 }
 
 // betterCand orders candidates by the objective, breaking metric ties by

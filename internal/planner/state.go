@@ -1,13 +1,11 @@
 package planner
 
-// Region-indexed resource state and the search-wide shared caches. Each
-// worker mutates its own copy of the regionState; the minimum-TP cache is
-// shared across workers behind sharded locks.
+// Region-indexed resource state and its packed DP memo keys. Each worker
+// mutates its own copy of the regionState.
 
 import (
 	"encoding/binary"
 	"strings"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -59,6 +57,16 @@ func (rs *regionState) addCount(ri, ti, delta int) {
 	} else {
 		rs.words[cell>>2] -= uint64(-delta) << laneShift(cell)
 	}
+}
+
+// available reports whether any region bucket holds GPUs of type ti.
+func (rs *regionState) available(ti int) bool {
+	for ri := range rs.regions {
+		if rs.count(ri, ti) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // cells is the number of (region, type) availability cells.
@@ -236,69 +244,4 @@ func lanesFrom(bits int) uint64 {
 		return ^uint64(0)
 	}
 	return ^uint64(0) << uint(bits) // zero once bits >= 64
-}
-
-// --- shared minimum-TP cache (H2) -----------------------------------------
-
-// minTPKey identifies one stage shape. The in-flight count is capped at the
-// pipeline depth before keying (see task.minTP).
-type minTPKey struct {
-	g      core.GPUType
-	layers int
-	stage  int
-	pp     int
-	mbs    int
-	nb     int
-}
-
-// minTPShards keeps lock contention negligible at high worker counts while
-// still letting every worker reuse every other worker's H2 computations.
-const minTPShards = 32
-
-// minTPCache is the search-wide H2 cache: sharded maps behind RWMutexes.
-// The cached minimum is a pure function of the key, so racing writers can
-// only store the same value.
-type minTPCache struct {
-	shards [minTPShards]struct {
-		mu sync.RWMutex
-		m  map[minTPKey]int
-	}
-}
-
-func newMinTPCache() *minTPCache {
-	c := &minTPCache{}
-	for i := range c.shards {
-		c.shards[i].m = map[minTPKey]int{}
-	}
-	return c
-}
-
-// shardOf hashes the key fields with FNV-1a.
-func (c *minTPCache) shardOf(k minTPKey) int {
-	h := uint32(2166136261)
-	mix := func(v uint32) { h = (h ^ v) * 16777619 }
-	for i := 0; i < len(k.g); i++ {
-		mix(uint32(k.g[i]))
-	}
-	mix(uint32(k.layers))
-	mix(uint32(k.stage))
-	mix(uint32(k.pp))
-	mix(uint32(k.mbs))
-	mix(uint32(k.nb))
-	return int(h % minTPShards)
-}
-
-func (c *minTPCache) get(k minTPKey) (int, bool) {
-	s := &c.shards[c.shardOf(k)]
-	s.mu.RLock()
-	v, ok := s.m[k]
-	s.mu.RUnlock()
-	return v, ok
-}
-
-func (c *minTPCache) put(k minTPKey, v int) {
-	s := &c.shards[c.shardOf(k)]
-	s.mu.Lock()
-	s.m[k] = v
-	s.mu.Unlock()
 }

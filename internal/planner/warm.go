@@ -1,24 +1,19 @@
 package planner
 
-// Warm-start replanning state. A WarmCache persists the planner's
-// expensive caches across Plan/Replan calls on a churn trace:
+// Warm-start replanning state. A WarmCache persists two generations across
+// Plan/Replan calls on a churn trace:
 //
-//   - the H2 minimum-TP cache, whose entries are independent of
-//     availability and fully reusable across replans,
 //   - the per-candidate DP memos, keyed by (pool shape, pp, mbs, d, nb,
 //     cost-lean, stage, region ri, counts of regions ri..R-1) — everything
 //     one solveDP node reads — so successive replans skip every suffix
 //     state an earlier search already solved, and
-//   - the candidate-plan estimates, keyed by the plan signature, so
-//     re-materialised candidates skip the simulator's 1F1B makespan
-//     evaluation (the measured hot spot of a warm replan), and
 //   - the results of completed searches, keyed by the pool they searched
 //     (poolKey), so a replan of a pool already solved — a diurnal wave
 //     cycling, a preemption storm returning to its base — is a lookup
 //     that builds no region state. Only a search that ran to completion
 //     publishes its result; a deadline-cut or cancelled one stores nothing.
 //
-// Every cache holds pure functions of its keys, so serving from them can
+// Both generations hold pure functions of their keys, so serving from them can
 // never change which plan a completed search returns: a warm Replan picks
 // the exact plan cold planning picks on the same pool, only faster.
 //
@@ -86,13 +81,6 @@ type warmEntry[K comparable, V any] struct {
 	val V
 }
 
-// estEntry is one persisted plan estimate; it carries its key so a search it
-// served can re-publish it without rebuilding the key string.
-type estEntry struct {
-	key string
-	est core.Estimate
-}
-
 // owned lays a cache-owned dpNode and its group composition — G is an array
 // of replicaGroup — out in one exactly-sized allocation.
 type owned[G any] struct {
@@ -125,15 +113,13 @@ func ownedNode(n dpNode) *dpNode {
 type WarmCache struct {
 	mu sync.RWMutex
 	fp string
-	// ev is the evaluator the cached nodes and estimates were computed
+	// ev is the evaluator the cached nodes and results were computed
 	// against, compared by identity. Holding the reference also keeps the
 	// evaluator alive, so a recycled allocation can never alias a new
 	// evaluator onto stale entries.
-	ev    Evaluator
-	dp    map[warmDPKey]*dpNode
-	est   map[string]*estEntry
-	res   map[string]*Result
-	minTP *minTPCache
+	ev  Evaluator
+	dp  map[warmDPKey]*dpNode
+	res map[string]*Result
 }
 
 // poolKey is the result-cache key of a pool: every cell a search reads —
@@ -171,15 +157,16 @@ func detachResult(r Result) Result {
 	return r
 }
 
-// appendEstKey serializes every estimate-relevant field of a plan in replica
-// order into b — deliberately NOT Plan.String(), which groups identical
-// replicas within a stage and so collapses orderings the simulator
-// distinguishes (pipeline k is built from replica k of every stage, and
-// cross-stage links are classified by zone pair). Built with raw byte
-// appends so the hot in-search path pays one allocation (the map-key
-// string), not a fmt call per field.
-func appendEstKey(b []byte, plan core.Plan) []byte {
-	b = strconv.AppendInt(b, int64(plan.MicroBatchSize), 10)
+// PlanKey returns the canonical replica-order serialization of a plan:
+// every estimate-relevant field in replica order — deliberately NOT
+// Plan.String(), which groups identical replicas within a stage and so
+// collapses orderings the simulator distinguishes (pipeline k is built from
+// replica k of every stage, and cross-stage links are classified by zone
+// pair). The serving layer's speculation cache keys its precomputed results
+// with it (combined with the pool rendering), so a speculative entry is
+// consulted only for a byte-identical (pool, incumbent plan) pair.
+func PlanKey(plan core.Plan) string {
+	b := strconv.AppendInt(make([]byte, 0, 64), int64(plan.MicroBatchSize), 10)
 	if plan.Recompute {
 		b = append(b, 'r')
 	} else {
@@ -199,60 +186,42 @@ func appendEstKey(b []byte, plan core.Plan) []byte {
 			b = append(b, r.Zone.Name...)
 		}
 	}
-	return b
+	return string(b)
 }
-
-// estKey is the warm estimate-cache key for a materialised plan. Both the
-// in-search estimate path and the Replan seed check resolve through it.
-func estKey(plan core.Plan) string {
-	return string(appendEstKey(make([]byte, 0, 64), plan))
-}
-
-// PlanKey returns the canonical replica-order serialization of a plan — the
-// same key the warm cache files plan estimates under. The serving layer's
-// speculation cache keys its precomputed results with it (combined with the
-// pool rendering), so a speculative entry is consulted only for a byte-
-// identical (pool, incumbent plan) pair.
-func PlanKey(plan core.Plan) string { return estKey(plan) }
 
 // NewWarmCache returns an empty warm-start cache.
 func NewWarmCache() *WarmCache {
 	return &WarmCache{
-		dp:    map[warmDPKey]*dpNode{},
-		est:   map[string]*estEntry{},
-		res:   map[string]*Result{},
-		minTP: newMinTPCache(),
+		dp:  map[warmDPKey]*dpNode{},
+		res: map[string]*Result{},
 	}
 }
 
 // Clone returns an independent warm cache holding the same entries. The
-// published DP, estimate and result generations are immutable (merge
-// rebuilds them copy-on-write), so the clone shares them at zero cost; the
-// minimum-TP cache holds pure functions of its keys, so it stays shared
-// too. Searches that merge into the clone never touch the original: the
+// published DP and result generations are immutable (merge rebuilds them
+// copy-on-write), so the clone shares them at zero cost. Searches that merge into the clone never touch the original: the
 // serving layer runs speculative prefetches on clones so a mispredicted
 // prefetch leaves the job's real cache byte-untouched, and adopts the
 // clone wholesale when the prediction hits.
 func (w *WarmCache) Clone() *WarmCache {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	return &WarmCache{fp: w.fp, ev: w.ev, dp: w.dp, est: w.est, res: w.res, minTP: w.minTP}
+	return &WarmCache{fp: w.fp, ev: w.ev, dp: w.dp, res: w.res}
 }
 
 // snapshot binds the cache to (fp, ev) on first use and returns the
-// current read-only DP memo and estimate generations plus the shared
-// minimum-TP cache. ok is false when the cache already belongs to a
-// different fingerprint or evaluator instance.
-func (w *WarmCache) snapshot(fp string, ev Evaluator) (map[warmDPKey]*dpNode, map[string]*estEntry, *minTPCache, bool) {
+// current read-only DP memo generation. ok is false when the cache already
+// belongs to a different fingerprint or evaluator instance.
+func (w *WarmCache) snapshot(fp string, ev Evaluator) (map[warmDPKey]*dpNode, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.fp == "" && w.ev == nil {
 		w.fp, w.ev = fp, ev
 	}
 	if w.fp != fp || w.ev != ev {
-		return nil, nil, nil, false
+		return nil, false
 	}
-	return w.dp, w.est, w.minTP, true
+	return w.dp, true
 }
 
 // result returns a copy of the stored result of a completed search over the
@@ -272,7 +241,6 @@ func (w *WarmCache) result(fp string, ev Evaluator, key string) (Result, bool) {
 // entries it computed and, when it ran to completion, its result.
 type warmPending struct {
 	dp  []warmEntry[warmDPKey, *dpNode]
-	est []warmEntry[string, *estEntry]
 	res []warmEntry[string, *Result]
 }
 
@@ -280,7 +248,7 @@ type warmPending struct {
 // rebuilt copy-on-write so snapshots handed to in-flight searches are never
 // mutated underneath them.
 func (w *WarmCache) merge(fp string, p warmPending) {
-	if len(p.dp) == 0 && len(p.est) == 0 && len(p.res) == 0 {
+	if len(p.dp) == 0 && len(p.res) == 0 {
 		return
 	}
 	w.mu.Lock()
@@ -289,7 +257,6 @@ func (w *WarmCache) merge(fp string, p warmPending) {
 		return
 	}
 	w.dp = publish(w.dp, p.dp, warmMaxEntries)
-	w.est = publish(w.est, p.est, warmMaxEntries)
 	w.res = publish(w.res, p.res, warmMaxResults)
 }
 
@@ -322,10 +289,10 @@ func publish[K comparable, V any](cur map[K]V, pending []warmEntry[K, V], limit 
 	return next
 }
 
-// Entries reports the persisted cache size: DP memos plus plan estimates.
-// Stored search results are not counted.
+// Entries reports the persisted cache size in DP memos. Stored search
+// results are not counted.
 func (w *WarmCache) Entries() int {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	return len(w.dp) + len(w.est)
+	return len(w.dp)
 }

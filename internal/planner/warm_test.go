@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
@@ -15,15 +16,48 @@ import (
 	"repro/internal/trace"
 )
 
-// warmLab builds one shared evaluator plus a planner factory bound to it,
-// so warm and cold planners agree on the fingerprint's evaluator instance.
-func warmLab(t *testing.T, cfg model.Config, gpus ...core.GPUType) func(opts Options) *Planner {
+// countingEval forwards every Evaluator method to the simulator — the
+// BoundPrunable marker included, so searches through it prune exactly as
+// the simulator's do — and counts Estimate calls, which lets a test split a
+// search's Explored into DP nodes and candidate-plan evaluations.
+type countingEval struct {
+	*sim.Simulator
+	estimates atomic.Int64
+}
+
+func (c *countingEval) Estimate(plan core.Plan) (core.Estimate, error) {
+	c.estimates.Add(1)
+	return c.Simulator.Estimate(plan)
+}
+
+// newCountingEval profiles cfg on gpus and wraps the simulator.
+func newCountingEval(t *testing.T, cfg model.Config, gpus ...core.GPUType) *countingEval {
 	t.Helper()
 	prof, err := profiler.Collect(cfg, gpus, nil, profiler.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev := sim.New(cfg, prof)
+	return &countingEval{Simulator: sim.New(cfg, prof)}
+}
+
+// dpNodes is the number of DP nodes a replan of pool from prev explored:
+// Explored counts those plus one per candidate plan the search scored with
+// the simulator. est is the replan's Estimate calls. A replan that searched
+// also made the seed check of prev whenever the pool still fits it — a call
+// Explored does not count; one served whole from a stored result made none.
+func dpNodes(res Result, est int64, prev core.Plan, pool *cluster.Pool) int64 {
+	if est > 0 && len(prev.Stages) > 0 && pool.CanFit(prev) {
+		est--
+	}
+	return int64(res.Explored) - est
+}
+
+// warmLab builds one shared evaluator plus a planner factory bound to it,
+// so warm and cold planners agree on the fingerprint's evaluator instance.
+// The evaluator is a countingEval (reachable as the planners' Sim).
+func warmLab(t *testing.T, cfg model.Config, gpus ...core.GPUType) func(opts Options) *Planner {
+	t.Helper()
+	ev := newCountingEval(t, cfg, gpus...)
 	return func(opts Options) *Planner {
 		if opts.Heuristics == (Heuristics{}) {
 			opts.Heuristics = AllHeuristics()
@@ -200,7 +234,7 @@ func TestReplanSeedRespectsConstraints(t *testing.T) {
 		Objective:   core.MaxThroughput,
 		Constraints: core.Constraints{MinThroughput: 2 / first.Estimate.IterTime},
 	})
-	seed := tight.seedFromPrev(&first.Plan, pool, "")
+	seed := tight.seedFromPrev(&first.Plan, pool)
 	if seed != nil {
 		t.Error("seed violating MinThroughput must be rejected")
 	}
@@ -208,9 +242,8 @@ func TestReplanSeedRespectsConstraints(t *testing.T) {
 
 // TestEstKeyDistinguishesReplicaOrder: Plan.String groups identical
 // replicas within a stage, so it collapses orderings the simulator
-// distinguishes (pipeline k pairs replica k across stages). The estimate
-// cache must key on the order-preserving serialization, never the display
-// string.
+// distinguishes (pipeline k pairs replica k across stages). PlanKey must be
+// the order-preserving serialization, never the display string.
 func TestEstKeyDistinguishesReplicaOrder(t *testing.T) {
 	mk := func(zones ...string) core.Plan {
 		st := core.StagePlan{FirstLayer: 0, NumLayers: 24}
@@ -226,13 +259,13 @@ func TestEstKeyDistinguishesReplicaOrder(t *testing.T) {
 	if a.String() != b.String() {
 		t.Fatalf("precondition: display strings should collide:\n%s\n%s", a, b)
 	}
-	if estKey(a) == estKey(b) {
-		t.Errorf("estKey collapsed distinct replica orderings: %s", estKey(a))
+	if PlanKey(a) == PlanKey(b) {
+		t.Errorf("PlanKey collapsed distinct replica orderings: %s", PlanKey(a))
 	}
 	re := a
 	re.Recompute = true
-	if estKey(a) == estKey(re) {
-		t.Error("estKey must include the recompute flag")
+	if PlanKey(a) == PlanKey(re) {
+		t.Error("PlanKey must include the recompute flag")
 	}
 }
 
@@ -284,14 +317,15 @@ func TestWarmCacheConcurrentReplans(t *testing.T) {
 }
 
 // diurnalParity is the (Explored, CacheHits) of every replan of two passes
-// over the diurnal-wave base-16 cycle. The misses' counters were recorded at
-// the commit before warm entries owned their memory: where copies live must
-// not change what is searched, so they are pinned exactly. Every pool the
+// over the diurnal-wave base-16 cycle, pinned exactly: what a replan searches
+// must not depend on where cached entries live or on the worker count. A
+// searched replan's Explored counts its DP nodes plus one simulator
+// evaluation per candidate plan; its hits are DP subtrees. Every pool the
 // cycle revisits — pools 5-8 and 15-20 of the first pass, all of the second
 // — is served whole from the stored search results: (0, 1).
 var diurnalParity = [2][21][2]int{
-	{{613, 0}, {310, 135}, {247, 173}, {238, 184}, {573, 165}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {180, 85}, {163, 76},
-		{106, 40}, {74, 57}, {56, 30}, {51, 30}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}},
+	{{615, 0}, {354, 93}, {284, 138}, {285, 139}, {600, 146}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {205, 62}, {189, 52},
+		{114, 32}, {95, 36}, {67, 19}, {65, 16}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}},
 	{{0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1},
 		{0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}},
 }
@@ -397,21 +431,24 @@ func TestWarmCacheOverCapKeepsWorkingSet(t *testing.T) {
 	}
 
 	// The retained set is that search's whole working set: replanning the
-	// same pool explores nothing, touches no other key, and matches cold.
+	// same pool explores no DP node, touches no other key, and matches cold.
 	// Its stored result is dropped first, so the replan searches the set.
-	kept := len(warm.dp) + len(warm.est)
+	kept := len(warm.dp)
 	warm.res = map[string]*Result{}
+	ev := pl.Sim.(*countingEval)
+	est0 := ev.estimates.Load()
 	again, err := pl.Replan(over.Plan, pools[1])
 	if err != nil {
 		t.Fatal(err)
 	}
+	nodes := dpNodes(again, ev.estimates.Load()-est0, over.Plan, pools[1])
 	cold, err := mk(Options{Objective: core.MaxThroughput, Workers: 1}).Plan(pools[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again.Explored != 0 || again.CacheHits == 0 {
-		t.Errorf("replan over the retained set: explored %d, hits %d; want 0 explored, served from the cache",
-			again.Explored, again.CacheHits)
+	if nodes != 0 || again.CacheHits == 0 {
+		t.Errorf("replan over the retained set: %d DP nodes explored, hits %d; want none explored, served from the cache",
+			nodes, again.CacheHits)
 	}
 	if warm.Entries() != kept {
 		t.Errorf("a fully-served replan changed the cache: %d entries, was %d", warm.Entries(), kept)

@@ -430,13 +430,11 @@ func (s *Simulator) StageComputeTimeWith(g core.GPUType, tp, mbs, layers int, la
 	return t, nil
 }
 
-// StageBusyLowerBounded declares the planner's bound-pruning admissibility
-// property (planner.BoundPrunable): both estimate paths respect the
-// serialized stage-busy lower bound — the exact 1F1B DAG evaluation
-// trivially, the 4P-prefix extrapolation because the prefix is exact and
-// the fitted period is at least half a straggler step (see the pruning
-// derivation in internal/planner/prune.go), and the closed-form
-// AnalyticTime by inspection of its (nb-1)*straggler + sum terms.
+// StageBusyLowerBounded declares the planner's dominance-pruning
+// admissibility property (planner.BoundPrunable): StageComputeTimeWith and
+// GPUHourUSD are pure functions of their arguments — profile lookups and a
+// fixed price table — so the planner's per-stage time floors and cheapest
+// rate bound every DP suffix it can build or serve from its warm cache.
 func (s *Simulator) StageBusyLowerBounded() bool { return true }
 
 // Throughput is a convenience wrapper returning iterations/second for a

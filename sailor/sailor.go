@@ -59,8 +59,8 @@
 // seeded trace families — preemption storms, diurnal waves, zone outages,
 // staggered heterogeneous arrivals, geo shifts — and System.Replan
 // warm-starts the planner from the previously deployed plan, persisting DP
-// memos and the minimum-TP cache across calls so churn-driven replans skip
-// already-explored regions. cmd/sailor-replay runs any named scenario and
+// memos and completed search results across calls so churn-driven replans
+// skip already-explored regions. cmd/sailor-replay runs any named scenario and
 // prints the reconfiguration ledger.
 //
 // Evaluation backends — the analytical simulator, the ground-truth engine,
