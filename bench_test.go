@@ -427,59 +427,6 @@ func BenchmarkReplanWarm(b *testing.B) {
 	b.ReportMetric(float64(explored), "explored/op")
 }
 
-// BenchmarkReplanSpeculative measures the zero-latency serving path: a
-// diurnal-wave replan chain through a sailor.Service whose forecaster has
-// locked onto the cycle, so each measured Replan is answered from the
-// speculation cache. The prefetches themselves resolve off the clock
-// (Quiesce between steps, the deterministic-stepping contract) — what is
-// timed is the request latency the caller sees on a forecast hit.
-func BenchmarkReplanSpeculative(b *testing.B) {
-	sc, ok := trace.ScenarioByName("diurnal-wave")
-	if !ok {
-		b.Fatal("diurnal-wave not registered")
-	}
-	pools := sc.TraceWith(1, trace.ScenarioOpts{Horizon: 72 * time.Hour, Base: 16}).DistinctPools()
-	b.Run("diurnal-wave", func(b *testing.B) {
-		svc := sailor.NewService(sailor.ServiceConfig{Workers: 1, MaxConcurrent: 4})
-		if err := svc.OpenJob("bench", sailor.OPT350M(), []core.GPUType{core.A100}, 0); err != nil {
-			b.Fatal(err)
-		}
-		// Two full passes lock the forecaster onto the period and warm the
-		// plan cache before the clock starts.
-		var prev core.Plan
-		for pass := 0; pass < 2; pass++ {
-			var err error
-			if _, prev, err = experiments.DriveSpeculativeReplans(svc, "bench", pools, prev); err != nil {
-				b.Fatal(err)
-			}
-		}
-		hits, replans := 0, 0
-		ctx := context.Background()
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			for _, pool := range pools {
-				b.StopTimer()
-				svc.Quiesce()
-				b.StartTimer()
-				res, err := svc.Replan(ctx, "bench", prev, pool, core.MaxThroughput, core.Constraints{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.SpeculativeHit {
-					hits++
-				}
-				replans++
-				prev = res.Plan
-			}
-		}
-		b.StopTimer()
-		svc.Quiesce()
-		b.ReportMetric(float64(len(pools)), "replans/op")
-		b.ReportMetric(100*float64(hits)/float64(replans), "spec-hit-%")
-	})
-}
-
 // BenchmarkHeuristicAblation quantifies D2: search cost without H2/H3 on a
 // small pool where the exhaustive variant still terminates.
 func BenchmarkHeuristicAblation(b *testing.B) {

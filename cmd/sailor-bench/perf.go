@@ -156,65 +156,6 @@ func runPerfSuite(workers int) (benchDoc, error) {
 	}
 	doc.Benches = append(doc.Benches, novel)
 
-	// Speculative serving: a diurnal-wave replan chain through a Service
-	// whose forecaster has locked onto the cycle, so every measured replan
-	// is answered from the prefetch cache. Prefetches resolve off the clock
-	// (Quiesce between steps) — ns/op is the request latency of one
-	// forecast hit, the zero-latency reconfiguration headline. Timed by
-	// hand over a fixed op count: the hit path is microseconds, and
-	// testing.Benchmark would schedule hundreds of thousands of ops whose
-	// untimed prefetch rounds dominate wall-clock.
-	dsc, ok := trace.ScenarioByName("diurnal-wave")
-	if !ok {
-		return doc, fmt.Errorf("diurnal-wave scenario not registered")
-	}
-	diurnal := dsc.TraceWith(1, trace.ScenarioOpts{Horizon: 72 * time.Hour, Base: 16}).DistinctPools()
-	specSvc := sailor.NewService(sailor.ServiceConfig{Workers: 1, MaxConcurrent: 4})
-	if err := specSvc.OpenJob("spec", sailor.OPT350M(), []core.GPUType{core.A100}, 0); err != nil {
-		return doc, err
-	}
-	var specPrev core.Plan
-	for pass := 0; pass < 2; pass++ { // lock the forecaster, warm the cache
-		if _, specPrev, err = experiments.DriveSpeculativeReplans(specSvc, "spec", diurnal, specPrev); err != nil {
-			return doc, err
-		}
-	}
-	const specCycles = 3
-	var (
-		specT                            time.Duration
-		m0, m1                           runtime.MemStats
-		specN, specHits, sExpl, sCacheHi int
-	)
-	specSvc.Quiesce()
-	runtime.ReadMemStats(&m0)
-	for c := 0; c < specCycles; c++ {
-		for _, pool := range diurnal {
-			specSvc.Quiesce()
-			t0 := time.Now()
-			res, err := specSvc.Replan(context.Background(), "spec", specPrev, pool,
-				core.MaxThroughput, core.Constraints{})
-			specT += time.Since(t0)
-			if err != nil {
-				return doc, err
-			}
-			specN++
-			if res.SpeculativeHit {
-				specHits++
-			}
-			sExpl += res.Explored
-			sCacheHi += res.CacheHits
-			specPrev = res.Plan
-		}
-	}
-	specSvc.Quiesce()
-	runtime.ReadMemStats(&m1)
-	if specHits*10 < specN*9 {
-		return doc, fmt.Errorf("replan_speculative: only %d/%d forecast hits", specHits, specN)
-	}
-	r = testing.BenchmarkResult{N: specN, T: specT,
-		MemAllocs: m1.Mallocs - m0.Mallocs, MemBytes: m1.TotalAlloc - m0.TotalAlloc}
-	doc.Benches = append(doc.Benches, row("replan_speculative/diurnal-wave", r, sExpl, sCacheHi))
-
 	churn, err := warmChurnRow()
 	if err != nil {
 		return doc, err
@@ -388,11 +329,10 @@ func writeFleetJournal(dir string) (err error) {
 // warmChurnRow is the in-process replica of the end-to-end warm-churn
 // workload (benchmarks/loadgen): one Service at the daemon's settings, eight
 // A100 tenants each cycling the distinct pools of one scenario trace, one
-// op = one Replan, prefetches included. Beside bytes and allocs per op it
-// reports the heap the service still holds after a final GC — what the warm
-// caches retain, the number the end-to-end rss_p95_mb follows. The timed
-// loop runs unquiesced, like the daemon; explored/cache_hits come from one
-// quiesced round before it, which is deterministic.
+// op = one Replan. Beside bytes and allocs per op it reports the heap the
+// service still holds after a final GC — what the warm caches retain, the
+// number the end-to-end rss_p95_mb follows. explored/cache_hits come from
+// one full round before the timed loop.
 func warmChurnRow() (benchResult, error) {
 	const tenants, ops = churnTenants, 8000
 	var m0, m1 runtime.MemStats
@@ -415,12 +355,9 @@ func warmChurnRow() (benchResult, error) {
 		}
 	}
 	next := 0
-	drive := func(n int, quiesce bool) (explored, hits int, err error) {
+	drive := func(n int) (explored, hits int, err error) {
 		for end := next + n; next < end; next++ {
 			t, step := next%tenants, next/tenants
-			if quiesce {
-				svc.Quiesce()
-			}
 			res, err := svc.Replan(context.Background(), fmt.Sprint("churn-", t), prev[t],
 				pools[t][step%len(pools[t])], core.MaxThroughput, core.Constraints{})
 			if err != nil {
@@ -428,19 +365,18 @@ func warmChurnRow() (benchResult, error) {
 			}
 			prev[t], explored, hits = res.Plan, explored+res.Explored, hits+res.CacheHits
 		}
-		svc.Quiesce()
 		return explored, hits, nil
 	}
-	if _, _, err := drive(2*round, true); err != nil { // fill the caches, lock the forecasters
+	if _, _, err := drive(2 * round); err != nil { // fill the caches
 		return benchResult{}, err
 	}
-	explored, hits, err := drive(round, true)
+	explored, hits, err := drive(round)
 	if err != nil {
 		return benchResult{}, err
 	}
 	runtime.ReadMemStats(&m0)
 	t0 := time.Now()
-	if _, _, err := drive(ops, false); err != nil {
+	if _, _, err := drive(ops); err != nil {
 		return benchResult{}, err
 	}
 	elapsed := time.Since(t0)

@@ -95,19 +95,13 @@ type daemon struct {
 // Addr returns the bound listen address.
 func (d *daemon) Addr() net.Addr { return d.srv.Addr() }
 
-// Close drains in-flight requests (speculative prefetches included), logs
-// the session's speculation hit rate, writes the chaos fault log if one
-// was requested, then — in durable mode — rotates a final snapshot so the
-// next boot replays zero journal records. A sticky journal error from the
-// session is surfaced here.
+// Close drains in-flight requests (the service runs no work of its own
+// beyond them), writes the chaos fault log if one was requested, then — in
+// durable mode — rotates a final snapshot so the next boot replays zero
+// journal records. A sticky journal error from the session is surfaced
+// here.
 func (d *daemon) Close() error {
 	d.srv.Close()
-	d.svc.Quiesce()
-	if st, err := d.svc.Stats(); err == nil && st.SpecHits+st.SpecMisses > 0 {
-		log.Printf("speculation: %d/%d replans served from prefetch (%.1f%% hit rate, %d precomputed)",
-			st.SpecHits, st.SpecHits+st.SpecMisses,
-			100*float64(st.SpecHits)/float64(st.SpecHits+st.SpecMisses), st.SpecPrecomputed)
-	}
 	if d.chaosLog != "" {
 		doc, err := d.inj.MarshalLog()
 		if err == nil {

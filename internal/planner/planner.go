@@ -142,11 +142,10 @@ type Result struct {
 	// plan re-estimated, not a new search. Always false for results the
 	// planner itself returns.
 	Degraded bool
-	// SpeculativeHit marks a result the serving layer served from its
-	// speculation cache — a plan precomputed for a forecast pool before the
-	// event arrived. The plan and estimate are bit-identical to what the
-	// search would have returned; only the telemetry above reflects the
-	// prefetch run. Always false for results the planner itself returns.
+	// SpeculativeHit is always false: no layer precomputes results any more.
+	//
+	// Deprecated: kept only for the benchmark module, its last reader; it
+	// will be deleted once that reader drops it.
 	SpeculativeHit bool
 }
 

@@ -162,9 +162,8 @@ func detachResult(r Result) Result {
 // Plan.String(), which groups identical replicas within a stage and so
 // collapses orderings the simulator distinguishes (pipeline k is built from
 // replica k of every stage, and cross-stage links are classified by zone
-// pair). The serving layer's speculation cache keys its precomputed results
-// with it (combined with the pool rendering), so a speculative entry is
-// consulted only for a byte-identical (pool, incumbent plan) pair.
+// pair), so plans sharing a key share an estimate: a plan identity for
+// maps and digests.
 func PlanKey(plan core.Plan) string {
 	b := strconv.AppendInt(make([]byte, 0, 64), int64(plan.MicroBatchSize), 10)
 	if plan.Recompute {
@@ -195,18 +194,6 @@ func NewWarmCache() *WarmCache {
 		dp:  map[warmDPKey]*dpNode{},
 		res: map[string]*Result{},
 	}
-}
-
-// Clone returns an independent warm cache holding the same entries. The
-// published DP and result generations are immutable (merge rebuilds them
-// copy-on-write), so the clone shares them at zero cost. Searches that merge into the clone never touch the original: the
-// serving layer runs speculative prefetches on clones so a mispredicted
-// prefetch leaves the job's real cache byte-untouched, and adopts the
-// clone wholesale when the prediction hits.
-func (w *WarmCache) Clone() *WarmCache {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	return &WarmCache{fp: w.fp, ev: w.ev, dp: w.dp, res: w.res}
 }
 
 // snapshot binds the cache to (fp, ev) on first use and returns the

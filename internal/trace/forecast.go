@@ -2,8 +2,9 @@ package trace
 
 // Availability forecasting. A Forecaster watches the sequence of
 // availability snapshots a job (or a fleet) has seen and predicts which
-// pools it is most likely to see next — the signal the serving layer's
-// speculative replan prefetch runs on.
+// pools it is most likely to see next. Nothing in the serving path
+// consults it: the benchmark module replays it as a standalone layer, and
+// it goes once that replay does.
 //
 // The model is deliberately tiny and fully deterministic:
 //
@@ -18,8 +19,7 @@ package trace
 //     ranking: the distinct pools seen so far ordered by how often they
 //     recur, most-recent first on ties. Recurring levels (a storm always
 //     ramping back to its base capacity) dominate that ranking, so the
-//     fallback still lands prefetches on the states the trace keeps
-//     revisiting.
+//     fallback still ranks first the states the trace keeps revisiting.
 //
 // Forecast(k) returns up to k candidate pools, the periodic prediction
 // first when one exists. The forecaster never panics on any input history
@@ -39,8 +39,10 @@ const forecastMaxHistory = 512
 
 // Forecaster predicts the next availability snapshots of an observed
 // sequence. The zero value is not usable; call NewForecaster. Not safe for
-// concurrent use — callers serialize observations (the serving layer holds
-// its own lock).
+// concurrent use — callers serialize observations.
+//
+// Deprecated: the benchmark module's forecaster replay is its last caller;
+// it will be deleted once that replay is dropped.
 type Forecaster struct {
 	// keys is the observed history, most recent last, as canonical pool
 	// renderings (cluster.Pool.String — the same zone/type/count cells the

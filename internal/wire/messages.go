@@ -139,10 +139,11 @@ type ServiceStats struct {
 	// journal is healthy. A non-empty value means writes since that error
 	// are not durable until the next snapshot rotation.
 	JournalError string `json:"journal_error,omitempty"`
-	// SpecHits counts replans answered from the speculation cache,
-	// SpecMisses those that fell through to a search, and SpecPrecomputed
-	// the prefetch plans completed for forecast pools. Omitted at zero so
-	// pre-speculation stats encodings are byte-unchanged.
+	// SpecHits, SpecMisses and SpecPrecomputed are always zero, so they
+	// are never encoded.
+	//
+	// Deprecated: kept only for the benchmark module, their last reader;
+	// they will be deleted once that reader drops them.
 	SpecHits        uint64 `json:"spec_hits,omitempty"`
 	SpecMisses      uint64 `json:"spec_misses,omitempty"`
 	SpecPrecomputed uint64 `json:"spec_precomputed,omitempty"`

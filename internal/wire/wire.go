@@ -246,10 +246,6 @@ type PlanResult struct {
 	// incumbent instead of a fresh result; omitted when false so existing
 	// goldens are byte-unchanged.
 	Degraded bool `json:"degraded,omitempty"`
-	// SpeculativeHit marks a result served from the service's speculation
-	// cache (precomputed for a forecast pool before the event arrived);
-	// omitted when false so existing goldens are byte-unchanged.
-	SpeculativeHit bool `json:"speculative_hit,omitempty"`
 }
 
 // FromResult converts a planner result to its wire shape.
@@ -263,7 +259,6 @@ func FromResult(r planner.Result) PlanResult {
 		WarmStart:       r.WarmStart,
 		CacheHits:       r.CacheHits,
 		Degraded:        r.Degraded,
-		SpeculativeHit:  r.SpeculativeHit,
 	}
 }
 
@@ -278,7 +273,6 @@ func (r PlanResult) Result() planner.Result {
 		WarmStart:       r.WarmStart,
 		CacheHits:       r.CacheHits,
 		Degraded:        r.Degraded,
-		SpeculativeHit:  r.SpeculativeHit,
 	}
 }
 

@@ -109,10 +109,8 @@ func driveGroup(t *testing.T, svc API, g []TraceEvent) crashStep {
 // marshalCrashSteps renders steps with the planner telemetry a crash
 // legitimately perturbs zeroed: search wall-clock always, plus the
 // warm-cache trajectory (explored, cache_hits, warm_start,
-// oom_plans_emitted) and the speculation marker (the forecaster feeding
-// the prefetch layer is in-memory state a crash discards) — a recovered
-// service replans from cold caches to the identical plan, but walks a
-// different search. Plans, estimates, actions, ledger versions, and lease
+// oom_plans_emitted) — a recovered service replans from cold caches to the
+// identical plan, but walks a different search. Plans, estimates, actions, ledger versions, and lease
 // tables must be byte-identical.
 func marshalCrashSteps(t *testing.T, steps []crashStep) []byte {
 	t.Helper()
@@ -136,7 +134,6 @@ func marshalCrashSteps(t *testing.T, steps []crashStep) []byte {
 			res["cache_hits"] = 0.0
 			res["warm_start"] = false
 			res["oom_plans_emitted"] = 0.0
-			delete(res, "speculative_hit")
 		}
 	}
 	out, err := json.MarshalIndent(arr, "", "  ")

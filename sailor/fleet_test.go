@@ -443,54 +443,3 @@ func TestRebalanceDoesNotShedItself(t *testing.T) {
 		t.Errorf("Overloaded = %d, want 0: Rebalance shed its own candidates", st.Overloaded)
 	}
 }
-
-// TestFleetModeNeverSpeculates drives the preemption-storm trace through a
-// three-job fleet and asserts the speculation layer stays out of it: no
-// rebalance step is marked SpeculativeHit and, once Quiesce has drained
-// whatever prefetch a fleet event or replan might have launched, every
-// spec_* counter still reads zero — nothing was consulted or precomputed,
-// so Quiesce had nothing to wait for.
-func TestFleetModeNeverSpeculates(t *testing.T) {
-	sc, ok := ScenarioByName("preemption-storm")
-	if !ok {
-		t.Fatal("preemption-storm not registered")
-	}
-	led := NewLedger(NewPool())
-	led.SetJobCap(sc.Defaults.Base / 2)
-	svc := NewService(ServiceConfig{Workers: 1, MaxConcurrent: 4, Fleet: led})
-	for i := 0; i < 3; i++ {
-		if err := svc.OpenJob(fmt.Sprintf("job-%d", i), OPT350M(), sc.GPUs, 3-i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	replans := 0
-	for i, ev := range sc.TraceWith(1, ScenarioOpts{}).Events {
-		if _, err := svc.FleetEvent(ev); err != nil {
-			t.Fatal(err)
-		}
-		steps, err := svc.Rebalance(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range steps {
-			if s.Action == "replan" {
-				replans++
-			}
-			if s.Result != nil && s.Result.SpeculativeHit {
-				t.Errorf("event %d: job %s answered from the speculation cache in fleet mode", i, s.Job)
-			}
-		}
-	}
-	if replans == 0 {
-		t.Fatal("the storm broke no lease: nothing a prefetch could have targeted")
-	}
-	svc.Quiesce()
-	st, err := svc.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SpecHits != 0 || st.SpecMisses != 0 || st.SpecPrecomputed != 0 {
-		t.Errorf("fleet mode speculated: hits=%d misses=%d precomputed=%d",
-			st.SpecHits, st.SpecMisses, st.SpecPrecomputed)
-	}
-}

@@ -11,12 +11,11 @@ import (
 
 // TestWarmCachesOwnTheirMemory is the retention oracle of the warm cache's
 // ownership rule (internal/planner/warm.go): after a long multi-tenant churn
-// the jobs' WarmCaches alone — service, searches, prefetch clones and
-// speculation entries dropped — keep only their entries alive, not the
-// scratch the entries were computed in. The workload is the in-process
-// replica of the end-to-end warm-churn benchmark: eight A100 tenants cycling
-// four scenario traces at three bases through Replan, unquiesced, so
-// prefetches run and merge concurrently with the requests. With entries
+// the jobs' WarmCaches alone — service and searches dropped — keep only
+// their entries alive, not the scratch the entries were computed in. The
+// workload is the in-process replica of the end-to-end warm-churn
+// benchmark: eight A100 tenants cycling four scenario traces at three bases
+// through Replan. With entries
 // pinning the arena chunks of the tasks that computed them this read well
 // over 300 MB; owned entries stay under 40.
 func TestWarmCachesOwnTheirMemory(t *testing.T) {
@@ -45,7 +44,6 @@ func TestWarmCachesOwnTheirMemory(t *testing.T) {
 		}
 		prev[i] = res.Plan
 	}
-	svc.Quiesce()
 	caches := make([]*planner.WarmCache, 0, tenants)
 	entries := 0
 	for i := 0; i < tenants; i++ {
@@ -53,9 +51,8 @@ func TestWarmCachesOwnTheirMemory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := svc.warmRef(j)
-		caches = append(caches, w)
-		entries += w.Entries()
+		caches = append(caches, j.warm)
+		entries += j.warm.Entries()
 	}
 	if entries == 0 {
 		t.Fatal("the churn persisted nothing")

@@ -29,7 +29,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/planner"
 	"repro/internal/rpc"
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -162,19 +161,6 @@ type Service struct {
 	queued     atomic.Int64
 	overloaded atomic.Uint64
 	degraded   atomic.Uint64
-
-	// Speculation (see speculation.go): specWG tracks in-flight prefetch
-	// workers (Quiesce waits on it).
-	specWG sync.WaitGroup
-
-	specHits        atomic.Uint64
-	specMisses      atomic.Uint64
-	specPrecomputed atomic.Uint64
-
-	// noSpeculation switches off the result-neutral speculative prefetch
-	// layer, so the in-package parity tests have a reference run to compare
-	// against. Only tests set it, before the service's first request.
-	noSpeculation bool
 }
 
 var _ API = (*Service)(nil)
@@ -188,7 +174,10 @@ type serviceJob struct {
 	// sys is the job's profiled System. It is nil for a job restored from a
 	// durable snapshot until the first request touches it (jobSystem):
 	// recovery re-registers jobs instantly and profiling re-warms lazily.
-	sys  *System
+	sys *System
+	// warm is written only while the job is built (OpenJob, Restore),
+	// before it is published in Service.jobs, so searches read it without
+	// the lock. The cache itself is safe for concurrent searches.
 	warm *planner.WarmCache
 
 	// model is the job's declared training config — the profile key that
@@ -204,13 +193,6 @@ type serviceJob struct {
 	lastPlan Plan
 	lastObj  Objective
 	lastCons Constraints
-
-	// spec is the job's speculation cache (self-locked; the zero value is
-	// ready, so restored jobs need no extra wiring) and forecast the pool
-	// forecaster feeding it, nil until the job's first replan and guarded
-	// by Service.mu.
-	spec     specCache
-	forecast *trace.Forecaster
 }
 
 // NewService returns an empty multi-tenant planning service.
@@ -424,13 +406,9 @@ func (s *Service) degrade(ctx context.Context, name string, j *serviceJob, q sea
 	return PlanResult{Plan: prev, Estimate: est, Degraded: true}, true
 }
 
-// errNoIdleSlot is search's answer to background work that found every
-// planner slot busy. It never leaves the package.
-var errNoIdleSlot = errors.New("sailor: no idle planner slot")
-
 // searchReq is one planner search on a job's behalf. Every request path —
-// Plan, Replan, a fleet grant attempt, a speculative prefetch — is one of
-// these plus what the caller does with the result.
+// Plan, Replan, a fleet grant attempt — is one of these plus what the
+// caller does with the result.
 type searchReq struct {
 	// pool is the caller's pool. It is ignored when led is set.
 	pool *Pool
@@ -445,28 +423,14 @@ type searchReq struct {
 	prev Plan
 	obj  Objective
 	cons Constraints
-	// warm searches against a warm cache: cache when set (a prefetch's
-	// private clone), otherwise the job's own — also read once the slot is
-	// held, so a queued request sees a cache a speculative hit adopted
-	// meanwhile.
-	warm  bool
-	cache *planner.WarmCache
-	// idle marks background work: it takes an idle planner slot or gives up
-	// with errNoIdleSlot — it never queues, so it can neither delay nor
-	// shed foreground requests.
-	idle bool
+	// warm searches against the job's own warm cache.
+	warm bool
 }
 
 // search is the service's one planner call: take a slot, build the job's
 // planner, search, give the slot back.
 func (s *Service) search(ctx context.Context, name string, j *serviceJob, q searchReq) (PlanResult, error) {
-	if q.idle {
-		select {
-		case s.sem <- struct{}{}:
-		default:
-			return PlanResult{}, errNoIdleSlot
-		}
-	} else if err := s.acquire(ctx); err != nil {
+	if err := s.acquire(ctx); err != nil {
 		return PlanResult{}, err
 	}
 	defer func() { <-s.sem }()
@@ -483,9 +447,7 @@ func (s *Service) search(ctx context.Context, name string, j *serviceJob, q sear
 		opts.Guard = planner.NewCapacityGuard(q.pool)
 	}
 	if q.warm {
-		if opts.Warm = q.cache; opts.Warm == nil {
-			opts.Warm = s.warmRef(j)
-		}
+		opts.Warm = j.warm
 	}
 	// An empty prev seeds nothing, so a cold plan is the same call.
 	return planner.New(sys.Model, sys.simulator, opts).ReplanContext(ctx, q.prev, q.pool)
@@ -494,13 +456,9 @@ func (s *Service) search(ctx context.Context, name string, j *serviceJob, q sear
 // serve is the foreground request path behind Plan and Replan. In fleet
 // mode the search runs over the shared ledger's view (the caller's pool is
 // ignored — the ledger is authoritative) and the returned plan holds a
-// lease.
-// Otherwise a warm request first consults the speculation layer (see
-// speculation.go): when this exact request was precomputed the cached
-// result returns without a search — and without waiting for a planner
-// slot. The slot of a real search is back before the prefetch round
-// observeReplan launches, so speculation starts with at least this
-// request's own slot idle.
+// lease. Otherwise it is one search over the caller's pool, remembered as
+// the job's last plan. Nothing runs after the reply: the Service does no
+// background work.
 func (s *Service) serve(ctx context.Context, class *atomic.Uint64, job string, q searchReq) (res PlanResult, err error) {
 	defer s.rotateIfDue()
 	done := s.begin(class)
@@ -511,20 +469,8 @@ func (s *Service) serve(ctx context.Context, class *atomic.Uint64, job string, q
 	}
 	if q.led = s.ledger(); q.led != nil {
 		res, err = s.planFleet(ctx, job, j, q)
-	} else {
-		speculate, hit := q.warm && !s.noSpeculation, false
-		if speculate {
-			res, hit = s.consultSpec(j, q)
-		}
-		if !hit {
-			res, err = s.search(ctx, job, j, q)
-		}
-		if err == nil {
-			s.recordPlan(job, j, res.Plan, q.obj, q.cons)
-			if speculate {
-				s.observeReplan(job, j, res.Plan, q)
-			}
-		}
+	} else if res, err = s.search(ctx, job, j, q); err == nil {
+		s.recordPlan(job, j, res.Plan, q.obj, q.cons)
 	}
 	if err != nil {
 		if deg, ok := s.degrade(ctx, job, j, q, err); ok {
@@ -614,8 +560,13 @@ func (s *Service) Stats() (ServiceStats, error) {
 		Overloaded:        s.overloaded.Load(),
 		Degraded:          s.degraded.Load(),
 		JournalError:      journalErr,
-		SpecHits:          s.specHits.Load(),
-		SpecMisses:        s.specMisses.Load(),
-		SpecPrecomputed:   s.specPrecomputed.Load(),
 	}, nil
 }
+
+// Quiesce returns at once: the Service runs no background work, so every
+// reply is already a deterministic function of the request history and
+// there is nothing to drain.
+//
+// Deprecated: Quiesce is a no-op kept for the benchmark module, its last
+// caller; it will be deleted once that caller drops it.
+func (s *Service) Quiesce() {}

@@ -2,9 +2,12 @@ package sailor
 
 import (
 	"context"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/wire"
 )
@@ -54,54 +57,73 @@ func canonicalResult(t *testing.T, res PlanResult) string {
 }
 
 // TestServiceReplanContinuity: per-job warm caches give each tenant the
-// same replan history System.Replan gives a dedicated System — including
-// CacheHits — and tenants never contaminate each other's caches.
+// same replan history System.Replan gives a dedicated System — byte for
+// byte on the wire codec, CacheHits included — and tenants never
+// contaminate each other's caches. The second input is a long diurnal-wave
+// chain replayed twice, so its second pass is served from stored results.
+// No goroutine outlives the replies: the Service runs no background work,
+// so there is nothing to drain before its state is final.
 func TestServiceReplanContinuity(t *testing.T) {
-	pools := replayPools(t, "preemption-storm", 1, 6)
-	svc := NewService(ServiceConfig{Workers: 2})
-	for _, job := range []string{"a", "b"} {
-		if err := svc.OpenJob(job, OPT350M(), []GPUType{A100}, 0); err != nil {
-			t.Fatal(err)
-		}
+	sc, ok := ScenarioByName("diurnal-wave")
+	if !ok {
+		t.Fatal("diurnal-wave scenario not registered")
 	}
-	sys, err := New(OPT350M(), []GPUType{A100}, WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var prevSys Plan
-	wantHits := make([]int, len(pools))
-	wantPlans := make([]string, len(pools))
-	for i, pool := range pools {
-		res, err := sys.Replan(prevSys, pool, MaxThroughput, Constraints{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantHits[i], wantPlans[i], prevSys = res.CacheHits, res.Plan.String(), res.Plan
-	}
-	// Tenant "a" replays the same history; tenant "b" interleaves plans that
-	// must not perturb a's cache-hit trajectory.
-	var prevA Plan
-	totalHits := 0
-	for i, pool := range pools {
-		if _, err := svc.Plan(context.Background(), "b", pool, MaxThroughput, Constraints{}); err != nil {
-			t.Fatal(err)
-		}
-		res, err := svc.Replan(context.Background(), "a", prevA, pool, MaxThroughput, Constraints{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Plan.String() != wantPlans[i] {
-			t.Errorf("pool %d: service replan plan diverged", i)
-		}
-		if res.CacheHits != wantHits[i] {
-			t.Errorf("pool %d: service CacheHits = %d, want %d (tenant isolation broken?)",
-				i, res.CacheHits, wantHits[i])
-		}
-		totalHits += res.CacheHits
-		prevA = res.Plan
-	}
-	if totalHits == 0 {
-		t.Error("service replan chain never hit the warm cache")
+	diurnal := sc.TraceWith(1, ScenarioOpts{Horizon: 72 * time.Hour, Base: 16}).DistinctPools()[:60]
+	for _, in := range []struct {
+		name  string
+		pools []*Pool
+	}{
+		{"preemption-storm", replayPools(t, "preemption-storm", 1, 6)},
+		{"diurnal-wave-twice", slices.Concat(diurnal, diurnal)},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			svc := NewService(ServiceConfig{Workers: 2})
+			for _, job := range []string{"a", "b"} {
+				if err := svc.OpenJob(job, OPT350M(), []GPUType{A100}, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sys, err := New(OPT350M(), []GPUType{A100}, WithWorkers(2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var prevSys Plan
+			want := make([]string, len(in.pools))
+			for i, pool := range in.pools {
+				res, err := sys.Replan(prevSys, pool, MaxThroughput, Constraints{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i], prevSys = canonicalResult(t, res), res.Plan
+			}
+			// Tenant "a" replays the same history; tenant "b" interleaves
+			// plans that must not perturb a's cache-hit trajectory.
+			goroutines := runtime.NumGoroutine()
+			var prevA Plan
+			totalHits := 0
+			for i, pool := range in.pools {
+				if _, err := svc.Plan(context.Background(), "b", pool, MaxThroughput, Constraints{}); err != nil {
+					t.Fatal(err)
+				}
+				res, err := svc.Replan(context.Background(), "a", prevA, pool, MaxThroughput, Constraints{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := canonicalResult(t, res); got != want[i] {
+					t.Errorf("pool %d: service replan diverged from System (tenant isolation broken?):\n%s\nvs\n%s",
+						i, got, want[i])
+				}
+				totalHits += res.CacheHits
+				prevA = res.Plan
+			}
+			if totalHits == 0 {
+				t.Error("service replan chain never hit the warm cache")
+			}
+			if n := runtime.NumGoroutine(); n > goroutines {
+				t.Errorf("%d goroutines after the last reply, %d before the first request: the service left work running",
+					n, goroutines)
+			}
+		})
 	}
 }
 
