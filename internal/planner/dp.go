@@ -202,11 +202,11 @@ func nodeOf(c stageChoice, child *dpNode, st nodeStats) dpNode {
 }
 
 // winner materialises a memoized state's winner, detaching its groups from
-// the incumbent buffer. A warm task publishes every such node, so it is born
+// the incumbent buffer. A warm task stores every such node, so it is born
 // cache-owned (as its child was, or the cache served it); a cold task's
 // nodes die with the DP degree and come from the arenas.
 func (t *task) winner(c stageChoice, child *dpNode, st nodeStats) *dpNode {
-	if t.s.warmOn {
+	if t.s.warm != nil {
 		return ownedNode(nodeOf(c, child, st))
 	}
 	c.groups = t.allocGroups(c.groups)
@@ -253,18 +253,18 @@ func (t *task) solveDP(rs *regionState, layers []int, i, ri, d, mbs, nb int, bud
 		if n, ok := t.memoGet(memoKey); ok {
 			return n
 		}
-		// Warm start: consult the snapshot of DP memos persisted by earlier
-		// replans. A hit short-circuits the whole subtree (it neither counts
-		// as explored nor recurses), which is where Replan's speedup on
-		// churn traces comes from. Hits are re-published so the merge's
-		// over-cap eviction keeps the live working set rather than retaining
-		// only the latest search's misses.
-		if t.s.warmOn {
+		// Warm start: consult the DP memos persisted by earlier replans. A
+		// hit short-circuits the whole subtree (it neither counts as
+		// explored nor recurses), which is where Replan's speedup on churn
+		// traces comes from. Hits are handed back to store so its over-cap
+		// eviction keeps the live working set rather than retaining only
+		// the latest search's misses.
+		if t.s.warm != nil {
 			full := t.warmKey(memoKey)
-			if n, ok := t.s.warmDP[full]; ok {
+			if n, ok := t.s.warm.dp[full]; ok {
 				t.warmHits++
 				t.memoPut(memoKey, n)
-				t.pend.dp = append(t.pend.dp, warmEntry[warmDPKey, *dpNode]{full, n})
+				t.pend = append(t.pend, warmEntry{full, n})
 				return n
 			}
 		}
@@ -345,13 +345,13 @@ func (t *task) solveDP(rs *regionState, layers []int, i, ri, d, mbs, nb int, bud
 	}
 	if memoized {
 		t.memoPut(memoKey, best)
-		if t.s.warmOn && !t.s.expired() {
+		if t.s.warm != nil && !t.s.expired() {
 			// Persist only nodes from uncancelled exploration: a cut-off
 			// subtree may have skipped choices, and caching its partial
 			// best would poison later replans. nil results (infeasible
 			// suffixes) are cached too — knowing a region state cannot
 			// host the remaining stages is as reusable as a solution.
-			t.pend.dp = append(t.pend.dp, warmEntry[warmDPKey, *dpNode]{t.warmKey(memoKey), best})
+			t.pend = append(t.pend, warmEntry{t.warmKey(memoKey), best})
 		}
 	}
 	return best
@@ -433,7 +433,7 @@ func undoChoice(rs *regionState, c stageChoice) {
 // stay valid for the whole scan; callers clone what outlives the scan.
 func (t *task) stageCombos(rs *regionState, region, layers, stage, pp, d, mbs, nb int) []stageChoice {
 	// The cell arrays are sized here, not in init: a warm task whose scans
-	// are served from the snapshot never enumerates a combo, so it never
+	// are served from the warm cache never enumerates a combo, so it never
 	// pays for them.
 	// Growing keeps the cells' buffers: an earlier, shallower job's lists
 	// are stale (comboOK is false until rebuilt) but their capacity is not.

@@ -27,7 +27,7 @@ type dpSlot struct {
 
 // dpTableInitSlots is the initial capacity. It is deliberately small:
 // warm replans spin up many short-lived tasks whose scans are served
-// almost entirely from the persisted snapshot, so most tables never see
+// almost entirely from the persisted warm cache, so most tables never see
 // more than a handful of inserts. Cold scans double their way up via
 // grow, whose rehash work telescopes to ~2x the final size — noise next
 // to evaluating the nodes that filled the table.
@@ -35,7 +35,7 @@ const dpTableInitSlots = 1 << 6
 
 // reset starts a new scan: every existing slot becomes vacant at once.
 // Allocation is deferred to the first put — a scan served entirely from
-// the warm snapshot never stores an entry, so it never builds a table.
+// the warm cache never stores an entry, so it never builds a table.
 func (t *dpTable) reset() {
 	// Epoch 0 is the vacant value of freshly allocated slots; every scan
 	// runs at a later one.

@@ -68,7 +68,7 @@ func (c *cuttingEvaluator) Estimate(p core.Plan) (core.Estimate, error) {
 }
 
 // TestReplanMemoSkipsCutSearches: a search cut by its Deadline or by a
-// cancelled context publishes no result, even though it returns the best
+// cancelled context stores no result, even though it returns the best
 // plan it found, so the next replan of the pool searches again; only a
 // search that runs to completion is stored.
 func TestReplanMemoSkipsCutSearches(t *testing.T) {

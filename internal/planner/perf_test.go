@@ -32,7 +32,7 @@ func dpLab(tb testing.TB, pool *cluster.Pool, gpus ...core.GPUType) (*Planner, *
 		Objective: core.MaxThroughput, Heuristics: AllHeuristics(), Workers: 1,
 	})
 	rs := newRegionState(pool, true)
-	s := newSearch(pl, context.Background(), "")
+	s := newSearch(pl, context.Background(), nil)
 	tb.Cleanup(s.stop)
 	s.bindState(rs, pool)
 	layers := partitionLayers(cfg.Layers, 4)

@@ -118,8 +118,10 @@ type Options struct {
 
 // Result is the planner's output plus search telemetry.
 type Result struct {
-	Plan       core.Plan
-	Estimate   core.Estimate
+	Plan     core.Plan
+	Estimate core.Estimate
+	// SearchTime is the call's wall-clock time, including any wait for the
+	// warm cache while another search holds it.
 	SearchTime time.Duration
 	// Explored counts DP nodes plus full simulator evaluations.
 	Explored int
@@ -128,7 +130,7 @@ type Result struct {
 	// that skip memory modelling (Figures 8-9 bold numbers).
 	OOMPlansEmitted int
 	// WarmStart reports whether the search ran against a warm cache
-	// snapshot (Options.Warm set and fingerprint-compatible).
+	// (Options.Warm set and fingerprint-compatible).
 	WarmStart bool
 	// CacheHits counts DP subtrees served from the warm cache's memo
 	// generation instead of being re-explored; each hit also subtracts the
@@ -280,27 +282,32 @@ func (pl *Planner) planContext(ctx context.Context, pool *cluster.Pool, prev *co
 		ctx, cancel = context.WithTimeout(ctx, pl.Opts.Deadline)
 		defer cancel()
 	}
-	var fp, key string
-	if pl.Opts.Warm != nil {
-		fp = pl.fingerprint()
-	}
 	if err := ctx.Err(); err != nil {
-		if seed := pl.seedFromPrev(prev, pool); seed != nil {
-			res := seed.res
-			res.SearchTime = time.Since(start)
-			return res, nil
-		}
-		return Result{}, fmt.Errorf("planner: %w", err)
+		return pl.cutOff(start, prev, pool, err)
 	}
+	// warm is the cache this call holds until it returns: nil when there is
+	// none or it belongs to another fingerprint, which searches cold.
+	var warm *WarmCache
+	var key string
 	if w := pl.Opts.Warm; w != nil {
-		key = poolKey(pool)
-		if res, ok := w.result(fp, pl.Sim, key); ok {
-			if err := pl.Opts.Guard.Check(res.Plan); err != nil {
-				return Result{SearchTime: time.Since(start)}, err
+		if err := w.acquire(ctx); err != nil {
+			return pl.cutOff(start, prev, pool, err)
+		}
+		if !w.bind(pl.fingerprint(), pl.Sim) {
+			w.release()
+		} else {
+			warm = w
+			defer w.release()
+			key = poolKey(pool)
+			if r, ok := w.res[key]; ok {
+				res := detachResult(*r)
+				if err := pl.Opts.Guard.Check(res.Plan); err != nil {
+					return Result{SearchTime: time.Since(start)}, err
+				}
+				res.SearchTime = time.Since(start)
+				res.Explored, res.WarmStart, res.CacheHits = 0, true, 1
+				return res, nil
 			}
-			res.SearchTime = time.Since(start)
-			res.Explored, res.WarmStart, res.CacheHits = 0, true, 1
-			return res, nil
 		}
 	}
 	seed := pl.seedFromPrev(prev, pool)
@@ -309,16 +316,16 @@ func (pl *Planner) planContext(ctx context.Context, pool *cluster.Pool, prev *co
 		return Result{}, fmt.Errorf("planner: empty resource pool")
 	}
 
-	s := newSearch(pl, ctx, fp)
+	s := newSearch(pl, ctx, warm)
 	defer s.stop()
 	s.runPass(rs, pool)
-	if s.warmOn {
-		p := s.pending()
+	if warm != nil {
+		var r *Result
 		if s.best != nil && !s.expired() {
-			r := detachResult(s.best.res)
-			p.res = []warmEntry[string, *Result]{{key, &r}}
+			d := detachResult(s.best.res)
+			r = &d
 		}
-		pl.Opts.Warm.merge(fp, p)
+		warm.store(s.pending(), key, r)
 	}
 	// The seed is a fallback, not a competitor: a search that runs to
 	// completion returns exactly what cold planning returns, and the
@@ -340,9 +347,21 @@ func (pl *Planner) planContext(ctx context.Context, pool *cluster.Pool, prev *co
 	best := s.best.res
 	best.SearchTime = time.Since(start)
 	best.Explored = int(s.explored.Load())
-	best.WarmStart = s.warmOn
+	best.WarmStart = warm != nil
 	best.CacheHits = int(s.warmHits.Load())
 	return best, nil
+}
+
+// cutOff answers a call whose context ended before its search began — in
+// the queue for the warm cache or earlier: the previous plan when it still
+// fits the pool, else the context's error.
+func (pl *Planner) cutOff(start time.Time, prev *core.Plan, pool *cluster.Pool, err error) (Result, error) {
+	if seed := pl.seedFromPrev(prev, pool); seed != nil {
+		res := seed.res
+		res.SearchTime = time.Since(start)
+		return res, nil
+	}
+	return Result{}, fmt.Errorf("planner: %w", err)
 }
 
 // nodeGPUs resolves the node size of a GPU type (heuristic H1 caps TP at

@@ -40,14 +40,13 @@ type search struct {
 	zoneAvail   []int
 	bucketZones [][]int
 
-	// Warm start (Options.Warm): warmDP is a read-only snapshot of the
-	// persisted DP memos taken when the search starts — every task may read
-	// it lock-free; what the search merges back into the cache at the end
-	// accumulates per worker (task.pend). shape is the pool-shape descriptor
-	// shared by every persisted key of this search.
-	warmOn   bool
+	// Warm start (Options.Warm): warm is the cache the search holds for its
+	// whole run, so every task reads its DP memo map lock-free and nothing
+	// writes it until the workers are done; what the search stores into it
+	// at the end accumulates per worker (task.pend). shape is the pool-shape
+	// descriptor shared by every persisted key of this search.
+	warm     *WarmCache
 	shape    string
-	warmDP   map[warmDPKey]*dpNode
 	warmHits atomic.Int64
 
 	// scratch holds one task per worker, reset — not reallocated — between
@@ -85,14 +84,10 @@ func (c *candidate) signature() string {
 	return c.sig
 }
 
-// newSearch starts a search; fp is the fingerprint of a warm planner.
-func newSearch(pl *Planner, ctx context.Context, fp string) *search {
-	s := &search{pl: pl, watch: make(chan struct{})}
-	if w := pl.Opts.Warm; w != nil {
-		if dp, ok := w.snapshot(fp, pl.Sim); ok {
-			s.warmOn, s.warmDP = true, dp
-		}
-	}
+// newSearch starts a search; warm, when set, is the bound cache the caller
+// holds.
+func newSearch(pl *Planner, ctx context.Context, warm *WarmCache) *search {
+	s := &search{pl: pl, warm: warm, watch: make(chan struct{})}
 	if d := ctx.Done(); d != nil {
 		// Latch cancellation into an atomic so the hot DP loop polls a
 		// plain load instead of taking the context's lock per node.
@@ -132,7 +127,7 @@ func (s *search) bindState(rs *regionState, pool *cluster.Pool) {
 			}
 		}
 	}
-	if s.warmOn {
+	if s.warm != nil {
 		s.shape = rs.shape()
 	}
 	s.ratePerSec = make([]float64, len(rs.types))
@@ -149,15 +144,15 @@ func (s *search) bindState(rs *regionState, pool *cluster.Pool) {
 	}
 }
 
-// pending gathers what the search's workers publish: the first worker's
-// lists, the others' appended.
-func (s *search) pending() (p warmPending) {
+// pending gathers the DP entries the search's workers store: the first
+// worker's list, the others' appended.
+func (s *search) pending() (p []warmEntry) {
 	for i, t := range s.scratch {
 		if i == 0 {
 			p = t.pend
 			continue
 		}
-		p.dp = append(p.dp, t.pend.dp...)
+		p = append(p, t.pend...)
 	}
 	return p
 }
@@ -280,9 +275,9 @@ type task struct {
 	// persisted keys of the current DP-degree scan share.
 	scan warmDPKey
 	// pend accumulates, over every job this worker runs, the DP entries the
-	// search will publish (see search.pending).
+	// search will store (see search.pending).
 	// explored/warmHits batch one job's telemetry counters.
-	pend     warmPending
+	pend     []warmEntry
 	explored int64
 	warmHits int64
 
@@ -293,7 +288,7 @@ type task struct {
 	domSufMax []float64
 
 	// nodes and groups are the arenas of the DP's escaping values (newNode,
-	// allocGroups) other than those a warm task publishes (winner).
+	// allocGroups) other than those a warm task stores (winner).
 	// sigA/sigB are the scratch of the piecewise signature tie-breaks.
 	nodes      chunked[dpNode]
 	groups     chunked[replicaGroup]

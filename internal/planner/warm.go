@@ -11,7 +11,7 @@ package planner
 //     (poolKey), so a replan of a pool already solved — a diurnal wave
 //     cycling, a preemption storm returning to its base — is a lookup
 //     that builds no region state. Only a search that ran to completion
-//     publishes its result; a deadline-cut or cancelled one stores nothing.
+//     stores its result; a deadline-cut or cancelled one stores nothing.
 //
 // Both generations hold pure functions of their keys, so serving from them can
 // never change which plan a completed search returns: a warm Replan picks
@@ -20,20 +20,23 @@ package planner
 // Ownership: the cache owns every byte it keeps alive. A stored result is a
 // detached copy and each hit returns its own copy. A search works in scratch
 // it recycles between its (pp, mbs) jobs and drops when it ends
-// (search.go), and nothing it publishes points into that scratch: a DP node
-// that will be published is built in storage of its own — node and group
+// (search.go), and nothing it stores points into that scratch: a DP node
+// that will be stored is built in storage of its own — node and group
 // composition in one exactly-sized allocation (ownedNode), its child either
 // such a node or one the cache served — so a cache entry costs its own size,
 // not the arena chunk it happened to be carved from.
 //
-// Concurrency and determinism: searches read a copy-on-write snapshot of
-// the DP memo map taken when the search starts and publish their newly
-// computed entries in one merge when they finish. Reads therefore never
-// observe a concurrent writer, and a sequential caller (one replan after
-// another, the elastic controller's shape) gets bit-identical results —
-// including Explored and CacheHits — at any Options.Workers setting.
-// Concurrent searches over one shared cache remain race-free and return
-// correct plans; only their telemetry counters become schedule-dependent.
+// Concurrency and determinism: a cache serves one search at a time. A warm
+// search takes the cache before its stored-result lookup and holds it until
+// it returns, after storing its entries, so its workers read the live DP
+// memo map without locks and the search writes what it computed straight
+// into it. A
+// search waiting for the cache honours its context: a caller whose deadline
+// passes in the queue gets the answer of a search cut off before it began.
+// A sequential caller (one replan after another, the elastic controller's
+// shape) gets bit-identical results — including Explored and CacheHits — at
+// any Options.Workers setting, and concurrent searches on one cache give
+// the counters of running them one after another in the order they took it.
 //
 // A WarmCache is bound to the first planner fingerprint (model, objective,
 // constraints, heuristics, evaluator instance) that uses it; planners with
@@ -41,20 +44,19 @@ package planner
 // incompatible entries.
 
 import (
-	"maps"
+	"context"
 	"slices"
 	"strconv"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 )
 
-// warmMaxEntries caps the persisted DP memo size. A merge that would grow
+// warmMaxEntries caps the persisted DP memo size. A store that would grow
 // past the cap drops the old generation and keeps only the newest search's
-// entries, bounding memory on unboundedly long churn traces. Searches
-// re-publish the entries they hit, so the retained set is the live working
-// set, not just the latest search's misses.
+// entries, bounding memory on unboundedly long churn traces. A search's
+// entries include those the cache served it, so the retained set is the
+// live working set, not just the latest search's misses.
 const warmMaxEntries = 1 << 17
 
 // warmMaxResults caps the stored search results under the same rule.
@@ -62,7 +64,7 @@ const warmMaxResults = 1 << 10
 
 // warmDPKey is the packed persisted-memo key: the pool-shape descriptor,
 // the scan parameters that change what the DP optimises, and the packed
-// per-node state. A comparable struct, so snapshots merge and probe without
+// per-node state. A comparable struct, so searches store and probe without
 // re-hashing fmt-built strings — the shape string is computed once per
 // search and shared by every key of that search.
 type warmDPKey struct {
@@ -75,10 +77,10 @@ type warmDPKey struct {
 	key      dpKey
 }
 
-// warmEntry is one key/value pair a search publishes.
-type warmEntry[K comparable, V any] struct {
-	key K
-	val V
+// warmEntry is one DP memo entry a search stores.
+type warmEntry struct {
+	key warmDPKey
+	val *dpNode
 }
 
 // owned lays a cache-owned dpNode and its group composition — G is an array
@@ -111,8 +113,10 @@ func ownedNode(n dpNode) *dpNode {
 // WarmCache carries planner state across replans. The zero value is not
 // usable; call NewWarmCache.
 type WarmCache struct {
-	mu sync.RWMutex
-	fp string
+	// sem is the one-slot channel a search holds while it uses the cache;
+	// it guards every field below.
+	sem chan struct{}
+	fp  string
 	// ev is the evaluator the cached nodes and results were computed
 	// against, compared by identity. Holding the reference also keeps the
 	// evaluator alive, so a recycled allocation can never alias a new
@@ -190,96 +194,66 @@ func PlanKey(plan core.Plan) string {
 
 // NewWarmCache returns an empty warm-start cache.
 func NewWarmCache() *WarmCache {
-	return &WarmCache{
-		dp:  map[warmDPKey]*dpNode{},
-		res: map[string]*Result{},
+	return &WarmCache{sem: make(chan struct{}, 1)}
+}
+
+// acquire takes the cache for one search, or gives up with ctx's error when
+// ctx is done first.
+func (w *WarmCache) acquire(ctx context.Context) error {
+	select {
+	case w.sem <- struct{}{}:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
 }
 
-// snapshot binds the cache to (fp, ev) on first use and returns the
-// current read-only DP memo generation. ok is false when the cache already
-// belongs to a different fingerprint or evaluator instance.
-func (w *WarmCache) snapshot(fp string, ev Evaluator) (map[warmDPKey]*dpNode, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
+// release hands the cache to the next search.
+func (w *WarmCache) release() { <-w.sem }
+
+// bind binds a held cache to (fp, ev) on first use. It reports false when
+// the cache already belongs to a different fingerprint or evaluator
+// instance.
+func (w *WarmCache) bind(fp string, ev Evaluator) bool {
 	if w.fp == "" && w.ev == nil {
 		w.fp, w.ev = fp, ev
 	}
-	if w.fp != fp || w.ev != ev {
-		return nil, false
-	}
-	return w.dp, true
+	return w.fp == fp && w.ev == ev
 }
 
-// result returns a copy of the stored result of a completed search over the
-// pool keyed key, when the cache is bound to (fp, ev) and holds one.
-func (w *WarmCache) result(fp string, ev Evaluator, key string) (Result, bool) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
-	r, ok := w.res[key]
-	if !ok || w.fp != fp || w.ev != ev {
-		return Result{}, false
-	}
-	return detachResult(*r), true
-}
-
-// warmPending is what a search publishes when it ends: the entries the
-// snapshot served it (so over-cap eviction keeps the working set), the
-// entries it computed and, when it ran to completion, its result.
-type warmPending struct {
-	dp  []warmEntry[warmDPKey, *dpNode]
-	res []warmEntry[string, *Result]
-}
-
-// merge publishes the entries of a finished search. The published maps are
-// rebuilt copy-on-write so snapshots handed to in-flight searches are never
-// mutated underneath them.
-func (w *WarmCache) merge(fp string, p warmPending) {
-	if len(p.dp) == 0 && len(p.res) == 0 {
-		return
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.fp != fp {
-		return
-	}
-	w.dp = publish(w.dp, p.dp, warmMaxEntries)
-	w.res = publish(w.res, p.res, warmMaxResults)
-}
-
-// publish returns the generation that follows cur once a search's entries
-// are folded in. A steady-state search re-publishes only entries the cache
-// already holds — values are pure functions of their keys, so nothing is
-// written and cur is returned as is: the merge is an O(pending) key scan.
-// Past limit entries the old generation is dropped and the next holds just
-// the search's own entries; either way it is sized for what it will hold.
-func publish[K comparable, V any](cur map[K]V, pending []warmEntry[K, V], limit int) map[K]V {
+// store files a finished search's DP entries — those the cache served it,
+// so over-cap eviction keeps the working set, and those it computed — and,
+// when it ran to completion, its result under the pool key. Values are pure
+// functions of their keys, so a search that found every entry already
+// stored writes nothing. The first fill, and a fill that would grow past
+// warmMaxEntries, starts a fresh map sized for the search's own entries.
+func (w *WarmCache) store(entries []warmEntry, key string, res *Result) {
 	missing := 0
-	for _, e := range pending {
-		if _, ok := cur[e.key]; !ok {
+	for _, e := range entries {
+		if _, ok := w.dp[e.key]; !ok {
 			missing++
 		}
 	}
-	if missing == 0 {
-		return cur
+	if missing > 0 {
+		if len(w.dp) == 0 || len(w.dp)+len(entries) > warmMaxEntries {
+			w.dp = make(map[warmDPKey]*dpNode, len(entries))
+		}
+		for _, e := range entries {
+			w.dp[e.key] = e.val
+		}
 	}
-	var next map[K]V
-	if len(cur)+len(pending) <= limit {
-		next = make(map[K]V, len(cur)+missing)
-		maps.Copy(next, cur)
-	} else {
-		next = make(map[K]V, len(pending))
+	if res != nil {
+		if w.res == nil || len(w.res) >= warmMaxResults {
+			w.res = make(map[string]*Result, 1)
+		}
+		w.res[key] = res
 	}
-	for _, e := range pending {
-		next[e.key] = e.val
-	}
-	return next
 }
 
 // Entries reports the persisted cache size in DP memos. Stored search
 // results are not counted.
 func (w *WarmCache) Entries() int {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
+	w.sem <- struct{}{}
+	defer w.release()
 	return len(w.dp)
 }

@@ -2,11 +2,13 @@ package planner
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -124,7 +126,7 @@ func TestReplanMatchesColdPlanning(t *testing.T) {
 
 // TestReplanDeterministicAcrossWorkers: a sequential replan chain produces
 // bit-identical telemetry — plans, Explored, CacheHits — at any worker
-// count, because warm reads come from a start-of-search snapshot.
+// count, because no worker writes the warm cache while a search runs.
 func TestReplanDeterministicAcrossWorkers(t *testing.T) {
 	cfg := model.OPT350M()
 	mk := warmLab(t, cfg, core.A100)
@@ -270,27 +272,40 @@ func TestEstKeyDistinguishesReplicaOrder(t *testing.T) {
 }
 
 // TestWarmCacheConcurrentReplans: many goroutines replanning through one
-// shared cache stay race-free (run under -race) and each returns the same
-// plan cold planning returns for its pool.
+// shared cache stay race-free (run under -race), each returns the plan cold
+// planning returns for its pool, and the cache serves them one at a time:
+// every distinct pool is searched exactly once, by whichever goroutine took
+// the cache first, with the (Explored, CacheHits) of one sequential warm
+// chain over the same pools, and every other reply is a stored-result hit.
 func TestWarmCacheConcurrentReplans(t *testing.T) {
 	cfg := model.OPT350M()
 	mk := warmLab(t, cfg, core.A100)
-	warm := NewWarmCache()
 	pools := stormPools(3)
 	if len(pools) > 6 {
 		pools = pools[:6]
 	}
 	coldPlans := make([]string, len(pools))
+	chain := make([][2]int, len(pools))
+	seq := mk(Options{Objective: core.MaxThroughput, Workers: 2, Warm: NewWarmCache()})
 	for i, p := range pools {
 		cold, err := mk(Options{Objective: core.MaxThroughput}).Plan(p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		coldPlans[i] = cold.Plan.String()
+		res, err := seq.Replan(core.Plan{}, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain[i] = [2]int{res.Explored, res.CacheHits}
 	}
+
+	const goroutines = 4
+	warm := NewWarmCache()
+	var got [goroutines][][2]int
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
-	for g := 0; g < 4; g++ {
+	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -305,6 +320,7 @@ func TestWarmCacheConcurrentReplans(t *testing.T) {
 				if res.Plan.String() != coldPlans[i] {
 					t.Errorf("goroutine %d pool %d: warm plan diverged from cold", g, i)
 				}
+				got[g] = append(got[g], [2]int{res.Explored, res.CacheHits})
 				prev = res.Plan
 			}
 		}(g)
@@ -313,6 +329,99 @@ func TestWarmCacheConcurrentReplans(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+	if t.Failed() {
+		return
+	}
+	// A pool the chain served whole (one sharing an earlier pool's key) is
+	// searched by nobody.
+	hit := [2]int{0, 1}
+	for i := range pools {
+		want, searched := 1, 0
+		if chain[i] == hit {
+			want = 0
+		}
+		for g := range got {
+			if r := got[g][i]; r != hit {
+				searched++
+				if r != chain[i] {
+					t.Errorf("pool %d: searched reply (explored, hits) = %v, sequential chain %v", i, r, chain[i])
+				}
+			}
+		}
+		if searched != want {
+			t.Errorf("pool %d searched %d times across %d goroutines, want %d", i, searched, goroutines, want)
+		}
+	}
+}
+
+// TestWarmCacheWaiterHonoursContext: a replan queued behind a search that
+// holds the cache gives up when its deadline passes, with the answer of a
+// search cut off before it began — the previous plan when it still fits,
+// else the deadline error — and leaves the cache untouched; once the cache
+// is free, replans search and store as usual.
+func TestWarmCacheWaiterHonoursContext(t *testing.T) {
+	cfg := model.OPT350M()
+	mk := warmLab(t, cfg, core.A100)
+	warm := NewWarmCache()
+	pl := mk(Options{Objective: core.MaxThroughput, Workers: 1, Warm: warm})
+	pool := cluster.NewPool().Set(zoneA, core.A100, 16)
+	prev, err := mk(Options{Objective: core.MaxThroughput, Workers: 1}).Plan(pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const wait = 20 * time.Millisecond
+	if err := warm.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, seeded := range []bool{true, false} {
+		var from core.Plan
+		if seeded {
+			from = prev.Plan
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), wait)
+		res, err := pl.ReplanContext(ctx, from, pool)
+		cancel()
+		if seeded {
+			if err != nil {
+				t.Fatalf("seeded waiter: %v", err)
+			}
+			if !reflect.DeepEqual(res.Plan, prev.Plan) || res.Explored != 0 || res.WarmStart || res.CacheHits != 0 {
+				t.Errorf("seeded waiter: got %s (explored %d, warm %v, hits %d), want the previous plan unsearched",
+					res.Plan, res.Explored, res.WarmStart, res.CacheHits)
+			}
+			if res.SearchTime < wait {
+				t.Errorf("seeded waiter: SearchTime %v omits the %v wait for the cache", res.SearchTime, wait)
+			}
+		} else if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("unseeded waiter: err = %v, want one wrapping context.DeadlineExceeded", err)
+		}
+		// The test holds the cache, so reading its maps here is race-free.
+		if len(warm.dp) != 0 || len(warm.res) != 0 {
+			t.Errorf("seeded=%v waiter changed the cache: %d DP entries, %d results", seeded, len(warm.dp), len(warm.res))
+		}
+	}
+	warm.release()
+
+	res, err := pl.Replan(prev.Plan, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res.Plan, prev.Plan) || !res.WarmStart || res.Explored == 0 {
+		t.Errorf("replan after release: got %s (explored %d, warm %v), want a warm search of the cold plan",
+			res.Plan, res.Explored, res.WarmStart)
+	}
+	if warm.Entries() == 0 || len(warm.res) != 1 {
+		t.Errorf("replan after release stored %d DP entries and %d results", warm.Entries(), len(warm.res))
+	}
+	again, err := pl.Replan(res.Plan, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Explored != 0 || again.CacheHits != 1 {
+		t.Errorf("second replan after release: (explored, hits) = (%d, %d), want a stored-result hit (0, 1)",
+			again.Explored, again.CacheHits)
 	}
 }
 
@@ -381,7 +490,7 @@ func TestWarmVsColdParityDiurnalCycle(t *testing.T) {
 }
 
 // TestWarmCacheOverCapKeepsWorkingSet drives a cache past warmMaxEntries: the
-// merge that would overflow drops the old generation and retains exactly
+// store that would overflow drops the old generation and retains exactly
 // the overflowing search's working set — sized for it, not for the cap —
 // and the following replan, served from that set alone, is bit-identical to
 // cold planning.
@@ -396,16 +505,16 @@ func TestWarmCacheOverCapKeepsWorkingSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fill the DP generation to the cap with entries no search will ask for.
-	var filler warmPending
+	var filler []warmEntry
 	for i := len(warm.dp); i < warmMaxEntries; i++ {
-		filler.dp = append(filler.dp, warmEntry[warmDPKey, *dpNode]{key: warmDPKey{shape: "filler", pp: int32(i)}})
+		filler = append(filler, warmEntry{key: warmDPKey{shape: "filler", pp: int32(i)}})
 	}
-	warm.merge(pl.fingerprint(), filler)
+	warm.store(filler, "", nil)
 	if got := len(warm.dp); got != warmMaxEntries {
 		t.Fatalf("filled cache holds %d DP entries, want %d", got, warmMaxEntries)
 	}
 
-	// A search over a new pool publishes hits and fresh entries; one fresh
+	// A search over a new pool stores hits and fresh entries; one fresh
 	// key is enough to overflow.
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -418,11 +527,11 @@ func TestWarmCacheOverCapKeepsWorkingSet(t *testing.T) {
 		t.Fatal("precondition: the second pool must compute new entries")
 	}
 	if got := len(warm.dp); got >= warmMaxEntries/2 {
-		t.Fatalf("over-cap merge kept %d DP entries: the old generation was not dropped", got)
+		t.Fatalf("over-cap store kept %d DP entries: the old generation was not dropped", got)
 	}
 	for k := range warm.dp {
 		if k.shape == "filler" {
-			t.Fatal("over-cap merge retained an entry outside the last search's working set")
+			t.Fatal("over-cap store retained an entry outside the last search's working set")
 		}
 	}
 	// A cap-sized map alone is > 10 MB; the whole replan stays far below.

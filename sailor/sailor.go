@@ -434,7 +434,9 @@ func (s *System) PlanContext(ctx context.Context, pool *Pool, obj Objective, con
 // lets successive replans skip DP region states earlier searches already
 // solved. A warm replan that runs to completion returns exactly the plan
 // Plan returns on the same pool; PlanResult.CacheHits reports the reuse.
-// Replan is safe to call concurrently with itself and with Plan.
+// Replan is safe to call concurrently with itself and with Plan, but the
+// warm cache serves one search at a time: concurrent Replans on one System
+// search one after another, and each one's SearchTime includes its wait.
 //
 // The warm cache binds to the first (objective, constraints) pair that
 // replans; calls with a different pair still work but search cold.

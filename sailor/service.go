@@ -177,7 +177,9 @@ type serviceJob struct {
 	sys *System
 	// warm is written only while the job is built (OpenJob, Restore),
 	// before it is published in Service.jobs, so searches read it without
-	// the lock. The cache itself is safe for concurrent searches.
+	// the lock. The cache serves one search at a time: concurrent warm
+	// requests on one job search one after another, each holding its
+	// MaxConcurrent slot while it waits.
 	warm *planner.WarmCache
 
 	// model is the job's declared training config — the profile key that
