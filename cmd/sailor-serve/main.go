@@ -1,8 +1,11 @@
 // Command sailor-serve runs the Sailor planner as a long-lived daemon: a
-// multi-tenant sailor.Service hosted over the repository's length-prefixed
-// JSON rpc framing. Clients open named jobs, then plan, replan, and
-// simulate against them; sailor-plan and sailor-replay speak the protocol
-// via their -server flag, and any Go program can use sailor.Dial.
+// multi-tenant sailor.Service hosted over the repository's rpc framing: a
+// binary frame header (frame version byte, wire code, call id, deadline,
+// method and error lengths) followed by a JSON body, so client and daemon
+// must share the frame version byte. Clients open named jobs, then plan,
+// replan, and simulate against them; sailor-plan and sailor-replay speak
+// the protocol via their -server flag, and any Go program can use
+// sailor.Dial.
 //
 // Usage:
 //

@@ -1,8 +1,13 @@
 // Package rpc is a minimal request/response message layer over TCP, the
 // stand-in for the paper's gRPC control plane (§5.5 "topology broadcast
-// (using grpc)"). Frames are length-prefixed JSON; each request carries an
-// id echoed by the response, so one connection multiplexes concurrent
-// calls. Stdlib only.
+// (using grpc)"). A frame is a u32 length, a fixed binary header — the
+// frame version byte, a wire code, the call id, the deadline budget and the
+// lengths of the method and error strings — then those strings, then the
+// JSON body, which passes through the frame untouched: each body is
+// marshalled once by its sender and unmarshalled once by its receiver. Both
+// peers must share the frame version byte; a peer speaking any other
+// framing loses its connection. Each request carries an id echoed by the
+// response, so one connection multiplexes concurrent calls. Stdlib only.
 //
 // Shutdown is graceful: Server.Close stops accepting, lets every in-flight
 // handler finish and flush its reply, answers requests that arrive during
@@ -14,9 +19,9 @@
 // distinguish "retry" from "back off" from "stop".
 //
 // Deadlines propagate end to end: CallContext stamps the context's
-// remaining budget on the request envelope, the server wraps the handler's
-// context with it, and deadline failures come back wire-coded so the
-// caller sees context.DeadlineExceeded rather than an opaque string.
+// remaining budget in the request frame's header, the server wraps the
+// handler's context with it, and deadline failures come back wire-coded so
+// the caller sees context.DeadlineExceeded rather than an opaque string.
 package rpc
 
 import (
@@ -27,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -51,44 +57,66 @@ var (
 	ErrOverloaded = errors.New("rpc: server overloaded")
 )
 
-// Wire codes tag machine-readable error classes on reply envelopes, so the
-// client surfaces typed errors rather than opaque strings.
+// Wire codes tag machine-readable error classes on reply frames, so the
+// client surfaces typed errors rather than opaque strings. A frame carrying
+// a code past codeDeadline is malformed.
 const (
+	// codeNone marks a success or a plain handler error.
+	codeNone byte = iota
 	// codeServerClosed marks a shutdown refusal.
-	codeServerClosed = "server-closed"
+	codeServerClosed
 	// codeOverloaded marks a request shed by an overloaded server.
-	codeOverloaded = "overloaded"
+	codeOverloaded
 	// codeDeadline marks a handler cut off by the request's own deadline.
-	codeDeadline = "deadline"
+	codeDeadline
 )
 
 // MaxFrame bounds a frame to keep a corrupt length prefix from allocating
 // unbounded memory.
 const MaxFrame = 64 << 20
 
+// frameVersion opens every frame header; a peer speaking another framing
+// fails the check and loses the connection.
+const frameVersion = 0xB1
+
+// headerLen is the fixed part of a frame after its length prefix: version,
+// code, id (u64), timeout (i64), method length (u16), error length (u32).
+const headerLen = 1 + 1 + 8 + 8 + 2 + 4
+
 // drainTimeout bounds how long Close waits for in-flight replies to flush:
 // a client that stopped reading would otherwise block a reply write — and
 // with it the drain — forever. A var so tests can shorten it.
 var drainTimeout = 10 * time.Second
 
-// encodeFrame renders one length-prefixed JSON message.
-func encodeFrame(v any) ([]byte, error) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
+// encodeFrame renders one frame: the u32 length of what follows, the fixed
+// header, then the method, error and body bytes. The body is copied as is.
+func encodeFrame(env envelope) ([]byte, error) {
+	if len(env.Method) > math.MaxUint16 {
+		return nil, fmt.Errorf("rpc: method name of %d bytes exceeds limit", len(env.Method))
 	}
-	if len(body) > MaxFrame {
-		return nil, fmt.Errorf("rpc: frame of %d bytes exceeds limit", len(body))
+	n := headerLen + len(env.Method) + len(env.Err) + len(env.Body)
+	if n > MaxFrame {
+		return nil, fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
 	}
-	frame := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(frame[:4], uint32(len(body)))
-	copy(frame[4:], body)
+	frame := make([]byte, 4+n)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	h := frame[4:]
+	h[0] = frameVersion
+	h[1] = env.Code
+	binary.BigEndian.PutUint64(h[2:], env.ID)
+	binary.BigEndian.PutUint64(h[10:], uint64(env.TimeoutNS))
+	binary.BigEndian.PutUint16(h[18:], uint16(len(env.Method)))
+	binary.BigEndian.PutUint32(h[20:], uint32(len(env.Err)))
+	off := headerLen
+	off += copy(h[off:], env.Method)
+	off += copy(h[off:], env.Err)
+	copy(h[off:], env.Body)
 	return frame, nil
 }
 
-// frame writes one length-prefixed JSON message.
-func writeFrame(w io.Writer, v any) error {
-	frame, err := encodeFrame(v)
+// writeFrame writes one frame in a single Write.
+func writeFrame(w io.Writer, env envelope) error {
+	frame, err := encodeFrame(env)
 	if err != nil {
 		return err
 	}
@@ -96,35 +124,81 @@ func writeFrame(w io.Writer, v any) error {
 	return err
 }
 
-// readFrame reads one length-prefixed JSON message into v.
-func readFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > MaxFrame {
-		return fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return err
-	}
-	return json.Unmarshal(body, v)
+// frameReader is what readFrame reads from: a bufio.Reader on a connection.
+type frameReader interface {
+	io.Reader
+	io.ByteReader
 }
 
-// envelope wraps every wire message.
+// readFrame reads one frame. The length prefix is checked against MaxFrame
+// before the frame's buffer is allocated, and the returned body is a slice
+// of that buffer.
+func readFrame(r frameReader) (envelope, error) {
+	var n uint32
+	for i := 0; i < 4; i++ {
+		b, err := r.ReadByte()
+		if err != nil {
+			if i > 0 && err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return envelope{}, err
+		}
+		n = n<<8 | uint32(b)
+	}
+	if n > MaxFrame {
+		return envelope{}, fmt.Errorf("rpc: frame of %d bytes exceeds limit", n)
+	}
+	if n < headerLen {
+		return envelope{}, fmt.Errorf("rpc: frame of %d bytes is shorter than its header", n)
+	}
+	frame := make([]byte, n)
+	if _, err := io.ReadFull(r, frame); err != nil {
+		return envelope{}, err
+	}
+	return parseFrame(frame)
+}
+
+// parseFrame decodes a frame (without its length prefix). Method and Err
+// are copied; Body aliases frame.
+func parseFrame(frame []byte) (envelope, error) {
+	if frame[0] != frameVersion {
+		return envelope{}, fmt.Errorf("rpc: frame version %#x, want %#x", frame[0], frameVersion)
+	}
+	env := envelope{
+		Code:      frame[1],
+		ID:        binary.BigEndian.Uint64(frame[2:]),
+		TimeoutNS: int64(binary.BigEndian.Uint64(frame[10:])),
+	}
+	if env.Code > codeDeadline {
+		return envelope{}, fmt.Errorf("rpc: unknown wire code %d", env.Code)
+	}
+	ml := uint64(binary.BigEndian.Uint16(frame[18:]))
+	el := uint64(binary.BigEndian.Uint32(frame[20:]))
+	if ml+el > uint64(len(frame)-headerLen) {
+		return envelope{}, fmt.Errorf("rpc: method (%d B) and error (%d B) overrun a %d-byte frame", ml, el, len(frame))
+	}
+	off := headerLen
+	env.Method = string(frame[off : off+int(ml)])
+	off += int(ml)
+	env.Err = string(frame[off : off+int(el)])
+	env.Body = frame[off+int(el):]
+	return env, nil
+}
+
+// envelope is one wire message: a request (Method, Body, TimeoutNS) or a
+// reply (Body, or Err and Code), matched by ID.
 type envelope struct {
-	ID     uint64          `json:"id"`
-	Method string          `json:"method,omitempty"`
-	Body   json.RawMessage `json:"body,omitempty"`
-	Err    string          `json:"err,omitempty"`
+	ID     uint64
+	Method string
+	Body   json.RawMessage
+	Err    string
 	// Code tags machine-readable error classes (see codeServerClosed).
-	Code string `json:"code,omitempty"`
+	Code byte
 	// TimeoutNS is the caller's remaining deadline budget, carried as a
-	// relative duration (absolute times don't survive clock skew); the
-	// server bounds the handler's context with it.
-	TimeoutNS int64 `json:"timeout_ns,omitempty"`
+	// relative duration (absolute times don't survive clock skew) in the
+	// request frame's header; the server bounds the handler's context with
+	// it.
+	TimeoutNS int64
 }
 
 // Handler serves one method: it receives the request context (carrying the
@@ -182,10 +256,20 @@ func (s *Server) Serve() {
 			}
 			return
 		}
+		// Register under mu, and refuse once Close has begun: Close takes mu
+		// after closing s.closed, so every registered conn is in its
+		// snapshot and every connWG.Add is ordered before its Wait.
 		s.mu.Lock()
+		select {
+		case <-s.closed:
+			s.mu.Unlock()
+			conn.Close()
+			return
+		default:
+		}
 		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
 		s.connWG.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.connWG.Done()
 			s.serveConn(conn)
@@ -220,8 +304,8 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 	}
 	for {
-		var req envelope
-		if err := readFrame(r, &req); err != nil {
+		req, err := readFrame(r)
+		if err != nil {
 			return
 		}
 		s.mu.RLock()
@@ -260,16 +344,16 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// errCode maps a handler failure to its wire code ("" for plain errors),
-// so typed error classes survive the string-typed wire.
-func errCode(err error) string {
+// errCode maps a handler failure to its wire code (codeNone for plain
+// errors), so typed error classes survive the string-typed error field.
+func errCode(err error) byte {
 	switch {
 	case errors.Is(err, ErrOverloaded):
 		return codeOverloaded
 	case errors.Is(err, context.DeadlineExceeded):
 		return codeDeadline
 	}
-	return ""
+	return codeNone
 }
 
 // Close stops accepting, drains in-flight handlers (their replies are
@@ -372,8 +456,8 @@ func (c *Client) fail(err error) {
 func (c *Client) readLoop() {
 	r := bufio.NewReader(c.conn)
 	for {
-		var env envelope
-		if err := readFrame(r, &env); err != nil {
+		env, err := readFrame(r)
+		if err != nil {
 			c.fail(fmt.Errorf("%w: %v", ErrConnectionLost, err))
 			return
 		}
@@ -396,7 +480,7 @@ func (c *Client) Call(method string, req, resp any) error {
 }
 
 // CallContext is Call with a per-call deadline: the context's remaining
-// budget rides the request envelope (the server bounds the handler with
+// budget rides the request frame's header (the server bounds the handler with
 // it), and a context that expires while the call is in flight abandons the
 // reply and returns ctx.Err(). The connection stays usable — a late reply
 // to an abandoned id is dropped by the read loop. A context that is already
@@ -483,7 +567,7 @@ func (c *Client) CallContext(ctx context.Context, method string, req, resp any) 
 	}
 }
 
-// decodeReply surfaces a reply envelope as a typed error or the decoded
+// decodeReply surfaces a reply frame as a typed error or the decoded
 // response body.
 func decodeReply(env envelope, resp any) error {
 	if env.Err != "" {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -486,6 +487,55 @@ func TestWriteFailureTypedConnectionLost(t *testing.T) {
 		if err := c.Call("echo", "x", nil); !errors.Is(err, ErrConnectionLost) {
 			t.Fatalf("call %d on severed conn = %v, want ErrConnectionLost", i, err)
 		}
+	}
+}
+
+// writeFailConn fails every write while its reads block, so the write
+// path, not the read loop, is the one that sees the transport die.
+type writeFailConn struct{ net.Conn }
+
+func (writeFailConn) Write([]byte) (int, error) { return 0, errors.New("broken pipe") }
+
+// TestWriteFailurePoisonsClient: a failed request write fails that call and
+// every later one with ErrConnectionLost, deterministically on the write
+// path.
+func TestWriteFailurePoisonsClient(t *testing.T) {
+	local, remote := net.Pipe()
+	defer remote.Close()
+	c := NewClient(writeFailConn{local})
+	defer c.Close()
+	err := c.Call("echo", "x", nil)
+	if !errors.Is(err, ErrConnectionLost) || !strings.Contains(err.Error(), "write: broken pipe") {
+		t.Fatalf("call with a failing write = %v, want ErrConnectionLost from the write", err)
+	}
+	if err := c.Call("echo", "x", nil); !errors.Is(err, ErrConnectionLost) {
+		t.Fatalf("later call = %v, want ErrConnectionLost", err)
+	}
+}
+
+// chanListener hands out the conns sent on it. Its Close does not unblock
+// Accept, so a test can deliver a conn after the server's Close returned.
+type chanListener struct{ conns chan net.Conn }
+
+func (l chanListener) Accept() (net.Conn, error) { return <-l.conns, nil }
+func (chanListener) Close() error                { return nil }
+func (chanListener) Addr() net.Addr              { return &net.TCPAddr{} }
+
+// TestConnAcceptedAfterCloseIsRefused: a conn the listener hands over once
+// Close has begun is closed at once, not served outside the drain.
+func TestConnAcceptedAfterCloseIsRefused(t *testing.T) {
+	lis := chanListener{conns: make(chan net.Conn)}
+	s := NewServer(lis)
+	served := make(chan struct{})
+	go func() { s.Serve(); close(served) }()
+	s.Close()
+	local, remote := net.Pipe()
+	defer remote.Close()
+	lis.conns <- local
+	<-served
+	remote.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := remote.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("read from a conn accepted after Close = %v, want io.EOF", err)
 	}
 }
 

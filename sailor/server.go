@@ -1,9 +1,11 @@
 package sailor
 
-// Server hosts a Service over the internal/rpc length-prefixed-JSON
-// framing — the transport cmd/sailor-serve exposes and Client speaks. Every
-// method body is a versioned wire message; version mismatches are refused
-// before any work happens.
+// Server hosts a Service over internal/rpc — the transport cmd/sailor-serve
+// exposes and Client speaks. Each rpc frame is a binary header (frame
+// version byte, wire code, call id, deadline, method and error lengths)
+// followed by a JSON body; both peers must share the frame version byte.
+// Every method body is a versioned wire message; version mismatches are
+// refused before any work happens.
 
 import (
 	"context"
