@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"io"
 	"net"
-	"repro/internal/wire"
 	"strings"
 	"testing"
 )
@@ -359,15 +358,5 @@ func TestPassThroughInjector(t *testing.T) {
 	}
 	if c := in.Counters(); c.ClientConns != 1 {
 		t.Fatalf("counters %+v", c)
-	}
-}
-
-// TestScheduleVersionLockstep pins the fault-schedule schema to the wire
-// schema, like trace files and snapshots: one envelope dialect, versioned
-// together.
-func TestScheduleVersionLockstep(t *testing.T) {
-	if FileVersion != wire.Version {
-		t.Fatalf("chaos.FileVersion = %d, wire.Version = %d; the envelope dialects must version together",
-			FileVersion, wire.Version)
 	}
 }

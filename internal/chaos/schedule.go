@@ -25,9 +25,9 @@ import (
 	"fmt"
 )
 
-// FileVersion is the fault-schedule schema version this build speaks. It
-// moves in lockstep with wire.Version (pinned by a test); decoding rejects
-// every other version by name.
+// FileVersion is the fault-schedule schema version this build speaks;
+// decoding rejects every other version by name. Bump it when the
+// schedule's shape changes incompatibly.
 const FileVersion = 1
 
 // fileKind is the envelope kind of a fault-schedule document.
@@ -115,8 +115,8 @@ type Schedule struct {
 	Faults []Rule
 }
 
-// fileEnvelope mirrors wire.Envelope so chaos stays independent of the
-// wire package's import graph.
+// fileEnvelope is a fault-schedule document's header: version, kind, and
+// the body, decoded once the header checks out.
 type fileEnvelope struct {
 	V    int             `json:"v"`
 	Kind string          `json:"kind"`

@@ -47,6 +47,27 @@ func (p *Pool) Add(z core.Zone, g core.GPUType, n int) *Pool {
 	return p
 }
 
+// CheckCounts rejects a caller-supplied pool with a negative cell (Zones
+// would drop that zone's real GPUs), naming the first in zone-then-GPU
+// order. A nil pool passes; Subtract and Add never make a cell negative.
+func (p *Pool) CheckCounts() error {
+	if p == nil {
+		return nil
+	}
+	var bad *Entry
+	for z, m := range p.counts {
+		for g, c := range m {
+			if c < 0 && (bad == nil || z.Name < bad.Zone.Name || z.Name == bad.Zone.Name && g < bad.GPU) {
+				bad = &Entry{Zone: z, GPU: g, Count: c}
+			}
+		}
+	}
+	if bad != nil {
+		return fmt.Errorf("cluster: pool cell %s/%s has negative count %d", bad.Zone.Name, bad.GPU, bad.Count)
+	}
+	return nil
+}
+
 // Available returns the allocatable GPU count for (z, g).
 func (p *Pool) Available(z core.Zone, g core.GPUType) int {
 	return p.counts[z][g]

@@ -266,3 +266,20 @@ func TestOnPrem(t *testing.T) {
 		t.Fatalf("OnPrem() = %+v", z)
 	}
 }
+
+func TestCheckCounts(t *testing.T) {
+	za, zb := GCPZone("us-central1", 'a'), GCPZone("us-central1", 'b')
+	if err := NewPool().Set(za, core.A100, 16).Set(za, core.V100, 0).CheckCounts(); err != nil {
+		t.Errorf("non-negative pool: %v", err)
+	}
+	var nilPool *Pool
+	if err := nilPool.CheckCounts(); err != nil {
+		t.Errorf("nil pool: %v", err)
+	}
+	// The first negative cell in zone-then-GPU order is named.
+	p := NewPool().Set(zb, core.A100, -1).Set(za, core.A100, 16).Set(za, core.V100, -20).Set(za, core.H100, -3)
+	err := p.CheckCounts()
+	if err == nil || !strings.Contains(err.Error(), "us-central1-a/"+string(core.H100)) || !strings.Contains(err.Error(), "-3") {
+		t.Errorf("err = %v, want the us-central1-a %s cell named with count -3", err, core.H100)
+	}
+}

@@ -4,7 +4,7 @@ package persist
 //
 //	u32 payload length | u32 CRC-32 (IEEE) of payload | payload
 //
-// (big-endian), where the payload is a compact wire envelope
+// (big-endian), where the payload is a compact envelope
 // {"v":1,"kind":"journal","body":{record}}. The CRC plus the contiguous
 // per-generation sequence number make torn appends detectable: decoding
 // stops cleanly at the first frame that is truncated, fails its checksum,
@@ -72,7 +72,8 @@ type Record struct {
 	Version uint64 `json:"version,omitempty"`
 }
 
-// envelope is wire.Envelope with a typed body, so a snapshot or record
+// envelope is the self-describing header of every persisted document,
+// {"v":1,"kind":...,"body":{...}}, with a typed body so a snapshot or record
 // encodes and decodes in one JSON pass, to the same bytes.
 type envelope[T any] struct {
 	V    int    `json:"v"`
@@ -93,8 +94,8 @@ func decodeEnvelope[T any](data []byte, kind string) (T, error) {
 	}
 	// Decode fills the header past an unknown or mistyped body field: name
 	// another version or kind rather than the field it tripped on.
-	if verr := wire.Check(env.V); verr != nil {
-		return zero, fmt.Errorf("persist: %s: %w", kind, verr)
+	if env.V != FormatVersion {
+		return zero, fmt.Errorf("persist: %s: unsupported format version %d (this build speaks v%d)", kind, env.V, FormatVersion)
 	}
 	if env.Kind != kind {
 		return zero, fmt.Errorf("persist: envelope kind %q, want %q", env.Kind, kind)
@@ -107,7 +108,7 @@ func decodeEnvelope[T any](data []byte, kind string) (T, error) {
 
 // encodeRecord renders one framed journal record.
 func encodeRecord(rec Record) ([]byte, error) {
-	payload, err := json.Marshal(envelope[Record]{V: FormatVersion, Kind: wire.KindJournal, Body: rec})
+	payload, err := json.Marshal(envelope[Record]{V: FormatVersion, Kind: kindJournal, Body: rec})
 	if err != nil {
 		return nil, fmt.Errorf("persist: marshal record %d: %w", rec.Seq, err)
 	}
@@ -161,7 +162,7 @@ func decodeJournal(data []byte) (recs []Record, tail int, err error) {
 
 // decodeRecord parses one checksummed frame payload strictly.
 func decodeRecord(payload []byte) (Record, error) {
-	rec, err := decodeEnvelope[Record](payload, wire.KindJournal)
+	rec, err := decodeEnvelope[Record](payload, kindJournal)
 	if err != nil {
 		return Record{}, err
 	}

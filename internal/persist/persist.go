@@ -56,10 +56,13 @@ import (
 	"repro/internal/wire"
 )
 
-// FormatVersion is the on-disk schema version of snapshots and journal
-// records. It moves in lockstep with wire.Version (pinned by a test):
-// decoding rejects every other version by name.
-const FormatVersion = wire.Version
+// FormatVersion is the on-disk schema version of snapshot and journal
+// documents (kinds kindSnapshot and kindJournal); decoding rejects every
+// other version by name. Records embed wire DTOs: a change to one shows up
+// as a diff in testdata/record-frames.golden.
+const FormatVersion = 1
+
+const kindJournal, kindSnapshot = "journal", "snapshot"
 
 // A journal is due for rotation at max(RotateRatio × its snapshot's bytes,
 // RotateMinBytes): replay then costs about what loading the snapshot does,

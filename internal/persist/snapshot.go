@@ -1,7 +1,7 @@
 package persist
 
 // Snapshot codec: the full service state as one deterministic, versioned
-// wire document {"v":1,"kind":"snapshot","body":{...}}. Encoding equal
+// document {"v":1,"kind":"snapshot","body":{...}}. Encoding equal
 // states yields identical bytes (jobs sorted by name, leases in admission
 // order, struct fields in declaration order, no maps), so goldens and the
 // round-trip fuzz target can compare snapshots byte for byte. Decoding
@@ -166,7 +166,7 @@ func EncodeSnapshot(gen uint64, state *State) ([]byte, error) {
 	if err := state.validate(); err != nil {
 		return nil, err
 	}
-	doc, err := json.MarshalIndent(envelope[snapshotBody]{V: FormatVersion, Kind: wire.KindSnapshot,
+	doc, err := json.MarshalIndent(envelope[snapshotBody]{V: FormatVersion, Kind: kindSnapshot,
 		Body: snapshotBody{Gen: gen, State: *state}}, "", "  ")
 	if err != nil {
 		return nil, fmt.Errorf("persist: marshal snapshot: %w", err)
@@ -177,7 +177,7 @@ func EncodeSnapshot(gen uint64, state *State) ([]byte, error) {
 // DecodeSnapshot parses a snapshot document, rejecting unknown schema
 // versions, kinds, and fields by name.
 func DecodeSnapshot(data []byte) (uint64, *State, error) {
-	body, err := decodeEnvelope[snapshotBody](data, wire.KindSnapshot)
+	body, err := decodeEnvelope[snapshotBody](data, kindSnapshot)
 	if err != nil {
 		return 0, nil, err
 	}

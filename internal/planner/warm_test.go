@@ -381,7 +381,9 @@ func TestWarmCacheWaiterHonoursContext(t *testing.T) {
 			from = prev.Plan
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), wait)
+		deadline, _ := ctx.Deadline()
 		res, err := pl.ReplanContext(ctx, from, pool)
+		end := time.Now()
 		cancel()
 		if seeded {
 			if err != nil {
@@ -391,8 +393,12 @@ func TestWarmCacheWaiterHonoursContext(t *testing.T) {
 				t.Errorf("seeded waiter: got %s (explored %d, warm %v, hits %d), want the previous plan unsearched",
 					res.Plan, res.Explored, res.WarmStart, res.CacheHits)
 			}
-			if res.SearchTime < wait {
-				t.Errorf("seeded waiter: SearchTime %v omits the %v wait for the cache", res.SearchTime, wait)
+			// The wait ends no earlier than the deadline, so a SearchTime
+			// that counts it reaches back from the call's return to before
+			// the deadline; one that starts after the wait cannot.
+			if start := end.Add(-res.SearchTime); !start.Before(deadline) {
+				t.Errorf("seeded waiter: SearchTime %v starts %v after the cache wait's deadline; it omits the wait",
+					res.SearchTime, start.Sub(deadline))
 			}
 		} else if !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("unseeded waiter: err = %v, want one wrapping context.DeadlineExceeded", err)

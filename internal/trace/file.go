@@ -1,15 +1,13 @@
 package trace
 
-// External trace files: a wire-style versioned JSON schema (plus a CSV
-// import path) for availability traces, so real cloud availability and
-// spot-preemption logs replay through sailor-replay and the fleet path
-// exactly like the built-in scenario families.
+// External trace files: a versioned JSON schema (plus a CSV import path)
+// for availability traces, so real cloud availability and spot-preemption
+// logs replay through sailor-replay and the fleet path exactly like the
+// built-in scenario families.
 //
-// The document is the same self-describing envelope internal/wire speaks —
-// {"v":1,"kind":"trace","body":{...}} — but the codec lives here rather
-// than in wire because wire imports this package; wire re-exports it as
-// MarshalTrace/UnmarshalTrace so the two surfaces stay in lockstep (a test
-// in internal/wire pins FileVersion == wire.Version).
+// The document is a self-describing envelope,
+// {"v":1,"kind":"trace","body":{...}}, whose version is this file format's
+// own (FileVersion).
 //
 // Encoding is canonical and deterministic: events are stably sorted by
 // timestamp (insertion order preserved within one instant — order matters
@@ -33,8 +31,9 @@ import (
 	"repro/internal/core"
 )
 
-// FileVersion is the trace-file schema version this build speaks. It moves
-// in lockstep with wire.Version; decoders reject every other version.
+// FileVersion is the trace-file schema version this build speaks; decoders
+// reject every other version. Bump it when the document's shape changes
+// incompatibly.
 const FileVersion = 1
 
 // fileKind is the envelope kind of a trace document.
@@ -51,8 +50,8 @@ type File struct {
 	Trace *Trace
 }
 
-// fileEnvelope mirrors wire.Envelope so the trace package stays free of a
-// dependency on internal/wire (which imports this package).
+// fileEnvelope is a trace document's header: version, kind, and the
+// body, decoded once the header checks out.
 type fileEnvelope struct {
 	V    int             `json:"v"`
 	Kind string          `json:"kind"`

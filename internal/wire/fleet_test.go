@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 	"time"
 
@@ -73,5 +74,27 @@ func TestFromLeaseAndSnapshot(t *testing.T) {
 	// Free/Capacity pools carry the cell-level detail.
 	if st.Free.Cluster().Available(z, core.A100) != 4 {
 		t.Error("free pool lost cell detail")
+	}
+
+	// Every field, on literals: a lease row, a snapshot with a job cap, and
+	// an empty snapshot, which has no lease rows.
+	plan := fleetTestPlan(z, 3, 2)
+	le := fleet.Lease{Job: "j", Priority: -2, Plan: plan, Acquired: 7}
+	wantRow := LeaseInfo{Job: "j", Priority: -2, GPUs: 6, AcquiredVersion: 7, Plan: FromPlan(plan)}
+	if got := FromLease(le); !reflect.DeepEqual(got, wantRow) {
+		t.Errorf("FromLease = %+v, want %+v", got, wantRow)
+	}
+	capPool := cluster.NewPool().Set(z, core.A100, 16).Set(z, core.V100, 4)
+	free := cluster.NewPool().Set(z, core.A100, 10).Set(z, core.V100, 4)
+	got := FromFleetSnapshot(fleet.Snapshot{Version: 9, Capacity: capPool, Free: free,
+		JobCap: 12, Leases: []fleet.Lease{le}})
+	want := FleetStats{Version: 9, CapacityGPUs: 20, LeasedGPUs: 6, FreeGPUs: 14, JobCapGPUs: 12,
+		Capacity: FromPool(capPool), Free: FromPool(free), Leases: []LeaseInfo{wantRow}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("FromFleetSnapshot =\n%+v\nwant\n%+v", got, want)
+	}
+	empty := FromFleetSnapshot(fleet.Snapshot{Capacity: cluster.NewPool(), Free: cluster.NewPool()})
+	if empty.Leases != nil || empty.LeasedGPUs != 0 || empty.Capacity.Entries != nil {
+		t.Errorf("empty snapshot = %+v", empty)
 	}
 }

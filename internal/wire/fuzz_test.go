@@ -1,16 +1,15 @@
 package wire
 
-// FuzzWireRoundTrip drives the codec with structured values synthesized
-// from the fuzzer's primitive inputs: decode(encode(x)) must reproduce x
-// for plans, constraints, and (canonically) pools, and envelopes carrying
-// any other schema version must be rejected with the unsupported-version
+// FuzzWireRoundTrip sends structured values synthesized from the fuzzer's
+// primitive inputs across the wire as an rpc body does: the JSON of FromX(x)
+// must decode back to x for plans, constraints, and (canonically) pools, and
+// Check must reject any other schema version with the unsupported-version
 // error. The seed corpus covers the shapes the planner actually emits —
 // single-stage, heterogeneous multi-replica, recompute — and the fuzzer
 // mutates dimensions, counts, and names from there.
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -33,64 +32,33 @@ func FuzzWireRoundTrip(f *testing.F) {
 		gpu = strings.ToValidUTF8(gpu, "�")
 		region = strings.ToValidUTF8(region, "�")
 		plan := fuzzPlan(pp, dp, tp, layersPerStage, gpu, region, recompute)
-		data, err := MarshalPlan(plan)
-		if err != nil {
-			t.Fatalf("MarshalPlan(%+v): %v", plan, err)
-		}
-		back, err := UnmarshalPlan(data)
-		if err != nil {
-			t.Fatalf("UnmarshalPlan: %v\n%s", err, data)
-		}
-		if !reflect.DeepEqual(back, plan) {
-			t.Errorf("plan round trip:\n%+v\nvs\n%+v", back, plan)
+		wp, data := roundTrip(t, FromPlan(plan))
+		if back := wp.Core(); !reflect.DeepEqual(back, plan) {
+			t.Errorf("plan round trip:\n%+v\nvs\n%+v\n%s", back, plan, data)
 		}
 
 		cons := core.Constraints{MaxCostPerIter: budget, MinThroughput: minTput, MaxIterTime: maxIter}
 		if isFiniteConstraints(cons) {
-			data, err = MarshalConstraints(cons)
-			if err != nil {
-				t.Fatalf("MarshalConstraints: %v", err)
-			}
-			backC, err := UnmarshalConstraints(data)
-			if err != nil {
-				t.Fatalf("UnmarshalConstraints: %v", err)
-			}
-			if backC != cons {
+			wc, _ := roundTrip(t, FromConstraints(cons))
+			if backC := wc.Core(); backC != cons {
 				t.Errorf("constraints round trip: %+v vs %+v", backC, cons)
 			}
 		}
 
 		pool := fuzzPool(gpu, region, count, dp)
-		data, err = MarshalPool(pool)
-		if err != nil {
-			t.Fatalf("MarshalPool: %v", err)
-		}
-		backP, err := UnmarshalPool(data)
-		if err != nil {
-			t.Fatalf("UnmarshalPool: %v", err)
-		}
+		wpool, data := roundTrip(t, FromPool(pool))
+		backP := wpool.Cluster()
 		if backP.String() != pool.String() {
 			t.Errorf("pool round trip:\n%svs\n%s", backP, pool)
 		}
-		again, err := MarshalPool(backP)
-		if err != nil {
-			t.Fatalf("re-MarshalPool: %v", err)
-		}
-		if !bytes.Equal(again, data) {
+		if _, again := roundTrip(t, FromPool(backP)); !bytes.Equal(again, data) {
 			t.Errorf("pool encoding not canonical:\n%s\nvs\n%s", again, data)
 		}
 
 		// Any other schema version must be rejected, loudly and by name.
-		if version != Version {
-			env := Envelope{V: version, Kind: KindPlan, Body: json.RawMessage(`{}`)}
-			bad, err := json.Marshal(env)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := UnmarshalPlan(bad); err == nil ||
-				!strings.Contains(err.Error(), "unsupported schema version") {
-				t.Errorf("version %d must be rejected, got %v", version, err)
-			}
+		if err := Check(version); (err == nil) != (version == Version) ||
+			err != nil && !strings.Contains(err.Error(), "unsupported schema version") {
+			t.Errorf("Check(%d) = %v", version, err)
 		}
 	})
 }

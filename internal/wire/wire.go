@@ -1,14 +1,15 @@
-// Package wire is the versioned serialization boundary of the planner
-// service: JSON shapes (DTOs) for every domain type a request or response
-// carries — models, pools, constraints, plans, estimates, planner results,
-// and elastic-run reports — plus the request/response messages of the
-// sailor.Service front door.
+// Package wire is the schema of the planner service's rpc messages: JSON
+// shapes (DTOs) for every domain type a request or response carries —
+// models, pools, constraints, plans, estimates, planner results, and fleet
+// tables — plus the request/response messages of the sailor.Service front
+// door.
 //
 // The package exists so that the domain packages stay codec-free:
 // internal/core and internal/cluster know nothing about JSON, and wire owns
-// the mapping in both directions. Every top-level message carries a schema
-// version (Version); decoding rejects versions this build does not speak
-// with a clear error instead of guessing.
+// the mapping in both directions. Every message carries a schema version
+// (Version); Check rejects versions this build does not speak with a clear
+// error instead of guessing. Files on disk (journals, snapshots, trace
+// files, fault schedules) version their own formats in their own packages.
 //
 // Encoding is deterministic: DTOs contain no maps (pools serialize as
 // entry lists in the canonical zone-then-GPU order of cluster.Entries), and
@@ -17,11 +18,9 @@
 // determinism tests compare responses byte-for-byte against in-process
 // planning, and what makes golden tests of CLI -json output stable.
 //
-// Round-trip guarantee: for every codec pair, Unmarshal(Marshal(x))
-// reproduces x — exactly (reflect.DeepEqual) for plans, constraints,
-// models, estimates, results, and reports; canonically (equal String
-// rendering and equal re-encoding) for pools, whose zero-count cells are
-// dropped on encode. FuzzWireRoundTrip in this package enforces both.
+// Round trip: the JSON of FromX(x), decoded and converted back, is x —
+// exactly for plans, constraints, models, estimates, and results;
+// canonically for pools, whose zero-count cells are dropped on encode.
 package wire
 
 import (
@@ -306,22 +305,6 @@ func FromPhaseTimings(t runtime.PhaseTimings) PhaseTimings {
 	}
 }
 
-// Runtime converts back to the domain type.
-func (t PhaseTimings) Runtime() runtime.PhaseTimings {
-	return runtime.PhaseTimings{
-		Planning:        t.Planning,
-		Cleanup:         t.Cleanup,
-		Broadcast:       t.Broadcast,
-		GroupInit:       t.GroupInit,
-		ModelRedef:      t.ModelRedef,
-		Dataloader:      t.Dataloader,
-		CkptLoad:        t.CkptLoad,
-		RolledBackIters: t.RolledBackIters,
-		PlanCacheHits:   t.PlanCacheHits,
-		PlanExplored:    t.PlanExplored,
-	}
-}
-
 // Report mirrors runtime.Report.
 type Report struct {
 	IterationsDone   int            `json:"iterations_done"`
@@ -402,31 +385,6 @@ func FromFleetSnapshot(s fleet.Snapshot) FleetStats {
 	out.LeasedGPUs = out.CapacityGPUs - out.FreeGPUs
 	for _, le := range s.Leases {
 		out.Leases = append(out.Leases, FromLease(le))
-	}
-	return out
-}
-
-// Runtime converts back to the domain type.
-func (r Report) Runtime() runtime.Report {
-	out := runtime.Report{
-		IterationsDone:   r.IterationsDone,
-		VirtualSeconds:   r.VirtualSeconds,
-		LostIterations:   r.LostIterations,
-		CheckpointsTaken: r.CheckpointsTaken,
-		PlanningSeconds:  r.PlanningSeconds,
-		PlanCacheHits:    r.PlanCacheHits,
-	}
-	if r.Reconfigs != nil {
-		out.Reconfigs = make([]runtime.PhaseTimings, len(r.Reconfigs))
-		for i, t := range r.Reconfigs {
-			out.Reconfigs[i] = t.Runtime()
-		}
-	}
-	if r.PlansUsed != nil {
-		out.PlansUsed = make([]core.Plan, len(r.PlansUsed))
-		for i, p := range r.PlansUsed {
-			out.PlansUsed[i] = p.Core()
-		}
 	}
 	return out
 }

@@ -73,66 +73,51 @@ func sampleReport() runtime.Report {
 	}
 }
 
+// roundTrip sends v across the wire the way an rpc body does: one
+// json.Marshal, one json.Unmarshal into a fresh value of the same shape.
+func roundTrip[T any](t testing.TB, v T) (T, []byte) {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatalf("marshal %T: %v", v, err)
+	}
+	var out T
+	if err := json.Unmarshal(data, &out); err != nil {
+		t.Fatalf("unmarshal %T: %v\n%s", v, err, data)
+	}
+	return out, data
+}
+
 func TestModelRoundTrip(t *testing.T) {
 	in := model.GPTNeo27B()
-	data, err := MarshalModel(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := UnmarshalModel(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
+	w, _ := roundTrip(t, FromModel(in))
+	if out := w.Config(); out != in {
 		t.Errorf("round trip changed model: %+v vs %+v", out, in)
 	}
 }
 
 func TestPlanRoundTrip(t *testing.T) {
 	in := samplePlan()
-	data, err := MarshalPlan(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := UnmarshalPlan(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out, in) {
+	w, _ := roundTrip(t, FromPlan(in))
+	if out := w.Core(); !reflect.DeepEqual(out, in) {
 		t.Errorf("round trip changed plan:\n%+v\nvs\n%+v", out, in)
 	}
 	// The zero plan round-trips too (empty replans carry it).
-	data, err = MarshalPlan(core.Plan{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err = UnmarshalPlan(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out, core.Plan{}) {
+	w, _ = roundTrip(t, FromPlan(core.Plan{}))
+	if out := w.Core(); !reflect.DeepEqual(out, core.Plan{}) {
 		t.Errorf("zero plan round trip = %+v", out)
 	}
 }
 
 func TestPoolRoundTrip(t *testing.T) {
 	in := samplePool()
-	data, err := MarshalPool(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := UnmarshalPool(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	w, data := roundTrip(t, FromPool(in))
+	out := w.Cluster()
 	if out.String() != in.String() {
 		t.Errorf("round trip changed pool:\n%svs\n%s", out, in)
 	}
 	// Canonical form: re-encoding the decoded pool is byte-identical.
-	again, err := MarshalPool(out)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, again := roundTrip(t, FromPool(out))
 	if !bytes.Equal(again, data) {
 		t.Errorf("pool encoding not canonical:\n%s\nvs\n%s", again, data)
 	}
@@ -140,60 +125,63 @@ func TestPoolRoundTrip(t *testing.T) {
 
 func TestConstraintsRoundTrip(t *testing.T) {
 	in := core.Constraints{MaxCostPerIter: 1.25, MinThroughput: 0.05, MaxIterTime: 30}
-	data, err := MarshalConstraints(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := UnmarshalConstraints(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != in {
+	w, _ := roundTrip(t, FromConstraints(in))
+	if out := w.Core(); out != in {
 		t.Errorf("round trip changed constraints: %+v vs %+v", out, in)
 	}
 }
 
 func TestEstimateRoundTrip(t *testing.T) {
 	in := sampleEstimate()
-	data, err := MarshalEstimate(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := UnmarshalEstimate(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out, in) {
+	w, _ := roundTrip(t, FromEstimate(in))
+	if out := w.Core(); !reflect.DeepEqual(out, in) {
 		t.Errorf("round trip changed estimate:\n%+v\nvs\n%+v", out, in)
 	}
 }
 
 func TestPlanResultRoundTrip(t *testing.T) {
 	in := sampleResult()
-	data, err := MarshalPlanResult(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := UnmarshalPlanResult(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(out, in) {
+	w, _ := roundTrip(t, FromResult(in))
+	if out := w.Result(); !reflect.DeepEqual(out, in) {
 		t.Errorf("round trip changed result:\n%+v\nvs\n%+v", out, in)
 	}
 }
 
+// TestReportRoundTrip pins every field FromReport and FromPhaseTimings
+// copy, that nil slices stay nil (encoding as null) while empty ones stay
+// empty, and that the wire shape survives the JSON hop intact (sailor-replay
+// -json prints it; nothing converts it back).
 func TestReportRoundTrip(t *testing.T) {
-	in := sampleReport()
-	data, err := MarshalReport(in)
-	if err != nil {
-		t.Fatal(err)
+	pt := runtime.PhaseTimings{Planning: 1, Cleanup: 2, Broadcast: 3, GroupInit: 4,
+		ModelRedef: 5, Dataloader: 6, CkptLoad: 7, RolledBackIters: 8,
+		PlanCacheHits: 9, PlanExplored: 10}
+	wantPT := PhaseTimings{Planning: 1, Cleanup: 2, Broadcast: 3, GroupInit: 4,
+		ModelRedef: 5, Dataloader: 6, CkptLoad: 7, RolledBackIters: 8,
+		PlanCacheHits: 9, PlanExplored: 10}
+	if got := FromPhaseTimings(pt); got != wantPT {
+		t.Errorf("FromPhaseTimings = %+v, want %+v", got, wantPT)
 	}
-	out, err := UnmarshalReport(data)
-	if err != nil {
-		t.Fatal(err)
+
+	r := runtime.Report{IterationsDone: 11, VirtualSeconds: 12, LostIterations: 13,
+		CheckpointsTaken: 14, PlanningSeconds: 15, PlanCacheHits: 16,
+		Reconfigs: []runtime.PhaseTimings{pt}, PlansUsed: []core.Plan{samplePlan()}}
+	want := Report{IterationsDone: 11, VirtualSeconds: 12, LostIterations: 13,
+		CheckpointsTaken: 14, PlanningSeconds: 15, PlanCacheHits: 16,
+		Reconfigs: []PhaseTimings{wantPT}, PlansUsed: []Plan{FromPlan(samplePlan())}}
+	if got := FromReport(r); !reflect.DeepEqual(got, want) {
+		t.Errorf("FromReport =\n%+v\nwant\n%+v", got, want)
 	}
-	if !reflect.DeepEqual(out, in) {
+
+	if got := FromReport(runtime.Report{}); got.Reconfigs != nil || got.PlansUsed != nil {
+		t.Errorf("nil slices became %#v / %#v", got.Reconfigs, got.PlansUsed)
+	}
+	empty := FromReport(runtime.Report{Reconfigs: []runtime.PhaseTimings{}, PlansUsed: []core.Plan{}})
+	if empty.Reconfigs == nil || len(empty.Reconfigs) != 0 || empty.PlansUsed == nil || len(empty.PlansUsed) != 0 {
+		t.Errorf("empty slices became %#v / %#v", empty.Reconfigs, empty.PlansUsed)
+	}
+
+	in := FromReport(sampleReport())
+	if out, _ := roundTrip(t, in); !reflect.DeepEqual(out, in) {
 		t.Errorf("round trip changed report:\n%+v\nvs\n%+v", out, in)
 	}
 }
@@ -202,59 +190,32 @@ func TestReportRoundTrip(t *testing.T) {
 // bytes — the property the service determinism tests and the CLI golden
 // files build on.
 func TestDeterministicEncoding(t *testing.T) {
-	a, err := MarshalPlanResult(sampleResult())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := MarshalPlanResult(sampleResult())
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, a := roundTrip(t, FromResult(sampleResult()))
+	_, b := roundTrip(t, FromResult(sampleResult()))
 	if !bytes.Equal(a, b) {
 		t.Errorf("equal results marshalled differently:\n%s\nvs\n%s", a, b)
 	}
 }
 
 func TestUnknownVersionRejected(t *testing.T) {
-	data, err := MarshalPlan(samplePlan())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var env Envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		t.Fatal(err)
-	}
-	env.V = Version + 1
-	bad, err := json.Marshal(env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := UnmarshalPlan(bad); err == nil || !strings.Contains(err.Error(), "unsupported schema version") {
-		t.Errorf("future version must be rejected with a clear error, got %v", err)
-	}
 	if err := Check(Version); err != nil {
 		t.Errorf("Check(Version) = %v", err)
 	}
-	if err := Check(0); err == nil {
-		t.Error("Check(0) must fail")
+	for _, v := range []int{0, Version + 1, -1} {
+		if err := Check(v); err == nil || !strings.Contains(err.Error(), "unsupported schema version") {
+			t.Errorf("Check(%d) must fail with a clear error, got %v", v, err)
+		}
 	}
 }
 
-func TestKindMismatchRejected(t *testing.T) {
-	data, err := MarshalPool(samplePool())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := UnmarshalPlan(data); err == nil || !strings.Contains(err.Error(), `kind "pool"`) {
-		t.Errorf("kind mismatch must be rejected, got %v", err)
-	}
-}
-
+// TestGarbageRejected: a frame body that is not a message of the method's
+// shape fails to decode instead of arriving as zero values.
 func TestGarbageRejected(t *testing.T) {
-	if _, err := UnmarshalPlan([]byte("not json")); err == nil {
+	var req PlanRequest
+	if err := json.Unmarshal([]byte("not json"), &req); err == nil {
 		t.Error("garbage must not decode")
 	}
-	if _, err := UnmarshalReport([]byte(`{"v":1,"kind":"report","body":"nope"}`)); err == nil {
-		t.Error("mistyped body must not decode")
+	if err := json.Unmarshal([]byte(`{"v":1,"pool":"nope"}`), &req); err == nil {
+		t.Error("mistyped pool must not decode")
 	}
 }

@@ -4,10 +4,13 @@ import (
 	"context"
 	"errors"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/rpc"
+	"repro/internal/wire"
 )
 
 // startTestServer hosts a fresh Service on a loopback listener.
@@ -188,5 +191,53 @@ func TestWireErrors(t *testing.T) {
 		t.Error("stats after server close must fail")
 	} else if !errors.Is(err, rpc.ErrConnectionLost) && !errors.Is(err, rpc.ErrServerClosed) {
 		t.Errorf("post-close error = %v, want a typed rpc error", err)
+	}
+}
+
+// TestWireRejectsNegativeCounts: a pool with a negative cell would hide
+// its zone's real GPUs from the planner, so the daemon refuses it by name
+// on Plan, Replan and SetFleet — and keeps serving the connection. The
+// requests go out as raw rpc calls because a Client's pool encoding drops
+// non-positive cells before they reach the wire.
+func TestWireRejectsNegativeCounts(t *testing.T) {
+	srv, addr := startTestServer(t, ServiceConfig{})
+	rc, err := rpc.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if err := srv.Service().OpenJob("j", OPT350M(), []GPUType{A100, V100}, 0); err != nil {
+		t.Fatal(err)
+	}
+	z := wire.FromZone(GCPZone("us-central1", 'a'))
+	good := wire.Pool{Entries: []wire.PoolEntry{{Zone: z, GPU: string(A100), Count: 16}}}
+	bad := wire.Pool{Entries: append(slices.Clone(good.Entries), wire.PoolEntry{Zone: z, GPU: string(V100), Count: -20})}
+	obj := MaxThroughput.String()
+	wantErr := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "us-central1-a/"+string(V100)) || !strings.Contains(err.Error(), "-20") {
+			t.Errorf("%s with a negative cell: err = %v, want it named", what, err)
+		}
+	}
+	var resp wire.PlanResponse
+	wantErr("plan", rc.Call(wire.MethodPlan, wire.PlanRequest{V: wire.Version, Job: "j", Pool: bad, Objective: obj}, &resp))
+	wantErr("replan", rc.Call(wire.MethodReplan, wire.ReplanRequest{V: wire.Version, Job: "j", Pool: bad, Objective: obj}, &resp))
+	wantErr("set-fleet", rc.Call(wire.MethodSetFleet, wire.SetFleetRequest{V: wire.Version, Capacity: bad}, &wire.SetFleetResponse{}))
+
+	if err := rc.Call(wire.MethodPlan, wire.PlanRequest{V: wire.Version, Job: "j", Pool: good, Objective: obj}, &resp); err != nil {
+		t.Fatalf("plan after the refusals: %v", err)
+	}
+	if got := resp.Result.Plan.Core().GPUCount(); got != 16 {
+		t.Errorf("plan uses %d GPUs, want all 16 A100s", got)
+	}
+	st, err := srv.Service().Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Errors != 2 || st.Plans != 2 || st.Replans != 1 {
+		t.Errorf("stats = %d errors, %d plans, %d replans; want 2, 2, 1", st.Errors, st.Plans, st.Replans)
+	}
+	if _, err := srv.Service().FleetStats(); !errors.Is(err, ErrNoFleet) {
+		t.Errorf("refused SetFleet installed a ledger: %v", err)
 	}
 }

@@ -465,6 +465,9 @@ func (s *Service) serve(ctx context.Context, class *atomic.Uint64, job string, q
 	defer s.rotateIfDue()
 	done := s.begin(class)
 	defer func() { done(err) }()
+	if err := q.pool.CheckCounts(); err != nil {
+		return PlanResult{}, err
+	}
 	j, err := s.job(job)
 	if err != nil {
 		return PlanResult{}, err

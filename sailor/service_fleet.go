@@ -99,6 +99,9 @@ func (s *Service) commitFleet(name string, j *serviceJob, q searchReq, res PlanR
 // Replacing an active ledger drops every lease; open jobs keep their warm
 // caches and last plans, so the next Rebalance re-admits them warm.
 func (s *Service) SetFleet(capacity *Pool, jobCapGPUs int) error {
+	if err := capacity.CheckCounts(); err != nil {
+		return err
+	}
 	led := fleet.NewLedger(capacity)
 	led.SetJobCap(jobCapGPUs)
 	return s.SetFleetLedger(led)

@@ -2,6 +2,7 @@ package sailor
 
 import (
 	"context"
+	"encoding/json"
 	"runtime"
 	"slices"
 	"strings"
@@ -43,13 +44,12 @@ func TestServicePlanMatchesSystem(t *testing.T) {
 	}
 }
 
-// canonicalResult renders a result through the wire codec with the one
-// wall-clock field zeroed — the byte-identity the determinism contract
-// promises.
+// canonicalResult renders a result's wire shape with the one wall-clock
+// field zeroed — the byte-identity the determinism contract promises.
 func canonicalResult(t *testing.T, res PlanResult) string {
 	t.Helper()
 	res.SearchTime = 0
-	data, err := wire.MarshalPlanResult(res)
+	data, err := json.Marshal(wire.FromResult(res))
 	if err != nil {
 		t.Fatal(err)
 	}
