@@ -244,7 +244,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	ctrl := sys.NewController()
-	rep, err := ctrl.RunElastic(tr, time.Minute)
+	rep, err := ctrl.RunElastic(tr)
 	if err != nil {
 		return err
 	}

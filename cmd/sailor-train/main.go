@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"log"
 	"strings"
-	"time"
 
 	"repro/sailor"
 )
@@ -43,7 +42,7 @@ func main() {
 		log.Fatal(err)
 	}
 	ctrl := sys.NewController()
-	rep, err := ctrl.RunElastic(tr, time.Minute)
+	rep, err := ctrl.RunElastic(tr)
 	if err != nil {
 		log.Fatal(err)
 	}

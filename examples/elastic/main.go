@@ -8,7 +8,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"repro/sailor"
 )
@@ -29,7 +28,7 @@ func main() {
 	}
 
 	ctrl := sys.NewController()
-	rep, err := ctrl.RunElastic(tr, time.Minute)
+	rep, err := ctrl.RunElastic(tr)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -92,10 +92,6 @@ type Options struct {
 	// completion the chosen plan is identical at any worker count; under
 	// a Deadline/context cutoff, more workers cover more of the space.
 	Workers int
-	// MaxPP caps the pipeline depth (default 16 or the layer count).
-	MaxPP int
-	// MBSCandidates overrides the microbatch sizes to explore.
-	MBSCandidates []int
 	// Warm persists the planner's caches and completed search results
 	// across Plan/Replan calls (see WarmCache). Nil means every search starts
 	// cold. The cache binds to the first planner fingerprint that uses it;
@@ -194,17 +190,13 @@ type Planner struct {
 	Cfg  model.Config
 	Sim  Evaluator
 	Opts Options
+	// maxPP caps the pipeline depth: 16, or the layer count if smaller.
+	maxPP int
 }
 
 // New returns a planner over an estimation backend with the given options.
 func New(cfg model.Config, s Evaluator, opts Options) *Planner {
-	if opts.MaxPP == 0 {
-		opts.MaxPP = 16
-	}
-	if opts.MaxPP > cfg.Layers {
-		opts.MaxPP = cfg.Layers
-	}
-	return &Planner{Cfg: cfg, Sim: s, Opts: opts}
+	return &Planner{Cfg: cfg, Sim: s, Opts: opts, maxPP: min(16, cfg.Layers)}
 }
 
 // Plan runs the search against an availability pool, honoring
@@ -270,7 +262,7 @@ func (pl *Planner) seedFromPrev(prev *core.Plan, pool *cluster.Pool) *candidate 
 func (pl *Planner) fingerprint() string {
 	return fmt.Sprintf("%+v|%v|%+v|%+v|pp%d|mbs%v",
 		pl.Cfg, pl.Opts.Objective, pl.Opts.Constraints, pl.Opts.Heuristics,
-		pl.Opts.MaxPP, pl.mbsCandidates())
+		pl.maxPP, mbsCandidates)
 }
 
 // planContext runs one search; prev, when set, is the deployed plan a
@@ -380,21 +372,21 @@ func (pl *Planner) workerCount() int {
 }
 
 // ppCandidates returns pipeline depths to explore: every power of two up to
-// MaxPP plus every divisor of the layer count (so 24-layer models see 3, 6,
+// maxPP plus every divisor of the layer count (so 24-layer models see 3, 6,
 // 12 as well).
 func (pl *Planner) ppCandidates() []int {
 	seen := map[int]bool{}
 	var out []int
 	add := func(p int) {
-		if p >= 1 && p <= pl.Opts.MaxPP && !seen[p] {
+		if p >= 1 && p <= pl.maxPP && !seen[p] {
 			seen[p] = true
 			out = append(out, p)
 		}
 	}
-	for p := 1; p <= pl.Opts.MaxPP; p *= 2 {
+	for p := 1; p <= pl.maxPP; p *= 2 {
 		add(p)
 	}
-	for p := 1; p <= pl.Opts.MaxPP; p++ {
+	for p := 1; p <= pl.maxPP; p++ {
 		if pl.Cfg.Layers%p == 0 {
 			add(p)
 		}
@@ -403,12 +395,8 @@ func (pl *Planner) ppCandidates() []int {
 	return out
 }
 
-func (pl *Planner) mbsCandidates() []int {
-	if len(pl.Opts.MBSCandidates) > 0 {
-		return pl.Opts.MBSCandidates
-	}
-	return []int{1, 2, 4, 8}
-}
+// mbsCandidates are the microbatch sizes every search explores.
+var mbsCandidates = []int{1, 2, 4, 8}
 
 // appendDCandidates appends to ds (passed empty) the data-parallel degrees
 // in the order the objective's heuristic dictates (H3 descending for

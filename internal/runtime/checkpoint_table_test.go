@@ -127,7 +127,7 @@ func TestControllerRollbackAccounting(t *testing.T) {
 			trace.Event{At: 60 * time.Minute, Zone: zoneA, GPU: core.A100, Delta: -12},
 			trace.Event{At: 90 * time.Minute, Zone: zoneA, GPU: core.A100, Delta: 8},
 		)
-		rep, err := c.RunElastic(tr, time.Minute)
+		rep, err := c.RunElastic(tr)
 		if err != nil {
 			t.Fatalf("every=%d: %v", every, err)
 		}
@@ -153,7 +153,7 @@ func TestRunElasticBlackoutStopsTraining(t *testing.T) {
 	cfg := model.OPT350M()
 	run := func(events ...trace.Event) Report {
 		c := newController(t, cfg, core.A100)
-		rep, err := c.RunElastic(trace.Synthetic(90*time.Minute, events...), time.Minute)
+		rep, err := c.RunElastic(trace.Synthetic(90*time.Minute, events...))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,7 +191,7 @@ func TestRunElasticBlackoutStopsTraining(t *testing.T) {
 	final, err := c.RunElastic(trace.Synthetic(90*time.Minute,
 		trace.Event{At: 0, Zone: zoneA, GPU: core.A100, Delta: 8},
 		trace.Event{At: 60 * time.Minute, Zone: zoneA, GPU: core.A100, Delta: -8},
-	), time.Minute)
+	))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestControllerZeroIntervalRunElastic(t *testing.T) {
 		trace.Event{At: 0, Zone: zoneA, GPU: core.A100, Delta: 8},
 		trace.Event{At: 30 * time.Minute, Zone: zoneA, GPU: core.A100, Delta: 8},
 	)
-	rep, err := c.RunElastic(tr, time.Minute)
+	rep, err := c.RunElastic(tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -38,6 +39,18 @@ func (p PhaseTimings) Total() float64 {
 	return p.Planning + p.Cleanup + p.Broadcast + p.GroupInit + p.ModelRedef + p.Dataloader + p.CkptLoad
 }
 
+// Virtual phase costs, calibrated to the §5.5 measurements on 16 V100s
+// (cleanup 3 s, NCCL groups 4.5 s, model redefinition 2 s). Group init
+// grows with world size; the rest are constants.
+const (
+	cleanupSec        = 3.0
+	groupInitBaseSec  = 2.1
+	groupInitPerRank  = 0.15
+	modelRedefSec     = 2.0
+	dataloaderSec     = 0.5
+	checkpointLoadSec = 0.8
+)
+
 // broadcast cost model: topology fan-out over the control plane
 // (~1.25 s at 16 workers in §5.5), growing gently with worker count.
 func broadcastSec(workers int) float64 {
@@ -70,16 +83,18 @@ func (r Report) TotalDowntimeSeconds() float64 {
 	return total
 }
 
-// Controller is the Sailor job controller: it owns the workers, watches
-// availability, re-invokes the planner on changes, and drives kill-free
-// reconfiguration (§4.4).
+// Controller is the Sailor job controller: it tracks which ranks are
+// alive, watches availability, re-invokes the planner on changes, and
+// drives kill-free reconfiguration (§4.4).
 type Controller struct {
-	Cfg     ControllerConfig
-	workers map[int]WorkerConn
-	topo    *Topology
-	ckpt    *CheckpointManager
-	now     float64 // virtual time, seconds
-	iter    int     // global iteration counter
+	Cfg  ControllerConfig
+	topo *Topology
+	// live[r] reports whether rank r of topo still runs; a preemption
+	// clears it, a reconfiguration restarts every rank of the new topology.
+	live []bool
+	ckpt *CheckpointManager
+	now  float64 // virtual time, seconds
+	iter int     // global iteration counter
 	// warm is the controller's persistent warm-start cache, attached to an
 	// ephemeral copy of Cfg.Planner on every reconfiguration — so warm
 	// replanning neither mutates the caller's planner nor misses in-place
@@ -95,11 +110,6 @@ type ControllerConfig struct {
 	CheckpointEvery int
 	// CheckpointFlushSec is the async snapshot flush latency.
 	CheckpointFlushSec float64
-	// SpawnWorker creates worker id when the plan grows. Defaults to
-	// in-process workers; tests and deployments inject RemoteWorker
-	// factories here to run workers in other processes over the rpc
-	// control plane.
-	SpawnWorker func(id int) WorkerConn
 }
 
 // NewController returns an idle controller.
@@ -110,14 +120,10 @@ func NewController(cfg ControllerConfig) *Controller {
 	if cfg.CheckpointFlushSec == 0 {
 		cfg.CheckpointFlushSec = 5
 	}
-	if cfg.SpawnWorker == nil {
-		cfg.SpawnWorker = func(id int) WorkerConn { return NewWorker(id) }
-	}
 	return &Controller{
-		Cfg:     cfg,
-		workers: map[int]WorkerConn{},
-		ckpt:    NewCheckpointManager(cfg.CheckpointEvery, cfg.CheckpointFlushSec),
-		warm:    planner.NewWarmCache(),
+		Cfg:  cfg,
+		ckpt: NewCheckpointManager(cfg.CheckpointEvery, cfg.CheckpointFlushSec),
+		warm: planner.NewWarmCache(),
 	}
 }
 
@@ -136,16 +142,16 @@ func (c *Controller) planner() *planner.Planner {
 	return &cp
 }
 
-// Deploy plans against a pool and sets up workers for the result. It
+// Deploy plans against a pool and starts every rank of the result. It
 // returns the reconfiguration timings of the initial launch.
 func (c *Controller) Deploy(pool *cluster.Pool) (PhaseTimings, error) {
 	return c.reconfigure(pool)
 }
 
-// reconfigure is the kill-free path of §4.4: re-plan, instruct existing
-// workers to destroy groups and free memory, broadcast the new topology,
-// set up groups/model/dataloaders, and resume from the newest durable
-// checkpoint. Workers are reused; only the delta is spawned or retired.
+// reconfigure is the kill-free path of §4.4: re-plan, have surviving
+// ranks destroy groups and free memory, broadcast the new topology, set up
+// groups/model/dataloaders, and resume from the newest durable checkpoint.
+// Ranks act in parallel, so each phase costs one rank's share.
 func (c *Controller) reconfigure(pool *cluster.Pool) (PhaseTimings, error) {
 	var t PhaseTimings
 
@@ -174,60 +180,26 @@ func (c *Controller) reconfigure(pool *cluster.Pool) (PhaseTimings, error) {
 		return t, err
 	}
 
-	// Phase 2: existing live workers destroy communicators and free GPU
-	// memory (kill-free: processes stay up). Parallel across workers, so
-	// the phase costs the max.
-	for id, w := range c.workers {
-		if !w.Alive() {
-			w.Shutdown()
-			delete(c.workers, id)
-			continue
-		}
-		sec, err := w.Cleanup()
-		if err != nil {
-			w.Shutdown()
-			delete(c.workers, id)
-			continue
-		}
-		if sec > t.Cleanup {
-			t.Cleanup = sec
-		}
-	}
-
-	// Spawn or retire workers to match the new world size. The controller
-	// "waits for new workers to initialize before updating the training
-	// configuration" — their spawn cost rides the group-init phase.
-	for id := 0; id < topo.WorldSize; id++ {
-		if _, ok := c.workers[id]; !ok {
-			c.workers[id] = c.Cfg.SpawnWorker(id)
-		}
-	}
-	for id, w := range c.workers {
-		if id >= topo.WorldSize {
-			w.Shutdown()
-			delete(c.workers, id)
-		}
+	// Phase 2: surviving ranks destroy communicators and free GPU memory
+	// (kill-free: processes stay up). Preempted ranks have nothing to
+	// clean up.
+	if slices.Contains(c.live, true) {
+		t.Cleanup = cleanupSec
 	}
 
 	// Phase 3: broadcast plan + rank topology.
 	t.Broadcast = broadcastSec(topo.WorldSize)
 
-	// Phase 4-6: every worker initialises communicators, redefines model
-	// and optimizer state, rebuilds dataloaders. Parallel; phase = max.
-	groups := topo.GroupCount()
-	for id, w := range c.workers {
-		sec, err := w.Setup(id, topo.WorldSize, groups)
-		if err != nil {
-			return t, fmt.Errorf("runtime: worker %d setup: %w", id, err)
-		}
-		gi := groupInitBaseSec + groupInitPerRank*float64(topo.WorldSize)
-		if gi > t.GroupInit {
-			t.GroupInit = gi
-		}
-		if sec-gi > t.ModelRedef+t.Dataloader {
-			t.ModelRedef = modelRedefSec
-			t.Dataloader = dataloaderSec
-		}
+	// Phases 4-6: every rank of the new topology initialises communicators
+	// (a cost growing with world size), redefines model and optimizer
+	// state, and rebuilds its dataloader. New ranks' start-up rides the
+	// group-init phase.
+	t.GroupInit = groupInitBaseSec + groupInitPerRank*float64(topo.WorldSize)
+	t.ModelRedef = modelRedefSec
+	t.Dataloader = dataloaderSec
+	c.live = make([]bool, topo.WorldSize)
+	for r := range c.live {
+		c.live[r] = true
 	}
 
 	// Phase 7: resume from the newest durable checkpoint.
@@ -236,12 +208,7 @@ func (c *Controller) reconfigure(pool *cluster.Pool) (PhaseTimings, error) {
 		t.RolledBackIters = c.iter - resume
 		c.iter = resume
 	}
-	if topo.WorldSize > 0 {
-		sec, err := c.workers[0].LoadCheckpoint(resume)
-		if err == nil {
-			t.CkptLoad = sec
-		}
-	}
+	t.CkptLoad = checkpointLoadSec
 
 	c.topo = topo
 	c.now += t.Total()
@@ -289,39 +256,37 @@ func (c *Controller) Iteration() int { return c.iter }
 // Now returns the virtual clock.
 func (c *Controller) Now() float64 { return c.now }
 
-// KillWorkersOn simulates preemption of all workers placed on (zone, gpu):
-// the availability trace reclaimed those GPUs.
+// KillWorkersOn simulates preemption of every live rank placed on
+// (zone, gpu): the availability trace reclaimed those GPUs. It returns how
+// many ranks died.
 func (c *Controller) KillWorkersOn(z core.Zone, g core.GPUType) int {
 	if c.topo == nil {
 		return 0
 	}
 	killed := 0
-	for id, w := range c.workers {
-		info, err := c.topo.Locate(id)
+	for r, alive := range c.live {
+		info, err := c.topo.Locate(r)
 		if err != nil {
 			continue
 		}
-		if info.Zone == z && info.GPU == g && w.Alive() {
-			w.Kill()
+		if alive && info.Zone == z && info.GPU == g {
+			c.live[r] = false
 			killed++
 		}
 	}
 	return killed
 }
 
-// Shutdown stops all workers.
+// Shutdown stops every rank.
 func (c *Controller) Shutdown() {
-	for id, w := range c.workers {
-		w.Shutdown()
-		delete(c.workers, id)
-	}
+	c.live = nil
 }
 
 // RunElastic replays an availability trace (§5.2's dynamic environments):
 // deploy on the initial pool, train between events, reconfigure at each
-// availability change (killing preempted workers first), and report
+// availability change (killing preempted ranks first), and report
 // iterations, downtime, and rollbacks.
-func (c *Controller) RunElastic(tr *trace.Trace, step time.Duration) (Report, error) {
+func (c *Controller) RunElastic(tr *trace.Trace) (Report, error) {
 	defer c.Shutdown()
 	var rep Report
 

@@ -17,7 +17,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/groundtruth"
@@ -83,7 +82,7 @@ func TestRunElasticGolden(t *testing.T) {
 			var summaries []string
 			for _, workers := range []int{1, 8} {
 				c := scenarioController(t, sc, workers)
-				rep, err := c.RunElastic(tr, time.Minute)
+				rep, err := c.RunElastic(tr)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -125,7 +124,7 @@ func TestRunElasticWarmCacheWorks(t *testing.T) {
 		t.Fatal("preemption-storm not registered")
 	}
 	c := scenarioController(t, sc, 0)
-	rep, err := c.RunElastic(sc.Trace(goldenSeed), time.Minute)
+	rep, err := c.RunElastic(sc.Trace(goldenSeed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +158,7 @@ func TestRunElasticWarmCacheWorks(t *testing.T) {
 func TestLostIterationsAccounting(t *testing.T) {
 	sc, _ := trace.ScenarioByName("zone-outage")
 	c := scenarioController(t, sc, 0)
-	rep, err := c.RunElastic(sc.Trace(goldenSeed), time.Minute)
+	rep, err := c.RunElastic(sc.Trace(goldenSeed))
 	if err != nil {
 		t.Fatal(err)
 	}

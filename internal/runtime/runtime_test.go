@@ -59,68 +59,17 @@ func TestBuildTopologyRanks(t *testing.T) {
 	}
 }
 
-func TestTPAndDPGroups(t *testing.T) {
-	topo, _ := BuildTopology(hetPlan())
-	tp := topo.TPGroups()
-	if len(tp) != 4 { // every replica has TP>1
-		t.Fatalf("TPGroups = %d, want 4", len(tp))
-	}
-	dp := topo.DPGroups()
-	// Stage 0: maxTP 2 -> 2 groups; stage 1: maxTP 4 -> 4 groups.
-	if len(dp) != 6 {
-		t.Fatalf("DPGroups = %d, want 6", len(dp))
-	}
-	// Heterogeneous stage 1: the tp=2 replica's ranks each appear in two
-	// groups (split/replicate of §4.4).
-	count := map[int]int{}
-	for _, g := range dp {
-		for _, r := range g {
-			count[r]++
-		}
-	}
-	info8, _ := topo.Locate(8) // first rank of the tp=2 replica in stage 1
-	if info8.Stage != 1 || info8.Replica != 1 {
-		t.Fatalf("rank 8 at %+v, expected stage 1 replica 1", info8)
-	}
-	if count[8] != 2 {
-		t.Errorf("coarse-sharded rank 8 should join 2 DP groups, joins %d", count[8])
-	}
-}
-
-func TestPPEdgesSplitReplicate(t *testing.T) {
-	topo, _ := BuildTopology(hetPlan())
-	edges := topo.PPEdges()
-	if len(edges) == 0 {
-		t.Fatal("no pipeline edges")
-	}
-	// Pipeline 0: stage0 replica0 (tp=2, ranks 0,1) feeds stage1 replica0
-	// (tp=4, ranks 4..7): fan-out 1->2 per source shard.
-	fanOut := 0
-	for _, e := range edges {
-		if e.Src == 0 || e.Src == 1 {
-			fanOut++
-		}
-	}
-	if fanOut != 4 {
-		t.Errorf("stage0->stage1 fan-out edges = %d, want 4 (each source feeds 2)", fanOut)
-	}
-	// Every destination shard of stage 1 replica 0 is fed.
-	fed := map[int]bool{}
-	for _, e := range edges {
-		fed[e.Dst] = true
-	}
-	for r := 4; r <= 7; r++ {
-		if !fed[r] {
-			t.Errorf("stage-1 rank %d receives no activations", r)
-		}
-	}
-}
-
 func TestLocate(t *testing.T) {
 	topo, _ := BuildTopology(hetPlan())
 	info, err := topo.Locate(0)
 	if err != nil || info.Stage != 0 || info.Replica != 0 || info.Shard != 0 {
 		t.Fatalf("Locate(0) = %+v, %v", info, err)
+	}
+	// Rank 8 is the first rank of stage 1's tp=2 replica, after the tp=4
+	// one: heterogeneous TP degrees shift the rank numbering.
+	info8, err := topo.Locate(8)
+	if err != nil || info8.Stage != 1 || info8.Replica != 1 || info8.Shard != 0 {
+		t.Fatalf("Locate(8) = %+v, %v; want stage 1 replica 1 shard 0", info8, err)
 	}
 	if _, err := topo.Locate(99); err == nil {
 		t.Error("want error for unknown rank")
@@ -302,7 +251,7 @@ func TestRunElasticOverTrace(t *testing.T) {
 		trace.Event{At: 30 * time.Minute, Zone: zoneA, GPU: core.A100, Delta: 8},
 		trace.Event{At: 90 * time.Minute, Zone: zoneA, GPU: core.A100, Delta: -8},
 	)
-	rep, err := c.RunElastic(tr, time.Minute)
+	rep, err := c.RunElastic(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,27 +271,54 @@ func TestRunElasticOverTrace(t *testing.T) {
 	}
 }
 
-func TestWorkerLifecycle(t *testing.T) {
-	w := NewWorker(1)
-	topo, _ := BuildTopology(hetPlan())
-	sec, err := w.Setup(1, topo.WorldSize, topo.GroupCount())
-	if err != nil || sec <= 0 {
-		t.Fatalf("setup: %v %v", sec, err)
-	}
-	if !w.Ready() {
-		t.Fatal("worker should be ready after setup")
-	}
-	if _, err := w.Cleanup(); err != nil {
+// TestCleanupFollowsSurvivors pins the liveness bookkeeping: a rank dies
+// once, and only surviving ranks pay the cleanup phase.
+func TestCleanupFollowsSurvivors(t *testing.T) {
+	cfg := model.OPT350M()
+	c := newController(t, cfg, core.V100)
+	defer c.Shutdown()
+	zoneB := cluster.GCPZone("us-central1", 'b')
+	mixed := cluster.NewPool().Set(zoneA, core.V100, 8).Set(zoneB, core.V100, 8)
+	if _, err := c.Deploy(mixed); err != nil {
 		t.Fatal(err)
 	}
-	if w.Ready() {
-		t.Fatal("worker not ready after cleanup")
+	plan, _ := c.Plan()
+	onA := 0
+	for _, st := range plan.Stages {
+		for _, r := range st.Replicas {
+			if r.Zone == zoneA {
+				onA += r.TP
+			}
+		}
 	}
-	w.Kill()
-	if _, err := w.Setup(1, topo.WorldSize, topo.GroupCount()); err == nil {
-		t.Fatal("dead worker must not accept commands")
+	if onA == 0 || onA == plan.GPUCount() {
+		t.Fatalf("plan must span both zones, uses %d of %d GPUs in zone a", onA, plan.GPUCount())
 	}
-	w.Shutdown()
+	if got := c.KillWorkersOn(zoneA, core.V100); got != onA {
+		t.Fatalf("first kill = %d, want %d", got, onA)
+	}
+	if got := c.KillWorkersOn(zoneA, core.V100); got != 0 {
+		t.Errorf("second kill of the same cells = %d, want 0", got)
+	}
+	partial, err := c.Deploy(cluster.NewPool().Set(zoneB, core.V100, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if partial.Cleanup != cleanupSec {
+		t.Errorf("cleanup after a partial kill = %v, want %v", partial.Cleanup, cleanupSec)
+	}
+
+	plan, _ = c.Plan()
+	if got := c.KillWorkersOn(zoneB, core.V100); got != plan.GPUCount() {
+		t.Fatalf("killing zone b = %d, want every rank (%d)", got, plan.GPUCount())
+	}
+	all, err := c.Deploy(cluster.NewPool().Set(zoneB, core.V100, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if all.Cleanup != 0 {
+		t.Errorf("cleanup after every rank died = %v, want 0", all.Cleanup)
+	}
 }
 
 func TestReportTotalDowntimeSeconds(t *testing.T) {

@@ -1,15 +1,17 @@
-// Package runtime implements the Sailor distributed training framework
-// (§4.4): a controller/worker architecture that deploys the planner's —
-// possibly heterogeneous — parallelization plans, builds the communication
-// groups they need, and reconfigures the job kill-free when resource
+// Package runtime models the Sailor distributed training framework (§4.4):
+// a controller deploys the planner's — possibly heterogeneous —
+// parallelization plans and reconfigures the job kill-free when resource
 // availability changes, restarting from the latest asynchronous checkpoint.
 //
-// Workers are goroutines exchanging messages with the controller over
-// channels (the in-process stand-in for the paper's gRPC control plane);
-// training compute itself advances on a virtual clock fed by the
+// Everything runs on a virtual clock. The controller keeps one liveness
+// bit per rank; a preemption clears the bits of the ranks on reclaimed
+// GPUs. Each reconfiguration books the §5.5 downtime phases (cleanup,
+// broadcast, group init, model and dataloader redefinition, checkpoint
+// load) from calibrated costs, and iteration time comes from the
 // ground-truth engine, so a multi-hour elasticity scenario replays in
-// milliseconds while the orchestration logic — topology construction,
-// group setup/teardown, checkpoint rollback — is executed for real.
+// milliseconds. Checkpoint rollback is exact: training resumes from the
+// newest checkpoint whose flush finished, and the iterations past it are
+// lost.
 package runtime
 
 import (
@@ -18,10 +20,9 @@ import (
 	"repro/internal/core"
 )
 
-// Topology assigns a global rank to every GPU of a plan and exposes the
-// communication groups training needs. It supports the heterogeneous plans
-// of §4.4: different tensor-parallel degrees per stage and per replica,
-// which make pipeline peers split or replicate activations.
+// Topology assigns a global rank to every GPU of a plan. It supports the
+// heterogeneous plans of §4.4: different tensor-parallel degrees per stage
+// and per replica.
 type Topology struct {
 	Plan core.Plan
 	// Ranks[stage][replica] lists the global ranks of that replica's TP
@@ -53,100 +54,6 @@ func BuildTopology(plan core.Plan) (*Topology, error) {
 	}
 	t.WorldSize = next
 	return t, nil
-}
-
-// TPGroups returns every tensor-parallel group (one per stage replica).
-func (t *Topology) TPGroups() [][]int {
-	var out [][]int
-	for _, st := range t.Ranks {
-		for _, g := range st {
-			if len(g) > 1 {
-				out = append(out, g)
-			}
-		}
-	}
-	return out
-}
-
-// DPGroups returns the data-parallel gradient-sync groups: for each stage,
-// ranks holding corresponding shards across replicas. With heterogeneous TP
-// degrees the shard counts differ; ranks of coarser replicas join multiple
-// groups (the split/replicate adjustment of §4.4). Group g of a stage
-// contains, from each replica, the rank owning the shard that covers slice
-// g of the finest sharding.
-func (t *Topology) DPGroups() [][]int {
-	var out [][]int
-	for _, st := range t.Ranks {
-		maxTP := 0
-		for _, g := range st {
-			if len(g) > maxTP {
-				maxTP = len(g)
-			}
-		}
-		for shard := 0; shard < maxTP; shard++ {
-			var grp []int
-			for _, g := range st {
-				// Replica with len(g) shards: shard index scaled down.
-				local := shard * len(g) / maxTP
-				grp = append(grp, g[local])
-			}
-			if len(grp) > 1 {
-				out = append(out, grp)
-			}
-		}
-	}
-	return out
-}
-
-// PPEdge describes one point-to-point pipeline link: src sends its
-// activation shard to dst. When the sender is sharded finer than the
-// receiver, several sources feed one destination (the receiver gathers);
-// when coarser, one source feeds several destinations (the sender splits or
-// replicates).
-type PPEdge struct {
-	Src, Dst int
-}
-
-// PPEdges returns the pipeline edges between consecutive stages for each
-// data-parallel pipeline, with the split/replicate fan-out implied by
-// differing TP degrees.
-func (t *Topology) PPEdges() []PPEdge {
-	var out []PPEdge
-	for i := 0; i+1 < len(t.Ranks); i++ {
-		for k := range t.Ranks[i] {
-			if k >= len(t.Ranks[i+1]) {
-				continue
-			}
-			src := t.Ranks[i][k]
-			dst := t.Ranks[i+1][k]
-			if len(src) >= len(dst) {
-				// Fan-in: each destination shard gathers from the source
-				// shards covering it.
-				per := len(src) / len(dst)
-				for d := 0; d < len(dst); d++ {
-					for s := d * per; s < (d+1)*per; s++ {
-						out = append(out, PPEdge{src[s], dst[d]})
-					}
-				}
-			} else {
-				// Fan-out: each source shard feeds the destinations
-				// covering it (split/replicate).
-				per := len(dst) / len(src)
-				for s := 0; s < len(src); s++ {
-					for d := s * per; d < (s+1)*per; d++ {
-						out = append(out, PPEdge{src[s], dst[d]})
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
-// GroupCount returns how many NCCL-like communicators a setup must create;
-// reconfiguration cost scales with it.
-func (t *Topology) GroupCount() int {
-	return len(t.TPGroups()) + len(t.DPGroups()) + len(t.PPEdges())
 }
 
 // RankInfo locates a rank in the plan.

@@ -68,7 +68,7 @@ func TestElasticController(t *testing.T) {
 		TraceEvent{At: 20 * time.Minute, Zone: z, GPU: A100, Delta: 8},
 	)
 	ctrl := sys.NewController()
-	rep, err := ctrl.RunElastic(tr, time.Minute)
+	rep, err := ctrl.RunElastic(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
