@@ -10,7 +10,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/pipeline"
 	"repro/internal/profiler"
-	"repro/internal/sim"
 )
 
 func lookupSpec(g core.GPUType) (hardware.GPUSpec, error) { return hardware.Lookup(g) }
@@ -51,7 +50,7 @@ func (m timeModel) IterTime(plan core.Plan) (float64, error) {
 	if err := plan.Validate(m.cfg.Layers); err != nil {
 		return 0, err
 	}
-	nb := sim.NumMicrobatches(m.cfg, plan)
+	nb := memory.NumMicrobatches(m.cfg, plan)
 	if nb == 0 {
 		return 0, fmt.Errorf("baseline estimator: degenerate plan")
 	}
@@ -231,7 +230,7 @@ func (m memModel) PeakMemory(plan core.Plan) (int64, bool) {
 	if plan.PP() == 0 || plan.DP() == 0 {
 		return 0, true
 	}
-	nb := sim.NumMicrobatches(m.cfg, plan)
+	nb := memory.NumMicrobatches(m.cfg, plan)
 	var peak int64
 	for si, st := range plan.Stages {
 		for _, r := range st.Replicas {
@@ -279,54 +278,6 @@ type estimator struct {
 
 func (e estimator) IterTime(plan core.Plan) (float64, error) { return e.tm.IterTime(plan) }
 func (e estimator) PeakMemory(plan core.Plan) (int64, bool)  { return e.mm.PeakMemory(plan) }
-
-// coreEstimator adapts a baseline's published time/memory models to the
-// shared core.Estimator seam, so estimation-accuracy harnesses can sweep
-// Sailor's simulator, the ground truth, and every baseline uniformly.
-type coreEstimator struct {
-	e   Estimator
-	cfg model.Config
-}
-
-// AsCoreEstimator wraps a baseline estimator in the core.Estimator
-// interface. Baselines do not model cost, so the returned Estimate prices
-// nothing; FitsMemory reflects the baseline's own (possibly absent) memory
-// model, exactly as its deployment filter would.
-func AsCoreEstimator(e Estimator, cfg model.Config) core.Estimator {
-	return coreEstimator{e: e, cfg: cfg}
-}
-
-func (c coreEstimator) Estimate(plan core.Plan) (core.Estimate, error) {
-	t, err := c.e.IterTime(plan)
-	if err != nil {
-		return core.Estimate{}, err
-	}
-	peak, _ := c.e.PeakMemory(plan)
-	return core.Estimate{
-		IterTime:   t,
-		PeakMemory: peak,
-		FitsMemory: fitsOwnModel(c.e, plan),
-	}, nil
-}
-
-func (c coreEstimator) Throughput(plan core.Plan) (float64, error) {
-	t, err := c.e.IterTime(plan)
-	if err != nil {
-		return 0, err
-	}
-	if t <= 0 {
-		return 0, fmt.Errorf("baseline estimator: non-positive iteration time")
-	}
-	return 1 / t, nil
-}
-
-func (c coreEstimator) PeakMemory(plan core.Plan) (int64, error) {
-	peak, ok := c.e.PeakMemory(plan)
-	if !ok {
-		return 0, fmt.Errorf("baseline estimator: no memory model")
-	}
-	return peak, nil
-}
 
 // fitsOwnModel applies a baseline's own (possibly absent or flawed) memory
 // filter: plans pass when the model is absent or predicts a fit — which is

@@ -221,42 +221,3 @@ func TestUniformPlanPacking(t *testing.T) {
 		t.Error("TP=8 must not fit 4-GPU nodes")
 	}
 }
-
-// TestAsCoreEstimator: baseline estimators stand behind the shared
-// core.Estimator seam, with the baseline's own (possibly absent) memory
-// model deciding FitsMemory exactly as its deployment filter would.
-func TestAsCoreEstimator(t *testing.T) {
-	cfg := model.OPT350M()
-	env := testEnv(t, cfg, core.A100)
-	plan := simplePlan(cfg, core.A100, 2, 2, 1, 2)
-
-	var est core.Estimator = AsCoreEstimator((&Piper{Env: env}).Estimator(), cfg)
-	e, err := est.Estimate(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.IterTime <= 0 {
-		t.Error("baseline must predict a positive iteration time")
-	}
-	tput, err := est.Throughput(plan)
-	if err != nil || tput <= 0 {
-		t.Errorf("throughput %v, err %v", tput, err)
-	}
-	if _, err := est.PeakMemory(plan); err != nil {
-		t.Errorf("Piper has a memory model: %v", err)
-	}
-
-	// AMP ships no memory model: PeakMemory must error, and every plan
-	// "fits" its own (absent) filter.
-	amp := AsCoreEstimator((&AMP{Env: env}).Estimator(), cfg)
-	if _, err := amp.PeakMemory(plan); err == nil {
-		t.Error("AMP has no memory model; want error")
-	}
-	e2, err := amp.Estimate(plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !e2.FitsMemory {
-		t.Error("a baseline without a memory model passes every plan")
-	}
-}

@@ -277,20 +277,6 @@ func (p *Pool) FilterTypes(gpus []core.GPUType) *Pool {
 	return q
 }
 
-// ConsolidateRegions merges all zones of each region into one synthetic
-// zone, implementing heuristic H6: within a region, inter-zone bandwidth is
-// close to intra-zone bandwidth, so the geo-split is done per region.
-func (p *Pool) ConsolidateRegions() *Pool {
-	q := NewPool()
-	for z, m := range p.counts {
-		merged := core.Zone{Region: z.Region, Name: z.Region}
-		for g, c := range m {
-			q.Add(merged, g, c)
-		}
-	}
-	return q
-}
-
 // Nodes returns the number of whole nodes of the default shape available
 // for (z, g) — the fixed 4-GPU-VM topology baselines require (§5.2).
 func (p *Pool) Nodes(z core.Zone, g core.GPUType) int {

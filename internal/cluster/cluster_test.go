@@ -140,24 +140,6 @@ func TestSubtractErrorPaths(t *testing.T) {
 	}
 }
 
-func TestConsolidateRegions(t *testing.T) {
-	za := GCPZone("us-central1", 'a')
-	zb := GCPZone("us-central1", 'b')
-	zw := GCPZone("us-west1", 'a')
-	p := NewPool().Set(za, core.A100, 8).Set(zb, core.A100, 8).Set(zw, core.A100, 4)
-	q := p.ConsolidateRegions()
-	merged := core.Zone{Region: "us-central1", Name: "us-central1"}
-	if got := q.Available(merged, core.A100); got != 16 {
-		t.Errorf("consolidated = %d, want 16 (H6 merges zones per region)", got)
-	}
-	if got := q.TotalGPUs(); got != 20 {
-		t.Errorf("TotalGPUs after consolidation = %d, want 20", got)
-	}
-	if len(q.Zones()) != 2 {
-		t.Errorf("want one synthetic zone per region, got %v", q.Zones())
-	}
-}
-
 func TestNodes(t *testing.T) {
 	za := GCPZone("us-central1", 'a')
 	p := NewPool().Set(za, core.A100, 18)

@@ -48,19 +48,6 @@ func RingAllReduce(l TimeModel, bytes int64, n int) float64 {
 	return float64(steps) * l.TransferTime(chunk)
 }
 
-// AllGather returns the time for n ranks to gather `bytes` total over the
-// slowest link: (n-1) chunk steps.
-func AllGather(l TimeModel, bytes int64, n int) float64 {
-	if n <= 1 || bytes <= 0 {
-		return 0
-	}
-	chunk := bytes / int64(n)
-	if chunk < 1 {
-		chunk = 1
-	}
-	return float64(n-1) * l.TransferTime(chunk)
-}
-
 // RingCrossings counts how many ring edges cross a boundary when ranks are
 // grouped into `groups` consecutive blocks (e.g. zones). Each crossing edge
 // carries the full 2*(n-1)/n traffic of the ring, which is what inter-zone

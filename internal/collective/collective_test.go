@@ -54,17 +54,6 @@ func TestRingAllReduceBandwidthBound(t *testing.T) {
 	}
 }
 
-func TestAllGather(t *testing.T) {
-	if AllGather(testLink, 1<<20, 1) != 0 {
-		t.Error("single rank gathers nothing")
-	}
-	g4 := AllGather(testLink, 64<<20, 4)
-	r4 := RingAllReduce(testLink, 64<<20, 4)
-	if g4 <= 0 || g4 >= r4 {
-		t.Errorf("all-gather %v should be cheaper than all-reduce %v", g4, r4)
-	}
-}
-
 func TestFromFit(t *testing.T) {
 	fit := hardware.FitLink(testLink)
 	tm := FromFit(fit)

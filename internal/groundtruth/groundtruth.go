@@ -18,7 +18,6 @@ package groundtruth
 import (
 	"fmt"
 	"hash/fnv"
-	"math"
 
 	"repro/internal/collective"
 	"repro/internal/core"
@@ -65,7 +64,7 @@ func (e *Engine) Measure(plan core.Plan) (core.Estimate, error) {
 	if err := plan.Validate(e.Cfg.Layers); err != nil {
 		return core.Estimate{}, err
 	}
-	nb := sim.NumMicrobatches(e.Cfg, plan)
+	nb := memory.NumMicrobatches(e.Cfg, plan)
 	if nb == 0 {
 		return core.Estimate{}, fmt.Errorf("groundtruth: degenerate plan")
 	}
@@ -297,44 +296,4 @@ func (e *Engine) jitter(pipe, stage, mb, phase int) float64 {
 		f = 0.5
 	}
 	return f
-}
-
-// Estimate implements core.Estimator by executing the plan; for the
-// ground-truth engine an "estimate" is a measurement.
-func (e *Engine) Estimate(plan core.Plan) (core.Estimate, error) { return e.Measure(plan) }
-
-// Throughput implements core.Estimator (= MeasureThroughput).
-func (e *Engine) Throughput(plan core.Plan) (float64, error) {
-	return e.MeasureThroughput(plan)
-}
-
-// PeakMemory returns the measured peak bytes of the most loaded worker,
-// including allocator fragmentation and transient workspace.
-func (e *Engine) PeakMemory(plan core.Plan) (int64, error) {
-	if err := plan.Validate(e.Cfg.Layers); err != nil {
-		return 0, err
-	}
-	nb := sim.NumMicrobatches(e.Cfg, plan)
-	if nb == 0 {
-		return 0, fmt.Errorf("groundtruth: degenerate plan")
-	}
-	peak, _, _ := e.peakMemory(plan, nb)
-	return peak, nil
-}
-
-// Engine doubles as an evaluation backend behind the shared seam.
-var _ core.Estimator = (*Engine)(nil)
-
-// MeasureThroughput returns iterations/second, failing on OOM like a real
-// deployment would (the paper counts such plans as invalid).
-func (e *Engine) MeasureThroughput(plan core.Plan) (float64, error) {
-	est, err := e.Measure(plan)
-	if err != nil {
-		return 0, err
-	}
-	if !est.FitsMemory {
-		return 0, fmt.Errorf("groundtruth: CUDA OOM (peak %.1f GiB on %s)",
-			float64(est.PeakMemory)/math.Exp2(30), est.PeakMemoryGPU)
-	}
-	return est.Throughput(), nil
 }

@@ -2,7 +2,6 @@ package groundtruth
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -177,8 +176,12 @@ func TestMeasureThroughputOOM(t *testing.T) {
 	cfg := model.GPTNeo27B()
 	e := New(cfg)
 	plan := uniformPlan(core.V100, zoneA, 2, 2, 1, 4, cfg.Layers)
-	if _, err := e.MeasureThroughput(plan); err == nil || !strings.Contains(err.Error(), "OOM") {
-		t.Errorf("want OOM error, got %v", err)
+	est, err := e.Measure(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if est.FitsMemory {
+		t.Errorf("GPT-Neo with 16 layers per V100 at TP=1 must OOM on ground truth: peak %d", est.PeakMemory)
 	}
 }
 

@@ -94,21 +94,6 @@ func MustLookup(t core.GPUType) GPUSpec {
 	return s
 }
 
-// Known reports whether the GPU type is in the catalogue.
-func Known(t core.GPUType) bool {
-	_, ok := catalogue[t]
-	return ok
-}
-
-// Types returns all catalogued GPU types (unordered).
-func Types() []core.GPUType {
-	ts := make([]core.GPUType, 0, len(catalogue))
-	for t := range catalogue {
-		ts = append(ts, t)
-	}
-	return ts
-}
-
 // Register adds or replaces a GPU spec in the catalogue. Adding a new GPU
 // type only requires a spec plus profiling data (paper §4.1): tests use this
 // to introduce synthetic accelerators, matching the claim that Sailor treats

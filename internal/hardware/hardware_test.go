@@ -24,9 +24,6 @@ func TestLookupUnknown(t *testing.T) {
 	if _, err := Lookup("TPU-v9"); err == nil {
 		t.Fatal("want error for unknown GPU type")
 	}
-	if Known("TPU-v9") {
-		t.Fatal("Known should be false for unregistered type")
-	}
 }
 
 func TestRegisterNewAccelerator(t *testing.T) {
@@ -90,8 +87,9 @@ func TestLinkTransferTimeMonotone(t *testing.T) {
 
 func TestLinkBandwidthSaturates(t *testing.T) {
 	l := LinkSpec{Class: IntraZone, LatencySec: 30e-6, GBs: 12, RampBytes: 4 << 20}
-	small := l.EffectiveGBs(64 << 10)
-	large := l.EffectiveGBs(1 << 30)
+	gbs := func(bytes int64) float64 { return float64(bytes) / l.TransferTime(bytes) / 1e9 }
+	small := gbs(64 << 10)
+	large := gbs(1 << 30)
 	if small >= large {
 		t.Errorf("effective bandwidth should ramp with size: %v >= %v", small, large)
 	}

@@ -63,17 +63,6 @@ func (l LinkSpec) TransferTime(bytes int64) float64 {
 	return l.LatencySec + s/bw
 }
 
-// EffectiveGBs returns the achieved bandwidth in GB/s for a message size,
-// including the latency term; this is the quantity the paper plots when
-// fitting its polynomial coefficients.
-func (l LinkSpec) EffectiveGBs(bytes int64) float64 {
-	t := l.TransferTime(bytes)
-	if t <= 0 {
-		return 0
-	}
-	return float64(bytes) / t / 1e9
-}
-
 // Network resolves links between workers. It is parameterised by the
 // node NIC bandwidth of the two endpoints and the zone pair.
 type Network struct {

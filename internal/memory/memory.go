@@ -125,7 +125,7 @@ func Check(cfg model.Config, plan core.Plan) (peak int64, peakGPU core.GPUType, 
 	if plan.DP() == 0 || plan.PP() == 0 {
 		return 0, "", false, fmt.Errorf("memory: empty plan")
 	}
-	nb := numMicrobatches(cfg, plan)
+	nb := NumMicrobatches(cfg, plan)
 	fits = true
 	for si, s := range plan.Stages {
 		for _, r := range s.Replicas {
@@ -174,10 +174,15 @@ func MinTP(cfg model.Config, g core.GPUType, layers, stageIdx, pp, mbs, nb int) 
 	return 0
 }
 
-func numMicrobatches(cfg model.Config, plan core.Plan) int {
+// NumMicrobatches returns how many microbatches each pipeline processes per
+// iteration: ceil(gbs / (dp * mbs)). The simulator, the ground truth and the
+// baselines run this many, so the in-flight activations Check counts match
+// the schedule the time models execute.
+func NumMicrobatches(cfg model.Config, plan core.Plan) int {
 	dp := plan.DP()
 	if dp == 0 || plan.MicroBatchSize == 0 {
 		return 0
 	}
-	return cfg.GlobalBatch / (dp * plan.MicroBatchSize)
+	per := dp * plan.MicroBatchSize
+	return (cfg.GlobalBatch + per - 1) / per
 }

@@ -117,6 +117,26 @@ func TestCheckDetectsOOM(t *testing.T) {
 	}
 }
 
+// TestCheckCountsScheduledMicrobatches: Check keeps as many microbatches in
+// flight as the time models run, ceil(gbs / (dp * mbs)). With 65 replicas
+// of mbs 8, OPT-350M's 2048 sequences make 4 microbatches (the last one
+// short), so stage 0 of a 4-stage pipeline holds all 4, not 3.
+func TestCheckCountsScheduledMicrobatches(t *testing.T) {
+	cfg := model.OPT350M()
+	plan := onePlanZ(core.A100, 1, 65, 4, 8, cfg.Layers)
+	if got := NumMicrobatches(cfg, plan); got != 4 {
+		t.Fatalf("NumMicrobatches = %d, want ceil(2048/520) = 4", got)
+	}
+	peak, _, _, err := Check(cfg, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := WorkerFootprint(cfg, shape(cfg.Layers/4, 0, 4, 1, 8, 4)).Total()
+	if peak != want {
+		t.Errorf("Check peak = %d, want stage 0 with 4 in flight = %d", peak, want)
+	}
+}
+
 func TestCheckEmptyPlan(t *testing.T) {
 	if _, _, _, err := Check(model.OPT350M(), core.Plan{}); err == nil {
 		t.Error("want error for empty plan")

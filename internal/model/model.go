@@ -139,10 +139,3 @@ func (c Config) GradBytesPerLayer(tp int) int64 {
 	h := int64(c.Hidden)
 	return 2 * (12*h*h/int64(tp) + 13*h)
 }
-
-// TPCollectiveBytesPerLayer returns the bytes moved per microbatch per layer
-// by tensor-parallel all-reduces: two all-reduces per layer in forward and
-// two in backward, each of the boundary activation size.
-func (c Config) TPCollectiveBytesPerLayer(b int) int64 {
-	return 4 * c.BoundaryActivationBytes(b)
-}

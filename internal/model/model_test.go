@@ -137,10 +137,3 @@ func TestActivationMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestTPCollectiveBytes(t *testing.T) {
-	c := OPT350M()
-	if got, want := c.TPCollectiveBytesPerLayer(2), 4*c.BoundaryActivationBytes(2); got != want {
-		t.Errorf("TPCollectiveBytesPerLayer = %d, want %d", got, want)
-	}
-}

@@ -340,12 +340,3 @@ func depTime(finish map[opKey]float64, stage int, op Op, p int, comm func(int) f
 	}
 	return f + comm(stage), true
 }
-
-// BubbleFraction returns the idle fraction of an ideal homogeneous pipeline:
-// (p-1)/(nb+p-1), the classic 1F1B bubble bound, for sanity checks.
-func BubbleFraction(p, nb int) float64 {
-	if p <= 1 || nb <= 0 {
-		return 0
-	}
-	return float64(p-1) / float64(nb+p-1)
-}

@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -192,17 +194,6 @@ func TestMakespanEmpty(t *testing.T) {
 	}
 }
 
-func TestBubbleFraction(t *testing.T) {
-	if BubbleFraction(1, 8) != 0 {
-		t.Error("single stage has no bubble")
-	}
-	got := BubbleFraction(4, 12)
-	want := 3.0 / 15.0
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("BubbleFraction = %v, want %v", got, want)
-	}
-}
-
 // Property: makespan is monotone — adding more microbatches never shortens
 // the iteration, and deeper pipelines never beat the ideal lower bound
 // nb * (f + b) of a single stage's own work.
@@ -222,5 +213,60 @@ func TestMakespanLowerBoundProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMakespanStageCostsMatchesMakespan: the flat evaluator the simulator
+// runs is bit-for-bit equal to the map-based Makespan over random pipeline
+// depths, microbatch counts and stage costs, with one Scratch reused across
+// every shape (growing and shrinking), and Cached1F1B hands out exactly
+// OneFOneB's schedule. Half the cases draw costs from a coarse grid so that
+// exact ties between dependency and predecessor arrival times occur.
+func TestMakespanStageCostsMatchesMakespan(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	cost := func(coarse bool) float64 {
+		if coarse {
+			return float64(rng.Intn(4)) * 0.25
+		}
+		return rng.Float64()
+	}
+	var sc Scratch
+	for i := 0; i < 500; i++ {
+		p := 1 + rng.Intn(8)
+		nb := 1 + rng.Intn(4*p+2)
+		coarse := i%2 == 0
+		fwd, bwd, comm := make([]float64, p), make([]float64, p), make([]float64, p-1)
+		for s := 0; s < p; s++ {
+			fwd[s], bwd[s] = 0.01+cost(coarse), 0.01+cost(coarse)
+			if s < p-1 {
+				comm[s] = cost(coarse)
+			}
+		}
+		want, err := OneFOneB(p, nb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sched, err := Cached1F1B(p, nb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(sched, want) {
+			t.Fatalf("p=%d nb=%d: Cached1F1B differs from OneFOneB", p, nb)
+		}
+		ref, err := Makespan(sched,
+			func(s, _ int) float64 { return fwd[s] },
+			func(s, _ int) float64 { return bwd[s] },
+			func(b int) float64 { return comm[b] })
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := MakespanStageCosts(sched, fwd, bwd, comm, &sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != ref {
+			t.Fatalf("p=%d nb=%d fwd=%v bwd=%v comm=%v: MakespanStageCosts %v != Makespan %v",
+				p, nb, fwd, bwd, comm, got, ref)
+		}
 	}
 }

@@ -38,11 +38,11 @@ package planner
 //
 // Bounds are scaled by pruneSafety so floating-point reassociation between
 // the bound's arithmetic and the DP's own sums can never flip an exact tie,
-// pruning fires only on strict inequality, and it activates only for
-// evaluators declaring the BoundPrunable admissibility property — an unknown
-// backend searches unpruned. Options.DisableDominancePruning turns it off
-// for ablations; it is excluded from the warm-cache fingerprint because
-// cached entries are pure functions of their keys either way.
+// pruning fires only on strict inequality, and the floors are admissible
+// because Evaluator quotes are pure (see Evaluator).
+// Options.DisableDominancePruning turns it off for ablations; it is excluded
+// from the warm-cache fingerprint because cached entries are pure functions
+// of their keys either way.
 
 // pruneSafety shrinks every lower bound by one part in 10^9 — far above
 // float64 accumulation error over these expressions, far below any real
@@ -54,7 +54,7 @@ const pruneSafety = 1 - 1e-9
 // maxima).
 func (t *task) initDominance(layers []int) {
 	t.domOn = false
-	if t.pl.Opts.DisableDominancePruning || !t.s.pruneOK {
+	if t.pl.Opts.DisableDominancePruning {
 		return
 	}
 	pp := len(layers)

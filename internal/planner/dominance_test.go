@@ -95,46 +95,3 @@ func TestDominancePruningExact(t *testing.T) {
 		t.Error("dominance bounds never fired across the whole suite; pruning is dead code")
 	}
 }
-
-// noMarkerEval wraps an Evaluator without promoting the BoundPrunable
-// marker: its method set is exactly Evaluator's.
-type noMarkerEval struct{ Evaluator }
-
-// TestPruningRequiresBoundPrunable: an evaluator that does not declare the
-// admissibility property is searched unpruned — identical Explored to an
-// explicitly unpruned search — because the bound is only proven for
-// backends that opt in. The pool is heterogeneous, where dominance fires.
-func TestPruningRequiresBoundPrunable(t *testing.T) {
-	cfg := model.OPT350M()
-	prof, err := profiler.Collect(cfg, []core.GPUType{core.A100, core.V100}, nil, profiler.Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := sim.New(cfg, prof)
-	pool := cluster.NewPool().Set(zoneA, core.A100, 16).Set(zoneA, core.V100, 16)
-	opts := Options{Objective: core.MaxThroughput, Heuristics: AllHeuristics(), Workers: 1}
-
-	wrapped, err := New(cfg, noMarkerEval{ev}, opts).Plan(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unprunedOpts := opts
-	unprunedOpts.DisableDominancePruning = true
-	unpruned, err := New(cfg, ev, unprunedOpts).Plan(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned, err := New(cfg, ev, opts).Plan(pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wrapped.Explored != unpruned.Explored {
-		t.Errorf("non-BoundPrunable evaluator was pruned: explored %d, want %d", wrapped.Explored, unpruned.Explored)
-	}
-	if pruned.Explored >= unpruned.Explored {
-		t.Errorf("marker-declaring evaluator did not prune: %d >= %d", pruned.Explored, unpruned.Explored)
-	}
-	if wrapped.Plan.String() != unpruned.Plan.String() || pruned.Plan.String() != unpruned.Plan.String() {
-		t.Error("plans diverged across pruning modes")
-	}
-}

@@ -147,12 +147,21 @@ type Result struct {
 	SpeculativeHit bool
 }
 
-// Evaluator is the estimation backend the planner searches against: the
-// shared plan-level core.Estimator seam plus the stage-level hooks the
-// Listing-1 dynamic program scores candidate stages with. The analytical
-// simulator (internal/sim) is the default implementation.
+// Evaluator is the estimation backend the planner searches against: a
+// plan-level estimate plus the stage-level hooks the Listing-1 dynamic
+// program scores candidate stages with. The analytical simulator
+// (internal/sim) is the default implementation.
+//
+// Every method must be a pure function of its arguments: the same quote for
+// the same inputs, on every call. The planner relies on that throughout —
+// its per-search stage tables and the warm cache reuse quotes across calls
+// and searches, and dominance pruning's completion bound (dominance.go)
+// takes the fastest StageComputeTimeWith quote and the cheapest GPUHourUSD
+// rate as floors for every DP suffix, solved or served from the cache.
 type Evaluator interface {
-	core.Estimator
+	// Estimate evaluates a plan end to end: iteration time, cost split,
+	// and the peak memory of the most loaded worker.
+	Estimate(core.Plan) (core.Estimate, error)
 	// StageComputeTimeWith returns the per-microbatch fwd+bwd seconds of
 	// one stage replica (time_for_stage), with an explicit
 	// rematerialisation mode. The planner always asks for recompute=false;
@@ -163,24 +172,6 @@ type Evaluator interface {
 	// DPSyncTime estimates a within-region gradient all-reduce of bytes
 	// across d replicas.
 	DPSyncTime(bytes int64, d int) float64
-}
-
-// BoundPrunable is an optional Evaluator extension. An implementation
-// declares that its stage-level quotes are pure functions of their
-// arguments — StageComputeTimeWith always quotes the same seconds for the
-// same (type, TP, microbatch, layers) and GPUHourUSD a fixed price — which
-// is what dominance pruning's completion bound (dominance.go) rests on: a
-// suffix of the DP, whether solved in this search or served from the warm
-// cache, costs at least nb times its slowest per-stage floor plus the sum of
-// those floors, each floor being the fastest quote over every available GPU
-// type and TP degree, and at least its GPU count at the cheapest available
-// rate. Dominance pruning activates only for evaluators that declare this;
-// an Evaluator without the marker is searched unpruned, so exactness is
-// never traded for speed on an unknown estimation backend.
-type BoundPrunable interface {
-	// StageBusyLowerBounded reports whether the admissibility property
-	// above holds for this evaluator instance.
-	StageBusyLowerBounded() bool
 }
 
 // Planner searches the joint resource-allocation x parallelization space.

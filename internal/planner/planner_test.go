@@ -72,11 +72,14 @@ func TestPlannerBeatsNaivePlan(t *testing.T) {
 			Replicas: []core.StageReplica{{GPU: core.A100, TP: 4, Zone: zoneA}},
 		})
 	}
-	naiveTP, err := pl.Sim.Throughput(naive)
+	naiveEst, err := pl.Sim.Estimate(naive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Estimate.Throughput() <= naiveTP {
+	if !naiveEst.FitsMemory {
+		t.Fatal("the naive plan must fit memory")
+	}
+	if naiveTP := naiveEst.Throughput(); res.Estimate.Throughput() <= naiveTP {
 		t.Errorf("planner %v it/s should beat naive %v it/s", res.Estimate.Throughput(), naiveTP)
 	}
 }
@@ -312,11 +315,14 @@ func TestPlannedPlanSurvivesGroundTruth(t *testing.T) {
 		t.Fatal(err)
 	}
 	gt := groundtruth.New(cfg)
-	real, err := gt.MeasureThroughput(res.Plan)
+	m, err := gt.Measure(res.Plan)
 	if err != nil {
 		t.Fatalf("planned plan failed on ground truth: %v", err)
 	}
-	est := res.Estimate.Throughput()
+	if !m.FitsMemory {
+		t.Fatalf("planned plan OOMs on ground truth: peak %d on %s", m.PeakMemory, m.PeakMemoryGPU)
+	}
+	est, real := res.Estimate.Throughput(), m.Throughput()
 	rel := (est - real) / real
 	if rel < 0 {
 		rel = -rel

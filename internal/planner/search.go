@@ -27,10 +27,8 @@ type search struct {
 	ratePerSec []float64
 	nodeCap    []int
 
-	// pruneOK marks the evaluator as declaring the dominance-pruning
-	// admissibility property (BoundPrunable); minRate is the cheapest
-	// per-GPU USD/second over the GPU types available anywhere in the pool.
-	pruneOK bool
+	// minRate is the cheapest per-GPU USD/second over the GPU types
+	// available anywhere in the pool (dominance pruning's rate floor).
 	minRate float64
 
 	// The pool as plan materialisation needs it, built once per pass: its
@@ -138,9 +136,6 @@ func (s *search) bindState(rs *regionState, pool *cluster.Pool) {
 		if r := s.ratePerSec[ti]; rs.available(ti) && (s.minRate == 0 || r < s.minRate) {
 			s.minRate = r
 		}
-	}
-	if bp, ok := s.pl.Sim.(BoundPrunable); ok && bp.StageBusyLowerBounded() {
-		s.pruneOK = true
 	}
 }
 

@@ -18,10 +18,9 @@ import (
 	"repro/internal/trace"
 )
 
-// countingEval forwards every Evaluator method to the simulator — the
-// BoundPrunable marker included, so searches through it prune exactly as
-// the simulator's do — and counts Estimate calls, which lets a test split a
-// search's Explored into DP nodes and candidate-plan evaluations.
+// countingEval forwards every Evaluator method to the simulator and counts
+// Estimate calls, which lets a test split a search's Explored into DP nodes
+// and candidate-plan evaluations.
 type countingEval struct {
 	*sim.Simulator
 	estimates atomic.Int64

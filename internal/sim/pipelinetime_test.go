@@ -58,24 +58,6 @@ func TestPipelineTimeShortIterationExact(t *testing.T) {
 	}
 }
 
-func TestPipelineTimeClosedFormFallback(t *testing.T) {
-	// Overlap < 1 switches to the closed form (used by ablations).
-	cfg := model.OPT350M()
-	s := newSim(t, cfg, core.A100)
-	s.Overlap = 0
-	fwd := []float64{0.01, 0.01}
-	bwd := []float64{0.02, 0.02}
-	comm := []float64{0.05}
-	got, err := s.pipelineTime(fwd, bwd, comm, 64, &pipeline.Scratch{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := pipeline.AnalyticTime(fwd, bwd, comm, 64, 0)
-	if got != want {
-		t.Errorf("overlap<1 must use AnalyticTime: %v != %v", got, want)
-	}
-}
-
 func TestDeepPipelineLatencyExposure(t *testing.T) {
 	// The structural effect the closed form misses: with a static 1F1B
 	// schedule, boundary latency near the pipeline tail stalls each

@@ -10,7 +10,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"repro/internal/collective"
@@ -31,14 +30,6 @@ type Simulator struct {
 	Prof    *profiler.Profile
 	Net     *hardware.Network
 	Pricing *hardware.Pricing
-	// Overlap is the fraction of pipeline p2p communication hidden behind
-	// compute in the steady state. Megatron-style frameworks issue async
-	// sends/recvs, so in steady state transfers only add latency to the
-	// dependency edge while the stage computes other microbatches; the
-	// default is therefore 1 (fully overlapped in steady state, exposed
-	// during warm-up/cool-down). Estimators that ignore overlap — one of
-	// the baseline flaws §3.2/C2 calls out — set this to 0.
-	Overlap float64
 
 	// tbl is the dense (gpu, tp, mbs) timing table, built on first use;
 	// rings memoizes gradient-sync ring evaluations. Both hold pure
@@ -54,19 +45,7 @@ func New(cfg model.Config, prof *profiler.Profile) *Simulator {
 		Prof:    prof,
 		Net:     hardware.DefaultNetwork(),
 		Pricing: hardware.DefaultPricing(),
-		Overlap: 1.0,
 	}
-}
-
-// NumMicrobatches returns how many microbatches each pipeline processes per
-// iteration: ceil(gbs / (dp * mbs)).
-func NumMicrobatches(cfg model.Config, plan core.Plan) int {
-	dp := plan.DP()
-	if dp == 0 || plan.MicroBatchSize == 0 {
-		return 0
-	}
-	per := dp * plan.MicroBatchSize
-	return (cfg.GlobalBatch + per - 1) / per
 }
 
 // Estimate evaluates a plan end to end (§4.3): per-pipeline 1F1B time with
@@ -76,7 +55,7 @@ func (s *Simulator) Estimate(plan core.Plan) (core.Estimate, error) {
 	if err := plan.Validate(s.Cfg.Layers); err != nil {
 		return core.Estimate{}, err
 	}
-	nb := NumMicrobatches(s.Cfg, plan)
+	nb := memory.NumMicrobatches(s.Cfg, plan)
 	if nb == 0 {
 		return core.Estimate{}, fmt.Errorf("sim: degenerate plan (no microbatches)")
 	}
@@ -220,17 +199,11 @@ func (s *Simulator) Estimate(plan core.Plan) (core.Estimate, error) {
 // forms with a fixed overlap factor miss (the paper's simulator reaches
 // ~6% error where closed-form baselines reach 10-20%, Figure 5b).
 //
-// Setting Overlap < 1 switches to the closed-form AnalyticTime instead,
-// which the estimation-error ablations use.
-//
 // Schedules come from the process-wide cache and the DAG evaluation runs in
 // caller scratch (pipeline.MakespanStageCosts executes the identical op
 // order as pipeline.Makespan), so the value is bit-identical to the
 // original map-and-closure evaluation at a fraction of the cost.
 func (s *Simulator) pipelineTime(fwd, bwd, comm []float64, nb int, mk *pipeline.Scratch) (float64, error) {
-	if s.Overlap < 1 {
-		return pipeline.AnalyticTime(fwd, bwd, comm, nb, s.Overlap)
-	}
 	p := len(fwd)
 	short := 4 * p
 	if nb <= short {
@@ -393,24 +366,10 @@ func (s *Simulator) EgressUSD(plan core.Plan, nb int) float64 {
 	return total
 }
 
-// CostOfStage prices the GPUs of one candidate stage for `secs` seconds,
-// used by the planner's budget-constrained DP (cost_for_stage in Listing 1).
-func (s *Simulator) CostOfStage(st core.StagePlan, secs float64) float64 {
-	c := 0.0
-	for _, r := range st.Replicas {
-		c += s.Pricing.ComputeUSD(r.GPU, r.GPUCount(), secs)
-	}
-	return c
-}
-
-// StageComputeTime returns the per-microbatch fwd+bwd time of one replica
-// executing `layers` blocks, the planner's time_for_stage building block.
-func (s *Simulator) StageComputeTime(g core.GPUType, tp, mbs, layers int, last bool) (float64, error) {
-	return s.StageComputeTimeWith(g, tp, mbs, layers, last, false)
-}
-
-// StageComputeTimeWith is StageComputeTime with an explicit recomputation
-// mode: rematerialisation replays the forward pass during backward.
+// StageComputeTimeWith returns the per-microbatch fwd+bwd time of one
+// replica executing `layers` blocks, the planner's time_for_stage building
+// block; with recompute, rematerialisation replays the forward pass during
+// backward.
 func (s *Simulator) StageComputeTimeWith(g core.GPUType, tp, mbs, layers int, last, recompute bool) (float64, error) {
 	lt, err := s.layerTiming(g, mbs, tp)
 	if err != nil {
@@ -430,36 +389,6 @@ func (s *Simulator) StageComputeTimeWith(g core.GPUType, tp, mbs, layers int, la
 	return t, nil
 }
 
-// StageBusyLowerBounded declares the planner's dominance-pruning
-// admissibility property (planner.BoundPrunable): StageComputeTimeWith and
-// GPUHourUSD are pure functions of their arguments — profile lookups and a
-// fixed price table — so the planner's per-stage time floors and cheapest
-// rate bound every DP suffix it can build or serve from its warm cache.
-func (s *Simulator) StageBusyLowerBounded() bool { return true }
-
-// Throughput is a convenience wrapper returning iterations/second for a
-// plan, or 0 with the error when the plan is invalid or OOMs.
-func (s *Simulator) Throughput(plan core.Plan) (float64, error) {
-	e, err := s.Estimate(plan)
-	if err != nil {
-		return 0, err
-	}
-	if !e.FitsMemory {
-		return 0, fmt.Errorf("sim: plan OOMs (peak %.1f GiB on %s)",
-			float64(e.PeakMemory)/math.Exp2(30), e.PeakMemoryGPU)
-	}
-	return e.Throughput(), nil
-}
-
-// PeakMemory returns the analytical peak bytes of the most loaded worker.
-func (s *Simulator) PeakMemory(plan core.Plan) (int64, error) {
-	if err := plan.Validate(s.Cfg.Layers); err != nil {
-		return 0, err
-	}
-	peak, _, _, err := memory.Check(s.Cfg, plan)
-	return peak, err
-}
-
 // GPUHourUSD prices one GPU-hour of a type, a stage-level hook for the
 // planner's DP (cost_for_stage in Listing 1).
 func (s *Simulator) GPUHourUSD(g core.GPUType) float64 {
@@ -472,6 +401,3 @@ func (s *Simulator) GPUHourUSD(g core.GPUType) float64 {
 func (s *Simulator) DPSyncTime(bytes int64, d int) float64 {
 	return s.ringTime(hardware.InterZone, bytes, d)
 }
-
-// Simulator is the planner's default estimation backend.
-var _ core.Estimator = (*Simulator)(nil)

@@ -1,10 +1,10 @@
 package sim
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/memory"
 	"repro/internal/model"
 	"repro/internal/profiler"
 )
@@ -73,10 +73,14 @@ func TestEstimateBasics(t *testing.T) {
 func TestNumMicrobatches(t *testing.T) {
 	cfg := model.OPT350M() // gbs 2048
 	plan := uniformPlan(core.A100, zoneA, 2, 4, 1, 2, cfg.Layers)
-	if got := NumMicrobatches(cfg, plan); got != 256 {
+	if got := memory.NumMicrobatches(cfg, plan); got != 256 {
 		t.Errorf("NumMicrobatches = %d, want 2048/(4*2)=256", got)
 	}
-	if got := NumMicrobatches(cfg, core.Plan{}); got != 0 {
+	odd := uniformPlan(core.A100, zoneA, 1, 65, 1, 8, cfg.Layers)
+	if got := memory.NumMicrobatches(cfg, odd); got != 4 {
+		t.Errorf("NumMicrobatches = %d, want ceil(2048/(65*8))=4", got)
+	}
+	if got := memory.NumMicrobatches(cfg, core.Plan{}); got != 0 {
 		t.Errorf("empty plan microbatches = %d, want 0", got)
 	}
 }
@@ -89,10 +93,14 @@ func TestMoreDataParallelismRaisesThroughputThenSaturates(t *testing.T) {
 	var prev float64
 	for _, dp := range []int{1, 2, 4, 8} {
 		plan := uniformPlan(core.A100, zoneA, 2, dp, 1, 2, cfg.Layers)
-		tp, err := s.Throughput(plan)
+		e, err := s.Estimate(plan)
 		if err != nil {
 			t.Fatalf("dp=%d: %v", dp, err)
 		}
+		if !e.FitsMemory {
+			t.Fatalf("dp=%d: plan must fit memory", dp)
+		}
+		tp := e.Throughput()
 		if tp <= prev {
 			t.Fatalf("throughput should grow with DP in-zone: dp=%d %v <= %v", dp, tp, prev)
 		}
@@ -249,9 +257,6 @@ func TestOOMDetection(t *testing.T) {
 	if e.FitsMemory {
 		t.Error("GPT-Neo with 16 layers per V100 at TP=1 must OOM")
 	}
-	if _, err := s.Throughput(plan); err == nil || !strings.Contains(err.Error(), "OOM") {
-		t.Errorf("Throughput should surface OOM, got %v", err)
-	}
 }
 
 func TestEstimateRejectsInvalidPlan(t *testing.T) {
@@ -293,26 +298,25 @@ func TestCostScalesWithResources(t *testing.T) {
 func TestStageComputeTimeAndCost(t *testing.T) {
 	cfg := model.OPT350M()
 	s := newSim(t, cfg, core.A100)
-	t1, err := s.StageComputeTime(core.A100, 1, 2, 6, false)
-	if err != nil {
-		t.Fatal(err)
+	stage := func(layers int, last, recompute bool) float64 {
+		t.Helper()
+		v, err := s.StageComputeTimeWith(core.A100, 1, 2, layers, last, recompute)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
 	}
-	t2, err := s.StageComputeTime(core.A100, 1, 2, 12, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if t2 <= t1 {
+	t1 := stage(6, false, false)
+	if t2 := stage(12, false, false); t2 <= t1 {
 		t.Error("more layers must take longer")
 	}
-	tl, err := s.StageComputeTime(core.A100, 1, 2, 6, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tl <= t1 {
+	if tl := stage(6, true, false); tl <= t1 {
 		t.Error("last stage pays the head")
 	}
-	st := core.StagePlan{NumLayers: 6, Replicas: []core.StageReplica{{GPU: core.A100, TP: 4, Zone: zoneA}}}
-	if c := s.CostOfStage(st, 3600); c <= 0 {
-		t.Error("stage cost must be positive")
+	if tr := stage(6, false, true); tr <= t1 {
+		t.Error("recomputation replays the forward pass")
+	}
+	if c := s.GPUHourUSD(core.A100); c <= 0 {
+		t.Error("GPU-hour price must be positive")
 	}
 }

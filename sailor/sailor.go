@@ -63,11 +63,6 @@
 // skip already-explored regions. cmd/sailor-replay runs any named scenario and
 // prints the reconfiguration ledger.
 //
-// Evaluation backends — the analytical simulator, the ground-truth engine,
-// and the baselines' published estimators — all satisfy the shared
-// Estimator interface (Simulator/GroundTruth accessors), so plan scoring
-// code can be written once and pointed at any of them.
-//
 // The package is a facade over the internal profiler, planner, simulator,
 // ground truth, and runtime packages.
 package sailor
@@ -106,9 +101,6 @@ type (
 	StageReplica = core.StageReplica
 	// Estimate is a simulator or testbed evaluation of a plan.
 	Estimate = core.Estimate
-	// Estimator is the shared plan-evaluation seam every backend satisfies
-	// (analytical simulator, ground truth, baseline estimators).
-	Estimator = core.Estimator
 	// Objective selects what the planner optimizes.
 	Objective = core.Objective
 	// Constraints bound feasible plans (budget, throughput floor).
@@ -459,14 +451,6 @@ func (s *System) Simulate(plan Plan) (Estimate, error) { return s.simulator.Esti
 // Measure runs a plan on the ground-truth engine — the repository's
 // substitute for deploying on a real cluster.
 func (s *System) Measure(plan Plan) (Estimate, error) { return s.gt.Measure(plan) }
-
-// Simulator exposes the analytical simulator behind the shared Estimator
-// seam.
-func (s *System) Simulator() Estimator { return s.simulator }
-
-// GroundTruth exposes the ground-truth engine behind the shared Estimator
-// seam.
-func (s *System) GroundTruth() Estimator { return s.gt }
 
 // NewController returns an elastic training controller (§4.4) wired to this
 // system's planner, ground truth, and persistent warm-start cache — a

@@ -125,8 +125,8 @@ func TestWorkersConfigurationDeterminism(t *testing.T) {
 	}
 }
 
-// TestEstimatorSeam: the simulator and ground truth both stand behind the
-// shared Estimator interface and agree a planned configuration fits.
+// TestEstimatorSeam: the simulator and ground truth both score a planned
+// configuration, and agree it fits.
 func TestEstimatorSeam(t *testing.T) {
 	sys, err := New(OPT350M(), []GPUType{A100})
 	if err != nil {
@@ -137,24 +137,16 @@ func TestEstimatorSeam(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, e := range map[string]Estimator{
-		"simulator":   sys.Simulator(),
-		"groundtruth": sys.GroundTruth(),
+	for name, estimate := range map[string]func(Plan) (Estimate, error){
+		"simulator":   sys.Simulate,
+		"groundtruth": sys.Measure,
 	} {
-		est, err := e.Estimate(res.Plan)
+		est, err := estimate(res.Plan)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if !est.FitsMemory || est.IterTime <= 0 {
+		if !est.FitsMemory || est.IterTime <= 0 || est.Throughput() <= 0 || est.PeakMemory <= 0 {
 			t.Errorf("%s: implausible estimate %+v", name, est)
-		}
-		tput, err := e.Throughput(res.Plan)
-		if err != nil || tput <= 0 {
-			t.Errorf("%s: throughput %v, err %v", name, tput, err)
-		}
-		peak, err := e.PeakMemory(res.Plan)
-		if err != nil || peak <= 0 {
-			t.Errorf("%s: peak memory %v, err %v", name, peak, err)
 		}
 	}
 }
