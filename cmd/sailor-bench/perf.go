@@ -80,20 +80,27 @@ func runPerfSuite(workers int) (benchDoc, error) {
 	doc := benchDoc{V: benchSchemaVersion, Kind: "planner-bench", Go: runtime.Version(), Workers: workers}
 
 	zone := cluster.GCPZone("us-central1", 'a')
+	geoHetero := cluster.NewPool().Set(zone, core.A100, 20).Set(cluster.GCPZone("us-central1", 'b'), core.V100, 20).
+		Set(cluster.GCPZone("europe-west4", 'a'), core.A100, 8)
 	pools := []struct {
 		name string
 		gpus []core.GPUType
 		pool *cluster.Pool
+		obj  core.Objective
+		cons core.Constraints
 	}{
 		{"planner_cold/homogeneous128", []core.GPUType{core.A100},
-			cluster.NewPool().Set(zone, core.A100, 128)},
+			cluster.NewPool().Set(zone, core.A100, 128), core.MaxThroughput, core.Constraints{}},
 		{"planner_cold/heterogeneous64", []core.GPUType{core.A100, core.V100},
-			cluster.NewPool().Set(zone, core.A100, 32).Set(zone, core.V100, 32)},
+			cluster.NewPool().Set(zone, core.A100, 32).Set(zone, core.V100, 32), core.MaxThroughput, core.Constraints{}},
 		// Two regions, so the DP's memo keys see suffixes that start past
 		// the first region: the one row whose search work watches them.
 		{"planner_cold/geo-hetero", []core.GPUType{core.A100, core.V100},
-			cluster.NewPool().Set(zone, core.A100, 20).Set(cluster.GCPZone("us-central1", 'b'), core.V100, 20).
-				Set(cluster.GCPZone("europe-west4", 'a'), core.A100, 8)},
+			geoHetero, core.MaxThroughput, core.Constraints{}},
+		// The same pool under cold-hetero's min-cost op: cheapest plan
+		// above a 0.08 it/s throughput floor.
+		{"planner_cold/min-cost", []core.GPUType{core.A100, core.V100},
+			geoHetero, core.MinCost, core.Constraints{MinThroughput: 0.08}},
 	}
 	for _, pc := range pools {
 		cfg, ev, err := perfLab(pc.gpus...)
@@ -102,7 +109,7 @@ func runPerfSuite(workers int) (benchDoc, error) {
 		}
 		mk := func() *planner.Planner {
 			return planner.New(*cfg, ev, planner.Options{
-				Objective: core.MaxThroughput, Heuristics: planner.AllHeuristics(), Workers: workers,
+				Objective: pc.obj, Constraints: pc.cons, Heuristics: planner.AllHeuristics(), Workers: workers,
 			})
 		}
 		probe, err := mk().Plan(pc.pool)

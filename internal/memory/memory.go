@@ -179,10 +179,17 @@ func MinTP(cfg model.Config, g core.GPUType, layers, stageIdx, pp, mbs, nb int) 
 // baselines run this many, so the in-flight activations Check counts match
 // the schedule the time models execute.
 func NumMicrobatches(cfg model.Config, plan core.Plan) int {
-	dp := plan.DP()
-	if dp == 0 || plan.MicroBatchSize == 0 {
+	return Microbatches(cfg.GlobalBatch, plan.DP(), plan.MicroBatchSize)
+}
+
+// Microbatches is ceil(gbs / (dp * mbs)), the microbatches each of dp
+// pipelines runs per iteration at microbatch size mbs; 0 when dp or mbs is.
+// The planner's DP counts with it too, so what it weighs is what the plan
+// it materialises runs.
+func Microbatches(gbs, dp, mbs int) int {
+	if dp == 0 || mbs == 0 {
 		return 0
 	}
-	per := dp * plan.MicroBatchSize
-	return (cfg.GlobalBatch + per - 1) / per
+	per := dp * mbs
+	return (gbs + per - 1) / per
 }

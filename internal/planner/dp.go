@@ -2,7 +2,8 @@ package planner
 
 // The per-stage dynamic program of Listing 1: assign resources to pipeline
 // stages suffix by suffix, memoizing on the resources the suffix can still
-// reach (the regions from its scan position on; see packedKey), with
+// reach and use (the regions from its scan position on, each count clamped
+// to what the remaining stages can take of its type; see packedKey), with
 // an exact budget-threading recursion for shallow pipelines and a beam-
 // bounded fallback for deep ones. All methods run on a single task — the
 // DP itself is sequential; parallelism lives one level up in search.go.
@@ -249,7 +250,7 @@ func (t *task) solveDP(rs *regionState, layers []int, i, ri, d, mbs, nb int, bud
 	var memoKey dpKey
 	memoized := budget <= 0 // unconstrained: memoization is sound
 	if memoized {
-		memoKey = rs.packedKey(i, ri)
+		memoKey = rs.packedKey(i, ri, &t.caps)
 		if n, ok := t.memoGet(memoKey); ok {
 			return n
 		}
@@ -486,21 +487,13 @@ func (t *task) buildCombos(rs *regionState, region, layers, stage, pp, d, mbs, n
 	opts := t.optsBuf[:0]
 	tps := t.tpsBuf[:0]
 	for ti, g := range rs.types {
-		nodeGPUs := t.s.nodeCap[ti]
+		lo, hi := t.tpRange(g, ti, layers, stage, pp, mbs, nb)
+		if lo == 0 {
+			continue // cannot fit this stage on this type at all
+		}
 		start := len(tps)
-		if t.pl.Opts.Heuristics.H2MinTP {
-			min := t.minTP(g, ti, layers, stage, pp, mbs, nb)
-			if min == 0 {
-				continue // cannot fit this stage on this type at all
-			}
-			tps = append(tps, min)
-			if min*2 <= nodeGPUs {
-				tps = append(tps, min*2)
-			}
-		} else {
-			for tp := 1; tp <= nodeGPUs; tp *= 2 {
-				tps = append(tps, tp)
-			}
+		for tp := lo; tp <= hi; tp *= 2 {
+			tps = append(tps, tp)
 		}
 		opts = append(opts, typeOption{ti: ti, lo: start, hi: len(tps)})
 	}
@@ -559,6 +552,23 @@ func (t *task) buildCombos(rs *regionState, region, layers, stage, pp, d, mbs, n
 		}
 	}
 	t.comboCache[idx], t.comboGroups[idx] = out, arena
+}
+
+// tpRange returns the smallest and largest TP degree buildCombos offers type
+// ti at a stage; it offers every power-of-two multiple of lo up to hi. With
+// H2 that is the minimum viable degree plus one doubling when the doubled
+// group still fits a node, (0, 0) when no degree fits; without H2, every
+// power of two up to the node size.
+func (t *task) tpRange(g core.GPUType, ti, layers, stage, pp, mbs, nb int) (lo, hi int) {
+	node := t.s.nodeCap[ti]
+	if !t.pl.Opts.Heuristics.H2MinTP {
+		return 1, node
+	}
+	lo = t.minTP(g, ti, layers, stage, pp, mbs, nb)
+	if lo > 0 && lo*2 <= node {
+		return lo, lo * 2
+	}
+	return lo, lo
 }
 
 // typeOption indexes one GPU type's candidate TP degrees inside the shared

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/groundtruth"
+	"repro/internal/memory"
 	"repro/internal/model"
 	"repro/internal/profiler"
 	"repro/internal/sim"
@@ -357,6 +358,53 @@ func TestPPCandidatesIncludeDivisors(t *testing.T) {
 	for _, want := range []int{1, 2, 3, 4, 6, 8, 12, 16} {
 		if !has[want] {
 			t.Errorf("ppCandidates missing %d: %v", want, got)
+		}
+	}
+}
+
+// scanKey names one DP-degree scan of a search.
+type scanKey struct{ pp, mbs, d int }
+
+// microbatchEval records, per scan shape, the microbatches of every plan
+// a single-worker search scores.
+type microbatchEval struct {
+	*sim.Simulator
+	nb map[scanKey]int
+}
+
+func (e *microbatchEval) Estimate(plan core.Plan) (core.Estimate, error) {
+	e.nb[scanKey{len(plan.Stages), plan.MicroBatchSize, plan.DP()}] = memory.NumMicrobatches(e.Cfg, plan)
+	return e.Simulator.Estimate(plan)
+}
+
+// TestDPMicrobatchesMatchPlan: the DP weighs a scan's straggler, bounds and
+// H2 memory check with the microbatch count of the plans that scan
+// materialises, also when d·mbs does not divide the global batch. With a
+// global batch of 1000 at d 64 and mbs 8 a pipeline runs ceil(1000/512) = 2
+// microbatches; the persisted memo keys record the DP's own count.
+func TestDPMicrobatchesMatchPlan(t *testing.T) {
+	cfg := model.OPT350M()
+	cfg.GlobalBatch = 1000
+	prof, err := profiler.Collect(cfg, []core.GPUType{core.A100}, nil, profiler.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := &microbatchEval{Simulator: sim.New(cfg, prof), nb: map[scanKey]int{}}
+	warm := NewWarmCache()
+	pl := New(cfg, ev, Options{Objective: core.MaxThroughput, Heuristics: AllHeuristics(), Workers: 1, Warm: warm})
+	if _, err := pl.Plan(cluster.NewPool().Set(zoneA, core.A100, 256)); err != nil {
+		t.Fatal(err)
+	}
+	dpNB := map[scanKey]int{}
+	for k := range warm.dp {
+		dpNB[scanKey{int(k.pp), int(k.mbs), int(k.d)}] = int(k.nb)
+	}
+	if got := ev.nb[scanKey{1, 8, 64}]; got != 2 {
+		t.Fatalf("the search scored no pp 1, mbs 8, d 64 plan with 2 microbatches (got %d)", got)
+	}
+	for k, want := range ev.nb {
+		if got, ok := dpNB[k]; !ok || got != want {
+			t.Errorf("scan %+v: the DP counted %d microbatches (stored %v), the plan runs %d", k, got, ok, want)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/memory"
 )
 
 // search is the shared state of one Plan/PlanContext invocation: the
@@ -267,8 +268,10 @@ type task struct {
 	mbs int
 
 	// scan carries the key fields (shape, pp, mbs, d, nb, costLean) all
-	// persisted keys of the current DP-degree scan share.
+	// persisted keys of the current DP-degree scan share; caps are the
+	// scan's per-stage memo-key lane caps, a function of those fields.
 	scan warmDPKey
+	caps laneCaps
 	// pend accumulates, over every job this worker runs, the DP entries the
 	// search will store (see search.pending).
 	// explored/warmHits batch one job's telemetry counters.
@@ -392,6 +395,25 @@ func (t *task) resetMemo(d, nb int) {
 	}
 	t.scan.d, t.scan.nb = int32(d), int32(nb)
 	t.scan.costLean = t.costLean
+	t.setCaps(d, nb)
+}
+
+// setCaps computes the scan's memo-key lane caps (see laneCaps) from the
+// partition, mbs, d and nb — all fields of warmDPKey or of the planner
+// fingerprint, so warm entries stay pure functions of their keys.
+func (t *task) setCaps(d, nb int) {
+	pp, types := len(t.partition), len(t.rs.types)
+	c := &t.caps
+	c.byType = resized(c.byType, pp*types)
+	for ti, g := range t.rs.types {
+		sum := 0
+		for i := pp - 1; i >= 0; i-- {
+			_, hi := t.tpRange(g, ti, t.partition[i], i, pp, t.mbs, nb)
+			sum += d * hi
+			c.byType[i*types+ti] = sum
+		}
+	}
+	c.pack(types, t.rs.cells())
 }
 
 // searchDP explores DP degrees for one (layer partition, mbs) and publishes
@@ -421,10 +443,7 @@ func (t *task) searchDP(layers []int, mbs int) {
 		if t.s.expired() {
 			return
 		}
-		nb := pl.Cfg.GlobalBatch / (d * mbs)
-		if nb < 1 {
-			continue
-		}
+		nb := memory.Microbatches(pl.Cfg.GlobalBatch, d, mbs)
 		budget := pl.Opts.Constraints.MaxCostPerIter
 		if budget > 0 && pp > budgetExactMaxPP {
 			// Deep pipelines make the budget-threading recursion of

@@ -1,10 +1,16 @@
 package planner
 
 import (
+	"context"
+	"math/rand"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/memory"
+	"repro/internal/model"
+	"repro/internal/profiler"
+	"repro/internal/sim"
 )
 
 // TestSuffixKeyIgnoresConsumedRegions pins the invariant the region-scoped
@@ -13,7 +19,8 @@ import (
 // them. A change that lets a suffix read an earlier region (a cross-region
 // link cost at DP time, say) must fail here rather than silently change
 // plans through a shared memo entry. Both key encodings are covered: a
-// three-region pool packs inline, the five-region pool spills.
+// three-region pool packs inline, the five-region pool spills. The keys are
+// built with caps that clamp nothing, so only region scoping is at work.
 func TestSuffixKeyIgnoresConsumedRegions(t *testing.T) {
 	inline := cluster.NewPool().
 		Set(zoneA, core.A100, 8).Set(zoneA, core.V100, 8).
@@ -29,7 +36,8 @@ func TestSuffixKeyIgnoresConsumedRegions(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			base := newRegionState(tc.pool, true)
-			if got := base.packedKey(0, 0).spill != ""; got != tc.spill {
+			caps := unclamped(base, 3)
+			if got := base.packedKey(0, 0, caps).spill != ""; got != tc.spill {
 				t.Fatalf("spill encoding = %v, want %v", got, tc.spill)
 			}
 			for ri := 1; ri < len(base.regions); ri++ {
@@ -43,13 +51,13 @@ func TestSuffixKeyIgnoresConsumedRegions(t *testing.T) {
 				}
 				live.addCount(ri, 1, -1)
 				for stage := 0; stage < 3; stage++ {
-					if base.packedKey(stage, ri) != spent.packedKey(stage, ri) {
+					if base.packedKey(stage, ri, caps) != spent.packedKey(stage, ri, caps) {
 						t.Errorf("ri=%d stage=%d: key depends on regions before ri", ri, stage)
 					}
-					if base.packedKey(stage, ri) == live.packedKey(stage, ri) {
+					if base.packedKey(stage, ri, caps) == live.packedKey(stage, ri, caps) {
 						t.Errorf("ri=%d stage=%d: key ignores region ri", ri, stage)
 					}
-					if base.packedKey(stage, ri-1) == spent.packedKey(stage, ri-1) {
+					if base.packedKey(stage, ri-1, caps) == spent.packedKey(stage, ri-1, caps) {
 						t.Errorf("ri=%d stage=%d: key at ri-1 ignores region ri-1", ri, stage)
 					}
 				}
@@ -81,4 +89,161 @@ func TestSuffixKeyIgnoresConsumedRegions(t *testing.T) {
 			}
 		})
 	}
+}
+
+// unclamped returns lane caps over the given stages of rs that clamp
+// nothing: every lane at its maximum.
+func unclamped(rs *regionState, stages int) *laneCaps {
+	c := &laneCaps{byType: make([]int, stages*len(rs.types))}
+	for i := range c.byType {
+		c.byType[i] = laneMax
+	}
+	c.pack(len(rs.types), rs.cells())
+	return c
+}
+
+// TestLaneOverflowGoesWide: a count up to laneMax packs into the lanes and
+// keys inline; one past it keeps the state in the wide matrix, whose key
+// spills, so no lane ever holds a count with its top bit set.
+func TestLaneOverflowGoesWide(t *testing.T) {
+	for _, n := range []int{laneMax, laneMax + 1} {
+		rs := newRegionState(cluster.NewPool().Set(zoneA, core.A100, n).Set(zoneA, core.V100, 3), true)
+		if wide := rs.wide != nil; wide != (n > laneMax) {
+			t.Errorf("count %d: wide = %v", n, wide)
+		}
+		if rs.count(0, 0) != n || rs.count(0, 1) != 3 {
+			t.Errorf("count %d: cells read %d, %d", n, rs.count(0, 0), rs.count(0, 1))
+		}
+		if spill := rs.packedKey(0, 0, unclamped(rs, 1)).spill != ""; spill != (n > laneMax) {
+			t.Errorf("count %d: spill key = %v", n, spill)
+		}
+	}
+}
+
+// TestMinLanesMatchesScalar pins the word-wise lane minimum the memo key is
+// built with to a scalar min over each 16-bit lane, on random lanes up to
+// laneMax with equal lanes and both extremes mixed in.
+func TestMinLanesMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	lane := func() uint64 {
+		switch rng.Intn(8) {
+		case 0:
+			return 0
+		case 1:
+			return laneMax
+		}
+		return uint64(rng.Intn(laneMax + 1))
+	}
+	for n := 0; n < 100000; n++ {
+		var a, b, want uint64
+		for shift := uint(0); shift < 64; shift += 16 {
+			x, y := lane(), lane()
+			if rng.Intn(4) == 0 {
+				y = x
+			}
+			a, b, want = a|x<<shift, b|y<<shift, want|min(x, y)<<shift
+		}
+		if got := minLanes(a, b); got != want {
+			t.Fatalf("minLanes(%#016x, %#016x) = %#016x, want %#016x", a, b, got, want)
+		}
+	}
+}
+
+// TestLaneClampExact: clamping the memo-key lanes to the scan's caps changes
+// no DP answer. For random pools × (pp, mbs, d), solveDP runs on a fresh
+// task once with the caps resetMemo computed and once with every lane at its
+// maximum; the winning chain and its stats must be identical, and the
+// clamped run may explore no more nodes. Pools are surplus-heavy (8-56 GPUs
+// per cell against d ≤ 8) over two and three regions; H2 off widens every
+// stage's TP range to the node size; H6 off over five zones of two types
+// keys ten cells, through the spill path. Both objectives and the cost-lean
+// pass run.
+func TestLaneClampExact(t *testing.T) {
+	cfg := model.OPT350M()
+	gpus := []core.GPUType{core.A100, core.V100}
+	prof, err := profiler.Collect(cfg, gpus, nil, profiler.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := sim.New(cfg, prof)
+	shapes := []struct {
+		zones []core.Zone
+		h6    bool
+		spill bool
+	}{
+		{[]core.Zone{zoneA, zoneEU}, true, false},
+		{[]core.Zone{zoneA, zoneB, zoneW, zoneEU}, true, false},
+		{[]core.Zone{zoneA, zoneB, zoneC, zoneEU, zoneEast}, false, true},
+	}
+	rng := rand.New(rand.NewSource(7))
+	var clampedN, fullN int64
+	solved := 0
+	for n := 0; n < 120; n++ {
+		shape := shapes[n%len(shapes)]
+		heur := AllHeuristics()
+		heur.H6MergeZones = shape.h6
+		heur.H2MinTP = n%4 != 1
+		pool := cluster.NewPool()
+		for _, z := range shape.zones {
+			for _, g := range gpus {
+				pool.Set(z, g, 8+rng.Intn(49))
+			}
+		}
+		pp := []int{2, 3, 4, 6, 8}[rng.Intn(5)]
+		mbs := []int{1, 2, 4}[rng.Intn(3)]
+		d := []int{1, 2, 4, 8}[rng.Intn(4)]
+		obj := []core.Objective{core.MaxThroughput, core.MinCost}[n%2]
+		costLean := n%3 == 0
+		nb := memory.Microbatches(cfg.GlobalBatch, d, mbs)
+
+		solve := func(clamp bool) (sig string, st nodeStats, explored int64) {
+			pl := New(cfg, ev, Options{Objective: obj, Heuristics: heur, Workers: 1})
+			rs := newRegionState(pool, heur.H6MergeZones)
+			s := newSearch(pl, context.Background(), nil)
+			defer s.stop()
+			s.bindState(rs, pool)
+			layers := partitionLayers(cfg.Layers, pp)
+			tk := s.taskFor(0)
+			tk.reset(rs, mbs)
+			tk.init(layers)
+			tk.costLean = costLean
+			tk.resetMemo(d, nb)
+			if got := rs.packedKey(0, 0, &tk.caps).spill != ""; got != shape.spill {
+				t.Fatalf("case %d: spill key = %v, want %v", n, got, shape.spill)
+			}
+			if !clamp {
+				tk.caps = *unclamped(rs, pp)
+			}
+			node := tk.solveDP(&tk.rs, layers, 0, 0, d, mbs, nb, 0)
+			var b []byte
+			for c := node; c != nil; c = c.next {
+				b = appendChoiceSig(b, c.choice)
+			}
+			if node != nil {
+				st = nodeStats{node.straggler, node.sumTime, node.maxSync, node.rateUSD}
+			}
+			return string(b), st, tk.explored
+		}
+		sig, st, explored := solve(true)
+		fullSig, fullSt, fullExplored := solve(false)
+		if sig != fullSig || st != fullSt {
+			t.Errorf("case %d (pool %s, pp %d, mbs %d, d %d, heur %+v, %v, cost-lean %v): clamped %q %+v, unclamped %q %+v",
+				n, pool, pp, mbs, d, heur, obj, costLean, sig, st, fullSig, fullSt)
+		}
+		if explored > fullExplored {
+			t.Errorf("case %d: clamped keys explored %d nodes, unclamped %d", n, explored, fullExplored)
+		}
+		clampedN += explored
+		fullN += fullExplored
+		if sig != "" {
+			solved++
+		}
+	}
+	if solved < 60 {
+		t.Errorf("only %d of 120 cases found a chain", solved)
+	}
+	if clampedN >= fullN {
+		t.Errorf("the caps clamped nothing: %d nodes explored clamped, %d unclamped", clampedN, fullN)
+	}
+	t.Logf("%d of 120 cases solved; explored %d clamped, %d unclamped", solved, clampedN, fullN)
 }

@@ -4,9 +4,10 @@ package planner
 // Plan/Replan calls on a churn trace:
 //
 //   - the per-candidate DP memos, keyed by (pool shape, pp, mbs, d, nb,
-//     cost-lean, stage, region ri, counts of regions ri..R-1) — everything
-//     one solveDP node reads — so successive replans skip every suffix
-//     state an earlier search already solved, and
+//     cost-lean, stage, region ri, counts of regions ri..R-1 clamped to the
+//     stage's lane caps) — everything one solveDP node reads, the caps
+//     being a function of the other fields — so successive replans skip
+//     every suffix state an earlier search already solved, and
 //   - the results of completed searches, keyed by the pool they searched
 //     (poolKey), so a replan of a pool already solved — a diurnal wave
 //     cycling, a preemption storm returning to its base — is a lookup

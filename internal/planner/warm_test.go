@@ -438,8 +438,8 @@ func TestWarmCacheWaiterHonoursContext(t *testing.T) {
 // cycle revisits — pools 5-8 and 15-20 of the first pass, all of the second
 // — is served whole from the stored search results: (0, 1).
 var diurnalParity = [2][21][2]int{
-	{{615, 0}, {354, 93}, {284, 138}, {285, 139}, {600, 146}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {205, 62}, {189, 52},
-		{114, 32}, {95, 36}, {67, 19}, {65, 16}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}},
+	{{513, 0}, {246, 89}, {186, 113}, {172, 111}, {489, 99}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {146, 70}, {139, 61},
+		{94, 36}, {77, 40}, {57, 25}, {55, 22}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}},
 	{{0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1},
 		{0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}},
 }
