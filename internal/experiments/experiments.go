@@ -155,6 +155,16 @@ func fmtF(v float64, prec int) string {
 	return trimZeros(fmt.Sprintf("%.*f", prec, v))
 }
 
+// fmtSeconds renders a duration in seconds to three significant digits, so
+// a search of a few milliseconds does not print as "0s".
+func fmtSeconds(d time.Duration) string {
+	s, prec := d.Seconds(), 2
+	if s > 0 {
+		prec = max(0, 2-int(math.Floor(math.Log10(s))))
+	}
+	return fmtF(s, prec) + "s"
+}
+
 func trimZeros(s string) string {
 	if !strings.Contains(s, ".") {
 		return s

@@ -233,10 +233,12 @@ func Figure12(o Opts) (Table, error) {
 		zones, sizes, o)
 }
 
-// constrainedComparison drives Figures 13-14: two zones of one region, each
-// with 128 A100 + 128 V100; baselines are modified (as in the paper) to
-// rank by the constrained objective over their candidate lists.
-func constrainedComparison(id, title string, obj core.Objective, cons core.Constraints, o Opts) (Table, error) {
+// constrainedComparison drives Figures 13-14 (fig is the paper's figure
+// number): two zones of one region, each with 128 A100 + 128 V100 (32 + 32
+// at quick scale); baselines are modified (as in the paper) to rank by the
+// constrained objective over their candidate lists. The title states the
+// constraint and the per-zone counts that run.
+func constrainedComparison(id, fig string, obj core.Objective, cons core.Constraints, o Opts) (Table, error) {
 	cfg := model.OPT350M()
 	l, err := newLab(cfg, o, core.A100, core.V100)
 	if err != nil {
@@ -249,9 +251,13 @@ func constrainedComparison(id, title string, obj core.Objective, cons core.Const
 	pool := cluster.NewPool().
 		Set(zoneC1a, core.A100, n).Set(zoneC1a, core.V100, n).
 		Set(zoneC1b, core.A100, n).Set(zoneC1b, core.V100, n)
+	goal := "Max throughput s.t. cost <= " + fmtF(cons.MaxCostPerIter, 3) + " USD/iter"
+	if obj == core.MinCost {
+		goal = "Min cost s.t. throughput >= " + fmtF(cons.MinThroughput, 3) + " it/s"
+	}
 	t := Table{
 		ID:      id,
-		Title:   title,
+		Title:   fmt.Sprintf("%s, 2 zones x (%d A100 + %d V100) (paper Fig. %s)", goal, n, n, fig),
 		Headers: []string{"planner", "iters/sec", "USD/iter"},
 	}
 	names := []string{"Varuna", "AMP", "Piper", "Galvatron", "Aceso", "FlashFlex", "Metis", "DTFM"}
@@ -324,9 +330,7 @@ func Figure13(o Opts) (Table, error) {
 	if o.Quick {
 		cons.MinThroughput = 0.05
 	}
-	t, err := constrainedComparison("fig13",
-		"Min cost s.t. throughput >= 0.2 it/s, 2 zones x (128 A100 + 128 V100) (paper Fig. 13)",
-		core.MinCost, cons, o)
+	t, err := constrainedComparison("fig13", "13", core.MinCost, cons, o)
 	if err == nil {
 		t.Notes = append(t.Notes,
 			"paper shape: Sailor cheapest (40% under Galvatron); here Sailor lands within ~10% of the",
@@ -337,9 +341,7 @@ func Figure13(o Opts) (Table, error) {
 
 // Figure14: maximize throughput subject to <= 1.2 USD/iteration.
 func Figure14(o Opts) (Table, error) {
-	t, err := constrainedComparison("fig14",
-		"Max throughput s.t. cost <= 1.2 USD/iter, 2 zones x (128 A100 + 128 V100) (paper Fig. 14)",
-		core.MaxThroughput, core.Constraints{MaxCostPerIter: 1.2}, o)
+	t, err := constrainedComparison("fig14", "14", core.MaxThroughput, core.Constraints{MaxCostPerIter: 1.2}, o)
 	if err == nil {
 		t.Notes = append(t.Notes, "paper shape: Sailor 1.65-3x the baselines within budget; DTFM finds nothing")
 	}

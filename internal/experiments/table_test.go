@@ -3,6 +3,7 @@ package experiments
 import (
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestTableString(t *testing.T) {
@@ -71,6 +72,40 @@ func TestFmtF(t *testing.T) {
 	}
 	if got := fmtF(0.123456, 3); got != "0.123" {
 		t.Errorf("fmtF = %q", got)
+	}
+}
+
+// TestFmtSeconds: search-time cells keep three significant digits, so a
+// search of a few milliseconds no longer prints as "0s".
+func TestFmtSeconds(t *testing.T) {
+	for _, tc := range []struct {
+		d    time.Duration
+		want string
+	}{
+		{4567 * time.Microsecond, "0.00457s"},
+		{390 * time.Millisecond, "0.39s"},
+		{12345 * time.Millisecond, "12.3s"},
+		{0, "0s"},
+	} {
+		if got := fmtSeconds(tc.d); got != tc.want {
+			t.Errorf("fmtSeconds(%v) = %q, want %q", tc.d, got, tc.want)
+		}
+	}
+}
+
+// TestConstrainedTitlesSayWhatRuns: the fig13/fig14 titles state the
+// constraint and the per-zone counts the quick run actually uses.
+func TestConstrainedTitlesSayWhatRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip()
+	}
+	for id, want := range map[string]string{
+		"fig13": "Min cost s.t. throughput >= 0.05 it/s, 2 zones x (32 A100 + 32 V100) (paper Fig. 13)",
+		"fig14": "Max throughput s.t. cost <= 1.2 USD/iter, 2 zones x (32 A100 + 32 V100) (paper Fig. 14)",
+	} {
+		if got := quickTable(t, id).Title; got != want {
+			t.Errorf("%s title = %q, want %q", id, got, want)
+		}
 	}
 }
 

@@ -127,7 +127,7 @@ func Table3(o Opts) (Table, error) {
 	}
 	t := Table{
 		ID:      "tab3",
-		Title:   "Sailor search-time breakdown, GPT-Neo-2.7B, 128 GPUs/type (paper Table 3)",
+		Title:   fmt.Sprintf("Sailor search-time breakdown, GPT-Neo-2.7B, %d GPUs/type (paper Table 3)", n),
 		Headers: []string{"GPU types", "DP only", "+ heuristics", "+ cost limit"},
 	}
 	run := func(pool *cluster.Pool, heur planner.Heuristics, cons core.Constraints, cap time.Duration) string {
@@ -139,7 +139,7 @@ func Table3(o Opts) (Table, error) {
 		if err != nil {
 			return fmt.Sprintf(">%s (capped, no plan)", cap)
 		}
-		cell := fmtF(res.SearchTime.Seconds(), 2) + "s"
+		cell := fmtSeconds(res.SearchTime)
 		if cap > 0 && res.SearchTime >= cap {
 			cell += " (capped)"
 		}

@@ -154,7 +154,8 @@ func Check(cfg model.Config, plan core.Plan) (peak int64, peakGPU core.GPUType, 
 // MinTP returns the minimum tensor-parallel degree of GPU type g that fits
 // a stage of `layers` blocks at the given microbatch size — heuristic H2.
 // It returns 0 when no degree up to the node size fits. The result is
-// independent of availability, so the planner caches it across replans.
+// independent of availability; the planner asks once per stage and GPU type
+// per DP-degree scan.
 func MinTP(cfg model.Config, g core.GPUType, layers, stageIdx, pp, mbs, nb int) int {
 	spec, err := hardware.Lookup(g)
 	if err != nil {

@@ -21,9 +21,9 @@ package planner
 // where sufSum and sufMax are the sum and maximum of the per-stage floors of
 // the remaining stages: for every suffix stage, the fastest fwd+bwd time any
 // available GPU type and power-of-two TP degree can quote for that stage's
-// layer slice (resolved through the same dense stage-time table the search
-// itself uses, so the floors are exactly the evaluator's own numbers). Every
-// completion must pay at least sufSum in warm-up/cool-down time and its
+// layer slice (quoted by the same stageTime call the search scores
+// compositions with, so the floors are exactly the evaluator's own numbers).
+// Every completion must pay at least sufSum in warm-up/cool-down time and its
 // straggler can never beat the slowest per-stage floor, so a strict loss on
 // the bound is a strict loss on the real metric and the composition can
 // never win the state's argmax — ties are untouched, the memoized winner is
@@ -70,7 +70,7 @@ func (t *task) initDominance(layers []int) {
 				continue
 			}
 			for tp := 1; tp <= t.s.nodeCap[ti]; tp *= 2 {
-				if v, ok := t.stageTimeAt(s, ti, tp); ok && (floor == 0 || v < floor) {
+				if v, err := t.stageTime(s, ti, tp); err == nil && (floor == 0 || v < floor) {
 					floor = v
 				}
 			}

@@ -189,7 +189,7 @@ func TestReplanMemoHitAllocCeiling(t *testing.T) {
 // TestScratchReusedAcrossJobs: within one search, a (pp, mbs) job that needs
 // no more capacity than the jobs before it runs entirely in the scratch they
 // left — readying the task allocates nothing, and the arena chunks, node
-// slab, dense tables and DP table are the same memory afterwards.
+// slab, DP table, TP spans and quote buffer are the same memory afterwards.
 func TestScratchReusedAcrossJobs(t *testing.T) {
 	pool := cluster.NewPool().Set(zoneA, core.A100, 16)
 	pl, s, tk, rs, deep := dpLab(t, pool, core.A100)
@@ -203,19 +203,18 @@ func TestScratchReusedAcrossJobs(t *testing.T) {
 		t.Fatal("precondition: the first job must search cold and fill the scratch")
 	}
 	type identity struct {
-		nodes, groups            int
-		node                     *dpNode
-		group                    *replicaGroup
-		slot                     *dpSlot
-		stageT, syncT            *float64
-		stageTok, fitTok, syncTk *uint8
-		minTPT                   *int16
+		nodes, groups int
+		node          *dpNode
+		group         *replicaGroup
+		slot          *dpSlot
+		span          *tpSpan
+		quote         *tpQuote
 	}
 	snap := func() identity {
 		return identity{
 			len(tk.nodes.chunks), len(tk.groups.chunks),
 			&tk.nodes.chunks[0][:1][0], &tk.groups.chunks[0][:1][0], &tk.dpMemo.slots[0],
-			&tk.stageT[0], &tk.syncT[0], &tk.stageTok[0], &tk.fitTok[0], &tk.syncTok[0], &tk.minTPT[0],
+			&tk.spans[0], &tk.quoteBuf[:1][0],
 		}
 	}
 	before := snap()

@@ -154,8 +154,9 @@ type Result struct {
 //
 // Every method must be a pure function of its arguments: the same quote for
 // the same inputs, on every call. The planner relies on that throughout —
-// its per-search stage tables and the warm cache reuse quotes across calls
-// and searches, and dominance pruning's completion bound (dominance.go)
+// each DP-degree scan quotes a stage's (type, TP) options once and builds
+// every composition from those quotes, the warm cache reuses results
+// across searches, and dominance pruning's completion bound (dominance.go)
 // takes the fastest StageComputeTimeWith quote and the cheapest GPUHourUSD
 // rate as floors for every DP suffix, solved or served from the cache.
 type Evaluator interface {

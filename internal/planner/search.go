@@ -237,9 +237,8 @@ func (s *search) taskFor(w int) *task {
 
 // task is one worker's state while exploring a single (pp, mbs) candidate:
 // the DP memo is valid only within one DP-degree scan, and the cost-lean
-// flag changes what the DP optimises. The scratch buffers
-// and query caches below make the DP's inner loops allocation-free without
-// changing any comparison.
+// flag changes what the DP optimises. The scratch buffers below make the
+// DP's inner loops allocation-free without changing any comparison.
 //
 // A task is also its worker's scratch for the whole search: reset readies it
 // for the next job and searchDP rewinds its arenas degree by degree, so a
@@ -292,31 +291,26 @@ type task struct {
 	groups     chunked[replicaGroup]
 	sigA, sigB []byte
 
-	// Per-depth enumeration scratch (see stageCombos) and dense per-task
-	// caches of pure evaluator queries, indexed by (stage, type, log2 tp).
+	// Per-depth enumeration scratch (see stageCombos).
 	combosBuf [][]stageChoice
-	// comboCache/comboGroups/comboOK hold, per (stage, region), the scored
+	// comboCache/comboGroups/comboOK hold, per stage, the scored
 	// availability-independent composition list of the current DP-degree
 	// scan (see buildCombos); resetMemo invalidates them scan-by-scan.
 	comboCache  [][]stageChoice
 	comboGroups [][]replicaGroup
 	comboOK     []bool
+	// spans holds the scan's TP span per (stage, type) (setCaps); quoteBuf
+	// and optsBuf are buildCombos' per-(type, TP) quotes and their per-type
+	// ranges.
+	spans    []tpSpan
+	quoteBuf []tpQuote
+	optsBuf  []typeOption
 	// bestGBuf holds each stage's incumbent winner composition while the
 	// combos loop runs; only the surviving winner is detached into the
 	// group arena at materialisation.
 	bestGBuf  [][]replicaGroup
-	optsBuf   []typeOption
-	tpsBuf    []int
 	availBuf  []int
 	partition []int
-	stageT    []float64
-	stageTok  []uint8
-	fitTok    []uint8
-	syncT     []float64
-	syncTok   []uint8
-	// minTPT is the per-task H2 cache, indexed by (stage, type, in-flight
-	// count capped at pp); -1 marks empty.
-	minTPT []int16
 
 	// Plan materialisation scratch (buildPlan): the remaining per-zone
 	// availability; per DP solution of one degree (time-optimal, cost-lean)
@@ -343,27 +337,14 @@ func resized[T any](buf []T, n int) []T {
 	return slices.Grow(buf[:0], n)[:n]
 }
 
-// init sizes the task's scratch buffers and dense caches for one layer
-// partition, clearing in place what the previous job left.
+// init sizes the task's per-depth scratch buffers for one layer partition.
 func (t *task) init(layers []int) {
-	pp, types := len(layers), len(t.rs.types)
+	pp := len(layers)
 	for len(t.combosBuf) < pp {
 		t.combosBuf = append(t.combosBuf, nil)
 		t.bestGBuf = append(t.bestGBuf, make([]replicaGroup, 0, 4))
 	}
 	t.partition = layers
-	n := pp * types * taskTPSlots
-	t.stageT = resized(t.stageT, n) // guarded by stageTok
-	t.stageTok = resized(t.stageTok, n)
-	t.fitTok = resized(t.fitTok, n)
-	clear(t.stageTok)
-	clear(t.fitTok)
-	t.syncT = resized(t.syncT, pp*taskTPSlots) // guarded by syncTok
-	t.syncTok = resized(t.syncTok, pp*taskTPSlots)
-	t.minTPT = resized(t.minTPT, pp*types*(pp+1))
-	for i := range t.minTPT {
-		t.minTPT[i] = -1
-	}
 	t.initDominance(layers)
 	t.scan = warmDPKey{shape: t.s.shape, pp: int32(pp), mbs: int32(t.mbs)}
 }
@@ -387,29 +368,27 @@ func (t *task) resetMemo(d, nb int) {
 	if t.dpMemoSpill != nil {
 		clear(t.dpMemoSpill)
 	}
-	for i := range t.syncTok {
-		t.syncTok[i] = cacheEmpty
-	}
-	for i := range t.comboOK {
-		t.comboOK[i] = false
-	}
+	clear(t.comboOK)
 	t.scan.d, t.scan.nb = int32(d), int32(nb)
 	t.scan.costLean = t.costLean
 	t.setCaps(d, nb)
 }
 
-// setCaps computes the scan's memo-key lane caps (see laneCaps) from the
-// partition, mbs, d and nb — all fields of warmDPKey or of the planner
-// fingerprint, so warm entries stay pure functions of their keys.
+// setCaps computes the scan's TP spans (see tpRange) and memo-key lane caps
+// (see laneCaps) from the partition, mbs, d and nb — all fields of
+// warmDPKey or of the planner fingerprint, so warm entries stay pure
+// functions of their keys.
 func (t *task) setCaps(d, nb int) {
 	pp, types := len(t.partition), len(t.rs.types)
 	c := &t.caps
 	c.byType = resized(c.byType, pp*types)
-	for ti, g := range t.rs.types {
+	t.spans = resized(t.spans, pp*types)
+	for ti := range t.rs.types {
 		sum := 0
 		for i := pp - 1; i >= 0; i-- {
-			_, hi := t.tpRange(g, ti, t.partition[i], i, pp, t.mbs, nb)
-			sum += d * hi
+			sp := t.tpRange(ti, i, nb)
+			t.spans[i*types+ti] = sp
+			sum += d * sp.hi
 			c.byType[i*types+ti] = sum
 		}
 	}
