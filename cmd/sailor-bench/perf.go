@@ -1,10 +1,11 @@
 package main
 
 // The planner perf harness behind -json: a fixed suite of cold-search,
-// warm-replan, and multi-tenant-service benchmarks whose results are
-// written as a versioned JSON document (BENCH_planner.json). The committed
-// document is the repo's perf trajectory; CI regenerates and validates it
-// on every change so planner regressions show up as a diff, not a surprise.
+// warm-replan, multi-tenant-service, wire-codec and recovery benchmarks
+// whose results are written as a versioned JSON document
+// (BENCH_planner.json). The committed document is the repo's perf
+// trajectory; CI regenerates and validates it on every change so planner
+// regressions show up as a diff, not a surprise.
 
 import (
 	"bytes"
@@ -28,6 +29,7 @@ import (
 	"repro/internal/profiler"
 	"repro/internal/sim"
 	"repro/internal/trace"
+	"repro/internal/wire"
 	"repro/sailor"
 )
 
@@ -168,6 +170,12 @@ func runPerfSuite(workers int) (benchDoc, error) {
 		return doc, err
 	}
 	doc.Benches = append(doc.Benches, churn)
+
+	codec, err := wireCodecRow()
+	if err != nil {
+		return doc, err
+	}
+	doc.Benches = append(doc.Benches, codec)
 
 	// Multi-tenant service front door: one op = one plan per tenant.
 	const tenants = 4
@@ -395,6 +403,99 @@ func warmChurnRow() (benchResult, error) {
 	runtime.KeepAlive(svc)
 	res.LiveHeapBytes = max(int64(m1.HeapAlloc)-heapBefore, 0)
 	return res, nil
+}
+
+// codecPair is one warm-churn Replan as it crosses the wire: the request's
+// previous plan and pool, and the reply's result.
+type codecPair struct {
+	job  string
+	prev core.Plan
+	pool *cluster.Pool
+	res  sailor.PlanResult
+}
+
+// codecPairs replans every warm-churn tenant's distinct pools once, in
+// order, on one Service, and returns each replan as a request/response pair.
+func codecPairs() ([]codecPair, error) {
+	svc := sailor.NewService(sailor.ServiceConfig{Workers: 1})
+	var pairs []codecPair
+	for t := 0; t < churnTenants; t++ {
+		pools, err := churnPools(t)
+		if err != nil {
+			return nil, err
+		}
+		job := fmt.Sprint("churn-", t)
+		if err := svc.OpenJob(job, sailor.OPT350M(), []core.GPUType{core.A100}, 0); err != nil {
+			return nil, err
+		}
+		var prev core.Plan
+		for _, pool := range pools {
+			res, err := svc.Replan(context.Background(), job, prev, pool, core.MaxThroughput, core.Constraints{})
+			if err != nil {
+				return nil, fmt.Errorf("wire_codec %s: %w", job, err)
+			}
+			pairs = append(pairs, codecPair{job: job, prev: prev, pool: pool, res: res})
+			prev = res.Plan
+		}
+	}
+	return pairs, nil
+}
+
+// codecRoundTrip is one warm-churn Replan's trip through the wire codec,
+// both directions as the daemon and its client run them: encode the
+// request and the reply, decode each into a fresh message, then check and
+// convert their plans, pool and constraints back to domain types.
+func codecRoundTrip(p codecPair) error {
+	req, err := json.Marshal(wire.ReplanRequest{V: wire.Version, Job: p.job, Prev: wire.FromPlan(p.prev),
+		Pool: wire.FromPool(p.pool), Objective: core.MaxThroughput.String(), Constraints: wire.FromConstraints(core.Constraints{})})
+	if err != nil {
+		return err
+	}
+	resp, err := json.Marshal(wire.PlanResponse{V: wire.Version, Result: wire.FromResult(p.res)})
+	if err != nil {
+		return err
+	}
+	var q wire.ReplanRequest
+	var r wire.PlanResponse
+	if err := json.Unmarshal(req, &q); err != nil {
+		return err
+	}
+	if err := json.Unmarshal(resp, &r); err != nil {
+		return err
+	}
+	if err := q.Prev.Check(); err != nil {
+		return err
+	}
+	if err := r.Result.Plan.Check(); err != nil {
+		return err
+	}
+	q.Prev.Core()
+	q.Pool.Cluster()
+	q.Constraints.Core()
+	r.Result.Result()
+	return nil
+}
+
+// wireCodecRow is wire_codec/warm-churn: one op is codecRoundTrip of one
+// of the warm-churn Replan pairs, taken in turn. No planner work, so its
+// explored and cache_hits are zero; its allocs/op is the codec's.
+func wireCodecRow() (benchResult, error) {
+	pairs, err := codecPairs()
+	if err != nil {
+		return benchResult{}, err
+	}
+	r := testing.Benchmark(func(b *testing.B) { codecLoop(b, pairs) })
+	return row("wire_codec/warm-churn", r, 0, 0), nil
+}
+
+// codecLoop runs codecRoundTrip b.N times over pairs, taken in turn.
+func codecLoop(b *testing.B, pairs []codecPair) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := codecRoundTrip(pairs[i%len(pairs)]); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // churnTenants is the number of tenant traces the warm-churn workload

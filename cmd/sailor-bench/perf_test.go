@@ -90,6 +90,19 @@ func BenchmarkPersistRecover(b *testing.B) {
 	b.ReportMetric(float64(records), "records/op")
 }
 
+// BenchmarkWireCodec is the wire_codec/warm-churn row alone: warm-churn
+// Replan requests and replies encoded, decoded and converted back.
+//
+//	go test ./cmd/sailor-bench -run xxx -bench WireCodec -benchmem
+func BenchmarkWireCodec(b *testing.B) {
+	pairs, err := codecPairs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	codecLoop(b, pairs)
+}
+
 // BenchmarkReplanNovel is the replan_novel/warm-churn row alone: warm
 // replan chains over pools that never repeat, so the DP memo generation is
 // the only warm state that can answer.

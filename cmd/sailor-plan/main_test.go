@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -94,7 +95,7 @@ func TestServerModeHumanOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, want := range []string{"server:", "plan:", "wire schema v1"} {
+	for _, want := range []string{"server:", "plan:", fmt.Sprintf("wire schema v%d", sailor.WireVersion)} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}

@@ -6,6 +6,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -27,7 +28,7 @@ import (
 func TestRecordFramesGolden(t *testing.T) {
 	job := "a<b>&c"
 	wm := wire.FromModel(testModel("m<1>"))
-	plan := wire.FromPlan(flatPlan(zoneA, core.A100, 2, 4))
+	plan := PlanFrom(flatPlan(zoneA, core.A100, 2, 4))
 	cons := wire.FromConstraints(core.Constraints{MinThroughput: 0.5, MaxCostPerIter: 3})
 	ev := wire.FromFleetEvent(trace.Event{At: time.Minute, Zone: zoneB, GPU: core.V100, Delta: -4})
 	noCap := 0
@@ -150,5 +151,31 @@ func TestCloseReportsFinalSync(t *testing.T) {
 	}
 	if err := st.Close(); err != sticky {
 		t.Errorf("Close = %v, want the sticky append error %v", err, sticky)
+	}
+}
+
+// TestStoredPlanRoundTrip: persist's stored plan converts back exactly,
+// nil and empty stage and replica lists kept apart, and encodes one entry
+// per replica whatever the rpc schema does with runs.
+func TestStoredPlanRoundTrip(t *testing.T) {
+	plan := flatPlan(zoneA, core.A100, 3, 2)
+	plan.Stages = append(plan.Stages,
+		core.StagePlan{FirstLayer: 24, NumLayers: 1},
+		core.StagePlan{FirstLayer: 25, NumLayers: 1, Replicas: []core.StageReplica{}})
+	for _, p := range []core.Plan{plan, {}, {Stages: []core.StagePlan{}}} {
+		data, err := json.Marshal(PlanFrom(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Plan
+		if err := json.Unmarshal(data, &back); err != nil {
+			t.Fatal(err)
+		}
+		if got := back.Core(); !reflect.DeepEqual(got, p) {
+			t.Errorf("stored plan round trip:\n%#v\nvs\n%#v\n%s", got, p, data)
+		}
+	}
+	if got := len(PlanFrom(plan).Stages[0].Replicas); got != 3 {
+		t.Errorf("three identical replicas stored as %d entries, want 3", got)
 	}
 }

@@ -20,7 +20,7 @@ import (
 // to stop rather than fabricate plausible state.
 func TestReplayRejects(t *testing.T) {
 	wm := wire.FromModel(testModel("m"))
-	wp := wire.FromPlan(flatPlan(zoneA, core.A100, 1, 4))
+	wp := PlanFrom(flatPlan(zoneA, core.A100, 1, 4))
 	wc := wire.FromConstraints(core.Constraints{})
 	noFleet := func(t testing.TB) *State {
 		s := testState(t)
@@ -50,7 +50,7 @@ func TestReplayRejects(t *testing.T) {
 		{"install without ledger", noFleet, Record{Op: OpInstall, Job: "alpha", Plan: &wp}, "without a fleet ledger"},
 		{"install without plan", testState, Record{Op: OpInstall, Job: "alpha"}, "without a plan"},
 		{"install infeasible", testState, func() Record {
-			big := wire.FromPlan(flatPlan(zoneA, core.A100, 4, 4))
+			big := PlanFrom(flatPlan(zoneA, core.A100, 4, 4))
 			return Record{Op: OpInstall, Job: "beta", Plan: &big}
 		}(), "record 1"},
 		{"release non-holder", testState, Record{Op: OpRelease, Job: "nobody"}, "holds no lease"},

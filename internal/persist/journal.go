@@ -56,7 +56,7 @@ type Record struct {
 	GPUs  []string    `json:"gpus,omitempty"`
 	// Plan is the deployed plan (job-plan, lease-install). Replay makes a
 	// lease-install's plan the last plan of a job that has a triple.
-	Plan *wire.Plan `json:"plan,omitempty"`
+	Plan *Plan `json:"plan,omitempty"`
 	// Objective and Constraints complete the job-plan triple, recorded on a
 	// fleet job's first grant and whenever they change.
 	Objective   string            `json:"objective,omitempty"`

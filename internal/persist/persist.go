@@ -34,6 +34,12 @@
 // A durable service also rotates whenever the journal outgrows its
 // snapshot (Store.RotateDue), so replay is bounded by state, not uptime.
 //
+// The on-disk formats version apart from the rpc schema (FormatVersion, not
+// wire.Version). Plans, the bulk of most records, are stored one entry per
+// replica in persist's own Plan type, so the rpc schema's grouped plan
+// encoding never reaches the disk; the smaller DTOs (models, constraints,
+// pools, fleet events) are still wire's.
+//
 // Layout of a data dir (one generation live at a time, two only mid-rotation):
 //
 //	snapshot-0000000000000003.json   # state as of rotation 3
@@ -58,8 +64,10 @@ import (
 
 // FormatVersion is the on-disk schema version of snapshot and journal
 // documents (kinds kindSnapshot and kindJournal); decoding rejects every
-// other version by name. Records embed wire DTOs: a change to one shows up
-// as a diff in testdata/record-frames.golden.
+// other version by name. Plans are stored in persist's own shape (Plan);
+// records and snapshots still embed the wire DTOs of models, constraints,
+// pools and fleet events, so a change to one of those shows up as a diff in
+// testdata/record-frames.golden.
 const FormatVersion = 1
 
 const kindJournal, kindSnapshot = "journal", "snapshot"
@@ -350,7 +358,7 @@ func (st *Store) RecordCloseJob(job string) {
 // carries the plan, so a grant records this only when the objective or
 // constraints change.
 func (st *Store) RecordJobPlan(job string, plan core.Plan, obj core.Objective, cons core.Constraints) {
-	wp := wire.FromPlan(plan)
+	wp := PlanFrom(plan)
 	wc := wire.FromConstraints(cons)
 	st.append(Record{Op: OpJobPlan, Job: job, Plan: &wp, Objective: obj.String(), Constraints: &wc})
 }
@@ -369,7 +377,7 @@ func (st *Store) RecordLedgerOp(op fleet.Op) {
 	rec := Record{Op: op.Kind.String(), Version: op.Version}
 	switch op.Kind {
 	case fleet.OpInstall:
-		wp := wire.FromPlan(op.Plan)
+		wp := PlanFrom(op.Plan)
 		rec.Job, rec.Priority, rec.Plan = op.Job, op.Priority, &wp
 	case fleet.OpRelease:
 		rec.Job = op.Job

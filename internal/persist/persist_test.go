@@ -52,7 +52,7 @@ func testState(t testing.TB) *State {
 	if _, err := led.Install("beta", 1, flatPlan(zoneB, core.V100, 1, 4)); err != nil {
 		t.Fatal(err)
 	}
-	alphaPlan := wire.FromPlan(flatPlan(zoneA, core.A100, 2, 4))
+	alphaPlan := PlanFrom(flatPlan(zoneA, core.A100, 2, 4))
 	cons := wire.FromConstraints(core.Constraints{MaxIterTime: 2.5})
 	return &State{
 		Jobs: []JobState{
@@ -163,7 +163,7 @@ func driveStore(t testing.TB, st *Store) *State {
 		t.Fatal(err)
 	}
 
-	alphaPlan := wire.FromPlan(flatPlan(zoneA, core.A100, 2, 4))
+	alphaPlan := PlanFrom(flatPlan(zoneA, core.A100, 2, 4))
 	cons := wire.FromConstraints(core.Constraints{MaxIterTime: 2.5})
 	return &State{
 		Jobs: []JobState{

@@ -44,7 +44,7 @@ type JobState struct {
 	Priority int `json:"priority"`
 	// LastPlan / LastObjective / LastConstraints replay the job's most recent
 	// successful plan or replan (LastPlan.GPUs nil when none succeeded yet).
-	LastPlan        *wire.Plan        `json:"last_plan,omitempty"`
+	LastPlan        *Plan             `json:"last_plan,omitempty"`
 	LastObjective   string            `json:"last_objective,omitempty"`
 	LastConstraints *wire.Constraints `json:"last_constraints,omitempty"`
 }
@@ -65,10 +65,10 @@ type FleetState struct {
 
 // LeaseState is one durable lease row.
 type LeaseState struct {
-	Job      string    `json:"job"`
-	Priority int       `json:"priority"`
-	Acquired uint64    `json:"acquired"`
-	Plan     wire.Plan `json:"plan"`
+	Job      string `json:"job"`
+	Priority int    `json:"priority"`
+	Acquired uint64 `json:"acquired"`
+	Plan     Plan   `json:"plan"`
 }
 
 // snapshotBody is the envelope body of a snapshot document.
@@ -89,7 +89,7 @@ func FleetStateFrom(s fleet.Snapshot) *FleetState {
 			Job:      le.Job,
 			Priority: le.Priority,
 			Acquired: le.Acquired,
-			Plan:     wire.FromPlan(le.Plan),
+			Plan:     PlanFrom(le.Plan),
 		})
 	}
 	return fs

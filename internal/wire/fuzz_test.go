@@ -6,10 +6,16 @@ package wire
 // Check must reject any other schema version with the unsupported-version
 // error. The seed corpus covers the shapes the planner actually emits —
 // single-stage, heterogeneous multi-replica, recompute — and the fuzzer
-// mutates dimensions, counts, and names from there.
+// mutates dimensions, counts, and names from there. Each stage's replicas
+// pair up by zone, so plans cross as runs of two and of one.
+//
+// FuzzPlanDecode feeds arbitrary bytes to the plan decoder: nothing panics,
+// and every plan Check accepts expands to at most MaxReplicas replicas and
+// re-encodes canonically.
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"reflect"
 	"strings"
@@ -33,6 +39,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 		region = strings.ToValidUTF8(region, "�")
 		plan := fuzzPlan(pp, dp, tp, layersPerStage, gpu, region, recompute)
 		wp, data := roundTrip(t, FromPlan(plan))
+		if err := wp.Check(); err != nil {
+			t.Errorf("plan check: %v\n%s", err, data)
+		}
 		if back := wp.Core(); !reflect.DeepEqual(back, plan) {
 			t.Errorf("plan round trip:\n%+v\nvs\n%+v\n%s", back, plan, data)
 		}
@@ -77,7 +86,7 @@ func fuzzPlan(pp, dp, tp, layersPerStage int, gpu, region string, recompute bool
 			st.Replicas = append(st.Replicas, core.StageReplica{
 				GPU:  core.GPUType(gpu),
 				TP:   tp,
-				Zone: core.Zone{Region: region, Name: fmt.Sprintf("%s-%c", region, 'a'+byte(r%3))},
+				Zone: core.Zone{Region: region, Name: fmt.Sprintf("%s-%c", region, 'a'+byte(r/2%3))},
 			})
 		}
 		plan.Stages = append(plan.Stages, st)
@@ -115,4 +124,51 @@ func isFiniteConstraints(c core.Constraints) bool {
 		}
 	}
 	return true
+}
+
+func FuzzPlanDecode(f *testing.F) {
+	for _, p := range []core.Plan{{}, samplePlan(), fuzzPlan(3, 4, 2, 8, "A100-40", "us-central1", false)} {
+		data, err := json.Marshal(FromPlan(p))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(`{"stages":[{"replicas":[{"gpu":"A100-40","tp":1,"n":0}]}]}`))
+	f.Add([]byte(`{"stages":[{"replicas":[{"gpu":"A100-40","tp":1,"n":65537}]}]}`))
+	f.Add([]byte(`{"stages":[{"replicas":[{"n":40000}]},{"replicas":[{"n":40000}]}]}`))
+	f.Add([]byte(`{"stages":[{"replicas":null},{"replicas":[]}],"micro_batch_size":-1}`))
+	f.Add([]byte(`{"stages":[{"replicas":[{"n":9223372036854775807},{"n":9223372036854775807}]}]}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var wp Plan
+		if json.Unmarshal(data, &wp) != nil || wp.Check() != nil {
+			return
+		}
+		p := wp.Core()
+		n := 0
+		for _, s := range p.Stages {
+			n += len(s.Replicas)
+		}
+		if n > MaxReplicas {
+			t.Fatalf("accepted plan expands to %d replicas, over %d", n, MaxReplicas)
+		}
+		enc, err := json.Marshal(FromPlan(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again Plan
+		if err := json.Unmarshal(enc, &again); err != nil {
+			t.Fatal(err)
+		}
+		if err := again.Check(); err != nil {
+			t.Fatalf("re-encoded plan fails Check: %v\n%s", err, enc)
+		}
+		if back := again.Core(); !reflect.DeepEqual(back, p) {
+			t.Fatalf("re-encoded plan expands differently:\n%+v\nvs\n%+v", back, p)
+		}
+		if enc2, _ := json.Marshal(FromPlan(again.Core())); !bytes.Equal(enc2, enc) {
+			t.Fatalf("encoding not canonical:\n%s\nvs\n%s", enc2, enc)
+		}
+	})
 }

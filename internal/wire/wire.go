@@ -21,6 +21,14 @@
 // Round trip: the JSON of FromX(x), decoded and converted back, is x —
 // exactly for plans, constraints, models, estimates, and results;
 // canonically for pools, whose zero-count cells are dropped on encode.
+// A plan crosses as runs of identical consecutive replicas (ReplicaRun),
+// which Core expands again in order, nil and empty replica lists kept
+// apart. A run's count is the peer's to choose, so a receiver calls
+// Plan.Check, which bounds the expansion by MaxReplicas, before Core.
+//
+// Files on disk do not embed Plan: package persist keeps its own stored
+// plan shape, so this schema's plan encoding can change without a journal
+// or snapshot format change.
 package wire
 
 import (
@@ -38,7 +46,7 @@ import (
 
 // Version is the wire schema version this build speaks. Bump it when a DTO
 // changes incompatibly; decoders reject every other version.
-const Version = 1
+const Version = 2
 
 // Check validates a message's schema version tag.
 func Check(v int) error {
@@ -60,18 +68,27 @@ func FromZone(z core.Zone) Zone { return Zone{Region: z.Region, Name: z.Name} }
 // Core converts back to the domain type.
 func (z Zone) Core() core.Zone { return core.Zone{Region: z.Region, Name: z.Name} }
 
-// Replica mirrors core.StageReplica.
-type Replica struct {
+// MaxReplicas bounds the replicas a plan may expand to, summed over every
+// run of every stage. A run's count comes from the peer, so Core would
+// otherwise allocate whatever a message asks for; Check enforces the bound.
+// It sits far above any pool this repository plans.
+const MaxReplicas = 1 << 16
+
+// ReplicaRun is N consecutive identical replicas of a stage: core.StageReplica
+// repeated N times. Data-parallel replicas of a stage are nearly always
+// identical, so a stage of d replicas usually crosses the wire as one run.
+type ReplicaRun struct {
 	GPU  string `json:"gpu"`
 	TP   int    `json:"tp"`
 	Zone Zone   `json:"zone"`
+	N    int    `json:"n"`
 }
 
-// Stage mirrors core.StagePlan.
+// Stage mirrors core.StagePlan, its replicas as runs in replica order.
 type Stage struct {
-	FirstLayer int       `json:"first_layer"`
-	NumLayers  int       `json:"num_layers"`
-	Replicas   []Replica `json:"replicas"`
+	FirstLayer int          `json:"first_layer"`
+	NumLayers  int          `json:"num_layers"`
+	Replicas   []ReplicaRun `json:"replicas"`
 }
 
 // Plan mirrors core.Plan.
@@ -81,7 +98,8 @@ type Plan struct {
 	Recompute      bool    `json:"recompute"`
 }
 
-// FromPlan converts a parallelization plan to its wire shape.
+// FromPlan converts a parallelization plan to its wire shape, merging each
+// run of consecutive equal replicas into one ReplicaRun.
 func FromPlan(p core.Plan) Plan {
 	out := Plan{MicroBatchSize: p.MicroBatchSize, Recompute: p.Recompute}
 	if p.Stages != nil {
@@ -90,17 +108,48 @@ func FromPlan(p core.Plan) Plan {
 	for i, s := range p.Stages {
 		st := Stage{FirstLayer: s.FirstLayer, NumLayers: s.NumLayers}
 		if s.Replicas != nil {
-			st.Replicas = make([]Replica, len(s.Replicas))
+			runs := 0
+			for j, r := range s.Replicas {
+				if j == 0 || r != s.Replicas[j-1] {
+					runs++
+				}
+			}
+			st.Replicas = make([]ReplicaRun, 0, runs)
 		}
 		for j, r := range s.Replicas {
-			st.Replicas[j] = Replica{GPU: string(r.GPU), TP: r.TP, Zone: FromZone(r.Zone)}
+			if j > 0 && r == s.Replicas[j-1] {
+				st.Replicas[len(st.Replicas)-1].N++
+				continue
+			}
+			st.Replicas = append(st.Replicas, ReplicaRun{GPU: string(r.GPU), TP: r.TP, Zone: FromZone(r.Zone), N: 1})
 		}
 		out.Stages[i] = st
 	}
 	return out
 }
 
-// Core converts back to the domain type.
+// Check bounds what Core expands: every run holds at least one replica, and
+// the plan at most MaxReplicas in all. Call it on every plan decoded from a
+// peer before Core, as Check is called on the message's version tag.
+func (p Plan) Check() error {
+	total := 0
+	for i, s := range p.Stages {
+		for j, r := range s.Replicas {
+			if r.N < 1 {
+				return fmt.Errorf("wire: plan stage %d run %d has %d replicas, want at least 1", i, j, r.N)
+			}
+			if r.N > MaxReplicas-total {
+				return fmt.Errorf("wire: plan has more than %d replicas", MaxReplicas)
+			}
+			total += r.N
+		}
+	}
+	return nil
+}
+
+// Core converts back to the domain type, expanding every run in order. It
+// trusts a plan that Check accepted; a run counting fewer than one replica
+// expands to none.
 func (p Plan) Core() core.Plan {
 	out := core.Plan{MicroBatchSize: p.MicroBatchSize, Recompute: p.Recompute}
 	if p.Stages != nil {
@@ -109,10 +158,17 @@ func (p Plan) Core() core.Plan {
 	for i, s := range p.Stages {
 		st := core.StagePlan{FirstLayer: s.FirstLayer, NumLayers: s.NumLayers}
 		if s.Replicas != nil {
-			st.Replicas = make([]core.StageReplica, len(s.Replicas))
+			n := 0
+			for _, r := range s.Replicas {
+				n += max(r.N, 0)
+			}
+			st.Replicas = make([]core.StageReplica, 0, n)
 		}
-		for j, r := range s.Replicas {
-			st.Replicas[j] = core.StageReplica{GPU: core.GPUType(r.GPU), TP: r.TP, Zone: r.Zone.Core()}
+		for _, r := range s.Replicas {
+			rep := core.StageReplica{GPU: core.GPUType(r.GPU), TP: r.TP, Zone: r.Zone.Core()}
+			for k := 0; k < r.N; k++ {
+				st.Replicas = append(st.Replicas, rep)
+			}
 		}
 		out.Stages[i] = st
 	}

@@ -82,6 +82,9 @@ func (c *Client) FleetEvent(ev TraceEvent) ([]LeaseInfo, error) {
 	if err := wire.Check(resp.V); err != nil {
 		return nil, err
 	}
+	if err := checkLeasePlans(resp.Broken); err != nil {
+		return nil, err
+	}
 	return resp.Broken, nil
 }
 
@@ -95,6 +98,14 @@ func (c *Client) Rebalance(ctx context.Context) ([]RebalanceStep, error) {
 	if err := wire.Check(resp.V); err != nil {
 		return nil, err
 	}
+	for _, st := range resp.Steps {
+		if st.Result == nil {
+			continue
+		}
+		if err := st.Result.Plan.Check(); err != nil {
+			return nil, err
+		}
+	}
 	return resp.Steps, nil
 }
 
@@ -106,6 +117,9 @@ func (c *Client) FleetStats() (FleetStats, error) {
 		return FleetStats{}, err
 	}
 	if err := wire.Check(resp.V); err != nil {
+		return FleetStats{}, err
+	}
+	if err := checkLeasePlans(resp.Stats.Leases); err != nil {
 		return FleetStats{}, err
 	}
 	return resp.Stats, nil
@@ -129,6 +143,9 @@ func (c *Client) Plan(ctx context.Context, job string, pool *Pool, obj Objective
 	if err := wire.Check(resp.V); err != nil {
 		return PlanResult{}, err
 	}
+	if err := resp.Result.Plan.Check(); err != nil {
+		return PlanResult{}, err
+	}
 	return resp.Result.Result(), nil
 }
 
@@ -147,6 +164,9 @@ func (c *Client) Replan(ctx context.Context, job string, prev Plan, pool *Pool, 
 		return PlanResult{}, err
 	}
 	if err := wire.Check(resp.V); err != nil {
+		return PlanResult{}, err
+	}
+	if err := resp.Result.Plan.Check(); err != nil {
 		return PlanResult{}, err
 	}
 	return resp.Result.Result(), nil
@@ -185,6 +205,17 @@ func (c *Client) Stats() (ServiceStats, error) {
 		return ServiceStats{}, err
 	}
 	return resp.Stats, nil
+}
+
+// checkLeasePlans bounds the plan of every lease row in a reply (see
+// wire.Plan.Check) before a caller expands one.
+func checkLeasePlans(leases []LeaseInfo) error {
+	for _, le := range leases {
+		if err := le.Plan.Check(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // ParseObjective resolves an objective name ("max-throughput", "min-cost")

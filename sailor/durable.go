@@ -117,7 +117,7 @@ func (s *Service) captureLocked(fn func(*persist.State)) {
 			Priority: j.priority,
 		}
 		if len(j.lastPlan.Stages) > 0 {
-			plan := wire.FromPlan(j.lastPlan)
+			plan := persist.PlanFrom(j.lastPlan)
 			cons := wire.FromConstraints(j.lastCons)
 			js.LastPlan, js.LastObjective, js.LastConstraints = &plan, j.lastObj.String(), &cons
 		}

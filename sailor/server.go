@@ -162,6 +162,9 @@ func (s *Server) replan(ctx context.Context, body json.RawMessage) (any, error) 
 	if err != nil {
 		return nil, err
 	}
+	if err := req.Prev.Check(); err != nil {
+		return nil, err
+	}
 	res, err := s.svc.Replan(ctx, req.Job, req.Prev.Core(), req.Pool.Cluster(), obj, req.Constraints.Core())
 	if err != nil {
 		return nil, err
@@ -175,6 +178,9 @@ func (s *Server) simulate(_ context.Context, body json.RawMessage) (any, error) 
 		return nil, err
 	}
 	if err := wire.Check(req.V); err != nil {
+		return nil, err
+	}
+	if err := req.Plan.Check(); err != nil {
 		return nil, err
 	}
 	est, err := s.svc.Simulate(req.Job, req.Plan.Core())

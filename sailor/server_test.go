@@ -2,6 +2,7 @@ package sailor
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net"
 	"slices"
@@ -239,5 +240,105 @@ func TestWireRejectsNegativeCounts(t *testing.T) {
 	}
 	if _, err := srv.Service().FleetStats(); !errors.Is(err, ErrNoFleet) {
 		t.Errorf("refused SetFleet installed a ledger: %v", err)
+	}
+}
+
+// badRunPlans are wire plans whose replica runs Check refuses: a zero and a
+// negative count, one run over wire.MaxReplicas, and runs that only sum
+// over it across stages.
+func badRunPlans() map[string]wire.Plan {
+	run := func(n int) wire.ReplicaRun {
+		return wire.ReplicaRun{GPU: string(A100), TP: 1, Zone: wire.FromZone(GCPZone("us-central1", 'a')), N: n}
+	}
+	stage := func(runs ...wire.ReplicaRun) wire.Stage { return wire.Stage{NumLayers: 24, Replicas: runs} }
+	return map[string]wire.Plan{
+		"zero run":     {MicroBatchSize: 1, Stages: []wire.Stage{stage(run(1), run(0))}},
+		"negative run": {MicroBatchSize: 1, Stages: []wire.Stage{stage(run(-1))}},
+		"oversized":    {MicroBatchSize: 1, Stages: []wire.Stage{stage(run(wire.MaxReplicas + 1))}},
+		"sum over":     {MicroBatchSize: 1, Stages: []wire.Stage{stage(run(wire.MaxReplicas)), stage(run(1))}},
+	}
+}
+
+// TestWireRejectsBadReplicaRuns: the handlers that take a plan from a
+// client (Replan's Prev, Simulate's Plan) refuse a plan whose runs Check
+// rejects before expanding it: the service never sees the request, and the
+// connection keeps serving.
+func TestWireRejectsBadReplicaRuns(t *testing.T) {
+	srv, addr := startTestServer(t, ServiceConfig{})
+	rc, err := rpc.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if err := srv.Service().OpenJob("j", OPT350M(), []GPUType{A100}, 0); err != nil {
+		t.Fatal(err)
+	}
+	pool := wire.FromPool(NewPool().Set(GCPZone("us-central1", 'a'), A100, 8))
+	obj := MaxThroughput.String()
+	for name, bad := range badRunPlans() {
+		for _, tc := range []struct {
+			method   string
+			req, rsp any
+		}{
+			{wire.MethodReplan, wire.ReplanRequest{V: wire.Version, Job: "j", Prev: bad, Pool: pool, Objective: obj}, &wire.PlanResponse{}},
+			{wire.MethodSimulate, wire.SimulateRequest{V: wire.Version, Job: "j", Plan: bad}, &wire.SimulateResponse{}},
+		} {
+			if err := rc.Call(tc.method, tc.req, tc.rsp); err == nil || !strings.Contains(err.Error(), "wire: plan") {
+				t.Errorf("%s, %s: err = %v, want the plan refused", tc.method, name, err)
+			}
+		}
+	}
+	st, err := srv.Service().Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Requests != 0 {
+		t.Errorf("refused plans reached the service: %d requests", st.Requests)
+	}
+	var resp wire.PlanResponse
+	if err := rc.Call(wire.MethodReplan, wire.ReplanRequest{V: wire.Version, Job: "j", Pool: pool, Objective: obj}, &resp); err != nil {
+		t.Fatalf("replan after the refusals: %v", err)
+	}
+}
+
+// TestClientChecksReplyPlans: a Client bounds every plan in a reply before
+// handing it on — Plan, Replan, Rebalance, FleetEvent and FleetStats — so
+// a misbehaving daemon cannot make it expand an unbounded run.
+func TestClientChecksReplyPlans(t *testing.T) {
+	bad := badRunPlans()["oversized"]
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fake := rpc.NewServer(lis)
+	reply := func(resp any) rpc.Handler {
+		return func(context.Context, json.RawMessage) (any, error) { return resp, nil }
+	}
+	lease := []wire.LeaseInfo{{Job: "j", GPUs: 1, Plan: bad}}
+	fake.Handle(wire.MethodPlan, reply(wire.PlanResponse{V: wire.Version, Result: wire.PlanResult{Plan: bad}}))
+	fake.Handle(wire.MethodReplan, reply(wire.PlanResponse{V: wire.Version, Result: wire.PlanResult{Plan: bad}}))
+	fake.Handle(wire.MethodRebalance, reply(wire.RebalanceResponse{V: wire.Version,
+		Steps: []wire.RebalanceStep{{Job: "j", Action: "admit", Result: &wire.PlanResult{Plan: bad}}}}))
+	fake.Handle(wire.MethodFleetEvent, reply(wire.FleetEventResponse{V: wire.Version, Broken: lease}))
+	fake.Handle(wire.MethodFleetStats, reply(wire.FleetStatsResponse{V: wire.Version, Stats: wire.FleetStats{Leases: lease}}))
+	go fake.Serve()
+	t.Cleanup(fake.Close)
+
+	c, err := Dial(lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	_, planErr := c.Plan(ctx, "j", NewPool(), MaxThroughput, Constraints{})
+	_, replanErr := c.Replan(ctx, "j", Plan{}, NewPool(), MaxThroughput, Constraints{})
+	_, rebalanceErr := c.Rebalance(ctx)
+	_, eventErr := c.FleetEvent(TraceEvent{})
+	_, statsErr := c.FleetStats()
+	for name, err := range map[string]error{"plan": planErr, "replan": replanErr,
+		"rebalance": rebalanceErr, "fleet-event": eventErr, "fleet-stats": statsErr} {
+		if err == nil || !strings.Contains(err.Error(), "more than") {
+			t.Errorf("%s reply with an oversized run: err = %v, want it refused", name, err)
+		}
 	}
 }
