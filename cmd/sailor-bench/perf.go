@@ -443,7 +443,8 @@ func codecPairs() ([]codecPair, error) {
 
 // codecRoundTrip is one warm-churn Replan's trip through the wire codec,
 // both directions as the daemon and its client run them: encode the
-// request and the reply, decode each into a fresh message, then check and
+// request and the reply with encoding/json, decode each into a fresh
+// message with wire.Decode (which checks its version), then check and
 // convert their plans, pool and constraints back to domain types.
 func codecRoundTrip(p codecPair) error {
 	req, err := json.Marshal(wire.ReplanRequest{V: wire.Version, Job: p.job, Prev: wire.FromPlan(p.prev),
@@ -457,10 +458,10 @@ func codecRoundTrip(p codecPair) error {
 	}
 	var q wire.ReplanRequest
 	var r wire.PlanResponse
-	if err := json.Unmarshal(req, &q); err != nil {
+	if err := wire.Decode(req, &q); err != nil {
 		return err
 	}
-	if err := json.Unmarshal(resp, &r); err != nil {
+	if err := wire.Decode(resp, &r); err != nil {
 		return err
 	}
 	if err := q.Prev.Check(); err != nil {

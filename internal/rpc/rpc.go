@@ -4,10 +4,12 @@
 // frame version byte, a wire code, the call id, the deadline budget and the
 // lengths of the method and error strings — then those strings, then the
 // JSON body, which passes through the frame untouched: each body is
-// marshalled once by its sender and unmarshalled once by its receiver. Both
-// peers must share the frame version byte; a peer speaking any other
-// framing loses its connection. Each request carries an id echoed by the
-// response, so one connection multiplexes concurrent calls. Stdlib only.
+// encoded once by its sender and decoded once by its receiver. Call and the
+// server's replies use encoding/json; CallRaw leaves both bodies to its
+// caller's codec. Both peers must share the frame version byte; a peer
+// speaking any other framing loses its connection. Each request carries an
+// id echoed by the response, so one connection multiplexes concurrent
+// calls. Stdlib only.
 //
 // Shutdown is graceful: Server.Close stops accepting, lets every in-flight
 // handler finish and flush its reply, answers requests that arrive during
@@ -493,11 +495,25 @@ func (c *Client) CallContext(ctx context.Context, method string, req, resp any) 
 	if err != nil {
 		return err
 	}
+	reply, err := c.CallRaw(ctx, method, body)
+	if err != nil || resp == nil {
+		return err
+	}
+	return json.Unmarshal(reply, resp)
+}
+
+// CallRaw is CallContext for a caller with its own codec: body is the
+// request's encoded body, sent as is, and the reply's body comes back
+// undecoded (a slice of the reply frame, which the caller owns).
+func (c *Client) CallRaw(ctx context.Context, method string, body []byte) ([]byte, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	env := envelope{Method: method, Body: body}
 	if dl, ok := ctx.Deadline(); ok {
 		budget := time.Until(dl)
 		if budget <= 0 {
-			return context.DeadlineExceeded
+			return nil, context.DeadlineExceeded
 		}
 		// The server gets 7/8 of the caller's budget: a handler that runs
 		// to its deadline (e.g. degrading to an incumbent plan) still has
@@ -511,7 +527,7 @@ func (c *Client) CallContext(ctx context.Context, method string, req, resp any) 
 	if c.err != nil {
 		err := c.err
 		c.mu.Unlock()
-		return err
+		return nil, err
 	}
 	c.nextID++
 	id := c.nextID
@@ -519,14 +535,14 @@ func (c *Client) CallContext(ctx context.Context, method string, req, resp any) 
 	c.pending[id] = ch
 	c.mu.Unlock()
 
-	// Marshal and limit failures above are the caller's; from here on, any
+	// A frame over the limits is the caller's failure; from here on, any
 	// failure is the transport's, and poisons the connection.
 	frame, err := encodeFrame(env)
 	if err != nil {
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		return err
+		return nil, err
 	}
 	c.wmu.Lock()
 	_, err = c.w.Write(frame)
@@ -543,7 +559,7 @@ func (c *Client) CallContext(ctx context.Context, method string, req, resp any) 
 		delete(c.pending, id)
 		err := c.err
 		c.mu.Unlock()
-		return err
+		return nil, err
 	}
 
 	select {
@@ -556,35 +572,34 @@ func (c *Client) CallContext(ctx context.Context, method string, req, resp any) 
 			if err == nil {
 				err = ErrConnectionLost
 			}
-			return err
+			return nil, err
 		}
-		return decodeReply(env, resp)
+		if err := replyErr(env); err != nil {
+			return nil, err
+		}
+		return env.Body, nil
 	case <-ctx.Done():
 		c.mu.Lock()
 		delete(c.pending, id)
 		c.mu.Unlock()
-		return ctx.Err()
+		return nil, ctx.Err()
 	}
 }
 
-// decodeReply surfaces a reply frame as a typed error or the decoded
-// response body.
-func decodeReply(env envelope, resp any) error {
-	if env.Err != "" {
-		switch env.Code {
-		case codeServerClosed:
-			return ErrServerClosed
-		case codeOverloaded:
-			return wrapCoded(env.Err, ErrOverloaded)
-		case codeDeadline:
-			return wrapCoded(env.Err, context.DeadlineExceeded)
-		}
-		return errors.New(env.Err)
+// replyErr surfaces a reply frame's error as a typed error, or nil.
+func replyErr(env envelope) error {
+	if env.Err == "" {
+		return nil
 	}
-	if resp != nil {
-		return json.Unmarshal(env.Body, resp)
+	switch env.Code {
+	case codeServerClosed:
+		return ErrServerClosed
+	case codeOverloaded:
+		return wrapCoded(env.Err, ErrOverloaded)
+	case codeDeadline:
+		return wrapCoded(env.Err, context.DeadlineExceeded)
 	}
-	return nil
+	return errors.New(env.Err)
 }
 
 // wrapCoded rebuilds a typed error from its wire string: the server-side

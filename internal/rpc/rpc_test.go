@@ -65,6 +65,30 @@ func TestCallRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCallRaw: CallRaw sends its body byte for byte and hands the reply's
+// body back undecoded; errors stay typed, and a done context never reaches
+// the wire.
+func TestCallRaw(t *testing.T) {
+	_, addr := startServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	reply, err := c.CallRaw(context.Background(), "add", []byte(" [3, 4]"))
+	if err != nil || string(reply) != "7" {
+		t.Fatalf("CallRaw(add) = %q, %v", reply, err)
+	}
+	if reply, err := c.CallRaw(context.Background(), "fail", []byte("null")); err == nil || reply != nil {
+		t.Errorf("CallRaw(fail) = %q, %v", reply, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := c.CallRaw(ctx, "add", []byte("[1,2]")); !errors.Is(err, context.Canceled) {
+		t.Errorf("CallRaw with a done context = %v", err)
+	}
+}
+
 func TestServerError(t *testing.T) {
 	_, addr := startServer(t)
 	c, err := Dial(addr)

@@ -9,9 +9,9 @@ package wire
 // mutates dimensions, counts, and names from there. Each stage's replicas
 // pair up by zone, so plans cross as runs of two and of one.
 //
-// FuzzPlanDecode feeds arbitrary bytes to the plan decoder: nothing panics,
-// and every plan Check accepts expands to at most MaxReplicas replicas and
-// re-encodes canonically.
+// FuzzPlanDecode feeds arbitrary bytes to wire's plan decoder: nothing
+// panics, and every plan Check accepts expands to at most MaxReplicas
+// replicas and re-encodes canonically.
 
 import (
 	"bytes"
@@ -141,8 +141,8 @@ func FuzzPlanDecode(f *testing.F) {
 	f.Add([]byte(`{"stages":[{"replicas":[{"n":9223372036854775807},{"n":9223372036854775807}]}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var wp Plan
-		if json.Unmarshal(data, &wp) != nil || wp.Check() != nil {
+		wp, err := decodePlan(data)
+		if err != nil || wp.Check() != nil {
 			return
 		}
 		p := wp.Core()
@@ -157,8 +157,8 @@ func FuzzPlanDecode(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var again Plan
-		if err := json.Unmarshal(enc, &again); err != nil {
+		again, err := decodePlan(enc)
+		if err != nil {
 			t.Fatal(err)
 		}
 		if err := again.Check(); err != nil {

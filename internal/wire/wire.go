@@ -18,6 +18,15 @@
 // determinism tests compare responses byte-for-byte against in-process
 // planning, and what makes golden tests of CLI -json output stable.
 //
+// Decoding does not reflect: Decode reads every rpc message (and the DTOs it
+// carries) with a hand-written decoder that accepts and decodes exactly
+// what encoding/json's Unmarshal would, except that a key naming a field
+// only case-insensitively ("Job" for "job") is refused with ErrFoldedKey
+// rather than decoded. FuzzDecodeParity holds every decoder to
+// encoding/json on arbitrary bytes. Encoding stays encoding/json, so the
+// bytes a message crosses as do not change. Report, which no rpc message
+// carries, has no decoder.
+//
 // Round trip: the JSON of FromX(x), decoded and converted back, is x —
 // exactly for plans, constraints, models, estimates, and results;
 // canonically for pools, whose zero-count cells are dropped on encode.

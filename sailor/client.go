@@ -56,20 +56,14 @@ func (c *Client) OpenJob(job string, m Model, gpus []GPUType, priority int) erro
 	}
 	req := wire.OpenJobRequest{V: wire.Version, Job: job, Model: wire.FromModel(m), GPUs: names, Priority: priority}
 	var resp wire.OpenJobResponse
-	if err := c.call(context.Background(), wire.MethodOpenJob, req, &resp, true); err != nil {
-		return err
-	}
-	return wire.Check(resp.V)
+	return c.call(context.Background(), wire.MethodOpenJob, req, &resp, true)
 }
 
 // SetFleet implements API over the wire. Mutating.
 func (c *Client) SetFleet(capacity *Pool, jobCapGPUs int) error {
 	req := wire.SetFleetRequest{V: wire.Version, Capacity: wire.FromPool(capacity), JobCapGPUs: jobCapGPUs}
 	var resp wire.SetFleetResponse
-	if err := c.call(context.Background(), wire.MethodSetFleet, req, &resp, true); err != nil {
-		return err
-	}
-	return wire.Check(resp.V)
+	return c.call(context.Background(), wire.MethodSetFleet, req, &resp, true)
 }
 
 // FleetEvent implements API over the wire. Mutating.
@@ -77,9 +71,6 @@ func (c *Client) FleetEvent(ev TraceEvent) ([]LeaseInfo, error) {
 	req := wire.FleetEventRequest{V: wire.Version, Event: wire.FromFleetEvent(ev)}
 	var resp wire.FleetEventResponse
 	if err := c.call(context.Background(), wire.MethodFleetEvent, req, &resp, true); err != nil {
-		return nil, err
-	}
-	if err := wire.Check(resp.V); err != nil {
 		return nil, err
 	}
 	if err := checkLeasePlans(resp.Broken); err != nil {
@@ -93,9 +84,6 @@ func (c *Client) FleetEvent(ev TraceEvent) ([]LeaseInfo, error) {
 func (c *Client) Rebalance(ctx context.Context) ([]RebalanceStep, error) {
 	var resp wire.RebalanceResponse
 	if err := c.call(ctx, wire.MethodRebalance, wire.RebalanceRequest{V: wire.Version}, &resp, true); err != nil {
-		return nil, err
-	}
-	if err := wire.Check(resp.V); err != nil {
 		return nil, err
 	}
 	for _, st := range resp.Steps {
@@ -114,9 +102,6 @@ func (c *Client) Rebalance(ctx context.Context) ([]RebalanceStep, error) {
 func (c *Client) FleetStats() (FleetStats, error) {
 	var resp wire.FleetStatsResponse
 	if err := c.call(context.Background(), wire.MethodFleetStats, wire.FleetStatsRequest{V: wire.Version}, &resp, false); err != nil {
-		return FleetStats{}, err
-	}
-	if err := wire.Check(resp.V); err != nil {
 		return FleetStats{}, err
 	}
 	if err := checkLeasePlans(resp.Stats.Leases); err != nil {
@@ -140,9 +125,6 @@ func (c *Client) Plan(ctx context.Context, job string, pool *Pool, obj Objective
 	if err := c.call(ctx, wire.MethodPlan, req, &resp, false); err != nil {
 		return PlanResult{}, err
 	}
-	if err := wire.Check(resp.V); err != nil {
-		return PlanResult{}, err
-	}
 	if err := resp.Result.Plan.Check(); err != nil {
 		return PlanResult{}, err
 	}
@@ -163,9 +145,6 @@ func (c *Client) Replan(ctx context.Context, job string, prev Plan, pool *Pool, 
 	if err := c.call(ctx, wire.MethodReplan, req, &resp, false); err != nil {
 		return PlanResult{}, err
 	}
-	if err := wire.Check(resp.V); err != nil {
-		return PlanResult{}, err
-	}
 	if err := resp.Result.Plan.Check(); err != nil {
 		return PlanResult{}, err
 	}
@@ -179,9 +158,6 @@ func (c *Client) Simulate(job string, plan Plan) (Estimate, error) {
 	if err := c.call(context.Background(), wire.MethodSimulate, req, &resp, false); err != nil {
 		return Estimate{}, err
 	}
-	if err := wire.Check(resp.V); err != nil {
-		return Estimate{}, err
-	}
 	return resp.Estimate.Core(), nil
 }
 
@@ -189,19 +165,13 @@ func (c *Client) Simulate(job string, plan Plan) (Estimate, error) {
 func (c *Client) CloseJob(job string) error {
 	req := wire.CloseJobRequest{V: wire.Version, Job: job}
 	var resp wire.CloseJobResponse
-	if err := c.call(context.Background(), wire.MethodCloseJob, req, &resp, true); err != nil {
-		return err
-	}
-	return wire.Check(resp.V)
+	return c.call(context.Background(), wire.MethodCloseJob, req, &resp, true)
 }
 
 // Stats implements API over the wire. Idempotent.
 func (c *Client) Stats() (ServiceStats, error) {
 	var resp wire.StatsResponse
 	if err := c.call(context.Background(), wire.MethodStats, wire.StatsRequest{V: wire.Version}, &resp, false); err != nil {
-		return ServiceStats{}, err
-	}
-	if err := wire.Check(resp.V); err != nil {
 		return ServiceStats{}, err
 	}
 	return resp.Stats, nil

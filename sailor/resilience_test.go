@@ -422,6 +422,57 @@ func TestClientRetriesOverloaded(t *testing.T) {
 	}
 }
 
+// TestClientRetrySendsSameBody: a retried idempotent call encodes its
+// request once, so every attempt carries byte-identical bodies — the
+// bytes a fresh encoding of the request gives.
+func TestClientRetrySendsSameBody(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := rpc.NewServer(lis)
+	var mu sync.Mutex
+	var bodies [][]byte
+	srv.Handle(wire.MethodReplan, func(_ context.Context, body json.RawMessage) (any, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		bodies = append(bodies, append([]byte(nil), body...))
+		if len(bodies) <= 2 {
+			return nil, fmt.Errorf("planner queue full: %w", rpc.ErrOverloaded)
+		}
+		return wire.PlanResponse{V: wire.Version, Result: wire.PlanResult{Explored: 3}}, nil
+	})
+	go srv.Serve()
+	defer srv.Close()
+	c, err := DialWith(lis.Addr().String(), fastRetry(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	za := GCPZone("us-central1", 'a')
+	prev := Plan{MicroBatchSize: 2, Stages: []StagePlan{{NumLayers: 24, Replicas: []StageReplica{
+		{GPU: A100, TP: 1, Zone: za}, {GPU: A100, TP: 1, Zone: za}}}}}
+	pool := NewPool().Set(za, A100, 8)
+	res, err := c.Replan(context.Background(), "job", prev, pool, MaxThroughput, Constraints{MinThroughput: 0.5})
+	if err != nil || res.Explored != 3 {
+		t.Fatalf("Replan after two sheds = %+v, %v", res, err)
+	}
+	want, err := json.Marshal(wire.ReplanRequest{V: wire.Version, Job: "job", Prev: wire.FromPlan(prev),
+		Pool: wire.FromPool(pool), Objective: MaxThroughput.String(), Constraints: wire.Constraints{MinThroughput: 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bodies) != 3 {
+		t.Fatalf("server saw %d attempts, want 3", len(bodies))
+	}
+	for i, b := range bodies {
+		if string(b) != string(want) {
+			t.Errorf("attempt %d sent\n%s\nwant\n%s", i+1, b, want)
+		}
+	}
+}
+
 // TestClientRetryExhaustion: a persistently overloaded server exhausts
 // MaxAttempts and the final error stays typed.
 func TestClientRetryExhaustion(t *testing.T) {

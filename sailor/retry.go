@@ -15,6 +15,7 @@ package sailor
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -22,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/rpc"
+	"repro/internal/wire"
 )
 
 // RetryPolicy tunes the client's retry loop. The zero value is a working
@@ -175,17 +177,23 @@ func (c *Client) backoff(attempt int) time.Duration {
 	return j
 }
 
-// call is the retry loop every API method routes through. Idempotent
-// calls retry on retryable errors up to MaxAttempts; mutating calls
-// return the first error unless the policy opts them in.
-func (c *Client) call(ctx context.Context, method string, req, resp any, mutating bool) error {
+// call is the retry loop every API method routes through. It encodes req
+// once, so every attempt sends the same bytes, and decodes the reply into
+// resp with wire's decoder, which checks its version. Idempotent calls
+// retry on retryable errors up to MaxAttempts; mutating calls return the
+// first error unless the policy opts them in.
+func (c *Client) call(ctx context.Context, method string, req any, resp wire.Message, mutating bool) error {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return err
+	}
 	pol := c.cfg.Retry
 	for attempt := 1; ; attempt++ {
 		rc, err := c.conn()
 		if err == nil {
-			err = rc.CallContext(ctx, method, req, resp)
-			if err == nil {
-				return nil
+			var reply []byte
+			if reply, err = rc.CallRaw(ctx, method, body); err == nil {
+				return wire.Decode(reply, resp)
 			}
 			if errors.Is(err, rpc.ErrConnectionLost) || errors.Is(err, rpc.ErrServerClosed) {
 				c.drop(rc)

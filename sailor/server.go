@@ -4,8 +4,8 @@ package sailor
 // exposes and Client speaks. Each rpc frame is a binary header (frame
 // version byte, wire code, call id, deadline, method and error lengths)
 // followed by a JSON body; both peers must share the frame version byte.
-// Every method body is a versioned wire message; version mismatches are
-// refused before any work happens.
+// Every method body is a versioned wire message, read by wire.Decode, which
+// refuses a version mismatch before any work happens.
 
 import (
 	"context"
@@ -56,10 +56,7 @@ func (s *Server) Service() *Service { return s.svc }
 
 func (s *Server) openJob(_ context.Context, body json.RawMessage) (any, error) {
 	var req wire.OpenJobRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, err
-	}
-	if err := wire.Check(req.V); err != nil {
+	if err := wire.Decode(body, &req); err != nil {
 		return nil, err
 	}
 	gpus := make([]GPUType, len(req.GPUs))
@@ -74,10 +71,7 @@ func (s *Server) openJob(_ context.Context, body json.RawMessage) (any, error) {
 
 func (s *Server) setFleet(_ context.Context, body json.RawMessage) (any, error) {
 	var req wire.SetFleetRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, err
-	}
-	if err := wire.Check(req.V); err != nil {
+	if err := wire.Decode(body, &req); err != nil {
 		return nil, err
 	}
 	if err := s.svc.SetFleet(req.Capacity.Cluster(), req.JobCapGPUs); err != nil {
@@ -88,10 +82,7 @@ func (s *Server) setFleet(_ context.Context, body json.RawMessage) (any, error) 
 
 func (s *Server) fleetEvent(_ context.Context, body json.RawMessage) (any, error) {
 	var req wire.FleetEventRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, err
-	}
-	if err := wire.Check(req.V); err != nil {
+	if err := wire.Decode(body, &req); err != nil {
 		return nil, err
 	}
 	broken, err := s.svc.FleetEvent(req.Event.Trace())
@@ -103,10 +94,7 @@ func (s *Server) fleetEvent(_ context.Context, body json.RawMessage) (any, error
 
 func (s *Server) rebalance(ctx context.Context, body json.RawMessage) (any, error) {
 	var req wire.RebalanceRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, err
-	}
-	if err := wire.Check(req.V); err != nil {
+	if err := wire.Decode(body, &req); err != nil {
 		return nil, err
 	}
 	steps, err := s.svc.Rebalance(ctx)
@@ -118,10 +106,7 @@ func (s *Server) rebalance(ctx context.Context, body json.RawMessage) (any, erro
 
 func (s *Server) fleetStats(_ context.Context, body json.RawMessage) (any, error) {
 	var req wire.FleetStatsRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, err
-	}
-	if err := wire.Check(req.V); err != nil {
+	if err := wire.Decode(body, &req); err != nil {
 		return nil, err
 	}
 	st, err := s.svc.FleetStats()
@@ -133,10 +118,7 @@ func (s *Server) fleetStats(_ context.Context, body json.RawMessage) (any, error
 
 func (s *Server) plan(ctx context.Context, body json.RawMessage) (any, error) {
 	var req wire.PlanRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, err
-	}
-	if err := wire.Check(req.V); err != nil {
+	if err := wire.Decode(body, &req); err != nil {
 		return nil, err
 	}
 	obj, err := core.ParseObjective(req.Objective)
@@ -152,10 +134,7 @@ func (s *Server) plan(ctx context.Context, body json.RawMessage) (any, error) {
 
 func (s *Server) replan(ctx context.Context, body json.RawMessage) (any, error) {
 	var req wire.ReplanRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, err
-	}
-	if err := wire.Check(req.V); err != nil {
+	if err := wire.Decode(body, &req); err != nil {
 		return nil, err
 	}
 	obj, err := core.ParseObjective(req.Objective)
@@ -174,10 +153,7 @@ func (s *Server) replan(ctx context.Context, body json.RawMessage) (any, error) 
 
 func (s *Server) simulate(_ context.Context, body json.RawMessage) (any, error) {
 	var req wire.SimulateRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, err
-	}
-	if err := wire.Check(req.V); err != nil {
+	if err := wire.Decode(body, &req); err != nil {
 		return nil, err
 	}
 	if err := req.Plan.Check(); err != nil {
@@ -192,10 +168,7 @@ func (s *Server) simulate(_ context.Context, body json.RawMessage) (any, error) 
 
 func (s *Server) closeJob(_ context.Context, body json.RawMessage) (any, error) {
 	var req wire.CloseJobRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, err
-	}
-	if err := wire.Check(req.V); err != nil {
+	if err := wire.Decode(body, &req); err != nil {
 		return nil, err
 	}
 	if err := s.svc.CloseJob(req.Job); err != nil {
@@ -206,10 +179,7 @@ func (s *Server) closeJob(_ context.Context, body json.RawMessage) (any, error) 
 
 func (s *Server) stats(_ context.Context, body json.RawMessage) (any, error) {
 	var req wire.StatsRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, err
-	}
-	if err := wire.Check(req.V); err != nil {
+	if err := wire.Decode(body, &req); err != nil {
 		return nil, err
 	}
 	st, err := s.svc.Stats()
