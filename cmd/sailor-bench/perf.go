@@ -518,8 +518,7 @@ func churnPools(t int) ([]*cluster.Pool, error) {
 
 // novelPools returns each warm-churn tenant's pools in first-visit order,
 // every revisit removed: a replan chain over one never repeats a pool, so
-// no stored search result answers it and every replan searches — warm only
-// through the DP memos earlier pools of the chain left behind.
+// no stored search result answers it and every replan searches in full.
 func novelPools() ([][]*cluster.Pool, error) {
 	traces := make([][]*cluster.Pool, churnTenants)
 	for t := range traces {
@@ -559,8 +558,8 @@ func novelChain(cfg model.Config, ev planner.Evaluator, workers int, traces [][]
 }
 
 // novelRow is replan_novel/warm-churn: one op is novelChain over the
-// warm-churn traces — the first visits of a pool, the path the warm
-// cache's DP memo generation serves.
+// warm-churn traces — the first visits of a pool, which a warm replan
+// answers with a full search.
 func novelRow(cfg model.Config, ev planner.Evaluator, workers int) (benchResult, error) {
 	traces, err := novelPools()
 	if err != nil {

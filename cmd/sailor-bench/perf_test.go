@@ -104,8 +104,8 @@ func BenchmarkWireCodec(b *testing.B) {
 }
 
 // BenchmarkReplanNovel is the replan_novel/warm-churn row alone: warm
-// replan chains over pools that never repeat, so the DP memo generation is
-// the only warm state that can answer.
+// replan chains over pools that never repeat, so no stored result answers
+// and every replan searches in full.
 //
 //	go test ./cmd/sailor-bench -run xxx -bench ReplanNovel -benchmem
 func BenchmarkReplanNovel(b *testing.B) {

@@ -68,7 +68,7 @@ type replayOutput struct {
 	Events         int               `json:"events"`
 	Workers        int               `json:"workers"`
 	Server         string            `json:"server,omitempty"`
-	Report         *wire.Report      `json:"report,omitempty"`
+	Report         *reportDoc        `json:"report,omitempty"`
 	Steps          []wire.PlanResult `json:"steps,omitempty"`
 	Fleet          *fleetDoc         `json:"fleet,omitempty"`
 }
@@ -249,7 +249,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	if *jsonOut {
-		r := wire.FromReport(rep)
+		r := fromReport(rep)
 		doc.Report = &r
 		return writeJSON(out, doc)
 	}

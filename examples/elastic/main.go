@@ -1,7 +1,7 @@
 // Elastic: replay a named availability scenario and let the controller
 // reconfigure the job kill-free as capacity churns (§4.4, §5.5). Every
 // replan after the first is warm-started: the previous plan seeds the
-// incumbent and the planner's warm cache skips DP regions earlier replans
+// incumbent and the planner's warm cache answers pools earlier replans
 // already solved, which the per-reconfig cache-hit counts make visible.
 package main
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/planner"
@@ -11,11 +12,13 @@ import (
 )
 
 // ReplanLab quantifies warm-start replanning on a preemption-storm
-// scenario: for every distinct availability snapshot the storm produces,
-// it plans once cold and once through a persistent warm cache seeded by
-// the preceding replans, reporting search time, explored nodes, cache
-// utilisation, and whether the two searches chose the same plan (they
-// must — the warm caches hold pure functions).
+// scenario: replaying the storm in event order — one availability snapshot
+// per event timestamp, revisits included — it plans every snapshot once
+// cold and once through a persistent warm cache filled by the preceding
+// replans, reporting search time, explored nodes, cache hits, and whether
+// the two chose the same plan (they must — a stored result is a pure
+// function of its pool). A snapshot the storm returns to is a stored-result
+// hit; a first visit searches as cold planning does.
 func ReplanLab(o Opts) (Table, error) {
 	cfg := model.OPT350M()
 	l, err := newLab(cfg, o, core.A100)
@@ -26,7 +29,16 @@ func ReplanLab(o Opts) (Table, error) {
 	if !ok {
 		return Table{}, fmt.Errorf("preemption-storm scenario missing")
 	}
-	pools := sc.Trace(1).DistinctPools()
+	tr := sc.Trace(1)
+	var pools []*cluster.Pool
+	for i, e := range tr.Events {
+		if i+1 < len(tr.Events) && tr.Events[i+1].At == e.At {
+			continue // events sharing a timestamp make one snapshot
+		}
+		if p := tr.PoolAt(e.At); p.TotalGPUs() > 0 {
+			pools = append(pools, p)
+		}
+	}
 	if o.Quick && len(pools) > 8 {
 		pools = pools[:8]
 	}
@@ -71,7 +83,7 @@ func ReplanLab(o Opts) (Table, error) {
 	}
 	if warmTot > 0 {
 		t.Notes = append(t.Notes, fmt.Sprintf(
-			"cumulative: cold %s vs warm %s (%sx) over %d replans; cache holds %d entries",
+			"cumulative: cold %s vs warm %s (%sx) over %d replans; cache holds %d stored results",
 			coldTot.Round(time.Millisecond), warmTot.Round(time.Millisecond),
 			fmtF(float64(coldTot)/float64(warmTot), 1), len(pools), warm.Opts.Warm.Entries()))
 	}

@@ -184,7 +184,7 @@ func TestStageQuotesMatchEvaluator(t *testing.T) {
 
 		pl := New(cfg, ev, Options{Heuristics: heur, Workers: 1})
 		rs := newRegionState(pool, true)
-		s := newSearch(pl, context.Background(), nil)
+		s := newSearch(pl, context.Background())
 		s.bindState(rs, pool)
 		tk := s.taskFor(0)
 		tk.reset(rs, mbs)

@@ -41,8 +41,8 @@ package planner
 // pruning fires only on strict inequality, and the floors are admissible
 // because Evaluator quotes are pure (see Evaluator).
 // Options.DisableDominancePruning turns it off for ablations; it is excluded
-// from the warm-cache fingerprint because cached entries are pure functions
-// of their keys either way.
+// from the warm-cache fingerprint because a completed search returns the
+// same result either way.
 
 // pruneSafety shrinks every lower bound by one part in 10^9 — far above
 // float64 accumulation error over these expressions, far below any real

@@ -61,7 +61,7 @@ type stageChoice struct {
 // chunked is a rewindable bump allocator over fixed-size chunks: take never
 // moves what it handed out, rewind makes every chunk reusable. The task's
 // next DP degree carves the chunks again, so nothing taken from them may
-// outlive the degree (the ownership rule is stated in warm.go).
+// outlive the degree.
 type chunked[T any] struct {
 	chunks [][]T
 	cur    int // the chunk being carved
@@ -203,14 +203,10 @@ func nodeOf(c stageChoice, child *dpNode, st nodeStats) dpNode {
 	}
 }
 
-// winner materialises a memoized state's winner, detaching its groups from
-// the incumbent buffer. A warm task stores every such node, so it is born
-// cache-owned (as its child was, or the cache served it); a cold task's
-// nodes die with the DP degree and come from the arenas.
+// winner materialises a memoized state's winner into the task's arenas,
+// detaching its groups from the incumbent buffer; it dies with the DP
+// degree.
 func (t *task) winner(c stageChoice, child *dpNode, st nodeStats) *dpNode {
-	if t.s.warm != nil {
-		return ownedNode(nodeOf(c, child, st))
-	}
 	c.groups = t.allocGroups(c.groups)
 	n := t.newNode()
 	*n = nodeOf(c, child, st)
@@ -254,21 +250,6 @@ func (t *task) solveDP(rs *regionState, layers []int, i, ri, d, mbs, nb int, bud
 		memoKey = rs.packedKey(i, ri, &t.caps)
 		if n, ok := t.memoGet(memoKey); ok {
 			return n
-		}
-		// Warm start: consult the DP memos persisted by earlier replans. A
-		// hit short-circuits the whole subtree (it neither counts as
-		// explored nor recurses), which is where Replan's speedup on churn
-		// traces comes from. Hits are handed back to store so its over-cap
-		// eviction keeps the live working set rather than retaining only
-		// the latest search's misses.
-		if t.s.warm != nil {
-			full := t.warmKey(memoKey)
-			if n, ok := t.s.warm.dp[full]; ok {
-				t.warmHits++
-				t.memoPut(memoKey, n)
-				t.pend = append(t.pend, warmEntry{full, n})
-				return n
-			}
 		}
 	}
 	t.explored++
@@ -347,14 +328,6 @@ func (t *task) solveDP(rs *regionState, layers []int, i, ri, d, mbs, nb int, bud
 	}
 	if memoized {
 		t.memoPut(memoKey, best)
-		if t.s.warm != nil && !t.s.expired() {
-			// Persist only nodes from uncancelled exploration: a cut-off
-			// subtree may have skipped choices, and caching its partial
-			// best would poison later replans. nil results (infeasible
-			// suffixes) are cached too — knowing a region state cannot
-			// host the remaining stages is as reusable as a solution.
-			t.pend = append(t.pend, warmEntry{t.warmKey(memoKey), best})
-		}
 	}
 	return best
 }
@@ -435,9 +408,6 @@ func undoChoice(rs *regionState, c stageChoice) {
 // index. The group compositions inside it live in the per-scan cache and
 // stay valid for the whole scan; callers clone what outlives the scan.
 func (t *task) stageCombos(rs *regionState, region, stage, d int) []stageChoice {
-	// The cell arrays are sized here, not in init: a warm task whose scans
-	// are served from the warm cache never enumerates a combo, so it never
-	// pays for them.
 	// Growing keeps the cells' buffers: an earlier, shallower job's lists
 	// are stale (comboOK is false until rebuilt) but their capacity is not.
 	if grow := len(t.partition) - len(t.comboOK); grow > 0 {

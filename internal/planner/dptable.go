@@ -10,8 +10,8 @@ package planner
 // stale slots simply read as vacant — so clearing costs nothing regardless
 // of how large the previous scan grew — and the slots are kept across the
 // jobs of a search too (the table is part of the task scratch). Stale vals
-// point into the task's node arena or at cache-owned nodes; they are never
-// read, and the table dies with the search.
+// point into the task's node arena; they are never read, and the table dies
+// with the search.
 type dpTable struct {
 	slots []dpSlot
 	epoch uint32
@@ -25,17 +25,14 @@ type dpSlot struct {
 	epoch uint32
 }
 
-// dpTableInitSlots is the initial capacity. It is deliberately small:
-// warm replans spin up many short-lived tasks whose scans are served
-// almost entirely from the persisted warm cache, so most tables never see
-// more than a handful of inserts. Cold scans double their way up via
-// grow, whose rehash work telescopes to ~2x the final size — noise next
-// to evaluating the nodes that filled the table.
+// dpTableInitSlots is the initial capacity. Scans double their way up via
+// grow, whose rehash work telescopes to ~2x the final size — noise next to
+// evaluating the nodes that filled the table.
 const dpTableInitSlots = 1 << 6
 
 // reset starts a new scan: every existing slot becomes vacant at once.
-// Allocation is deferred to the first put — a scan served entirely from
-// the warm cache never stores an entry, so it never builds a table.
+// Allocation is deferred to the first put — a budget-constrained scan never
+// stores an entry, so it never builds a table.
 func (t *dpTable) reset() {
 	// Epoch 0 is the vacant value of freshly allocated slots; every scan
 	// runs at a later one.

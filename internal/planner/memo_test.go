@@ -223,9 +223,6 @@ func TestReplanMemoHitChecksGuard(t *testing.T) {
 	if _, err := mk(Options{Objective: core.MaxThroughput, Workers: 1, Warm: warm}).Plan(pool); err != nil {
 		t.Fatal(err)
 	}
-	// Without its DP memos the cache can answer this pool only from the
-	// stored result: a search would explore nodes.
-	warm.dp = map[warmDPKey]*dpNode{}
 	guarded := mk(Options{Objective: core.MaxThroughput, Workers: 1, Warm: warm,
 		Guard: NewCapacityGuard(cluster.NewPool().Set(zoneA, core.A100, 1))})
 	res, err := guarded.Plan(pool)

@@ -8,7 +8,6 @@ package planner
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/model"
 	"repro/internal/profiler"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // dpLab builds an initialised search/task pair over a pool, mirroring the
@@ -32,7 +30,7 @@ func dpLab(tb testing.TB, pool *cluster.Pool, gpus ...core.GPUType) (*Planner, *
 		Objective: core.MaxThroughput, Heuristics: AllHeuristics(), Workers: 1,
 	})
 	rs := newRegionState(pool, true)
-	s := newSearch(pl, context.Background(), nil)
+	s := newSearch(pl, context.Background())
 	tb.Cleanup(s.stop)
 	s.bindState(rs, pool)
 	layers := partitionLayers(cfg.Layers, 4)
@@ -96,60 +94,6 @@ func BenchmarkDPMemoHit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tk.solveDP(work, layers, 0, 0, 2, 2, nb, 0)
-	}
-}
-
-// TestWarmReplanAllocCeiling: a fully-warm replan chain — every DP state
-// served from the cache, no DP node explored — over the preemption-storm
-// base-32 cycle stays under a third of the bytes and allocations it cost
-// while every search rebuilt its tasks, cloned the pool per candidate and
-// collected its pending entries in maps (44 341 allocs / 8 470 284 B per
-// chain of 19 replans; 4 075 / 1 247 878 when this pin was written). Each
-// chain starts with no stored search results, so the first replan of every
-// pool is the DP-memo-served search this pins, not a stored-result hit.
-func TestWarmReplanAllocCeiling(t *testing.T) {
-	const parentAllocs, parentBytes = 44341, 8470284
-	cfg := model.OPT350M()
-	ev := newCountingEval(t, cfg, core.A100)
-	pl := New(cfg, ev, Options{
-		Objective: core.MaxThroughput, Heuristics: AllHeuristics(), Workers: 1, Warm: NewWarmCache(),
-	})
-	sc, ok := trace.ScenarioByName("preemption-storm")
-	if !ok {
-		t.Fatal("preemption-storm scenario not registered")
-	}
-	pools := sc.TraceWith(1, trace.ScenarioOpts{Base: 32}).DistinctPools()
-	var prev core.Plan
-	nodes := int64(0)
-	chain := func() {
-		pl.Opts.Warm.res = map[string]*Result{}
-		for _, pool := range pools {
-			est0 := ev.estimates.Load()
-			res, err := pl.Replan(prev, pool)
-			if err != nil {
-				t.Fatal(err)
-			}
-			nodes += dpNodes(res, ev.estimates.Load()-est0, prev, pool)
-			prev = res.Plan
-		}
-	}
-	chain() // fill the cache
-	nodes = 0
-	if chain(); nodes != 0 {
-		t.Fatalf("second pass explored %d DP nodes; the pin is about fully-warm replans", nodes)
-	}
-	const runs = 10
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	allocs := testing.AllocsPerRun(runs, chain)
-	runtime.ReadMemStats(&m1)
-	bytes := (m1.TotalAlloc - m0.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
-	t.Logf("fully-warm chain of %d replans: %.0f allocs, %d bytes", len(pools), allocs, bytes)
-	if allocs > parentAllocs/3 {
-		t.Errorf("fully-warm chain allocates %.0f times; ceiling %d", allocs, parentAllocs/3)
-	}
-	if bytes > parentBytes/3 {
-		t.Errorf("fully-warm chain allocates %d bytes; ceiling %d", bytes, parentBytes/3)
 	}
 }
 

@@ -29,17 +29,16 @@
 //
 // Replanning on a churn trace is warm-started: Replan/ReplanContext seed a
 // fallback incumbent from the previously deployed plan and, with a
-// WarmCache configured (Options.Warm), persist the DP memos and completed
-// search results across calls, so a replan skips every
-// region state an earlier search already solved and a replan of a solved
-// pool is a lookup. Warm results are bit-identical to cold planning on the
-// same pool — the caches hold pure functions of their keys.
+// WarmCache configured (Options.Warm), keep completed search results across
+// calls, so a replan of a pool already solved is a lookup. Warm results are
+// bit-identical to cold planning on the same pool — a stored result is a
+// pure function of its key.
 //
 // The code is split across five files: planner.go (configuration and the
 // Plan/PlanContext/Replan entry points), search.go (the worker pool and the
 // per-candidate DP-degree scan), dp.go (the Listing-1 dynamic program and
 // plan materialisation), state.go (region-indexed resource state and the
-// packed memo keys), and warm.go (the cross-replan warm-start cache).
+// packed memo keys), and warm.go (the cross-replan result cache).
 package planner
 
 import (
@@ -92,9 +91,9 @@ type Options struct {
 	// completion the chosen plan is identical at any worker count; under
 	// a Deadline/context cutoff, more workers cover more of the space.
 	Workers int
-	// Warm persists the planner's caches and completed search results
-	// across Plan/Replan calls (see WarmCache). Nil means every search starts
-	// cold. The cache binds to the first planner fingerprint that uses it;
+	// Warm keeps completed search results across Plan/Replan calls, so a
+	// call on a pool already solved is a lookup (see WarmCache). Nil means
+	// every call searches. The cache binds to the first planner fingerprint that uses it;
 	// a planner with a different model, objective, constraints, heuristic
 	// set, or evaluator instance ignores it and searches cold.
 	Warm *WarmCache
@@ -107,8 +106,8 @@ type Options struct {
 	// compositions inside the DP (see dominance.go). Pruning is exact — the
 	// chosen plan is identical either way — so this exists only for
 	// ablations and for measuring the filter's effect on Explored. Excluded
-	// from the warm-cache fingerprint: cached entries are pure functions of
-	// their keys and remain valid under either setting.
+	// from the warm-cache fingerprint: stored results are the same under
+	// either setting.
 	DisableDominancePruning bool
 }
 
@@ -128,12 +127,8 @@ type Result struct {
 	// WarmStart reports whether the search ran against a warm cache
 	// (Options.Warm set and fingerprint-compatible).
 	WarmStart bool
-	// CacheHits counts DP subtrees served from the warm cache's memo
-	// generation instead of being re-explored; each hit also subtracts the
-	// whole subtree from Explored (the candidate plans' simulator
-	// evaluations still count there). A result served whole from the warm
-	// cache's stored searches reports exactly one hit, Explored 0 and
-	// WarmStart true.
+	// CacheHits is 1 for a result served whole from the warm cache's
+	// stored searches (with Explored 0 and WarmStart true) and 0 otherwise.
 	CacheHits int
 	// Degraded marks a result the serving layer substituted for a fresh
 	// search that was cut off by its deadline: the job's warm incumbent
@@ -158,7 +153,7 @@ type Result struct {
 // every composition from those quotes, the warm cache reuses results
 // across searches, and dominance pruning's completion bound (dominance.go)
 // takes the fastest StageComputeTimeWith quote and the cheapest GPUHourUSD
-// rate as floors for every DP suffix, solved or served from the cache.
+// rate as floors for every DP suffix.
 type Evaluator interface {
 	// Estimate evaluates a plan end to end: iteration time, cost split,
 	// and the peak memory of the most loaded worker.
@@ -209,10 +204,9 @@ func (pl *Planner) PlanContext(ctx context.Context, pool *cluster.Pool) (Result,
 // starting from the plan deployed before the availability change. The
 // previous plan seeds a fallback incumbent (so a deadline-cut replan is
 // never worse than keeping the old plan, when it still fits the pool), and
-// a configured Options.Warm cache lets the search skip every DP region
-// state an earlier replan already solved. A warm Replan that runs to
-// completion returns exactly the plan cold planning returns on the same
-// pool.
+// a configured Options.Warm cache answers a pool an earlier call already
+// solved without searching. A warm Replan that runs to completion returns
+// exactly the plan cold planning returns on the same pool.
 func (pl *Planner) Replan(prev core.Plan, pool *cluster.Pool) (Result, error) {
 	return pl.ReplanContext(context.Background(), prev, pool)
 }
@@ -247,10 +241,10 @@ func (pl *Planner) seedFromPrev(prev *core.Plan, pool *cluster.Pool) *candidate 
 
 // fingerprint identifies the search configuration a WarmCache binds to.
 // The evaluator is bound separately by instance identity (WarmCache.ev):
-// cached DP nodes embed its stage timings, so entries must never cross
-// estimation backends (or profiler seeds). Deadline and Workers are
-// excluded — they change how much of the space a cut-off search covers,
-// never the value of a cached entry.
+// stored results embed its estimates, so they must never cross estimation
+// backends (or profiler seeds). Deadline and Workers are excluded — they
+// change how much of the space a cut-off search covers, never the result of
+// a completed one.
 func (pl *Planner) fingerprint() string {
 	return fmt.Sprintf("%+v|%v|%+v|%+v|pp%d|mbs%v",
 		pl.Cfg, pl.Opts.Objective, pl.Opts.Constraints, pl.Opts.Heuristics,
@@ -300,16 +294,12 @@ func (pl *Planner) planContext(ctx context.Context, pool *cluster.Pool, prev *co
 		return Result{}, fmt.Errorf("planner: empty resource pool")
 	}
 
-	s := newSearch(pl, ctx, warm)
+	s := newSearch(pl, ctx)
 	defer s.stop()
 	s.runPass(rs, pool)
-	if warm != nil {
-		var r *Result
-		if s.best != nil && !s.expired() {
-			d := detachResult(s.best.res)
-			r = &d
-		}
-		warm.store(s.pending(), key, r)
+	if warm != nil && s.best != nil && !s.expired() {
+		r := detachResult(s.best.res)
+		warm.store(key, &r)
 	}
 	// The seed is a fallback, not a competitor: a search that runs to
 	// completion returns exactly what cold planning returns, and the
@@ -332,7 +322,6 @@ func (pl *Planner) planContext(ctx context.Context, pool *cluster.Pool, prev *co
 	best.SearchTime = time.Since(start)
 	best.Explored = int(s.explored.Load())
 	best.WarmStart = warm != nil
-	best.CacheHits = int(s.warmHits.Load())
 	return best, nil
 }
 

@@ -381,7 +381,9 @@ func (e *microbatchEval) Estimate(plan core.Plan) (core.Estimate, error) {
 // H2 memory check with the microbatch count of the plans that scan
 // materialises, also when d·mbs does not divide the global batch. With a
 // global batch of 1000 at d 64 and mbs 8 a pipeline runs ceil(1000/512) = 2
-// microbatches; the persisted memo keys record the DP's own count.
+// microbatches; every plan the search scores runs the count
+// memory.Microbatches gives its scan, which is the count searchDP hands
+// the DP.
 func TestDPMicrobatchesMatchPlan(t *testing.T) {
 	cfg := model.OPT350M()
 	cfg.GlobalBatch = 1000
@@ -390,21 +392,16 @@ func TestDPMicrobatchesMatchPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev := &microbatchEval{Simulator: sim.New(cfg, prof), nb: map[scanKey]int{}}
-	warm := NewWarmCache()
-	pl := New(cfg, ev, Options{Objective: core.MaxThroughput, Heuristics: AllHeuristics(), Workers: 1, Warm: warm})
+	pl := New(cfg, ev, Options{Objective: core.MaxThroughput, Heuristics: AllHeuristics(), Workers: 1})
 	if _, err := pl.Plan(cluster.NewPool().Set(zoneA, core.A100, 256)); err != nil {
 		t.Fatal(err)
-	}
-	dpNB := map[scanKey]int{}
-	for k := range warm.dp {
-		dpNB[scanKey{int(k.pp), int(k.mbs), int(k.d)}] = int(k.nb)
 	}
 	if got := ev.nb[scanKey{1, 8, 64}]; got != 2 {
 		t.Fatalf("the search scored no pp 1, mbs 8, d 64 plan with 2 microbatches (got %d)", got)
 	}
-	for k, want := range ev.nb {
-		if got, ok := dpNB[k]; !ok || got != want {
-			t.Errorf("scan %+v: the DP counted %d microbatches (stored %v), the plan runs %d", k, got, ok, want)
+	for k, got := range ev.nb {
+		if want := memory.Microbatches(cfg.GlobalBatch, k.d, k.mbs); got != want {
+			t.Errorf("scan %+v: the DP counted %d microbatches, the plan runs %d", k, want, got)
 		}
 	}
 }

@@ -39,18 +39,9 @@ type search struct {
 	zoneAvail   []int
 	bucketZones [][]int
 
-	// Warm start (Options.Warm): warm is the cache the search holds for its
-	// whole run, so every task reads its DP memo map lock-free and nothing
-	// writes it until the workers are done; what the search stores into it
-	// at the end accumulates per worker (task.pend). shape is the pool-shape
-	// descriptor shared by every persisted key of this search.
-	warm     *WarmCache
-	shape    string
-	warmHits atomic.Int64
-
 	// scratch holds one task per worker, reset — not reallocated — between
 	// the (pp, mbs) jobs that worker runs, and dies with the search: no
-	// result and no warm-cache entry points into it.
+	// result points into it.
 	scratch []*task
 
 	// mu guards the incumbent. Workers publish candidates through offer's
@@ -83,10 +74,9 @@ func (c *candidate) signature() string {
 	return c.sig
 }
 
-// newSearch starts a search; warm, when set, is the bound cache the caller
-// holds.
-func newSearch(pl *Planner, ctx context.Context, warm *WarmCache) *search {
-	s := &search{pl: pl, warm: warm, watch: make(chan struct{})}
+// newSearch starts a search.
+func newSearch(pl *Planner, ctx context.Context) *search {
+	s := &search{pl: pl, watch: make(chan struct{})}
 	if d := ctx.Done(); d != nil {
 		// Latch cancellation into an atomic so the hot DP loop polls a
 		// plain load instead of taking the context's lock per node.
@@ -126,9 +116,6 @@ func (s *search) bindState(rs *regionState, pool *cluster.Pool) {
 			}
 		}
 	}
-	if s.warm != nil {
-		s.shape = rs.shape()
-	}
 	s.ratePerSec = make([]float64, len(rs.types))
 	s.nodeCap = make([]int, len(rs.types))
 	for ti, g := range rs.types {
@@ -138,19 +125,6 @@ func (s *search) bindState(rs *regionState, pool *cluster.Pool) {
 			s.minRate = r
 		}
 	}
-}
-
-// pending gathers the DP entries the search's workers store: the first
-// worker's list, the others' appended.
-func (s *search) pending() (p []warmEntry) {
-	for i, t := range s.scratch {
-		if i == 0 {
-			p = t.pend
-			continue
-		}
-		p = append(p, t.pend...)
-	}
-	return p
 }
 
 // offer publishes a candidate to the shared incumbent. The incumbent is a
@@ -195,7 +169,6 @@ func (s *search) runPass(rs *regionState, pool *cluster.Pool) {
 		t.searchDP(j.layers, j.mbs)
 		// Counters are batched per job: no atomics in the DP's inner loop.
 		s.explored.Add(t.explored)
-		s.warmHits.Add(t.warmHits)
 	}
 
 	workers := min(s.pl.workerCount(), len(jobs))
@@ -244,8 +217,7 @@ func (s *search) taskFor(w int) *task {
 // for the next job and searchDP rewinds its arenas degree by degree, so a
 // job needing no more capacity than the jobs before it allocates nothing
 // here. Nothing carved from it outlives the degree it was carved for: the
-// incumbent carries a detached plan (search.offer), and nodes bound for the
-// warm cache are never carved from it (winner; warm.go).
+// incumbent carries a detached plan (search.offer).
 type task struct {
 	s  *search
 	pl *Planner
@@ -266,17 +238,10 @@ type task struct {
 	// mbs is the task's microbatch size.
 	mbs int
 
-	// scan carries the key fields (shape, pp, mbs, d, nb, costLean) all
-	// persisted keys of the current DP-degree scan share; caps are the
-	// scan's per-stage memo-key lane caps, a function of those fields.
-	scan warmDPKey
+	// caps are the current DP-degree scan's per-stage memo-key lane caps.
 	caps laneCaps
-	// pend accumulates, over every job this worker runs, the DP entries the
-	// search will store (see search.pending).
-	// explored/warmHits batch one job's telemetry counters.
-	pend     []warmEntry
+	// explored batches one job's telemetry counter.
 	explored int64
-	warmHits int64
 
 	// Dominance pruning inputs (see dominance.go): suffix sums and maxima
 	// of the partition's per-stage time floors.
@@ -285,7 +250,7 @@ type task struct {
 	domSufMax []float64
 
 	// nodes and groups are the arenas of the DP's escaping values (newNode,
-	// allocGroups) other than those a warm task stores (winner).
+	// allocGroups).
 	// sigA/sigB are the scratch of the piecewise signature tie-breaks.
 	nodes      chunked[dpNode]
 	groups     chunked[replicaGroup]
@@ -327,7 +292,7 @@ type task struct {
 // reset readies the scratch for one (pp, mbs) job, keeping all capacity.
 func (t *task) reset(rs *regionState, mbs int) {
 	t.mbs = mbs
-	t.explored, t.warmHits = 0, 0
+	t.explored = 0
 	rs.copyTo(&t.rs)
 }
 
@@ -346,20 +311,10 @@ func (t *task) init(layers []int) {
 	}
 	t.partition = layers
 	t.initDominance(layers)
-	t.scan = warmDPKey{shape: t.s.shape, pp: int32(pp), mbs: int32(t.mbs)}
-}
-
-// warmKey extends the task's current scan prefix with one node's packed
-// state.
-func (t *task) warmKey(k dpKey) warmDPKey {
-	wk := t.scan
-	wk.key = k
-	return wk
 }
 
 // resetMemo starts a fresh DP-degree scan: the scan-local memo is cleared
-// and the persisted-key prefix is recomputed from the scan parameters.
-// Callers set costLean before calling.
+// and the lane caps are recomputed from the scan parameters.
 func (t *task) resetMemo(d, nb int) {
 	// The table's slots are reused across scans (reset bumps its epoch, so
 	// later scans insert without re-growing); entries never leak between
@@ -369,15 +324,11 @@ func (t *task) resetMemo(d, nb int) {
 		clear(t.dpMemoSpill)
 	}
 	clear(t.comboOK)
-	t.scan.d, t.scan.nb = int32(d), int32(nb)
-	t.scan.costLean = t.costLean
 	t.setCaps(d, nb)
 }
 
 // setCaps computes the scan's TP spans (see tpRange) and memo-key lane caps
-// (see laneCaps) from the partition, mbs, d and nb — all fields of
-// warmDPKey or of the planner fingerprint, so warm entries stay pure
-// functions of their keys.
+// (see laneCaps) from the partition, mbs, d and nb.
 func (t *task) setCaps(d, nb int) {
 	pp, types := len(t.partition), len(t.rs.types)
 	c := &t.caps

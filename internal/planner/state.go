@@ -5,7 +5,6 @@ package planner
 
 import (
 	"encoding/binary"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -154,23 +153,6 @@ func (rs *regionState) copyTo(dst *regionState) {
 	for i, row := range rs.wide {
 		dst.wide[i] = append(dst.wide[i][:0], row...)
 	}
-}
-
-// shape identifies the region/type index layout of the state. Persisted DP
-// memo keys carry it so entries from one pool are only consulted for pools
-// whose counts matrix is indexed identically.
-func (rs *regionState) shape() string {
-	var b strings.Builder
-	for _, r := range rs.regions {
-		b.WriteString(r)
-		b.WriteByte(',')
-	}
-	b.WriteByte('/')
-	for _, g := range rs.types {
-		b.WriteString(string(g))
-		b.WriteByte(',')
-	}
-	return b.String()
 }
 
 // dpKeyCells is the number of (region, type) availability cells a dpKey can

@@ -199,7 +199,7 @@ func TestLaneClampExact(t *testing.T) {
 		solve := func(clamp bool) (sig string, st nodeStats, explored int64) {
 			pl := New(cfg, ev, Options{Objective: obj, Heuristics: heur, Workers: 1})
 			rs := newRegionState(pool, heur.H6MergeZones)
-			s := newSearch(pl, context.Background(), nil)
+			s := newSearch(pl, context.Background())
 			defer s.stop()
 			s.bindState(rs, pool)
 			layers := partitionLayers(cfg.Layers, pp)

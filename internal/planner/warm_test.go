@@ -4,9 +4,8 @@ import (
 	"context"
 	"errors"
 	"reflect"
-	"runtime"
+	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -18,47 +17,15 @@ import (
 	"repro/internal/trace"
 )
 
-// countingEval forwards every Evaluator method to the simulator and counts
-// Estimate calls, which lets a test split a search's Explored into DP nodes
-// and candidate-plan evaluations.
-type countingEval struct {
-	*sim.Simulator
-	estimates atomic.Int64
-}
-
-func (c *countingEval) Estimate(plan core.Plan) (core.Estimate, error) {
-	c.estimates.Add(1)
-	return c.Simulator.Estimate(plan)
-}
-
-// newCountingEval profiles cfg on gpus and wraps the simulator.
-func newCountingEval(t *testing.T, cfg model.Config, gpus ...core.GPUType) *countingEval {
+// warmLab builds one shared evaluator plus a planner factory bound to it,
+// so warm and cold planners agree on the fingerprint's evaluator instance.
+func warmLab(t *testing.T, cfg model.Config, gpus ...core.GPUType) func(opts Options) *Planner {
 	t.Helper()
 	prof, err := profiler.Collect(cfg, gpus, nil, profiler.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &countingEval{Simulator: sim.New(cfg, prof)}
-}
-
-// dpNodes is the number of DP nodes a replan of pool from prev explored:
-// Explored counts those plus one per candidate plan the search scored with
-// the simulator. est is the replan's Estimate calls. A replan that searched
-// also made the seed check of prev whenever the pool still fits it — a call
-// Explored does not count; one served whole from a stored result made none.
-func dpNodes(res Result, est int64, prev core.Plan, pool *cluster.Pool) int64 {
-	if est > 0 && len(prev.Stages) > 0 && pool.CanFit(prev) {
-		est--
-	}
-	return int64(res.Explored) - est
-}
-
-// warmLab builds one shared evaluator plus a planner factory bound to it,
-// so warm and cold planners agree on the fingerprint's evaluator instance.
-// The evaluator is a countingEval (reachable as the planners' Sim).
-func warmLab(t *testing.T, cfg model.Config, gpus ...core.GPUType) func(opts Options) *Planner {
-	t.Helper()
-	ev := newCountingEval(t, cfg, gpus...)
+	ev := sim.New(cfg, prof)
 	return func(opts Options) *Planner {
 		if opts.Heuristics == (Heuristics{}) {
 			opts.Heuristics = AllHeuristics()
@@ -73,10 +40,24 @@ func stormPools(seed int64) []*cluster.Pool {
 	return trace.PreemptionStorm().Trace(seed).DistinctPools()
 }
 
+// warmCounters is the (Explored, CacheHits) a warm replan reports: a pool
+// the cache has stored is a lookup, (0, 1); a first visit searches cold and
+// reports the cold search's Explored and no hit. seen holds the pool keys
+// the cache has stored; warmCounters adds pool's.
+func warmCounters(seen map[string]bool, pool *cluster.Pool, cold Result) [2]int {
+	k := poolKey(pool)
+	if seen[k] {
+		return [2]int{0, 1}
+	}
+	seen[k] = true
+	return [2]int{cold.Explored, 0}
+}
+
 // TestReplanMatchesColdPlanning is the warm-start contract: replaying a
 // preemption storm, every warm replan returns the identical plan and
-// estimate cold planning returns on the same pool, while the cache visibly
-// serves subtrees (CacheHits > 0, Explored strictly below cold).
+// estimate cold planning returns on the same pool, a first visit searches
+// exactly as cold planning does, and a pool the storm returns to is a
+// stored-result lookup.
 func TestReplanMatchesColdPlanning(t *testing.T) {
 	cfg := model.OPT350M()
 	mk := warmLab(t, cfg, core.A100)
@@ -87,7 +68,8 @@ func TestReplanMatchesColdPlanning(t *testing.T) {
 		t.Fatalf("storm produced only %d distinct pools", len(pools))
 	}
 	var prev core.Plan
-	totalHits, hitsBelowCold := 0, 0
+	seen := map[string]bool{}
+	hits := 0
 	for i, pool := range pools {
 		warm, err := warmPl.Replan(prev, pool)
 		if err != nil {
@@ -106,20 +88,17 @@ func TestReplanMatchesColdPlanning(t *testing.T) {
 		if !warm.WarmStart {
 			t.Errorf("pool %d: WarmStart not reported", i)
 		}
-		totalHits += warm.CacheHits
-		if warm.CacheHits > 0 && warm.Explored < cold.Explored {
-			hitsBelowCold++
+		if got, want := [2]int{warm.Explored, warm.CacheHits}, warmCounters(seen, pool, cold); got != want {
+			t.Errorf("pool %d: (explored, hits) = %v, want %v", i, got, want)
 		}
+		hits += warm.CacheHits
 		prev = warm.Plan
 	}
-	if totalHits == 0 {
-		t.Error("warm cache never served a subtree across the whole storm")
+	if hits == 0 {
+		t.Error("the storm never returned to a pool the cache had stored")
 	}
-	if hitsBelowCold == 0 {
-		t.Error("cache hits never reduced the explored node count")
-	}
-	if warmPl.Opts.Warm.Entries() == 0 {
-		t.Error("no DP memos were persisted")
+	if got := warmPl.Opts.Warm.Entries(); got != len(seen) {
+		t.Errorf("the cache stores %d results for %d distinct pools", got, len(seen))
 	}
 }
 
@@ -402,9 +381,9 @@ func TestWarmCacheWaiterHonoursContext(t *testing.T) {
 		} else if !errors.Is(err, context.DeadlineExceeded) {
 			t.Errorf("unseeded waiter: err = %v, want one wrapping context.DeadlineExceeded", err)
 		}
-		// The test holds the cache, so reading its maps here is race-free.
-		if len(warm.dp) != 0 || len(warm.res) != 0 {
-			t.Errorf("seeded=%v waiter changed the cache: %d DP entries, %d results", seeded, len(warm.dp), len(warm.res))
+		// The test holds the cache, so reading its map here is race-free.
+		if len(warm.res) != 0 {
+			t.Errorf("seeded=%v waiter changed the cache: %d results", seeded, len(warm.res))
 		}
 	}
 	warm.release()
@@ -417,8 +396,8 @@ func TestWarmCacheWaiterHonoursContext(t *testing.T) {
 		t.Errorf("replan after release: got %s (explored %d, warm %v), want a warm search of the cold plan",
 			res.Plan, res.Explored, res.WarmStart)
 	}
-	if warm.Entries() == 0 || len(warm.res) != 1 {
-		t.Errorf("replan after release stored %d DP entries and %d results", warm.Entries(), len(warm.res))
+	if n := warm.Entries(); n != 1 {
+		t.Errorf("replan after release stored %d results, want 1", n)
 	}
 	again, err := pl.Replan(res.Plan, pool)
 	if err != nil {
@@ -430,25 +409,11 @@ func TestWarmCacheWaiterHonoursContext(t *testing.T) {
 	}
 }
 
-// diurnalParity is the (Explored, CacheHits) of every replan of two passes
-// over the diurnal-wave base-16 cycle, pinned exactly: what a replan searches
-// must not depend on where cached entries live or on the worker count. A
-// searched replan's Explored counts its DP nodes plus one simulator
-// evaluation per candidate plan; its hits are DP subtrees. Every pool the
-// cycle revisits — pools 5-8 and 15-20 of the first pass, all of the second
-// — is served whole from the stored search results: (0, 1).
-var diurnalParity = [2][21][2]int{
-	{{513, 0}, {246, 89}, {186, 113}, {172, 111}, {489, 99}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {146, 70}, {139, 61},
-		{94, 36}, {77, 40}, {57, 25}, {55, 22}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}},
-	{{0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1},
-		{0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}, {0, 1}},
-}
-
 // TestWarmVsColdParityDiurnalCycle walks a whole diurnal-wave cycle twice
-// at workers 1 and 8: every warm Replan — computing its entries on the
-// first pass, served from stored results once its pool repeats — returns
-// the plan and estimate a cold Plan of the same pool returns, with the
-// recorded search counters.
+// at workers 1 and 8: every warm Replan — searching on a pool's first
+// visit, served from stored results once its pool repeats — returns the
+// plan and estimate a cold Plan of the same pool returns, with the search
+// counters warmCounters computes.
 func TestWarmVsColdParityDiurnalCycle(t *testing.T) {
 	cfg := model.OPT350M()
 	mk := warmLab(t, cfg, core.A100)
@@ -457,9 +422,6 @@ func TestWarmVsColdParityDiurnalCycle(t *testing.T) {
 		t.Fatal("diurnal-wave scenario not registered")
 	}
 	pools := sc.TraceWith(1, trace.ScenarioOpts{Base: 16}).DistinctPools()
-	if len(pools) != len(diurnalParity[0]) {
-		t.Fatalf("cycle has %d pools, the recorded counters cover %d", len(pools), len(diurnalParity[0]))
-	}
 	cold := make([]Result, len(pools))
 	for i, pool := range pools {
 		res, err := mk(Options{Objective: core.MaxThroughput, Workers: 1}).Plan(pool)
@@ -471,7 +433,9 @@ func TestWarmVsColdParityDiurnalCycle(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		pl := mk(Options{Objective: core.MaxThroughput, Workers: workers, Warm: NewWarmCache()})
 		var prev core.Plan
-		for pass := range diurnalParity {
+		seen := map[string]bool{}
+		revisits := 0
+		for pass := 0; pass < 2; pass++ {
 			for i, pool := range pools {
 				warm, err := pl.Replan(prev, pool)
 				if err != nil {
@@ -485,89 +449,76 @@ func TestWarmVsColdParityDiurnalCycle(t *testing.T) {
 					t.Errorf("workers=%d pass %d pool %d: warm estimate %+v, cold %+v",
 						workers, pass, i, warm.Estimate, cold[i].Estimate)
 				}
-				if got, want := [2]int{warm.Explored, warm.CacheHits}, diurnalParity[pass][i]; got != want {
-					t.Errorf("workers=%d pass %d pool %d: (explored, hits) = %v, recorded %v", workers, pass, i, got, want)
+				want := warmCounters(seen, pool, cold[i])
+				if got := [2]int{warm.Explored, warm.CacheHits}; got != want {
+					t.Errorf("workers=%d pass %d pool %d: (explored, hits) = %v, want %v", workers, pass, i, got, want)
+				}
+				if pass == 0 && want[1] == 1 {
+					revisits++
 				}
 				prev = warm.Plan
 			}
 		}
+		// The cycle returns to pools it already visited within one pass.
+		if revisits == 0 {
+			t.Errorf("workers=%d: the first pass revisited no pool", workers)
+		}
 	}
 }
 
-// TestWarmCacheOverCapKeepsWorkingSet drives a cache past warmMaxEntries: the
-// store that would overflow drops the old generation and retains exactly
-// the overflowing search's working set — sized for it, not for the cap —
-// and the following replan, served from that set alone, is bit-identical to
-// cold planning.
-func TestWarmCacheOverCapKeepsWorkingSet(t *testing.T) {
+// TestWarmCacheOverCapStartsFresh drives the stored results to
+// warmMaxResults: the store that would overflow starts a fresh map holding
+// only the overflowing search's result, a replan of that retained pool is a
+// lookup identical to cold planning, and a dropped pool is searched again.
+func TestWarmCacheOverCapStartsFresh(t *testing.T) {
 	cfg := model.OPT350M()
 	mk := warmLab(t, cfg, core.A100)
 	warm := NewWarmCache()
 	pl := mk(Options{Objective: core.MaxThroughput, Workers: 1, Warm: warm})
 	pools := stormPools(1)
-	first, err := pl.Replan(core.Plan{}, pools[0]) // binds the cache, files pools[0]'s entries
+	first, err := pl.Replan(core.Plan{}, pools[0]) // binds the cache, stores pools[0]'s result
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Fill the DP generation to the cap with entries no search will ask for.
-	var filler []warmEntry
-	for i := len(warm.dp); i < warmMaxEntries; i++ {
-		filler = append(filler, warmEntry{key: warmDPKey{shape: "filler", pp: int32(i)}})
+	// Fill the result map to the cap with results no search will ask for.
+	for i := len(warm.res); i < warmMaxResults; i++ {
+		warm.store("filler"+strconv.Itoa(i), &Result{})
 	}
-	warm.store(filler, "", nil)
-	if got := len(warm.dp); got != warmMaxEntries {
-		t.Fatalf("filled cache holds %d DP entries, want %d", got, warmMaxEntries)
+	if got := len(warm.res); got != warmMaxResults {
+		t.Fatalf("filled cache holds %d results, want %d", got, warmMaxResults)
 	}
 
-	// A search over a new pool stores hits and fresh entries; one fresh
-	// key is enough to overflow.
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
 	over, err := pl.Replan(first.Plan, pools[1])
-	runtime.ReadMemStats(&m1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if over.Explored == 0 {
-		t.Fatal("precondition: the second pool must compute new entries")
+	if over.Explored == 0 || over.CacheHits != 0 {
+		t.Fatalf("precondition: the second pool must be searched, got (explored, hits) = (%d, %d)", over.Explored, over.CacheHits)
 	}
-	if got := len(warm.dp); got >= warmMaxEntries/2 {
-		t.Fatalf("over-cap store kept %d DP entries: the old generation was not dropped", got)
-	}
-	for k := range warm.dp {
-		if k.shape == "filler" {
-			t.Fatal("over-cap store retained an entry outside the last search's working set")
-		}
-	}
-	// A cap-sized map alone is > 10 MB; the whole replan stays far below.
-	if grew := m1.TotalAlloc - m0.TotalAlloc; grew > 4<<20 {
-		t.Errorf("over-cap replan allocated %d bytes: the next generation is sized for the cap, not its contents", grew)
+	if _, ok := warm.res[poolKey(pools[1])]; !ok || len(warm.res) != 1 {
+		t.Fatalf("over-cap store kept %d results (new pool stored: %v); want a fresh map holding only the new pool", len(warm.res), ok)
 	}
 
-	// The retained set is that search's whole working set: replanning the
-	// same pool explores no DP node, touches no other key, and matches cold.
-	// Its stored result is dropped first, so the replan searches the set.
-	kept := len(warm.dp)
-	warm.res = map[string]*Result{}
-	ev := pl.Sim.(*countingEval)
-	est0 := ev.estimates.Load()
 	again, err := pl.Replan(over.Plan, pools[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := dpNodes(again, ev.estimates.Load()-est0, over.Plan, pools[1])
 	cold, err := mk(Options{Objective: core.MaxThroughput, Workers: 1}).Plan(pools[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nodes != 0 || again.CacheHits == 0 {
-		t.Errorf("replan over the retained set: %d DP nodes explored, hits %d; want none explored, served from the cache",
-			nodes, again.CacheHits)
-	}
-	if warm.Entries() != kept {
-		t.Errorf("a fully-served replan changed the cache: %d entries, was %d", warm.Entries(), kept)
+	if !memoHit(again) {
+		t.Errorf("replan of the retained pool: (explored, hits) = (%d, %d), want a stored-result hit", again.Explored, again.CacheHits)
 	}
 	if !reflect.DeepEqual(again.Plan, cold.Plan) || !reflect.DeepEqual(again.Estimate, cold.Estimate) {
-		t.Errorf("replan after eviction differs from cold:\nwarm: %s\ncold: %s", again.Plan, cold.Plan)
+		t.Errorf("replan of the retained pool differs from cold:\nwarm: %s\ncold: %s", again.Plan, cold.Plan)
+	}
+	dropped, err := pl.Replan(again.Plan, pools[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dropped.Explored != first.Explored || dropped.CacheHits != 0 {
+		t.Errorf("replan of the dropped pool: (explored, hits) = (%d, %d), want a search like the first (%d, 0)",
+			dropped.Explored, dropped.CacheHits, first.Explored)
 	}
 }

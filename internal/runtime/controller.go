@@ -25,12 +25,11 @@ type PhaseTimings struct {
 	// RolledBackIters counts training iterations lost to the checkpoint
 	// rollback.
 	RolledBackIters int
-	// PlanCacheHits counts DP subtrees the replan served from the
-	// planner's warm-start cache instead of re-exploring.
+	// PlanCacheHits is 1 when the planner's warm cache answered the replan
+	// with a stored search result (a pool seen before), 0 when it searched.
 	PlanCacheHits int
-	// PlanExplored is the replan's search-node count; on a warm replan it
-	// shrinks by the cached subtrees, which is where the Planning savings
-	// come from.
+	// PlanExplored is the replan's search-node count: 0 when the warm cache
+	// answered, which is where the Planning savings come from.
 	PlanExplored int
 }
 
@@ -68,8 +67,8 @@ type Report struct {
 	// PlanningSeconds is the cumulative wall-clock the run spent inside
 	// the planner across every reconfiguration.
 	PlanningSeconds float64
-	// PlanCacheHits is the cumulative warm-start cache utilisation over
-	// all replans (sum of the per-reconfig PlanCacheHits).
+	// PlanCacheHits is the number of replans the warm cache answered (sum
+	// of the per-reconfig PlanCacheHits).
 	PlanCacheHits int
 }
 
@@ -157,8 +156,8 @@ func (c *Controller) reconfigure(pool *cluster.Pool) (PhaseTimings, error) {
 
 	// Phase 1: planning (real planner, wall-clock measured). After the
 	// first deploy the controller replans warm: the deployed plan seeds a
-	// fallback incumbent and the planner's warm cache skips DP region
-	// states earlier replans already solved.
+	// fallback incumbent and the planner's warm cache answers a pool an
+	// earlier replan already solved.
 	start := time.Now()
 	pl := c.planner()
 	var res planner.Result

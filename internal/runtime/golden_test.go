@@ -114,10 +114,10 @@ func TestRunElasticGolden(t *testing.T) {
 	}
 }
 
-// TestRunElasticWarmCacheWorks pins the tentpole's runtime effect: on a
-// churny scenario the controller's replans serve DP subtrees from the warm
-// cache, and later replans explore less than the cold initial deploy on
-// comparable pools.
+// TestRunElasticWarmCacheWorks pins the warm cache's runtime effect: on a
+// churny scenario the controller's replans of pools it already solved are
+// answered from the warm cache, exploring less than the cold initial
+// deploy.
 func TestRunElasticWarmCacheWorks(t *testing.T) {
 	sc, ok := trace.ScenarioByName("preemption-storm")
 	if !ok {

@@ -24,8 +24,7 @@
 // only case-insensitively ("Job" for "job") is refused with ErrFoldedKey
 // rather than decoded. FuzzDecodeParity holds every decoder to
 // encoding/json on arbitrary bytes. Encoding stays encoding/json, so the
-// bytes a message crosses as do not change. Report, which no rpc message
-// carries, has no decoder.
+// bytes a message crosses as do not change.
 //
 // Round trip: the JSON of FromX(x), decoded and converted back, is x —
 // exactly for plans, constraints, models, estimates, and results;
@@ -49,7 +48,6 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/model"
 	"repro/internal/planner"
-	"repro/internal/runtime"
 	"repro/internal/trace"
 )
 
@@ -338,73 +336,6 @@ func (r PlanResult) Result() planner.Result {
 		CacheHits:       r.CacheHits,
 		Degraded:        r.Degraded,
 	}
-}
-
-// PhaseTimings mirrors runtime.PhaseTimings.
-type PhaseTimings struct {
-	Planning        float64 `json:"planning"`
-	Cleanup         float64 `json:"cleanup"`
-	Broadcast       float64 `json:"broadcast"`
-	GroupInit       float64 `json:"group_init"`
-	ModelRedef      float64 `json:"model_redef"`
-	Dataloader      float64 `json:"dataloader"`
-	CkptLoad        float64 `json:"ckpt_load"`
-	RolledBackIters int     `json:"rolled_back_iters"`
-	PlanCacheHits   int     `json:"plan_cache_hits"`
-	PlanExplored    int     `json:"plan_explored"`
-}
-
-// FromPhaseTimings converts a reconfiguration breakdown to its wire shape.
-func FromPhaseTimings(t runtime.PhaseTimings) PhaseTimings {
-	return PhaseTimings{
-		Planning:        t.Planning,
-		Cleanup:         t.Cleanup,
-		Broadcast:       t.Broadcast,
-		GroupInit:       t.GroupInit,
-		ModelRedef:      t.ModelRedef,
-		Dataloader:      t.Dataloader,
-		CkptLoad:        t.CkptLoad,
-		RolledBackIters: t.RolledBackIters,
-		PlanCacheHits:   t.PlanCacheHits,
-		PlanExplored:    t.PlanExplored,
-	}
-}
-
-// Report mirrors runtime.Report.
-type Report struct {
-	IterationsDone   int            `json:"iterations_done"`
-	VirtualSeconds   float64        `json:"virtual_seconds"`
-	Reconfigs        []PhaseTimings `json:"reconfigs"`
-	PlansUsed        []Plan         `json:"plans_used"`
-	LostIterations   int            `json:"lost_iterations"`
-	CheckpointsTaken int            `json:"checkpoints_taken"`
-	PlanningSeconds  float64        `json:"planning_seconds"`
-	PlanCacheHits    int            `json:"plan_cache_hits"`
-}
-
-// FromReport converts an elastic-run report to its wire shape.
-func FromReport(r runtime.Report) Report {
-	out := Report{
-		IterationsDone:   r.IterationsDone,
-		VirtualSeconds:   r.VirtualSeconds,
-		LostIterations:   r.LostIterations,
-		CheckpointsTaken: r.CheckpointsTaken,
-		PlanningSeconds:  r.PlanningSeconds,
-		PlanCacheHits:    r.PlanCacheHits,
-	}
-	if r.Reconfigs != nil {
-		out.Reconfigs = make([]PhaseTimings, len(r.Reconfigs))
-		for i, t := range r.Reconfigs {
-			out.Reconfigs[i] = FromPhaseTimings(t)
-		}
-	}
-	if r.PlansUsed != nil {
-		out.PlansUsed = make([]Plan, len(r.PlansUsed))
-		for i, p := range r.PlansUsed {
-			out.PlansUsed[i] = FromPlan(p)
-		}
-	}
-	return out
 }
 
 // FleetEvent mirrors trace.Event: one availability change applied to the

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/planner"
-	"repro/internal/runtime"
 )
 
 func zone(r, n string) core.Zone { return core.Zone{Region: r, Name: n} }
@@ -56,20 +55,6 @@ func sampleResult() planner.Result {
 		Plan: samplePlan(), Estimate: sampleEstimate(),
 		SearchTime: 1234 * time.Microsecond,
 		Explored:   4217, OOMPlansEmitted: 1, WarmStart: true, CacheHits: 99,
-	}
-}
-
-func sampleReport() runtime.Report {
-	return runtime.Report{
-		IterationsDone: 120, VirtualSeconds: 7200, LostIterations: 4,
-		CheckpointsTaken: 23, PlanningSeconds: 0.25, PlanCacheHits: 57,
-		Reconfigs: []runtime.PhaseTimings{
-			{Planning: 0.1, Broadcast: 1.0, PlanExplored: 300},
-			{Planning: 0.15, Cleanup: 0.2, GroupInit: 1.1, ModelRedef: 0.4,
-				Dataloader: 0.3, CkptLoad: 1.2, RolledBackIters: 4,
-				PlanCacheHits: 57, PlanExplored: 40},
-		},
-		PlansUsed: []core.Plan{samplePlan(), samplePlan()},
 	}
 }
 
@@ -144,45 +129,6 @@ func TestPlanResultRoundTrip(t *testing.T) {
 	w, _ := roundTrip(t, FromResult(in))
 	if out := w.Result(); !reflect.DeepEqual(out, in) {
 		t.Errorf("round trip changed result:\n%+v\nvs\n%+v", out, in)
-	}
-}
-
-// TestReportRoundTrip pins every field FromReport and FromPhaseTimings
-// copy, that nil slices stay nil (encoding as null) while empty ones stay
-// empty, and that the wire shape survives the JSON hop intact (sailor-replay
-// -json prints it; nothing converts it back).
-func TestReportRoundTrip(t *testing.T) {
-	pt := runtime.PhaseTimings{Planning: 1, Cleanup: 2, Broadcast: 3, GroupInit: 4,
-		ModelRedef: 5, Dataloader: 6, CkptLoad: 7, RolledBackIters: 8,
-		PlanCacheHits: 9, PlanExplored: 10}
-	wantPT := PhaseTimings{Planning: 1, Cleanup: 2, Broadcast: 3, GroupInit: 4,
-		ModelRedef: 5, Dataloader: 6, CkptLoad: 7, RolledBackIters: 8,
-		PlanCacheHits: 9, PlanExplored: 10}
-	if got := FromPhaseTimings(pt); got != wantPT {
-		t.Errorf("FromPhaseTimings = %+v, want %+v", got, wantPT)
-	}
-
-	r := runtime.Report{IterationsDone: 11, VirtualSeconds: 12, LostIterations: 13,
-		CheckpointsTaken: 14, PlanningSeconds: 15, PlanCacheHits: 16,
-		Reconfigs: []runtime.PhaseTimings{pt}, PlansUsed: []core.Plan{samplePlan()}}
-	want := Report{IterationsDone: 11, VirtualSeconds: 12, LostIterations: 13,
-		CheckpointsTaken: 14, PlanningSeconds: 15, PlanCacheHits: 16,
-		Reconfigs: []PhaseTimings{wantPT}, PlansUsed: []Plan{FromPlan(samplePlan())}}
-	if got := FromReport(r); !reflect.DeepEqual(got, want) {
-		t.Errorf("FromReport =\n%+v\nwant\n%+v", got, want)
-	}
-
-	if got := FromReport(runtime.Report{}); got.Reconfigs != nil || got.PlansUsed != nil {
-		t.Errorf("nil slices became %#v / %#v", got.Reconfigs, got.PlansUsed)
-	}
-	empty := FromReport(runtime.Report{Reconfigs: []runtime.PhaseTimings{}, PlansUsed: []core.Plan{}})
-	if empty.Reconfigs == nil || len(empty.Reconfigs) != 0 || empty.PlansUsed == nil || len(empty.PlansUsed) != 0 {
-		t.Errorf("empty slices became %#v / %#v", empty.Reconfigs, empty.PlansUsed)
-	}
-
-	in := FromReport(sampleReport())
-	if out, _ := roundTrip(t, in); !reflect.DeepEqual(out, in) {
-		t.Errorf("round trip changed report:\n%+v\nvs\n%+v", out, in)
 	}
 }
 

@@ -23,7 +23,7 @@ func replayPools(t *testing.T, name string, seed int64, max int) []*Pool {
 
 // TestReplanMatchesPlan: the facade's warm replan chain returns exactly
 // what cold Plan returns on every pool of a preemption storm, and the
-// cache visibly serves subtrees along the way.
+// cache visibly answers the pools the storm returns to.
 func TestReplanMatchesPlan(t *testing.T) {
 	sys, err := New(OPT350M(), []GPUType{A100}, WithWorkers(2))
 	if err != nil {

@@ -58,9 +58,9 @@
 // (and the name registry behind Scenarios/ScenarioByName) synthesize
 // seeded trace families — preemption storms, diurnal waves, zone outages,
 // staggered heterogeneous arrivals, geo shifts — and System.Replan
-// warm-starts the planner from the previously deployed plan, persisting DP
-// memos and completed search results across calls so churn-driven replans
-// skip already-explored regions. cmd/sailor-replay runs any named scenario and
+// warm-starts the planner from the previously deployed plan, keeping
+// completed search results across calls so a churn-driven replan of a pool
+// already solved is a lookup. cmd/sailor-replay runs any named scenario and
 // prints the reconfiguration ledger.
 //
 // The package is a facade over the internal profiler, planner, simulator,
@@ -423,9 +423,9 @@ func (s *System) PlanContext(ctx context.Context, pool *Pool, obj Objective, con
 // deployed before an availability change. The previous plan seeds a
 // fallback incumbent (a cut-off replan never does worse than keeping it
 // while it still fits the pool), and the System's persistent warm cache
-// lets successive replans skip DP region states earlier searches already
-// solved. A warm replan that runs to completion returns exactly the plan
-// Plan returns on the same pool; PlanResult.CacheHits reports the reuse.
+// answers a pool an earlier search already solved without searching. A warm
+// replan that runs to completion returns exactly the plan Plan returns on
+// the same pool; PlanResult.CacheHits is 1 when the cache answered.
 // Replan is safe to call concurrently with itself and with Plan, but the
 // warm cache serves one search at a time: concurrent Replans on one System
 // search one after another, and each one's SearchTime includes its wait.
