@@ -490,34 +490,6 @@ func Benchmark1F1BMakespan(b *testing.B) {
 	}
 }
 
-// BenchmarkRecomputeAblation quantifies the rematerialisation extension:
-// iteration time and peak memory with and without activation recomputation
-// on the same plan (paper §6 future work, implemented here).
-func BenchmarkRecomputeAblation(b *testing.B) {
-	cfg := model.OPT350M()
-	s, _ := benchLab(b, cfg, core.A100)
-	for _, re := range []bool{false, true} {
-		name := "full-activations"
-		if re {
-			name = "recompute"
-		}
-		b.Run(name, func(b *testing.B) {
-			plan := benchPlan(cfg, core.A100, 4, 4, 1, 2)
-			plan.Recompute = re
-			var est core.Estimate
-			var err error
-			for i := 0; i < b.N; i++ {
-				est, err = s.Estimate(plan)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(est.IterTime, "iter-sec")
-			b.ReportMetric(float64(est.PeakMemory)/(1<<30), "peak-GiB")
-		})
-	}
-}
-
 // BenchmarkProfilerCollect measures a full profiling campaign for two GPU
 // types (§4.1).
 func BenchmarkProfilerCollect(b *testing.B) {

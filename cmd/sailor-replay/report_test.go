@@ -25,7 +25,7 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 
 	za := sailor.Zone{Region: "us-central1", Name: "us-central1-a"}
-	plan := sailor.Plan{MicroBatchSize: 2, Recompute: true, Stages: []sailor.StagePlan{
+	plan := sailor.Plan{MicroBatchSize: 2, Stages: []sailor.StagePlan{
 		{FirstLayer: 0, NumLayers: 24, Replicas: []sailor.StageReplica{
 			{GPU: sailor.A100, TP: 4, Zone: za}, {GPU: sailor.V100, TP: 2, Zone: za},
 		}},

@@ -84,12 +84,6 @@ type Plan struct {
 	Stages []StagePlan
 	// MicroBatchSize is the per-pipeline microbatch size (sequences).
 	MicroBatchSize int
-	// Recompute enables full activation recomputation: workers retain only
-	// stage-boundary activations and replay the forward pass during
-	// backward, trading ~1/3 more compute for a much smaller footprint.
-	// The paper lists rematerialization as future work (§6); this
-	// reproduction implements it as an optional extension.
-	Recompute bool
 }
 
 // PP returns the pipeline-parallel degree (number of stages).

@@ -93,9 +93,6 @@ func (e *Engine) Measure(plan core.Plan) (core.Estimate, error) {
 			lt := profiler.BaseLayerTiming(spec, e.Cfg, plan.MicroBatchSize, r.TP)
 			fwdBase[i] = float64(st.NumLayers) * lt.Fwd
 			bwdBase[i] = float64(st.NumLayers) * lt.Bwd
-			if plan.Recompute {
-				bwdBase[i] += fwdBase[i] // forward replay during backward
-			}
 			if i == p-1 {
 				ht := profiler.BaseHeadTiming(spec, e.Cfg, plan.MicroBatchSize, r.TP)
 				fwdBase[i] += ht.Fwd
@@ -256,16 +253,10 @@ func (e *Engine) peakMemory(plan core.Plan, nb int) (int64, core.GPUType, bool) 
 				Layers: st.NumLayers, StageIdx: si, PP: plan.PP(), TP: r.TP,
 				MicroBS: plan.MicroBatchSize, NumMicro: nb,
 				FirstStg: si == 0, LastStg: si == plan.PP()-1,
-				Recompute: plan.Recompute,
 			}
 			base := memory.WorkerFootprint(e.Cfg, w).Total()
-			// Transient workspace of the in-progress layer. Recompute
-			// plans already retain one live layer in the base accounting,
-			// so only the extra workspace half applies.
+			// Transient workspace of the in-progress layer.
 			transient := e.Cfg.ActivationBytesPerLayer(plan.MicroBatchSize, r.TP) * 3 / 2
-			if plan.Recompute {
-				transient = e.Cfg.ActivationBytesPerLayer(plan.MicroBatchSize, r.TP) / 2
-			}
 			total := int64(float64(base)*fragmentationFactor) + transient
 			if total > peak {
 				peak, peakGPU = total, r.GPU

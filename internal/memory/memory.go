@@ -52,10 +52,6 @@ type WorkerShape struct {
 	NumMicro int // microbatches per pipeline per iteration
 	FirstStg bool
 	LastStg  bool
-	// Recompute: only stage-boundary activations are retained per
-	// in-flight microbatch; the layer activations are rematerialised
-	// during backward (one layer's worth of transient at a time).
-	Recompute bool
 }
 
 // WorkerFootprint estimates the peak resident bytes for one worker.
@@ -84,20 +80,12 @@ func WorkerFootprint(cfg model.Config, w WorkerShape) Breakdown {
 		inflight = 1
 	}
 	perMB := cfg.ActivationBytesPerLayer(w.MicroBS, w.TP) * int64(w.Layers)
-	if w.Recompute {
-		// Retain only the stage input per in-flight microbatch, plus one
-		// layer's live activations during the backward replay.
-		perMB = cfg.BoundaryActivationBytes(w.MicroBS)
-	}
 	if w.LastStg {
 		// Logits buffer for the loss: mbs * seq * vocab in half precision,
 		// sharded by TP.
 		perMB += 2 * int64(w.MicroBS) * int64(cfg.SeqLen) * int64(cfg.Vocab) / int64(w.TP)
 	}
 	b.Activations = int64(inflight) * perMB
-	if w.Recompute {
-		b.Activations += cfg.ActivationBytesPerLayer(w.MicroBS, w.TP)
-	}
 	return b
 }
 
@@ -137,7 +125,6 @@ func Check(cfg model.Config, plan core.Plan) (peak int64, peakGPU core.GPUType, 
 				Layers: s.NumLayers, StageIdx: si, PP: plan.PP(), TP: r.TP,
 				MicroBS: plan.MicroBatchSize, NumMicro: nb,
 				FirstStg: si == 0, LastStg: si == plan.PP()-1,
-				Recompute: plan.Recompute,
 			}
 			total := WorkerFootprint(cfg, w).Total()
 			if total > peak {
@@ -152,10 +139,11 @@ func Check(cfg model.Config, plan core.Plan) (peak int64, peakGPU core.GPUType, 
 }
 
 // MinTP returns the minimum tensor-parallel degree of GPU type g that fits
-// a stage of `layers` blocks at the given microbatch size — heuristic H2.
-// It returns 0 when no degree up to the node size fits. The result is
-// independent of availability; the planner asks once per stage and GPU type
-// per DP-degree scan.
+// a stage of `layers` blocks at the given microbatch size, with nb
+// microbatches per pipeline counted in flight as Check counts them —
+// heuristic H2. It returns 0 when no degree up to the node size fits; every
+// larger degree fits too. The result is independent of availability; the
+// planner asks once per stage and GPU type per DP-degree scan.
 func MinTP(cfg model.Config, g core.GPUType, layers, stageIdx, pp, mbs, nb int) int {
 	spec, err := hardware.Lookup(g)
 	if err != nil {

@@ -1,17 +1,20 @@
 package persist
 
 // On-disk compatibility: the frame bytes of every record kind are pinned,
-// and a journal in the older two-records-per-grant shape still recovers to
-// the state it recovered to when it was written.
+// a journal in the older two-records-per-grant shape still recovers to the
+// state it recovered to when it was written, and a stored plan that
+// rematerialises is refused.
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -177,5 +180,98 @@ func TestStoredPlanRoundTrip(t *testing.T) {
 	}
 	if got := len(PlanFrom(plan).Stages[0].Replicas); got != 3 {
 		t.Errorf("three identical replicas stored as %d entries, want 3", got)
+	}
+}
+
+// TestStoredRecomputeRefused: a stored plan keeps the "recompute" key only
+// so that older files decode, and one that sets it true (a plan that
+// rematerialises activations, which no build runs any more) is refused by
+// name wherever a stored plan is decoded: in each plan-bearing record of a
+// driven journal, in a set-fleet record's leases, and in a snapshot's last
+// plan and lease table. Recovery stops instead of installing a different
+// plan.
+func TestStoredRecomputeRefused(t *testing.T) {
+	stored, legacy := []byte(`"recompute":false`), []byte(`"recompute":true`)
+	const want = `"recompute": true`
+	refused := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want one naming %s", what, err, want)
+		}
+	}
+
+	// Journal records, each flipped alone inside the recovered data dir.
+	src := t.TempDir()
+	st, _, err := Open(src, Config{Fsync: FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	driveStore(t, st)
+	snap, err := os.ReadFile(filepath.Join(src, snapshotName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal, err := os.ReadFile(filepath.Join(src, journalName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := map[string]int{}
+	for off := 0; off < len(journal); {
+		end := off + 8 + int(binary.BigEndian.Uint32(journal[off:]))
+		payload := journal[off+8 : end]
+		if bytes.Contains(payload, stored) {
+			rec, err := decodeRecord(payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ops[rec.Op]++
+			img := append(append(slices.Clip(journal[:off]), reframe(bytes.Replace(payload, stored, legacy, 1))...), journal[end:]...)
+			dir := t.TempDir()
+			for name, data := range map[string][]byte{snapshotName(1): snap, journalName(1): img} {
+				if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_, _, err = Open(dir, Config{})
+			refused(fmt.Sprintf("record %d (%s)", rec.Seq, rec.Op), err)
+		}
+		off = end
+	}
+	if ops[OpJobPlan] == 0 || ops[OpInstall] == 0 {
+		t.Fatalf("driven journal holds plans in %v, want job-plan and lease-install records", ops)
+	}
+	frame, err := encodeRecord(Record{Seq: 1, Op: OpSetFleet, Fleet: testState(t).Fleet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = decodeJournal(reframe(bytes.Replace(frame[8:], stored, legacy, 1)))
+	refused("set-fleet record", err)
+
+	// Snapshots: the job's last plan and each lease, one at a time.
+	doc, err := EncodeSnapshot(1, testState(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, legacy = []byte(`"recompute": false`), []byte(`"recompute": true`)
+	if n := bytes.Count(doc, stored); n != 3 {
+		t.Fatalf("snapshot stores %d plans, want 3 (a last plan and two leases)", n)
+	}
+	for i, at := 0, 0; i < 3; i++ {
+		at += bytes.Index(doc[at:], stored)
+		mut := append(append(slices.Clip(doc[:at]), legacy...), doc[at+len(stored):]...)
+		_, _, err := DecodeSnapshot(mut)
+		refused(fmt.Sprintf("snapshot plan %d", i), err)
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, snapshotName(1)), mut, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = Open(dir, Config{})
+		refused(fmt.Sprintf("recovering snapshot plan %d", i), err)
+		at += len(stored)
+	}
+	// The key holds a boolean or nothing; anything else is refused too.
+	_, _, err = DecodeSnapshot(bytes.Replace(doc, stored, []byte(`"recompute": 1`), 1))
+	if err == nil || !strings.Contains(err.Error(), `"recompute": 1`) {
+		t.Errorf("numeric recompute flag: err = %v", err)
 	}
 }

@@ -432,13 +432,6 @@ func TestSnapshotRejectsByName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reframe := func(payload []byte) []byte {
-		out := make([]byte, 8+len(payload))
-		binary.BigEndian.PutUint32(out[0:4], uint32(len(payload)))
-		binary.BigEndian.PutUint32(out[4:8], checksum(payload))
-		copy(out[8:], payload)
-		return out
-	}
 	payload := frame[8:]
 	for _, tc := range []struct {
 		name, old, new, want string
@@ -488,6 +481,15 @@ func TestJournalSequenceBreak(t *testing.T) {
 
 // checksum mirrors the framing CRC for test reframing.
 func checksum(p []byte) uint32 { return crc32.ChecksumIEEE(p) }
+
+// reframe wraps a journal payload in a frame with a valid length and CRC.
+func reframe(payload []byte) []byte {
+	out := make([]byte, 8+len(payload))
+	binary.BigEndian.PutUint32(out[0:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(out[4:8], checksum(payload))
+	copy(out[8:], payload)
+	return out
+}
 
 // TestRecordEncodingOmitsZeroFields: journal records stay minimal — a
 // close-job record carries no model/plan/fleet baggage.

@@ -1,6 +1,8 @@
 package persist
 
 import (
+	"fmt"
+
 	"repro/internal/core"
 	"repro/internal/wire"
 )
@@ -12,7 +14,23 @@ import (
 type Plan struct {
 	Stages         []Stage `json:"stages"`
 	MicroBatchSize int     `json:"micro_batch_size"`
-	Recompute      bool    `json:"recompute"`
+	// Recompute is a legacy key, always written false (see legacyFalse).
+	Recompute legacyFalse `json:"recompute"`
+}
+
+// legacyFalse is a stored flag that only false may hold. Builds that could
+// plan activation rematerialisation stored a plan's "recompute" flag; no
+// plan rematerialises any more, so it is written false and the stored
+// shape is unchanged. Decoding is strict, so the key stays; a stored true
+// is refused, wherever a plan is decoded, because dropping it would
+// recover a different plan.
+type legacyFalse bool
+
+func (*legacyFalse) UnmarshalJSON(b []byte) error {
+	if s := string(b); s != "false" && s != "null" {
+		return fmt.Errorf(`stored plan sets "recompute": %s, but no plan rematerialises activations any more`, b)
+	}
+	return nil
 }
 
 // Stage is the stored shape of a core.StagePlan.
@@ -32,7 +50,7 @@ type Replica struct {
 // PlanFrom converts a plan to its stored shape. Nil stage and replica
 // lists stay nil, empty ones empty.
 func PlanFrom(p core.Plan) Plan {
-	out := Plan{MicroBatchSize: p.MicroBatchSize, Recompute: p.Recompute}
+	out := Plan{MicroBatchSize: p.MicroBatchSize}
 	if p.Stages != nil {
 		out.Stages = make([]Stage, len(p.Stages))
 	}
@@ -51,7 +69,7 @@ func PlanFrom(p core.Plan) Plan {
 
 // Core converts back to the domain type.
 func (p Plan) Core() core.Plan {
-	out := core.Plan{MicroBatchSize: p.MicroBatchSize, Recompute: p.Recompute}
+	out := core.Plan{MicroBatchSize: p.MicroBatchSize}
 	if p.Stages != nil {
 		out.Stages = make([]core.StagePlan, len(p.Stages))
 	}

@@ -27,9 +27,10 @@ type State struct {
 	Jobs []JobState `json:"jobs"`
 	// Fleet is the fleet ledger (nil outside fleet mode).
 	Fleet *FleetState `json:"fleet,omitempty"`
-	// LRUKeys are the shared profiled-system cache keys, most recently used
-	// first — telemetry of what was warm; the systems themselves rebuild
-	// lazily from job configs.
+	// LRUKeys is a legacy key: older builds stored the shared
+	// profiled-system cache keys here, which recovery never read. It is no
+	// longer written; it stays so that their snapshots still decode under
+	// the strict decoder.
 	LRUKeys []string `json:"lru_keys,omitempty"`
 }
 

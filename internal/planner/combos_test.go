@@ -52,8 +52,9 @@ func (r *refCombos) tps(g core.GPUType, layers, stage, pp, mbs, nb int) []int {
 }
 
 // score quotes one composition group by group; ok is false when a group
-// has no timing or its worker does not fit in memory.
-func (r *refCombos) score(types []core.GPUType, groups []replicaGroup, layers []int, stage, mbs, d int) (c stageChoice, ok bool) {
+// has no timing or its worker, with nb microbatches per pipeline (the
+// in-flight rule memory.Check applies), does not fit in memory.
+func (r *refCombos) score(types []core.GPUType, groups []replicaGroup, layers []int, stage, mbs, d, nb int) (c stageChoice, ok bool) {
 	pp := len(layers)
 	smallest := 0
 	for _, g := range groups {
@@ -64,7 +65,7 @@ func (r *refCombos) score(types []core.GPUType, groups []replicaGroup, layers []
 		}
 		w := memory.WorkerShape{
 			Layers: layers[stage], StageIdx: stage, PP: pp, TP: g.tp,
-			MicroBS: mbs, NumMicro: pp, FirstStg: stage == 0, LastStg: stage == pp-1,
+			MicroBS: mbs, NumMicro: nb, FirstStg: stage == 0, LastStg: stage == pp-1,
 		}
 		if !memory.Fits(memory.WorkerFootprint(r.cfg, w).Total(), hardware.MustLookup(gpu).MemoryBytes) {
 			r.oom++
@@ -91,7 +92,7 @@ func (r *refCombos) list(rs *regionState, region int, layers []int, stage, mbs, 
 		for i := range groups {
 			groups[i].need = groups[i].count * groups[i].tp
 		}
-		c, ok := r.score(rs.types, groups, layers, stage, mbs, d)
+		c, ok := r.score(rs.types, groups, layers, stage, mbs, d, nb)
 		if !ok {
 			return
 		}
@@ -144,8 +145,9 @@ func (r *refCombos) list(rs *regionState, region int, layers []int, stage, mbs, 
 // the DP sync quoted at the composition's smallest TP, and no group whose
 // worker does not fit in memory. Pools are random over 1-3 GPU types and
 // 1-3 regions, with H2 on and off, d ∈ {1, 2, 4, 8, 16}, and a full and a
-// small global batch (the small one puts fewer microbatches in flight than
-// the memory check counts).
+// small global batch (the small one leaves fewer microbatches per pipeline
+// than pp − stage, so the in-flight rule min(pp − stage, nb) decides which
+// workers fit).
 func TestStageQuotesMatchEvaluator(t *testing.T) {
 	base := model.GPTNeo27B()
 	gpus := []core.GPUType{core.A100, core.V100, core.A10G}

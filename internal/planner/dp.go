@@ -14,7 +14,8 @@ package planner
 // across calls, candidate nodes are compared as value statistics and only
 // the per-suffix winner is materialised as a *dpNode, and each stage's
 // compositions are built once per DP-degree scan from one evaluator quote
-// per (GPU type, TP degree): stage compute time, memory fit, DP sync time.
+// per (GPU type, TP degree) that fits in memory (tpRange): stage compute
+// time and DP sync time.
 // None of this changes any comparison: the enumeration order, the
 // floating-point expressions, and the tie-breaking are byte-for-byte those
 // of the straightforward clone-per-combo implementation, so plans stay
@@ -27,7 +28,6 @@ import (
 	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/hardware"
 	"repro/internal/memory"
 )
 
@@ -464,10 +464,11 @@ type typeOption struct{ lo, hi int }
 // ignoring region and availability: D replicas split across at most two
 // GPU types (generate_combos in Listing 1), with TP per type fixed by H2's
 // minimum (plus one doubling, the "scaling heuristic"). Without H2 every
-// power-of-two TP is tried. Each (type, TP) in the scan's span is quoted
-// once and dropped when the evaluator rejects it (no timing, OOM), so every
-// composition built from the survivors is feasible up to availability,
-// which is the caller's filter.
+// power-of-two TP from that minimum up to the node size is tried. Every
+// degree in the scan's span fits in memory (see tpRange), so each (type,
+// TP) is quoted once and dropped only when the evaluator has no timing for
+// it; every composition built from the survivors is feasible up to
+// availability, which is the caller's filter.
 func (t *task) buildCombos(stage, d int) {
 	types := len(t.rs.types)
 	opts := t.optsBuf[:0]
@@ -480,10 +481,7 @@ func (t *task) buildCombos(stage, d int) {
 		start := len(quotes)
 		for tp := sp.lo; tp <= sp.hi; tp *= 2 {
 			tm, err := t.stageTime(stage, ti, tp)
-			// Without H2, reject workers that OOM outright (Sailor never
-			// emits OOM plans either way; this keeps the no-heuristics
-			// ablation semantically identical, just slower).
-			if err != nil || !t.fitsMemory(stage, ti, tp) {
+			if err != nil {
 				continue
 			}
 			q := tpQuote{ti: ti, tp: tp, perMB: tm}
@@ -577,18 +575,20 @@ func (t *task) score(c *stageChoice, q *tpQuote, count int) {
 type tpSpan struct{ lo, hi int }
 
 // tpRange returns the span of TP degrees buildCombos offers type ti at a
-// stage. With H2 that is the minimum viable degree plus one doubling when
-// the doubled group still fits a node, (0, 0) when no degree fits; without
-// H2, every power of two up to the node size. The H2 minimum counts
-// min(nb, pp) microbatches in flight.
+// stage with nb microbatches per pipeline. lo is memory.MinTP, the smallest
+// degree whose worker fits, so the span holds only degrees that fit: with
+// H2, lo plus one doubling when the doubled group still fits a node;
+// without H2, every power of two from lo up to the node size. Both are
+// (0, 0) when no degree fits.
 func (t *task) tpRange(ti, stage, nb int) tpSpan {
+	lo := memory.MinTP(t.pl.Cfg, t.rs.types[ti], t.partition[stage], stage, len(t.partition), t.mbs, nb)
 	node := t.s.nodeCap[ti]
-	if !t.pl.Opts.Heuristics.H2MinTP {
-		return tpSpan{1, node}
-	}
-	pp := len(t.partition)
-	lo := memory.MinTP(t.pl.Cfg, t.rs.types[ti], t.partition[stage], stage, pp, t.mbs, min(nb, pp))
-	if lo > 0 && lo*2 <= node {
+	switch {
+	case lo == 0:
+		return tpSpan{}
+	case !t.pl.Opts.Heuristics.H2MinTP:
+		return tpSpan{lo, node}
+	case lo*2 <= node:
 		return tpSpan{lo, lo * 2}
 	}
 	return tpSpan{lo, lo}
@@ -599,29 +599,6 @@ func (t *task) tpRange(ti, stage, nb int) tpSpan {
 func (t *task) stageTime(stage, ti, tp int) (float64, error) {
 	last := stage == len(t.partition)-1
 	return t.pl.Sim.StageComputeTimeWith(t.s.rs.types[ti], tp, t.mbs, t.partition[stage], last, false)
-}
-
-// fitsMemory reports whether one worker of the stage fits its GPU.
-//
-// It counts pp microbatches in flight (NumMicro: pp, so min(pp − stage, pp)
-// = pp − stage), which is stricter than the min(pp − stage, nb) that
-// memory.Check and the estimate apply: with nb < pp − stage a worker the
-// estimate would accept can be rejected here. Relaxed to memory.Check's
-// count, the check changed no plan in 600 small-batch cold searches
-// (OPT-350M at global batch 8, GPT-Neo-2.7B at 16; 2-3 GPU types, 1-3
-// regions, every ablation), but 583 of them explored more nodes, 88 % more
-// summed over those 583, so the check stays as it is.
-func (t *task) fitsMemory(stage, ti, tp int) bool {
-	pp := len(t.partition)
-	w := memory.WorkerShape{
-		Layers: t.partition[stage], StageIdx: stage, PP: pp, TP: tp,
-		MicroBS: t.mbs, NumMicro: pp, FirstStg: stage == 0, LastStg: stage == pp-1,
-	}
-	spec, err := hardware.Lookup(t.s.rs.types[ti])
-	if err != nil {
-		return false
-	}
-	return memory.Fits(memory.WorkerFootprint(t.pl.Cfg, w).Total(), spec.MemoryBytes)
 }
 
 // --- plan materialisation --------------------------------------------------

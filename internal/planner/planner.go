@@ -7,7 +7,7 @@
 // dynamic program of Listing 1:
 //
 //	H1  tensor parallelism stays within a node (single GPU type per replica)
-//	H2  OOM configurations are pruned via the cached minimum TP per stage
+//	H2  each stage offers a type only its minimum fitting TP and one doubling
 //	H3  throughput objective: DP degrees descending until no improvement
 //	H4  cost objective: DP degrees ascending until cost stops decreasing
 //	H5  DP groups stay inside one region; the pipeline may cross regions
@@ -56,7 +56,7 @@ import (
 
 // Heuristics selects which pruning rules are active.
 type Heuristics struct {
-	H2MinTP        bool // prune OOM configs via cached min TP
+	H2MinTP        bool // offer minTP and 2·minTP only (else every fitting TP)
 	H3H4DPOrdering bool // objective-directed DP iteration with early stop
 	H6MergeZones   bool // consolidate zones per region
 }
@@ -120,10 +120,6 @@ type Result struct {
 	SearchTime time.Duration
 	// Explored counts DP nodes plus full simulator evaluations.
 	Explored int
-	// OOMPlansEmitted counts plans the planner would have returned that
-	// fail the memory check — always 0 for Sailor, nonzero for baselines
-	// that skip memory modelling (Figures 8-9 bold numbers).
-	OOMPlansEmitted int
 	// WarmStart reports whether the search ran against a warm cache
 	// (Options.Warm set and fingerprint-compatible).
 	WarmStart bool
@@ -159,9 +155,9 @@ type Evaluator interface {
 	// and the peak memory of the most loaded worker.
 	Estimate(core.Plan) (core.Estimate, error)
 	// StageComputeTimeWith returns the per-microbatch fwd+bwd seconds of
-	// one stage replica (time_for_stage), with an explicit
-	// rematerialisation mode. The planner always asks for recompute=false;
-	// it never emits a rematerialising plan.
+	// one stage replica (time_for_stage). The planner always passes
+	// recompute=false; the argument stays only for the benchmark module's
+	// evaluator wrapper.
 	StageComputeTimeWith(g core.GPUType, tp, mbs, layers int, last, recompute bool) (float64, error)
 	// GPUHourUSD prices one GPU-hour of a type (cost_for_stage).
 	GPUHourUSD(g core.GPUType) float64

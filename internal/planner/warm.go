@@ -102,11 +102,6 @@ func detachResult(r Result) Result {
 // maps and digests.
 func PlanKey(plan core.Plan) string {
 	b := strconv.AppendInt(make([]byte, 0, 64), int64(plan.MicroBatchSize), 10)
-	if plan.Recompute {
-		b = append(b, 'r')
-	} else {
-		b = append(b, 'f')
-	}
 	for _, st := range plan.Stages {
 		b = append(b, '|', 's')
 		b = strconv.AppendInt(b, int64(st.FirstLayer), 10)

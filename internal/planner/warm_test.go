@@ -242,11 +242,6 @@ func TestEstKeyDistinguishesReplicaOrder(t *testing.T) {
 	if PlanKey(a) == PlanKey(b) {
 		t.Errorf("PlanKey collapsed distinct replica orderings: %s", PlanKey(a))
 	}
-	re := a
-	re.Recompute = true
-	if PlanKey(a) == PlanKey(re) {
-		t.Error("PlanKey must include the recompute flag")
-	}
 }
 
 // TestWarmCacheConcurrentReplans: many goroutines replanning through one

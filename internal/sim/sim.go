@@ -87,11 +87,6 @@ func (s *Simulator) Estimate(plan core.Plan) (core.Estimate, error) {
 			}
 			fwd[i] = float64(st.NumLayers) * lt.Fwd
 			bwd[i] = float64(st.NumLayers) * lt.Bwd
-			if plan.Recompute {
-				// Backward replays the forward pass to rematerialise
-				// activations.
-				bwd[i] += fwd[i]
-			}
 			if i == p-1 {
 				ht, err := s.headTiming(r.GPU, plan.MicroBatchSize, r.TP)
 				if err != nil {
@@ -368,8 +363,8 @@ func (s *Simulator) EgressUSD(plan core.Plan, nb int) float64 {
 
 // StageComputeTimeWith returns the per-microbatch fwd+bwd time of one
 // replica executing `layers` blocks, the planner's time_for_stage building
-// block; with recompute, rematerialisation replays the forward pass during
-// backward.
+// block. The planner always passes recompute=false; the argument (a forward
+// replay during backward) stays only for the benchmark module's wrapper.
 func (s *Simulator) StageComputeTimeWith(g core.GPUType, tp, mbs, layers int, last, recompute bool) (float64, error) {
 	lt, err := s.layerTiming(g, mbs, tp)
 	if err != nil {

@@ -220,8 +220,8 @@ var parityCases = []string{
 	`{"v":2,"prev":{"stages":[{"first_layer":1},{"first_layer":2},{"first_layer":3}],"stages":[{"num_layers":5}],"stages":[{},{},{},{}]}}`,
 	`{"prev":{"stages":[{"replicas":[{"gpu":"A","n":1}]}],"stages":[],"stages":[{}]}}`,
 	`{"prev":{"stages":[{}],"stages":null}}`, `{"prev":{"stages":[null,{"num_layers":1}]}}`,
-	`{"prev":{"stages":{}}}`, `{"prev":{"stages":[1]}}`, `{"prev":[]}`, `{"prev":{"recompute":1}}`,
-	`{"prev":{"recompute":true,"recompute":false}}`, `{"prev":{"recompute":null}}`, `{"prev":{"Stages":[]}}`,
+	`{"prev":{"stages":{}}}`, `{"prev":{"stages":[1]}}`, `{"prev":[]}`, `{"result":{"warm_start":1}}`,
+	`{"result":{"warm_start":true,"warm_start":false}}`, `{"result":{"warm_start":null}}`, `{"prev":{"Stages":[]}}`,
 	`{"prev":{"ſtages":[]}}`, `{"pool":{"entries":[{"zone":{"region":"r"},"zone":{"name":"n"}}]}}`,
 	`{"pool":{"entries":[{"zone":{"region":"r","Name":"n"}}]}}`,
 	`{"constraints":{"max_cost_per_iter":1e400}}`, `{"constraints":{"max_cost_per_iter":1e-400}}`,

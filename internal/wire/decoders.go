@@ -10,15 +10,15 @@ var (
 	zoneFields        = []string{"region", "name"}
 	replicaRunFields  = []string{"gpu", "tp", "zone", "n"}
 	stageFields       = []string{"first_layer", "num_layers", "replicas"}
-	planFields        = []string{"stages", "micro_batch_size", "recompute"}
+	planFields        = []string{"stages", "micro_batch_size"}
 	poolEntryFields   = []string{"zone", "gpu", "count"}
 	poolFields        = []string{"entries"}
 	constraintsFields = []string{"max_cost_per_iter", "min_throughput", "max_iter_time"}
 	modelFields       = []string{"name", "hidden", "layers", "heads", "vocab", "seq_len", "global_batch"}
 	estimateFields    = []string{"iter_time", "compute_cost", "egress_cost", "peak_memory", "peak_memory_gpu",
 		"fits_memory", "stage_times", "straggler_stage"}
-	planResultFields = []string{"plan", "estimate", "search_time_ns", "explored", "oom_plans_emitted",
-		"warm_start", "cache_hits", "degraded"}
+	planResultFields = []string{"plan", "estimate", "search_time_ns", "explored", "warm_start",
+		"cache_hits", "degraded"}
 	fleetEventFields   = []string{"at_ns", "zone", "gpu", "delta"}
 	serviceStatsFields = []string{"uptime_seconds", "requests", "qps", "plans", "replans", "simulates",
 		"errors", "in_flight", "jobs_open", "systems_cached", "system_cache_hits", "system_cache_misses",
@@ -97,8 +97,6 @@ func (d *decoder) plan(p *Plan) {
 			decodeArray(d, &p.Stages, (*decoder).stage)
 		case "micro_batch_size":
 			d.int(&p.MicroBatchSize)
-		case "recompute":
-			d.bool(&p.Recompute)
 		default:
 			d.unknown(planFields, key)
 		}
@@ -204,8 +202,6 @@ func (d *decoder) planResult(r *PlanResult) {
 			d.int64(&r.SearchTimeNS)
 		case "explored":
 			d.int(&r.Explored)
-		case "oom_plans_emitted":
-			d.int(&r.OOMPlansEmitted)
 		case "warm_start":
 			d.bool(&r.WarmStart)
 		case "cache_hits":

@@ -5,7 +5,7 @@ package wire
 // must decode back to x for plans, constraints, and (canonically) pools, and
 // Check must reject any other schema version with the unsupported-version
 // error. The seed corpus covers the shapes the planner actually emits —
-// single-stage, heterogeneous multi-replica, recompute — and the fuzzer
+// single-stage and heterogeneous multi-replica — and the fuzzer
 // mutates dimensions, counts, and names from there. Each stage's replicas
 // pair up by zone, so plans cross as runs of two and of one.
 //
@@ -26,18 +26,18 @@ import (
 )
 
 func FuzzWireRoundTrip(f *testing.F) {
-	f.Add(1, 1, 1, 1, "A100-40", "us-central1", 16, 0.0, 0.0, 0.0, false, Version)
-	f.Add(2, 4, 2, 12, "V100-16", "eu-west4", 8, 1.5, 0.05, 30.0, true, Version)
-	f.Add(4, 2, 8, 6, "H100-80", "onprem", 64, 0.0, 0.25, 0.0, false, Version+1)
-	f.Add(3, 1, 3, 5, "", "r", 1, -1.0, -2.0, -3.0, true, -7)
+	f.Add(1, 1, 1, 1, "A100-40", "us-central1", 16, 0.0, 0.0, 0.0, Version)
+	f.Add(2, 4, 2, 12, "V100-16", "eu-west4", 8, 1.5, 0.05, 30.0, Version)
+	f.Add(4, 2, 8, 6, "H100-80", "onprem", 64, 0.0, 0.25, 0.0, Version+1)
+	f.Add(3, 1, 3, 5, "", "r", 1, -1.0, -2.0, -3.0, -7)
 
 	f.Fuzz(func(t *testing.T, pp, dp, tp, layersPerStage int, gpu, region string,
-		count int, budget, minTput, maxIter float64, recompute bool, version int) {
+		count int, budget, minTput, maxIter float64, version int) {
 		// JSON cannot carry invalid UTF-8 losslessly (the encoder substitutes
 		// U+FFFD), so the round-trip contract holds for valid-UTF-8 names.
 		gpu = strings.ToValidUTF8(gpu, "�")
 		region = strings.ToValidUTF8(region, "�")
-		plan := fuzzPlan(pp, dp, tp, layersPerStage, gpu, region, recompute)
+		plan := fuzzPlan(pp, dp, tp, layersPerStage, gpu, region)
 		wp, data := roundTrip(t, FromPlan(plan))
 		if err := wp.Check(); err != nil {
 			t.Errorf("plan check: %v\n%s", err, data)
@@ -73,12 +73,12 @@ func FuzzWireRoundTrip(f *testing.F) {
 }
 
 // fuzzPlan builds a structurally bounded plan from raw fuzz inputs.
-func fuzzPlan(pp, dp, tp, layersPerStage int, gpu, region string, recompute bool) core.Plan {
+func fuzzPlan(pp, dp, tp, layersPerStage int, gpu, region string) core.Plan {
 	pp = bound(pp, 1, 6)
 	dp = bound(dp, 1, 4)
 	tp = bound(tp, 1, 8)
 	layersPerStage = bound(layersPerStage, 1, 16)
-	plan := core.Plan{MicroBatchSize: bound(dp*tp, 1, 32), Recompute: recompute}
+	plan := core.Plan{MicroBatchSize: bound(dp*tp, 1, 32)}
 	layer := 0
 	for s := 0; s < pp; s++ {
 		st := core.StagePlan{FirstLayer: layer, NumLayers: layersPerStage}
@@ -127,7 +127,7 @@ func isFiniteConstraints(c core.Constraints) bool {
 }
 
 func FuzzPlanDecode(f *testing.F) {
-	for _, p := range []core.Plan{{}, samplePlan(), fuzzPlan(3, 4, 2, 8, "A100-40", "us-central1", false)} {
+	for _, p := range []core.Plan{{}, samplePlan(), fuzzPlan(3, 4, 2, 8, "A100-40", "us-central1")} {
 		data, err := json.Marshal(FromPlan(p))
 		if err != nil {
 			f.Fatal(err)

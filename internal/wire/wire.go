@@ -53,7 +53,7 @@ import (
 
 // Version is the wire schema version this build speaks. Bump it when a DTO
 // changes incompatibly; decoders reject every other version.
-const Version = 2
+const Version = 3
 
 // Check validates a message's schema version tag.
 func Check(v int) error {
@@ -102,13 +102,12 @@ type Stage struct {
 type Plan struct {
 	Stages         []Stage `json:"stages"`
 	MicroBatchSize int     `json:"micro_batch_size"`
-	Recompute      bool    `json:"recompute"`
 }
 
 // FromPlan converts a parallelization plan to its wire shape, merging each
 // run of consecutive equal replicas into one ReplicaRun.
 func FromPlan(p core.Plan) Plan {
-	out := Plan{MicroBatchSize: p.MicroBatchSize, Recompute: p.Recompute}
+	out := Plan{MicroBatchSize: p.MicroBatchSize}
 	if p.Stages != nil {
 		out.Stages = make([]Stage, len(p.Stages))
 	}
@@ -158,7 +157,7 @@ func (p Plan) Check() error {
 // trusts a plan that Check accepted; a run counting fewer than one replica
 // expands to none.
 func (p Plan) Core() core.Plan {
-	out := core.Plan{MicroBatchSize: p.MicroBatchSize, Recompute: p.Recompute}
+	out := core.Plan{MicroBatchSize: p.MicroBatchSize}
 	if p.Stages != nil {
 		out.Stages = make([]core.StagePlan, len(p.Stages))
 	}
@@ -297,13 +296,12 @@ func (e Estimate) Core() core.Estimate {
 // nanoseconds; it is the one wall-clock (non-deterministic) field, which
 // determinism tests and golden files zero before comparing.
 type PlanResult struct {
-	Plan            Plan     `json:"plan"`
-	Estimate        Estimate `json:"estimate"`
-	SearchTimeNS    int64    `json:"search_time_ns"`
-	Explored        int      `json:"explored"`
-	OOMPlansEmitted int      `json:"oom_plans_emitted"`
-	WarmStart       bool     `json:"warm_start"`
-	CacheHits       int      `json:"cache_hits"`
+	Plan         Plan     `json:"plan"`
+	Estimate     Estimate `json:"estimate"`
+	SearchTimeNS int64    `json:"search_time_ns"`
+	Explored     int      `json:"explored"`
+	WarmStart    bool     `json:"warm_start"`
+	CacheHits    int      `json:"cache_hits"`
 	// Degraded marks a deadline-cut search answered with the job's warm
 	// incumbent instead of a fresh result; omitted when false so existing
 	// goldens are byte-unchanged.
@@ -313,28 +311,26 @@ type PlanResult struct {
 // FromResult converts a planner result to its wire shape.
 func FromResult(r planner.Result) PlanResult {
 	return PlanResult{
-		Plan:            FromPlan(r.Plan),
-		Estimate:        FromEstimate(r.Estimate),
-		SearchTimeNS:    r.SearchTime.Nanoseconds(),
-		Explored:        r.Explored,
-		OOMPlansEmitted: r.OOMPlansEmitted,
-		WarmStart:       r.WarmStart,
-		CacheHits:       r.CacheHits,
-		Degraded:        r.Degraded,
+		Plan:         FromPlan(r.Plan),
+		Estimate:     FromEstimate(r.Estimate),
+		SearchTimeNS: r.SearchTime.Nanoseconds(),
+		Explored:     r.Explored,
+		WarmStart:    r.WarmStart,
+		CacheHits:    r.CacheHits,
+		Degraded:     r.Degraded,
 	}
 }
 
 // Result converts back to the domain type.
 func (r PlanResult) Result() planner.Result {
 	return planner.Result{
-		Plan:            r.Plan.Core(),
-		Estimate:        r.Estimate.Core(),
-		SearchTime:      time.Duration(r.SearchTimeNS),
-		Explored:        r.Explored,
-		OOMPlansEmitted: r.OOMPlansEmitted,
-		WarmStart:       r.WarmStart,
-		CacheHits:       r.CacheHits,
-		Degraded:        r.Degraded,
+		Plan:       r.Plan.Core(),
+		Estimate:   r.Estimate.Core(),
+		SearchTime: time.Duration(r.SearchTimeNS),
+		Explored:   r.Explored,
+		WarmStart:  r.WarmStart,
+		CacheHits:  r.CacheHits,
+		Degraded:   r.Degraded,
 	}
 }
 

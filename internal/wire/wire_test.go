@@ -21,7 +21,6 @@ func samplePlan() core.Plan {
 	zb := zone("us-east1", "us-east1-b")
 	return core.Plan{
 		MicroBatchSize: 2,
-		Recompute:      true,
 		Stages: []core.StagePlan{
 			{FirstLayer: 0, NumLayers: 12, Replicas: []core.StageReplica{
 				{GPU: core.A100, TP: 4, Zone: za},
@@ -54,7 +53,7 @@ func sampleResult() planner.Result {
 	return planner.Result{
 		Plan: samplePlan(), Estimate: sampleEstimate(),
 		SearchTime: 1234 * time.Microsecond,
-		Explored:   4217, OOMPlansEmitted: 1, WarmStart: true, CacheHits: 99,
+		Explored:   4217, WarmStart: true, CacheHits: 99,
 	}
 }
 

@@ -108,9 +108,9 @@ func driveGroup(t *testing.T, svc API, g []TraceEvent) crashStep {
 
 // marshalCrashSteps renders steps with the planner telemetry a crash
 // legitimately perturbs zeroed: search wall-clock always, plus the
-// warm-cache trajectory (explored, cache_hits, warm_start,
-// oom_plans_emitted) — a recovered service replans from cold caches to the
-// identical plan, but walks a different search. Plans, estimates, actions, ledger versions, and lease
+// warm-cache trajectory (explored, cache_hits, warm_start) — a recovered
+// service replans from cold caches to the identical plan, but walks a
+// different search. Plans, estimates, actions, ledger versions, and lease
 // tables must be byte-identical.
 func marshalCrashSteps(t *testing.T, steps []crashStep) []byte {
 	t.Helper()
@@ -133,7 +133,6 @@ func marshalCrashSteps(t *testing.T, steps []crashStep) []byte {
 			res["explored"] = 0.0
 			res["cache_hits"] = 0.0
 			res["warm_start"] = false
-			res["oom_plans_emitted"] = 0.0
 		}
 	}
 	out, err := json.MarshalIndent(arr, "", "  ")

@@ -108,7 +108,7 @@ func (s *Service) rotateIfDue() {
 // captureLocked hands fn the durable state with the ledger lock (fleet
 // mode) still held. Callers hold s.mu.
 func (s *Service) captureLocked(fn func(*persist.State)) {
-	st := &persist.State{LRUKeys: append([]string(nil), s.systems.order...)}
+	st := &persist.State{}
 	for name, j := range s.jobs {
 		js := persist.JobState{
 			Name:     name,
