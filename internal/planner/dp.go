@@ -15,7 +15,10 @@ package planner
 // the per-suffix winner is materialised as a *dpNode, and each stage's
 // compositions are built once per DP-degree scan from one evaluator quote
 // per (GPU type, TP degree) that fits in memory (tpRange): stage compute
-// time and DP sync time.
+// time and DP sync time. A suffix state that cannot fit at all by a
+// counting bound (suffixFits) is cut before its memo key is built, so the
+// dead subtrees that used to dominate deep cold scans are never recursed
+// into, memoized, or counted.
 // None of this changes any comparison: the enumeration order, the
 // floating-point expressions, and the tie-breaking are byte-for-byte those
 // of the straightforward clone-per-combo implementation, so plans stay
@@ -244,6 +247,9 @@ func (t *task) solveDP(rs *regionState, layers []int, i, ri, d, mbs, nb int, bud
 		return nil
 	}
 	pp := len(layers)
+	if !t.suffixFits(rs, i, ri, d, pp) {
+		return nil
+	}
 	var memoKey dpKey
 	memoized := budget <= 0 // unconstrained: memoization is sound
 	if memoized {
@@ -330,6 +336,31 @@ func (t *task) solveDP(rs *regionState, layers []int, i, ri, d, mbs, nb int, bud
 		t.memoPut(memoKey, best)
 	}
 	return best
+}
+
+// suffixFits reports whether the regions from ri on can still hold stages
+// i..pp-1 by counting alone: region r fits at most
+// ⌊Σ_t ⌊count(r, t) / minLo_i(t)⌋ / d⌋ stages, because every stage places
+// exactly d replicas in one region r ≥ ri (H5's forward scan) and
+// buildCombos never offers type t a TP below its span's floor. A state that
+// fails the bound has no completion, so solveDP would return nil for it on
+// either path; cutting it first changes no answer and no dominance decision
+// (those compare completed siblings only), only what Explored counts.
+func (t *task) suffixFits(rs *regionState, i, ri, d, pp int) bool {
+	need := pp - i
+	minLo := t.minLo[i*len(rs.types) : (i+1)*len(rs.types)]
+	for r := ri; r < len(rs.regions); r++ {
+		reps := 0
+		for ti, lo := range minLo {
+			if lo > 0 {
+				reps += rs.count(r, ti) / lo
+			}
+		}
+		if need -= reps / d; need <= 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // solveWithBudget implements the straggler-approximation loop of Listing 1

@@ -118,8 +118,14 @@ type Result struct {
 	// SearchTime is the call's wall-clock time, including any wait for the
 	// warm cache while another search holds it.
 	SearchTime time.Duration
-	// Explored counts DP nodes plus full simulator evaluations.
+	// Explored counts DP nodes plus full simulator evaluations. A suffix
+	// the DP cuts by its capacity bound (suffixFits) is neither.
 	Explored int
+	// PlanBuildFailures counts DP solutions the search could not
+	// materialise: a chain that fits its region buckets' pooled counts but
+	// whose replicas find no zone with tp GPUs left of their type. Planner
+	// telemetry only; it does not cross the wire.
+	PlanBuildFailures int
 	// WarmStart reports whether the search ran against a warm cache
 	// (Options.Warm set and fingerprint-compatible).
 	WarmStart bool
@@ -305,18 +311,18 @@ func (pl *Planner) planContext(ctx context.Context, pool *cluster.Pool, prev *co
 		s.best = seed
 	}
 	if s.best == nil {
-		res := Result{SearchTime: time.Since(start), Explored: int(s.explored.Load())}
+		res := s.telemetry(start)
 		if err := ctx.Err(); err != nil {
 			return res, fmt.Errorf("planner: search cancelled before a valid plan was found: %w", err)
 		}
 		return res, fmt.Errorf("planner: no valid plan within constraints for %d GPUs", pool.TotalGPUs())
 	}
 	if err := pl.Opts.Guard.Check(s.best.res.Plan); err != nil {
-		return Result{SearchTime: time.Since(start), Explored: int(s.explored.Load())}, err
+		return s.telemetry(start), err
 	}
 	best := s.best.res
-	best.SearchTime = time.Since(start)
-	best.Explored = int(s.explored.Load())
+	tel := s.telemetry(start)
+	best.SearchTime, best.Explored, best.PlanBuildFailures = tel.SearchTime, tel.Explored, tel.PlanBuildFailures
 	best.WarmStart = warm != nil
 	return best, nil
 }

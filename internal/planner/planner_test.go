@@ -405,3 +405,34 @@ func TestDPMicrobatchesMatchPlan(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanBuildFailuresCounted: a DP chain the merged region bucket admits
+// but no zone can host is counted, not silently dropped. One A100 in each of
+// two zones of a region pools to 2 in the H6 bucket, so the DP offers TP-2
+// replicas there that buildPlan cannot place in either zone; two A100s in
+// one zone host every chain the DP finds. A stored-result hit searches
+// nothing and counts nothing.
+func TestPlanBuildFailuresCounted(t *testing.T) {
+	cfg := model.OPT350M()
+	split := cluster.NewPool().Set(zoneA, core.A100, 1).Set(zoneB, core.A100, 1)
+	one := cluster.NewPool().Set(zoneA, core.A100, 2)
+	for _, obj := range []core.Objective{core.MaxThroughput, core.MinCost} {
+		pl := newPlanner(t, cfg, Options{Objective: obj, Workers: 1, Warm: NewWarmCache()}, core.A100)
+		for _, tc := range []struct {
+			name string
+			pool *cluster.Pool
+			want int
+		}{{"split", split, 3}, {"one zone", one, 0}} {
+			res, err := pl.Plan(tc.pool)
+			if err != nil {
+				t.Fatalf("%v %s: %v", obj, tc.name, err)
+			}
+			if res.PlanBuildFailures != tc.want {
+				t.Errorf("%v %s: %d plan-build failures, want %d", obj, tc.name, res.PlanBuildFailures, tc.want)
+			}
+			if res, err = pl.Plan(tc.pool); err != nil || res.CacheHits != 1 || res.PlanBuildFailures != 0 {
+				t.Errorf("%v %s: stored hit counted %d plan-build failures (hits %d, err %v)", obj, tc.name, res.PlanBuildFailures, res.CacheHits, err)
+			}
+		}
+	}
+}

@@ -74,7 +74,7 @@ func TestPlannerInvariantsProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 8}); err != nil {
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -13,11 +14,12 @@ import (
 )
 
 // search is the shared state of one Plan/PlanContext invocation: the
-// cancellation signal, the exploration counter and the incumbent best plan.
+// cancellation signal, the telemetry counters and the incumbent best plan.
 type search struct {
-	pl       *Planner
-	done     atomic.Bool
-	explored atomic.Int64
+	pl         *Planner
+	done       atomic.Bool
+	explored   atomic.Int64
+	buildFails atomic.Int64
 
 	// rs is the top-level region state the pass was built from; tasks use
 	// its immutable region/type index (their own mutable clone carries the
@@ -96,6 +98,13 @@ func (s *search) stop() { close(s.watch) }
 
 func (s *search) expired() bool { return s.done.Load() }
 
+// telemetry is a plan-less Result carrying the search's counters, timed
+// from start.
+func (s *search) telemetry(start time.Time) Result {
+	return Result{SearchTime: time.Since(start), Explored: int(s.explored.Load()),
+		PlanBuildFailures: int(s.buildFails.Load())}
+}
+
 // bindState resolves the per-typeIdx evaluator constants, the cheapest
 // available rate and the zone table for a pass.
 func (s *search) bindState(rs *regionState, pool *cluster.Pool) {
@@ -169,6 +178,7 @@ func (s *search) runPass(rs *regionState, pool *cluster.Pool) {
 		t.searchDP(j.layers, j.mbs)
 		// Counters are batched per job: no atomics in the DP's inner loop.
 		s.explored.Add(t.explored)
+		s.buildFails.Add(t.buildFails)
 	}
 
 	workers := min(s.pl.workerCount(), len(jobs))
@@ -238,10 +248,14 @@ type task struct {
 	// mbs is the task's microbatch size.
 	mbs int
 
-	// caps are the current DP-degree scan's per-stage memo-key lane caps.
-	caps laneCaps
-	// explored batches one job's telemetry counter.
-	explored int64
+	// caps are the current DP-degree scan's per-stage memo-key lane caps;
+	// minLo[i*types+t] is the smallest TP the scan offers type t at any
+	// stage from i on, 0 when t fits none of them (suffixFits' divisors).
+	caps  laneCaps
+	minLo []int
+	// explored and buildFails batch one job's telemetry counters.
+	explored   int64
+	buildFails int64
 
 	// Dominance pruning inputs (see dominance.go): suffix sums and maxima
 	// of the partition's per-stage time floors.
@@ -292,7 +306,7 @@ type task struct {
 // reset readies the scratch for one (pp, mbs) job, keeping all capacity.
 func (t *task) reset(rs *regionState, mbs int) {
 	t.mbs = mbs
-	t.explored = 0
+	t.explored, t.buildFails = 0, 0
 	rs.copyTo(&t.rs)
 }
 
@@ -327,20 +341,26 @@ func (t *task) resetMemo(d, nb int) {
 	t.setCaps(d, nb)
 }
 
-// setCaps computes the scan's TP spans (see tpRange) and memo-key lane caps
-// (see laneCaps) from the partition, mbs, d and nb.
+// setCaps computes the scan's TP spans (see tpRange), memo-key lane caps
+// (see laneCaps) and suffix TP floors (minLo) from the partition, mbs, d
+// and nb.
 func (t *task) setCaps(d, nb int) {
 	pp, types := len(t.partition), len(t.rs.types)
 	c := &t.caps
 	c.byType = resized(c.byType, pp*types)
 	t.spans = resized(t.spans, pp*types)
+	t.minLo = resized(t.minLo, pp*types)
 	for ti := range t.rs.types {
-		sum := 0
+		sum, lo := 0, 0
 		for i := pp - 1; i >= 0; i-- {
 			sp := t.tpRange(ti, i, nb)
 			t.spans[i*types+ti] = sp
 			sum += d * sp.hi
 			c.byType[i*types+ti] = sum
+			if sp.lo > 0 && (lo == 0 || sp.lo < lo) {
+				lo = sp.lo
+			}
+			t.minLo[i*types+ti] = lo
 		}
 	}
 	c.pack(types, t.rs.cells())
@@ -408,6 +428,7 @@ func (t *task) searchDP(layers []int, mbs int) {
 		for ni, node := range nodes[:nn] {
 			plan, ok := t.buildPlan(node, layers, mbs, &t.plans[ni])
 			if !ok {
+				t.buildFails++
 				continue
 			}
 			est, err := t.estimate(plan)

@@ -247,3 +247,116 @@ func TestLaneClampExact(t *testing.T) {
 	}
 	t.Logf("%d of 120 cases solved; explored %d clamped, %d unclamped", solved, clampedN, fullN)
 }
+
+// TestSuffixCutExact: the DP's capacity cut (suffixFits) removes only states
+// that have no completion. For small random pools × (pp, mbs, d), random
+// walks through stageCombos/applyChoice visit reachable states (i, ri,
+// availability); wherever the bound fails, a plain recursion over
+// stageCombos — no memo, no cut, no dominance — must find no placement of
+// the remaining stages. Pools of 0-12 GPUs per cell over one zone, two
+// zones of one region or two regions keep the cut firing; H2 off widens the
+// TP spans to the node size, H6 off keys zones as buckets. Both objectives
+// and the cost-lean pass run, and at each case's root solveDP must find a
+// chain exactly when the oracle finds a placement.
+func TestSuffixCutExact(t *testing.T) {
+	cfg := model.OPT350M()
+	gpus := []core.GPUType{core.A100, core.V100}
+	prof, err := profiler.Collect(cfg, gpus, nil, profiler.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := sim.New(cfg, prof)
+	shapes := [][]core.Zone{{zoneA}, {zoneA, zoneB}, {zoneA, zoneEU}}
+	rng := rand.New(rand.NewSource(11))
+	var states, cut, solved int
+	for n := 0; n < 120; n++ {
+		heur := AllHeuristics()
+		heur.H6MergeZones = n%2 == 0
+		heur.H2MinTP = n%4 < 2
+		pool := cluster.NewPool()
+		for _, z := range shapes[n%len(shapes)] {
+			for _, g := range gpus {
+				pool.Set(z, g, rng.Intn(13))
+			}
+		}
+		pp := []int{2, 3, 4, 6}[rng.Intn(4)]
+		mbs := []int{1, 2, 4}[rng.Intn(3)]
+		d := []int{1, 2, 4}[rng.Intn(3)]
+		obj := []core.Objective{core.MaxThroughput, core.MinCost}[n/4%2]
+		nb := memory.Microbatches(cfg.GlobalBatch, d, mbs)
+		layers := partitionLayers(cfg.Layers, pp)
+
+		pl := New(cfg, ev, Options{Objective: obj, Heuristics: heur, Workers: 1})
+		rs := newRegionState(pool, heur.H6MergeZones)
+		s := newSearch(pl, context.Background())
+		s.bindState(rs, pool)
+		tk := s.taskFor(0)
+		tk.reset(rs, mbs)
+		tk.init(layers)
+		tk.costLean = n%3 == 0
+		tk.resetMemo(d, nb)
+
+		var placeable func(i, ri int) bool
+		placeable = func(i, ri int) bool {
+			if i == pp {
+				return true
+			}
+			for r := ri; r < len(tk.rs.regions); r++ {
+				for _, c := range tk.stageCombos(&tk.rs, r, i, d) {
+					applyChoice(&tk.rs, c)
+					ok := placeable(i+1, r)
+					undoChoice(&tk.rs, c)
+					if ok {
+						return true
+					}
+				}
+			}
+			return false
+		}
+		want := placeable(0, 0)
+		if got := tk.solveDP(&tk.rs, layers, 0, 0, d, mbs, nb, 0) != nil; got != want {
+			t.Errorf("case %d (pool %s, pp %d, d %d): solveDP found a chain = %v, oracle = %v", n, pool, pp, d, got, want)
+		}
+		if want {
+			solved++
+		}
+
+		var next []stageChoice
+		for walk := 0; walk < 20; walk++ {
+			tk.reset(rs, mbs)
+			for i, ri := 0, 0; i < pp; i++ {
+				states++
+				if !tk.suffixFits(&tk.rs, i, ri, d, pp) {
+					cut++
+					if placeable(i, ri) {
+						var left []int
+						for r := range tk.rs.regions {
+							for ti := range tk.rs.types {
+								left = append(left, tk.rs.count(r, ti))
+							}
+						}
+						t.Fatalf("case %d (pool %s, pp %d, mbs %d, d %d, heur %+v): cut state (stage %d, region %d, counts %v) has a placement",
+							n, pool, pp, mbs, d, heur, i, ri, left)
+					}
+				}
+				next = next[:0]
+				for r := ri; r < len(tk.rs.regions); r++ {
+					next = append(next, tk.stageCombos(&tk.rs, r, i, d)...)
+				}
+				if len(next) == 0 {
+					break
+				}
+				c := next[rng.Intn(len(next))]
+				applyChoice(&tk.rs, c)
+				ri = c.region
+			}
+		}
+	}
+	if cut*5 < states {
+		t.Errorf("the cut fired in only %d of %d visited states", cut, states)
+	}
+	if solved < 30 {
+		t.Errorf("only %d of 120 cases have a placement", solved)
+	}
+	t.Logf("%d of 120 cases placeable; cut %d of %d visited states", solved, cut, states)
+}
