@@ -9,15 +9,15 @@
 //
 // Artefact benches run the Quick variant by default so the suite stays in
 // minutes; set SAILOR_BENCH_FULL=1 for paper-scale clusters, and use
-// cmd/sailor-bench to pretty-print the regenerated tables.
+// cmd/sailor-bench to pretty-print the regenerated tables. The planner,
+// service, fleet and recovery rows of BENCH_planner.json are BenchmarkSuite
+// in cmd/sailor-bench.
 package repro
 
 import (
-	"context"
 	"fmt"
 	"os"
 	goruntime "runtime"
-	"sync"
 	"testing"
 	"time"
 
@@ -34,7 +34,6 @@ import (
 	"repro/internal/profiler"
 	"repro/internal/sim"
 	"repro/internal/trace"
-	"repro/sailor"
 )
 
 func benchOpts() experiments.Opts {
@@ -102,15 +101,9 @@ func benchLab(b *testing.B, cfg model.Config, gpus ...core.GPUType) (*sim.Simula
 }
 
 func benchPlan(cfg model.Config, g core.GPUType, pp, dp, tp, mbs int) core.Plan {
-	per := cfg.Layers / pp
-	rem := cfg.Layers - per*pp
 	plan := core.Plan{MicroBatchSize: mbs}
 	first := 0
-	for i := 0; i < pp; i++ {
-		n := per
-		if i < rem {
-			n++
-		}
+	for _, n := range core.SplitLayers(cfg.Layers, pp) {
 		st := core.StagePlan{FirstLayer: first, NumLayers: n}
 		for k := 0; k < dp; k++ {
 			st.Replicas = append(st.Replicas, core.StageReplica{GPU: g, TP: tp, Zone: benchZone})
@@ -180,40 +173,6 @@ func BenchmarkGroundTruthMeasure(b *testing.B) {
 	}
 }
 
-// BenchmarkPlannerHomogeneous128 is the Table 1 headline: Sailor's full
-// search on 128 A100 GPUs.
-func BenchmarkPlannerHomogeneous128(b *testing.B) {
-	cfg := model.OPT350M()
-	s, _ := benchLab(b, cfg, core.A100)
-	pool := cluster.NewPool().Set(benchZone, core.A100, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pl := planner.New(cfg, s, planner.Options{
-			Objective: core.MaxThroughput, Heuristics: planner.AllHeuristics(),
-		})
-		if _, err := pl.Plan(pool); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkPlannerHeterogeneous measures the 2-GPU-type search that
-// dominates Sailor's own scalability costs (§5.3).
-func BenchmarkPlannerHeterogeneous(b *testing.B) {
-	cfg := model.OPT350M()
-	s, _ := benchLab(b, cfg, core.A100, core.V100)
-	pool := cluster.NewPool().Set(benchZone, core.A100, 64).Set(benchZone, core.V100, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pl := planner.New(cfg, s, planner.Options{
-			Objective: core.MaxThroughput, Heuristics: planner.AllHeuristics(),
-		})
-		if _, err := pl.Plan(pool); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPlannerParallel measures the parallel search engine: the Table 1
 // headline pools at workers=1/4/NumCPU. The chosen plan is identical at
 // every worker count; only wall-clock changes, which is the speedup the
@@ -256,130 +215,19 @@ func BenchmarkPlannerParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkServicePlanThroughput measures the multi-tenant front door: 4
-// concurrent tenants issuing plan requests against one sailor.Service,
-// with the cross-tenant planner concurrency bound at 1 and at NumCPU. One
-// iteration = one plan request per tenant.
-func BenchmarkServicePlanThroughput(b *testing.B) {
-	const tenants = 4
-	var pools []*cluster.Pool
-	for i := 0; i < tenants; i++ {
-		pools = append(pools, cluster.NewPool().Set(benchZone, core.A100, 16+8*i))
-	}
-	for _, maxConc := range []int{1, goruntime.NumCPU()} {
-		b.Run(fmt.Sprintf("tenants=%d/max-concurrent=%d", tenants, maxConc), func(b *testing.B) {
-			svc := sailor.NewService(sailor.ServiceConfig{Workers: 1, MaxConcurrent: maxConc})
-			for i := 0; i < tenants; i++ {
-				if err := svc.OpenJob(fmt.Sprintf("tenant-%d", i), sailor.OPT350M(),
-					[]core.GPUType{core.A100}, 0); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				for t := 0; t < tenants; t++ {
-					wg.Add(1)
-					go func(t int) {
-						defer wg.Done()
-						_, err := svc.Plan(context.Background(), fmt.Sprintf("tenant-%d", t),
-							pools[t], core.MaxThroughput, core.Constraints{})
-						if err != nil {
-							b.Error(err)
-						}
-					}(t)
-				}
-				wg.Wait()
-			}
-		})
-	}
-}
-
-// BenchmarkFleetRebalance measures the fleet scheduler's preemption-aware
-// replanning path: one op = the whole preemption-storm trace driven through
-// a shared ledger with N contending jobs (per-job cap 8 GPUs, fleet base
-// 4N). Jobs keep their warm caches across ops, so this tracks the warm
-// steady state of Service.Rebalance.
-func BenchmarkFleetRebalance(b *testing.B) {
-	sc, ok := trace.ScenarioByName("preemption-storm")
-	if !ok {
-		b.Fatal("preemption-storm not registered")
-	}
-	for _, jobs := range []int{4, 16} {
-		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
-			tr := sc.TraceWith(1, trace.ScenarioOpts{Base: 4 * jobs})
-			svc := sailor.NewService(sailor.ServiceConfig{Workers: 1})
-			for i := 0; i < jobs; i++ {
-				if err := svc.OpenJob(fmt.Sprintf("job-%d", i), sailor.OPT350M(),
-					[]core.GPUType{core.A100}, jobs-i); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if _, _, err := experiments.DriveFleetStorm(svc, tr, 8); err != nil { // warm the caches
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := experiments.DriveFleetStorm(svc, tr, 8); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkFleetRebalanceCold measures the cold fleet admission pass: one
-// op = reopen one job per GPU type (dropping warm caches and leases), reset
-// the ledger, and run a single Rebalance that admits all four jobs from
-// scratch, one search after another in admission order.
-func BenchmarkFleetRebalanceCold(b *testing.B) {
-	types := []core.GPUType{core.A100, core.V100, core.RTX3090, core.T4}
-	pool := cluster.NewPool()
-	for _, g := range types {
-		pool.Set(benchZone, g, 64)
-	}
-	b.Run("jobs=4", func(b *testing.B) {
-		svc := sailor.NewService(sailor.ServiceConfig{Workers: 1})
-		m := sailor.OPT350M()
-		// Profile the per-type Systems once so ops measure the search,
-		// not first-touch profiling.
-		if _, _, err := experiments.DriveFleetColdRebalance(svc, m, types, pool); err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		b.ReportAllocs()
-		var explored, hits int
-		for i := 0; i < b.N; i++ {
-			var err error
-			explored, hits, err = experiments.DriveFleetColdRebalance(svc, m, types, pool)
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(explored), "explored/op")
-		b.ReportMetric(float64(hits), "cache-hits/op")
-	})
-}
-
-// replanPools materialises the distinct availability snapshots of a
-// preemption-storm trace — the replan sequence the elastic controller
-// issues while surviving the churn.
-func replanPools(b *testing.B) []*cluster.Pool {
-	b.Helper()
-	sc, ok := trace.ScenarioByName("preemption-storm")
-	if !ok {
-		b.Fatal("preemption-storm not registered")
-	}
-	return sc.Trace(1).DistinctPools()
-}
-
 // BenchmarkReplanCold is the controller's pre-warm-start hot path: every
-// availability event replans from scratch.
+// distinct availability snapshot of a preemption-storm trace replans from
+// scratch. Its warm counterpart, the same chain on one warm cache, is the
+// BENCH_planner.json row replan_warm/preemption-storm (BenchmarkSuite in
+// cmd/sailor-bench).
 func BenchmarkReplanCold(b *testing.B) {
 	cfg := model.OPT350M()
 	s, _ := benchLab(b, cfg, core.A100)
-	pools := replanPools(b)
+	sc, ok := trace.ScenarioByName("preemption-storm")
+	if !ok {
+		b.Fatal("preemption-storm not registered")
+	}
+	pools := sc.Trace(1).DistinctPools()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, pool := range pools {
@@ -392,39 +240,6 @@ func BenchmarkReplanCold(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(pools)), "replans/op")
-}
-
-// BenchmarkReplanWarm replays the same preemption storm through the
-// warm-start path: one planner, a persistent WarmCache, and Replan chained
-// from the previously chosen plan. The chosen plans are identical to the
-// cold run's (asserted in internal/planner's warm tests); only the search
-// cost drops — the acceptance target is >= 2x over BenchmarkReplanCold.
-func BenchmarkReplanWarm(b *testing.B) {
-	cfg := model.OPT350M()
-	s, _ := benchLab(b, cfg, core.A100)
-	pools := replanPools(b)
-	pl := planner.New(cfg, s, planner.Options{
-		Objective: core.MaxThroughput, Heuristics: planner.AllHeuristics(),
-		Warm: planner.NewWarmCache(),
-	})
-	var hits, explored int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var prev core.Plan
-		hits, explored = 0, 0
-		for _, pool := range pools {
-			res, err := pl.Replan(prev, pool)
-			if err != nil {
-				b.Fatal(err)
-			}
-			prev = res.Plan
-			hits += res.CacheHits
-			explored += res.Explored
-		}
-	}
-	b.ReportMetric(float64(len(pools)), "replans/op")
-	b.ReportMetric(float64(hits), "cache-hits/op")
-	b.ReportMetric(float64(explored), "explored/op")
 }
 
 // BenchmarkHeuristicAblation quantifies D2: search cost without H2/H3 on a

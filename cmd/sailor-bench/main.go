@@ -10,13 +10,16 @@
 //	sailor-bench -json                       # run the planner perf suite,
 //	                                         # write BENCH_planner.json
 //	sailor-bench -json -bench-out out.json   # ... to a custom path
-//	sailor-bench -json -count 5              # 5 suite runs, benchstat lines
-//	                                         # per run (pipe to benchstat)
-//	sailor-bench -validate BENCH_planner.json # schema-check a document
 //	sailor-bench -compare new.json -baseline BENCH_planner.json
 //	                                         # CI gate: fail on allocs/op
 //	                                         # regressions > 10% or any
 //	                                         # explored/cache_hits change
+//
+// The perf suite's rows are Go benchmarks too; repeated runs as benchstat
+// input, or one row alone:
+//
+//	go test -run '^$' -bench BenchmarkSuite -count 5 ./cmd/sailor-bench
+//	go test -run '^$' -bench 'BenchmarkSuite/persist_recover' ./cmd/sailor-bench
 package main
 
 import (
@@ -41,25 +44,13 @@ func main() {
 	workers := flag.Int("workers", runtime.NumCPU(), "Sailor planner search parallelism (goroutines)")
 	jsonOut := flag.Bool("json", false, "run the planner perf suite and write -bench-out instead of experiments")
 	benchOut := flag.String("bench-out", "BENCH_planner.json", "output path for the -json perf document")
-	count := flag.Int("count", 1, "perf suite repetitions for -json; each run prints a benchstat-compatible block")
-	validate := flag.String("validate", "", "schema-check a BENCH_planner.json document and exit")
 	compare := flag.String("compare", "", "candidate BENCH_planner.json to gate against -baseline and exit")
 	baseline := flag.String("baseline", "BENCH_planner.json", "baseline document for -compare")
 	flag.Parse()
 	if *workers <= 0 {
 		*workers = runtime.NumCPU()
 	}
-	if *count <= 0 {
-		*count = 1
-	}
 
-	if *validate != "" {
-		if err := validateBenchJSON(*validate); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%s: valid planner-bench document (schema v%d)\n", *validate, benchSchemaVersion)
-		return
-	}
 	if *compare != "" {
 		if err := compareBenchJSON(*compare, *baseline, 0.10, os.Stdout); err != nil {
 			log.Fatal(err)
@@ -68,7 +59,7 @@ func main() {
 		return
 	}
 	if *jsonOut {
-		if err := writeBenchJSON(*benchOut, *workers, *count, os.Stdout); err != nil {
+		if err := writeBenchJSON(*benchOut, *workers, os.Stdout); err != nil {
 			log.Fatal(err)
 		}
 		return

@@ -1,14 +1,15 @@
 package main
 
-// The planner perf harness behind -json: a fixed suite of cold-search,
-// warm-replan, multi-tenant-service, wire-codec and recovery benchmarks
-// whose results are written as a versioned JSON document
-// (BENCH_planner.json). The committed document is the repo's perf
-// trajectory; CI regenerates and validates it on every change so planner
-// regressions show up as a diff, not a surprise.
+// The planner perf harness: a fixed suite of cold-search, warm-replan,
+// multi-tenant-service, wire-codec and recovery benchmarks. Each row of the
+// committed document (BENCH_planner.json) is defined once, as a Go
+// benchmark in perfSuite: -json runs the suite through testing.Benchmark
+// and writes the document, and BenchmarkSuite runs the same functions
+// under `go test -bench`. The committed document is the repo's perf
+// trajectory; CI regenerates it on every change and gates it with
+// -compare, so planner regressions show up as a diff, not a surprise.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -18,11 +19,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/model"
 	"repro/internal/persist"
 	"repro/internal/planner"
@@ -33,9 +32,12 @@ import (
 	"repro/sailor"
 )
 
-// benchSchemaVersion is the BENCH_planner.json schema version; -validate
-// rejects documents from a different schema by name.
-const benchSchemaVersion = 1
+// benchSchemaVersion and benchKind identify a BENCH_planner.json document;
+// -compare refuses documents of another version or kind.
+const (
+	benchSchemaVersion = 1
+	benchKind          = "planner-bench"
+)
 
 // benchResult is one benchmark's row in the document.
 type benchResult struct {
@@ -43,8 +45,8 @@ type benchResult struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
-	// Explored and CacheHits are planner telemetry from one instrumented
-	// run of the bench body (search work, not wall-clock).
+	// Explored and CacheHits are the planner telemetry the row reports
+	// (search work, not wall-clock).
 	Explored  int `json:"explored"`
 	CacheHits int `json:"cache_hits"`
 	// LiveHeapBytes is the heap a row's subject still holds after a final GC
@@ -52,10 +54,6 @@ type benchResult struct {
 	LiveHeapBytes int64 `json:"live_heap_bytes,omitempty"`
 	// Records is the journal records one op replays (recovery rows only).
 	Records int `json:"records,omitempty"`
-	// Iters is the iteration count testing.Benchmark settled on — needed
-	// for the benchstat text lines, deliberately kept out of the JSON
-	// schema (iteration counts are machine noise, not trajectory).
-	Iters int `json:"-"`
 }
 
 // benchDoc is the BENCH_planner.json document.
@@ -67,129 +65,227 @@ type benchDoc struct {
 	Benches []benchResult `json:"benches"`
 }
 
+// The units under which rows report their counters with b.ReportMetric,
+// one per benchResult counter.
+const (
+	unitExplored  = "explored/op"
+	unitCacheHits = "cache-hits/op"
+	unitLiveHeap  = "live-heap-B"
+	unitRecords   = "records/op"
+)
+
+// perfRow is one row of the document: its name and the benchmark that
+// measures it. Setup runs before b.ResetTimer, so ns, bytes and allocs per
+// op are the measured loop's alone.
+type perfRow struct {
+	name  string
+	bench func(b *testing.B)
+}
+
+// perfSuite returns the document's rows in order. workers is the planner
+// search parallelism of the rows that search directly, and the service
+// row's planner concurrency bound.
+func perfSuite(workers int) []perfRow {
+	geoHetero := cluster.NewPool().Set(perfZone, core.A100, 20).Set(cluster.GCPZone("us-central1", 'b'), core.V100, 20).
+		Set(cluster.GCPZone("europe-west4", 'a'), core.A100, 8)
+	hetero := []core.GPUType{core.A100, core.V100}
+	return []perfRow{
+		coldRow("planner_cold/homogeneous128", workers, cluster.NewPool().Set(perfZone, core.A100, 128),
+			core.MaxThroughput, core.Constraints{}, core.A100),
+		coldRow("planner_cold/heterogeneous64", workers, cluster.NewPool().Set(perfZone, core.A100, 32).Set(perfZone, core.V100, 32),
+			core.MaxThroughput, core.Constraints{}, hetero...),
+		// Two regions, so the DP's memo keys see suffixes that start past
+		// the first region: the one row whose search work watches them.
+		coldRow("planner_cold/geo-hetero", workers, geoHetero, core.MaxThroughput, core.Constraints{}, hetero...),
+		// The same pool under cold-hetero's min-cost op: cheapest plan
+		// above a 0.08 it/s throughput floor.
+		coldRow("planner_cold/min-cost", workers, geoHetero, core.MinCost, core.Constraints{MinThroughput: 0.08}, hetero...),
+		{"replan_warm/preemption-storm", func(b *testing.B) { replanWarm(b, workers) }},
+		{"replan_novel/warm-churn", func(b *testing.B) { replanNovel(b, workers) }},
+		{fmt.Sprintf("service_warm_churn/tenants=%d", churnTenants), serviceWarmChurn},
+		{"wire_codec/warm-churn", wireCodec},
+		{"service_plan/tenants=4", func(b *testing.B) { servicePlan(b, workers) }},
+		{"fleet_rebalance/jobs=4", func(b *testing.B) { fleetRebalance(b, 4) }},
+		{"fleet_rebalance/jobs=16", func(b *testing.B) { fleetRebalance(b, 16) }},
+		{"fleet_rebalance_cold/jobs=4", fleetRebalanceCold},
+		{"persist_recover/fleet-storm", persistRecover},
+	}
+}
+
+// measure times op over b.N iterations and reports the planner counters
+// of the last one.
+func measure(b *testing.B, op func() (explored, hits int, err error)) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	var explored, hits int
+	for i := 0; i < b.N; i++ {
+		var err error
+		if explored, hits, err = op(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	reportSearch(b, explored, hits)
+}
+
+// reportSearch reports a row's planner counters.
+func reportSearch(b *testing.B, explored, hits int) {
+	b.ReportMetric(float64(explored), unitExplored)
+	b.ReportMetric(float64(hits), unitCacheHits)
+}
+
+// perfZone is the zone of every single-zone pool in the suite.
+var perfZone = cluster.GCPZone("us-central1", 'a')
+
 // perfLab builds the shared evaluator for the planner benches.
-func perfLab(gpus ...core.GPUType) (*model.Config, *sim.Simulator, error) {
+func perfLab(b *testing.B, gpus ...core.GPUType) (model.Config, *sim.Simulator) {
 	cfg := model.OPT350M()
 	prof, err := profiler.Collect(cfg, gpus, nil, profiler.Options{Seed: 1})
 	if err != nil {
-		return nil, nil, err
+		b.Fatal(err)
 	}
-	return &cfg, sim.New(cfg, prof), nil
+	return cfg, sim.New(cfg, prof)
 }
 
-// runPerfSuite executes the perf suite and assembles the document.
-func runPerfSuite(workers int) (benchDoc, error) {
-	doc := benchDoc{V: benchSchemaVersion, Kind: "planner-bench", Go: runtime.Version(), Workers: workers}
+// coldRow is a planner_cold row: one op builds a planner and searches the
+// pool from scratch.
+func coldRow(name string, workers int, pool *cluster.Pool, obj core.Objective, cons core.Constraints, gpus ...core.GPUType) perfRow {
+	return perfRow{name, func(b *testing.B) {
+		cfg, ev := perfLab(b, gpus...)
+		measure(b, func() (int, int, error) {
+			res, err := planner.New(cfg, ev, planner.Options{
+				Objective: obj, Constraints: cons, Heuristics: planner.AllHeuristics(), Workers: workers,
+			}).Plan(pool)
+			return res.Explored, res.CacheHits, err
+		})
+	}}
+}
 
-	zone := cluster.GCPZone("us-central1", 'a')
-	geoHetero := cluster.NewPool().Set(zone, core.A100, 20).Set(cluster.GCPZone("us-central1", 'b'), core.V100, 20).
-		Set(cluster.GCPZone("europe-west4", 'a'), core.A100, 8)
-	pools := []struct {
-		name string
-		gpus []core.GPUType
-		pool *cluster.Pool
-		obj  core.Objective
-		cons core.Constraints
-	}{
-		{"planner_cold/homogeneous128", []core.GPUType{core.A100},
-			cluster.NewPool().Set(zone, core.A100, 128), core.MaxThroughput, core.Constraints{}},
-		{"planner_cold/heterogeneous64", []core.GPUType{core.A100, core.V100},
-			cluster.NewPool().Set(zone, core.A100, 32).Set(zone, core.V100, 32), core.MaxThroughput, core.Constraints{}},
-		// Two regions, so the DP's memo keys see suffixes that start past
-		// the first region: the one row whose search work watches them.
-		{"planner_cold/geo-hetero", []core.GPUType{core.A100, core.V100},
-			geoHetero, core.MaxThroughput, core.Constraints{}},
-		// The same pool under cold-hetero's min-cost op: cheapest plan
-		// above a 0.08 it/s throughput floor.
-		{"planner_cold/min-cost", []core.GPUType{core.A100, core.V100},
-			geoHetero, core.MinCost, core.Constraints{MinThroughput: 0.08}},
-	}
-	for _, pc := range pools {
-		cfg, ev, err := perfLab(pc.gpus...)
-		if err != nil {
-			return doc, err
-		}
-		mk := func() *planner.Planner {
-			return planner.New(*cfg, ev, planner.Options{
-				Objective: pc.obj, Constraints: pc.cons, Heuristics: planner.AllHeuristics(), Workers: workers,
-			})
-		}
-		probe, err := mk().Plan(pc.pool)
-		if err != nil {
-			return doc, fmt.Errorf("%s: %w", pc.name, err)
-		}
-		r := timed(func() error { _, err := mk().Plan(pc.pool); return err })
-		doc.Benches = append(doc.Benches, row(pc.name, r, probe.Explored, probe.CacheHits))
-	}
-
-	// Warm replan chain over the preemption-storm availability sequence.
-	sc, ok := trace.ScenarioByName("preemption-storm")
-	if !ok {
-		return doc, fmt.Errorf("preemption-storm scenario not registered")
-	}
-	stormPools := sc.Trace(1).DistinctPools()
-	cfg, ev, err := perfLab(core.A100)
-	if err != nil {
-		return doc, err
-	}
-	warmChain := func(pl *planner.Planner) (hits, explored int, err error) {
+// replanWarm is replan_warm/preemption-storm: one op replans the distinct
+// pools of the preemption-storm trace in order on one planner whose warm
+// cache an untimed chain filled, each replan from the plan before it.
+func replanWarm(b *testing.B, workers int) {
+	pools := trace.PreemptionStorm().Trace(1).DistinctPools()
+	cfg, ev := perfLab(b, core.A100)
+	pl := planner.New(cfg, ev, planner.Options{
+		Objective: core.MaxThroughput, Heuristics: planner.AllHeuristics(),
+		Workers: workers, Warm: planner.NewWarmCache(),
+	})
+	chain := func() (explored, hits int, err error) {
 		var prev core.Plan
-		for _, pool := range stormPools {
+		for _, pool := range pools {
 			res, err := pl.Replan(prev, pool)
 			if err != nil {
 				return 0, 0, err
 			}
-			prev = res.Plan
-			hits += res.CacheHits
-			explored += res.Explored
+			prev, explored, hits = res.Plan, explored+res.Explored, hits+res.CacheHits
 		}
-		return hits, explored, nil
+		return explored, hits, nil
 	}
-	warmPl := planner.New(*cfg, ev, planner.Options{
-		Objective: core.MaxThroughput, Heuristics: planner.AllHeuristics(),
-		Workers: workers, Warm: planner.NewWarmCache(),
+	if _, _, err := chain(); err != nil { // populate the cache
+		b.Fatal(err)
+	}
+	measure(b, chain)
+}
+
+// replanNovel is replan_novel/warm-churn: one op is novelChain over the
+// warm-churn traces — the first visits of a pool, which a warm replan
+// answers with a full search.
+func replanNovel(b *testing.B, workers int) {
+	cfg, ev := perfLab(b, core.A100)
+	traces, err := novelPools()
+	if err != nil {
+		b.Fatal(err)
+	}
+	measure(b, func() (int, int, error) { return novelChain(cfg, ev, workers, traces) })
+}
+
+// serviceWarmChurn is the in-process replica of the end-to-end warm-churn
+// workload (benchmarks/loadgen): one Service at the daemon's settings, eight
+// A100 tenants each cycling the distinct pools of one scenario trace, one
+// op = one Replan. Beside bytes and allocs per op it reports the heap the
+// service still holds after a final GC — what the warm caches retain, the
+// number the end-to-end rss_p95_mb follows. Its explored and cache-hits
+// are the totals of one full round (every tenant through its whole cycle)
+// after two rounds filled the caches, not per-op values.
+func serviceWarmChurn(b *testing.B) {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	heapBefore := int64(m.HeapAlloc)
+
+	svc := sailor.NewService(sailor.ServiceConfig{Workers: 1, MaxConcurrent: 2})
+	pools := make([][]*cluster.Pool, churnTenants)
+	prev := make([]core.Plan, churnTenants)
+	round := 0
+	for t := range pools {
+		var err error
+		if pools[t], err = churnPools(t); err != nil {
+			b.Fatal(err)
+		}
+		round = max(round, churnTenants*len(pools[t]))
+		if err := svc.OpenJob(fmt.Sprint("churn-", t), sailor.OPT350M(), []core.GPUType{core.A100}, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+	next := 0
+	drive := func(n int) (explored, hits int) {
+		for end := next + n; next < end; next++ {
+			t, step := next%churnTenants, next/churnTenants
+			res, err := svc.Replan(context.Background(), fmt.Sprint("churn-", t), prev[t],
+				pools[t][step%len(pools[t])], core.MaxThroughput, core.Constraints{})
+			if err != nil {
+				b.Fatalf("service_warm_churn op %d: %v", next, err)
+			}
+			prev[t], explored, hits = res.Plan, explored+res.Explored, hits+res.CacheHits
+		}
+		return explored, hits
+	}
+	drive(2 * round) // fill the caches
+	explored, hits := drive(round)
+	b.ReportAllocs()
+	b.ResetTimer()
+	drive(b.N)
+	b.StopTimer()
+	reportSearch(b, explored, hits)
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	runtime.KeepAlive(svc)
+	b.ReportMetric(float64(max(int64(m.HeapAlloc)-heapBefore, 0)), unitLiveHeap)
+}
+
+// wireCodec is wire_codec/warm-churn: one op is codecRoundTrip of one of
+// the warm-churn Replan pairs, taken in turn. No planner work, so its
+// explored and cache-hits are zero; its allocs/op is the codec's.
+func wireCodec(b *testing.B) {
+	pairs, err := codecPairs()
+	if err != nil {
+		b.Fatal(err)
+	}
+	next := 0
+	measure(b, func() (int, int, error) {
+		p := pairs[next%len(pairs)]
+		next++
+		return 0, 0, codecRoundTrip(p)
 	})
-	if _, _, err := warmChain(warmPl); err != nil { // populate the cache
-		return doc, err
-	}
-	hits, explored, err := warmChain(warmPl)
-	if err != nil {
-		return doc, err
-	}
-	r := timed(func() error { _, _, err := warmChain(warmPl); return err })
-	doc.Benches = append(doc.Benches, row("replan_warm/preemption-storm", r, explored, hits))
+}
 
-	novel, err := novelRow(*cfg, ev, workers)
-	if err != nil {
-		return doc, err
-	}
-	doc.Benches = append(doc.Benches, novel)
-
-	churn, err := warmChurnRow()
-	if err != nil {
-		return doc, err
-	}
-	doc.Benches = append(doc.Benches, churn)
-
-	codec, err := wireCodecRow()
-	if err != nil {
-		return doc, err
-	}
-	doc.Benches = append(doc.Benches, codec)
-
-	// Multi-tenant service front door: one op = one plan per tenant.
+// servicePlan is service_plan/tenants=4, the multi-tenant front door: one
+// op = one concurrent Plan request per tenant against one Service, with
+// the cross-tenant planner concurrency bound at workers.
+func servicePlan(b *testing.B, workers int) {
 	const tenants = 4
-	var svcPools []*cluster.Pool
+	var pools []*cluster.Pool
 	for i := 0; i < tenants; i++ {
-		svcPools = append(svcPools, cluster.NewPool().Set(zone, core.A100, 16+8*i))
+		pools = append(pools, cluster.NewPool().Set(perfZone, core.A100, 16+8*i))
 	}
 	svc := sailor.NewService(sailor.ServiceConfig{Workers: 1, MaxConcurrent: workers})
 	for i := 0; i < tenants; i++ {
 		if err := svc.OpenJob(fmt.Sprintf("bench-%d", i), sailor.OPT350M(), []core.GPUType{core.A100}, 0); err != nil {
-			return doc, err
+			b.Fatal(err)
 		}
 	}
-	svcOp := func() (explored, hits int, err error) {
+	measure(b, func() (explored, hits int, err error) {
 		var wg sync.WaitGroup
 		results := make([]sailor.PlanResult, tenants)
 		errs := make([]error, tenants)
@@ -198,7 +294,7 @@ func runPerfSuite(workers int) (benchDoc, error) {
 			go func(t int) {
 				defer wg.Done()
 				results[t], errs[t] = svc.Plan(context.Background(), fmt.Sprintf("bench-%d", t),
-					svcPools[t], core.MaxThroughput, core.Constraints{})
+					pools[t], core.MaxThroughput, core.Constraints{})
 			}(t)
 		}
 		wg.Wait()
@@ -210,102 +306,122 @@ func runPerfSuite(workers int) (benchDoc, error) {
 			hits += results[t].CacheHits
 		}
 		return explored, hits, nil
-	}
-	svcExplored, svcHits, err := svcOp()
-	if err != nil {
-		return doc, err
-	}
-	r = timed(func() error { _, _, err := svcOp(); return err })
-	doc.Benches = append(doc.Benches, row("service_plan/tenants=4", r, svcExplored, svcHits))
-
-	// Fleet scheduler: one op = the whole preemption-storm trace driven
-	// through a shared capacity ledger with N contending jobs (per-job cap
-	// 8 GPUs, fleet base 4N) — every event preempts leases in admission
-	// order and Rebalance replans the broken jobs warm in priority order.
-	for _, jobs := range []int{4, 16} {
-		fleetTrace := sc.TraceWith(1, trace.ScenarioOpts{Base: 4 * jobs})
-		fleetSvc := sailor.NewService(sailor.ServiceConfig{Workers: 1})
-		for i := 0; i < jobs; i++ {
-			if err := fleetSvc.OpenJob(fmt.Sprintf("fleet-%d", i), sailor.OPT350M(),
-				[]core.GPUType{core.A100}, jobs-i); err != nil {
-				return doc, err
-			}
-		}
-		if _, _, err := experiments.DriveFleetStorm(fleetSvc, fleetTrace, 8); err != nil { // warm the caches
-			return doc, err
-		}
-		fExplored, fHits, err := experiments.DriveFleetStorm(fleetSvc, fleetTrace, 8)
-		if err != nil {
-			return doc, err
-		}
-		r = timed(func() error { _, _, err := experiments.DriveFleetStorm(fleetSvc, fleetTrace, 8); return err })
-		doc.Benches = append(doc.Benches, row(fmt.Sprintf("fleet_rebalance/jobs=%d", jobs), r, fExplored, fHits))
-	}
-
-	// Cold fleet admission: one op = reopen one job per GPU type (dropping
-	// every warm cache and lease), reset the ledger to a four-type pool,
-	// and run a single Rebalance pass that admits all four from scratch,
-	// one cold search after another.
-	coldTypes := []core.GPUType{core.A100, core.V100, core.RTX3090, core.T4}
-	coldPool := cluster.NewPool()
-	for _, g := range coldTypes {
-		coldPool.Set(zone, g, 64)
-	}
-	coldSvc := sailor.NewService(sailor.ServiceConfig{Workers: 1})
-	coldModel := sailor.OPT350M()
-	if _, _, err := experiments.DriveFleetColdRebalance(coldSvc, coldModel, coldTypes, coldPool); err != nil { // profile the per-type Systems
-		return doc, err
-	}
-	cExplored, cHits, err := experiments.DriveFleetColdRebalance(coldSvc, coldModel, coldTypes, coldPool)
-	if err != nil {
-		return doc, err
-	}
-	r = timed(func() error {
-		_, _, err := experiments.DriveFleetColdRebalance(coldSvc, coldModel, coldTypes, coldPool)
-		return err
-	})
-	doc.Benches = append(doc.Benches, row("fleet_rebalance_cold/jobs=4", r, cExplored, cHits))
-
-	recovery, err := recoverRow()
-	if err != nil {
-		return doc, err
-	}
-	doc.Benches = append(doc.Benches, recovery)
-	return doc, nil
-}
-
-// timed benchmarks one op, allocations reported.
-func timed(op func() error) testing.BenchmarkResult {
-	return testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if err := op(); err != nil {
-				b.Fatal(err)
-			}
-		}
 	})
 }
 
-// recoverRow times crash recovery of a fleet journal (writeFleetJournal):
-// one op is persist.Open of the data dir — load the snapshot, replay the
-// whole journal. BenchmarkPersistRecover is the same loop as a Go benchmark.
-func recoverRow() (benchResult, error) {
-	dir, err := os.MkdirTemp("", "sailor-bench-recover-")
-	if err != nil {
-		return benchResult{}, err
+// fleetRebalance is a fleet_rebalance row: one op = driveFleetStorm of the
+// preemption-storm trace (fleet base 4 per job) through a shared capacity
+// ledger with jobs contending jobs, per-job cap 8 GPUs. Jobs keep their
+// warm caches across ops (an untimed drive fills them), so this tracks
+// the warm steady state of Service.Rebalance.
+func fleetRebalance(b *testing.B, jobs int) {
+	tr := trace.PreemptionStorm().TraceWith(1, trace.ScenarioOpts{Base: 4 * jobs})
+	svc := sailor.NewService(sailor.ServiceConfig{Workers: 1})
+	for i := 0; i < jobs; i++ {
+		if err := svc.OpenJob(fmt.Sprintf("fleet-%d", i), sailor.OPT350M(), []core.GPUType{core.A100}, jobs-i); err != nil {
+			b.Fatal(err)
+		}
 	}
-	defer os.RemoveAll(dir)
+	if _, _, err := driveFleetStorm(svc, tr, 8); err != nil { // warm the caches
+		b.Fatal(err)
+	}
+	measure(b, func() (int, int, error) { return driveFleetStorm(svc, tr, 8) })
+}
+
+// fleetRebalanceCold is fleet_rebalance_cold/jobs=4: one op is
+// driveFleetColdRebalance of one job per GPU type on a four-type pool, 64
+// GPUs of each. An untimed op profiles the per-type Systems first.
+func fleetRebalanceCold(b *testing.B) {
+	types := []core.GPUType{core.A100, core.V100, core.RTX3090, core.T4}
+	pool := cluster.NewPool()
+	for _, g := range types {
+		pool.Set(perfZone, g, 64)
+	}
+	svc := sailor.NewService(sailor.ServiceConfig{Workers: 1})
+	m := sailor.OPT350M()
+	if _, _, err := driveFleetColdRebalance(svc, m, types, pool); err != nil {
+		b.Fatal(err)
+	}
+	measure(b, func() (int, int, error) { return driveFleetColdRebalance(svc, m, types, pool) })
+}
+
+// persistRecover is persist_recover/fleet-storm, crash recovery of a fleet
+// journal (writeFleetJournal): one op is persist.Open of the data dir —
+// load the snapshot, replay the whole journal.
+func persistRecover(b *testing.B) {
+	dir := b.TempDir()
 	if err := writeFleetJournal(dir); err != nil {
-		return benchResult{}, err
+		b.Fatal(err)
 	}
 	cfg := persist.Config{Fsync: persist.FsyncNone}
-	_, probe, err := persist.Open(dir, cfg)
-	if err != nil {
-		return benchResult{}, err
+	records := 0
+	measure(b, func() (int, int, error) {
+		_, rec, err := persist.Open(dir, cfg)
+		if err != nil {
+			return 0, 0, err
+		}
+		records = rec.RecordsReplayed
+		return 0, 0, nil
+	})
+	b.ReportMetric(float64(records), unitRecords)
+}
+
+// driveFleetStorm is the op of the fleet_rebalance rows: reset the
+// service's fleet ledger to an empty pool with the given per-job cap, then
+// replay the trace through it — every event mutates the fleet and a
+// Rebalance pass replans the broken and waiting jobs warm in priority
+// order. Returns the accumulated planner telemetry.
+func driveFleetStorm(svc *sailor.Service, tr *trace.Trace, jobCap int) (explored, hits int, err error) {
+	if err := svc.SetFleet(cluster.NewPool(), jobCap); err != nil {
+		return 0, 0, err
 	}
-	res := row("persist_recover/fleet-storm", timed(func() error { _, _, err := persist.Open(dir, cfg); return err }), 0, 0)
-	res.Records = probe.RecordsReplayed
-	return res, nil
+	ctx := context.Background()
+	for _, ev := range tr.Events {
+		if _, err := svc.FleetEvent(ev); err != nil {
+			return 0, 0, err
+		}
+		steps, err := svc.Rebalance(ctx)
+		if err != nil {
+			return 0, 0, err
+		}
+		for _, s := range steps {
+			if s.Result != nil {
+				explored += s.Result.Explored
+				hits += s.Result.CacheHits
+			}
+		}
+	}
+	return explored, hits, nil
+}
+
+// driveFleetColdRebalance is the op of the fleet_rebalance_cold row:
+// reopen one job per GPU type — dropping every warm cache and lease —
+// reset the ledger to the given pool, then run a single Rebalance pass
+// that must admit all jobs from scratch, one cold search per job in
+// admission order. Returns the accumulated planner telemetry.
+func driveFleetColdRebalance(svc *sailor.Service, m sailor.Model, types []core.GPUType, pool *cluster.Pool) (explored, hits int, err error) {
+	for i, g := range types {
+		name := fmt.Sprintf("cold-%d", i)
+		_ = svc.CloseJob(name)
+		if err := svc.OpenJob(name, m, []core.GPUType{g}, len(types)-i); err != nil {
+			return 0, 0, err
+		}
+	}
+	if err := svc.SetFleet(pool, 0); err != nil {
+		return 0, 0, err
+	}
+	steps, err := svc.Rebalance(context.Background())
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, s := range steps {
+		if s.Result == nil {
+			return 0, 0, fmt.Errorf("cold rebalance did not admit job %q: %s", s.Job, s.Error)
+		}
+		explored += s.Result.Explored
+		hits += s.Result.CacheHits
+	}
+	return explored, hits, nil
 }
 
 // writeFleetJournal leaves in dir what a durable Service (fsync off) killed
@@ -334,75 +450,11 @@ func writeFleetJournal(dir string) (err error) {
 		}
 	}
 	for s := int64(0); s < 16; s++ {
-		if _, _, err := experiments.DriveFleetStorm(svc, trace.PreemptionStorm().TraceWith(s, trace.ScenarioOpts{Base: 32}), 8); err != nil {
+		if _, _, err := driveFleetStorm(svc, trace.PreemptionStorm().TraceWith(s, trace.ScenarioOpts{Base: 32}), 8); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// warmChurnRow is the in-process replica of the end-to-end warm-churn
-// workload (benchmarks/loadgen): one Service at the daemon's settings, eight
-// A100 tenants each cycling the distinct pools of one scenario trace, one
-// op = one Replan. Beside bytes and allocs per op it reports the heap the
-// service still holds after a final GC — what the warm caches retain, the
-// number the end-to-end rss_p95_mb follows. explored/cache_hits come from
-// one full round before the timed loop.
-func warmChurnRow() (benchResult, error) {
-	const tenants, ops = churnTenants, 8000
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	heapBefore := int64(m0.HeapAlloc)
-
-	svc := sailor.NewService(sailor.ServiceConfig{Workers: 1, MaxConcurrent: 2})
-	pools := make([][]*cluster.Pool, tenants)
-	prev := make([]core.Plan, tenants)
-	round := 0 // ops that walk every tenant through its whole cycle
-	for t := range pools {
-		var err error
-		if pools[t], err = churnPools(t); err != nil {
-			return benchResult{}, err
-		}
-		round = max(round, tenants*len(pools[t]))
-		if err := svc.OpenJob(fmt.Sprint("churn-", t), sailor.OPT350M(), []core.GPUType{core.A100}, 0); err != nil {
-			return benchResult{}, err
-		}
-	}
-	next := 0
-	drive := func(n int) (explored, hits int, err error) {
-		for end := next + n; next < end; next++ {
-			t, step := next%tenants, next/tenants
-			res, err := svc.Replan(context.Background(), fmt.Sprint("churn-", t), prev[t],
-				pools[t][step%len(pools[t])], core.MaxThroughput, core.Constraints{})
-			if err != nil {
-				return 0, 0, fmt.Errorf("service_warm_churn op %d: %w", next, err)
-			}
-			prev[t], explored, hits = res.Plan, explored+res.Explored, hits+res.CacheHits
-		}
-		return explored, hits, nil
-	}
-	if _, _, err := drive(2 * round); err != nil { // fill the caches
-		return benchResult{}, err
-	}
-	explored, hits, err := drive(round)
-	if err != nil {
-		return benchResult{}, err
-	}
-	runtime.ReadMemStats(&m0)
-	t0 := time.Now()
-	if _, _, err := drive(ops); err != nil {
-		return benchResult{}, err
-	}
-	elapsed := time.Since(t0)
-	runtime.ReadMemStats(&m1)
-	res := row(fmt.Sprintf("service_warm_churn/tenants=%d", tenants), testing.BenchmarkResult{N: ops, T: elapsed,
-		MemAllocs: m1.Mallocs - m0.Mallocs, MemBytes: m1.TotalAlloc - m0.TotalAlloc}, explored, hits)
-	runtime.GC()
-	runtime.ReadMemStats(&m1)
-	runtime.KeepAlive(svc)
-	res.LiveHeapBytes = max(int64(m1.HeapAlloc)-heapBefore, 0)
-	return res, nil
 }
 
 // codecPair is one warm-churn Replan as it crosses the wire: the request's
@@ -477,28 +529,6 @@ func codecRoundTrip(p codecPair) error {
 	return nil
 }
 
-// wireCodecRow is wire_codec/warm-churn: one op is codecRoundTrip of one
-// of the warm-churn Replan pairs, taken in turn. No planner work, so its
-// explored and cache_hits are zero; its allocs/op is the codec's.
-func wireCodecRow() (benchResult, error) {
-	pairs, err := codecPairs()
-	if err != nil {
-		return benchResult{}, err
-	}
-	r := testing.Benchmark(func(b *testing.B) { codecLoop(b, pairs) })
-	return row("wire_codec/warm-churn", r, 0, 0), nil
-}
-
-// codecLoop runs codecRoundTrip b.N times over pairs, taken in turn.
-func codecLoop(b *testing.B, pairs []codecPair) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if err := codecRoundTrip(pairs[i%len(pairs)]); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // churnTenants is the number of tenant traces the warm-churn workload
 // cycles.
 const churnTenants = 8
@@ -557,77 +587,71 @@ func novelChain(cfg model.Config, ev planner.Evaluator, workers int, traces [][]
 	return explored, hits, nil
 }
 
-// novelRow is replan_novel/warm-churn: one op is novelChain over the
-// warm-churn traces — the first visits of a pool, which a warm replan
-// answers with a full search.
-func novelRow(cfg model.Config, ev planner.Evaluator, workers int) (benchResult, error) {
-	traces, err := novelPools()
+// runPerfSuite runs every row through testing.Benchmark and assembles the
+// document from the results and the counters the rows reported.
+func runPerfSuite(workers int, log io.Writer) (benchDoc, error) {
+	doc := benchDoc{V: benchSchemaVersion, Kind: benchKind, Go: runtime.Version(), Workers: workers}
+	for _, row := range perfSuite(workers) {
+		r := testing.Benchmark(row.bench)
+		if r.N == 0 { // testing.Benchmark drops a failed benchmark's output
+			return doc, fmt.Errorf("%s failed; `go test -run '^$' -bench 'BenchmarkSuite/%s$' ./cmd/sailor-bench` prints why",
+				row.name, row.name)
+		}
+		res := benchResult{
+			Name:          row.name,
+			NsPerOp:       float64(r.NsPerOp()),
+			AllocsPerOp:   r.AllocsPerOp(),
+			BytesPerOp:    r.AllocedBytesPerOp(),
+			Explored:      int(r.Extra[unitExplored]),
+			CacheHits:     int(r.Extra[unitCacheHits]),
+			LiveHeapBytes: int64(r.Extra[unitLiveHeap]),
+			Records:       int(r.Extra[unitRecords]),
+		}
+		fmt.Fprintf(log, "%-36s %12.0f ns/op %8d allocs/op  explored %d cache_hits %d\n",
+			res.Name, res.NsPerOp, res.AllocsPerOp, res.Explored, res.CacheHits)
+		doc.Benches = append(doc.Benches, res)
+	}
+	return doc, nil
+}
+
+// writeBenchJSON runs the suite and writes the document to path.
+func writeBenchJSON(path string, workers int, log io.Writer) error {
+	doc, err := runPerfSuite(workers, log)
 	if err != nil {
-		return benchResult{}, err
-	}
-	explored, hits, err := novelChain(cfg, ev, workers, traces)
-	if err != nil {
-		return benchResult{}, fmt.Errorf("replan_novel: %w", err)
-	}
-	r := timed(func() error { _, _, err := novelChain(cfg, ev, workers, traces); return err })
-	return row("replan_novel/warm-churn", r, explored, hits), nil
-}
-
-func row(name string, r testing.BenchmarkResult, explored, hits int) benchResult {
-	return benchResult{
-		Name:        name,
-		NsPerOp:     float64(r.NsPerOp()),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
-		Explored:    explored,
-		CacheHits:   hits,
-		Iters:       r.N,
-	}
-}
-
-// printBenchstat writes the document's rows as benchstat-compatible
-// benchmark lines (name, iteration count, value-unit pairs). Several
-// -count runs piped into benchstat yield means and confidence intervals;
-// the planner telemetry rides along as custom units.
-func printBenchstat(w io.Writer, doc benchDoc, header bool) {
-	if header {
-		fmt.Fprintf(w, "goos: %s\ngoarch: %s\npkg: repro/cmd/sailor-bench\n", runtime.GOOS, runtime.GOARCH)
-	}
-	for _, b := range doc.Benches {
-		fmt.Fprintf(w, "Benchmark_%s \t%8d\t%14.0f ns/op\t%10d B/op\t%8d allocs/op\t%8d explored/op\t%8d cache-hits/op",
-			b.Name, b.Iters, b.NsPerOp, b.BytesPerOp, b.AllocsPerOp, b.Explored, b.CacheHits)
-		if b.LiveHeapBytes > 0 {
-			fmt.Fprintf(w, "\t%10d live-heap-B", b.LiveHeapBytes)
-		}
-		if b.Records > 0 {
-			fmt.Fprintf(w, "\t%8d records/op", b.Records)
-		}
-		fmt.Fprintln(w)
-	}
-}
-
-// writeBenchJSON runs the suite count times, printing one benchstat block
-// per run, and writes the document from the final run to path.
-func writeBenchJSON(path string, workers, count int, log io.Writer) error {
-	var doc benchDoc
-	for i := 0; i < count; i++ {
-		d, err := runPerfSuite(workers)
-		if err != nil {
-			return err
-		}
-		printBenchstat(log, d, i == 0)
-		doc = d
+		return err
 	}
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
 	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
+	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Fprintf(log, "wrote %s (%d benches, workers=%d, count=%d)\n", path, len(doc.Benches), workers, count)
+	fmt.Fprintf(log, "wrote %s (%d benches, workers=%d)\n", path, len(doc.Benches), workers)
 	return nil
+}
+
+// readBenchDoc decodes a BENCH_planner.json document strictly: an unknown
+// field, another schema version or another kind is an error.
+func readBenchDoc(path string) (benchDoc, error) {
+	var doc benchDoc
+	f, err := os.Open(path)
+	if err != nil {
+		return doc, err
+	}
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&doc); err != nil {
+		return doc, fmt.Errorf("%s: malformed document: %w", path, err)
+	}
+	if doc.V != benchSchemaVersion {
+		return doc, fmt.Errorf("%s: schema version %d, want %d", path, doc.V, benchSchemaVersion)
+	}
+	if doc.Kind != benchKind {
+		return doc, fmt.Errorf("%s: kind %q, want %q", path, doc.Kind, benchKind)
+	}
+	return doc, nil
 }
 
 // compareBenchJSON is the CI perf gate: for every row the baseline and the
@@ -637,16 +661,13 @@ func writeBenchJSON(path string, workers, count int, log io.Writer) error {
 // counters — search work, a pure function of the code — must be identical;
 // ns/op deltas are printed but only informational. Rows present in one
 // document only are reported and skipped, so adding or retiring a bench
-// never trips the gate.
+// never trips the gate (TestSuiteRowsMatchCommitted keeps the suite's rows
+// and the committed document's the same).
 func compareBenchJSON(newPath, basePath string, maxGrowth float64, w io.Writer) error {
 	load := func(path string) (map[string]benchResult, []string, error) {
-		raw, err := os.ReadFile(path)
+		doc, err := readBenchDoc(path)
 		if err != nil {
 			return nil, nil, err
-		}
-		var doc benchDoc
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", path, err)
 		}
 		m := make(map[string]benchResult, len(doc.Benches))
 		var order []string
@@ -709,41 +730,4 @@ func ratioDelta(n, o float64) float64 {
 		return 1e9
 	}
 	return n/o - 1
-}
-
-// validateBenchJSON checks a BENCH_planner.json document against the
-// schema: correct version and kind, at least one bench, sane fields. CI
-// runs this after regenerating the document.
-func validateBenchJSON(path string) error {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var doc benchDoc
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
-		return fmt.Errorf("%s: malformed document: %w", path, err)
-	}
-	if doc.V != benchSchemaVersion {
-		return fmt.Errorf("%s: schema version %d, want %d", path, doc.V, benchSchemaVersion)
-	}
-	if doc.Kind != "planner-bench" {
-		return fmt.Errorf("%s: kind %q, want \"planner-bench\"", path, doc.Kind)
-	}
-	if len(doc.Benches) == 0 {
-		return fmt.Errorf("%s: no benches recorded", path)
-	}
-	for _, b := range doc.Benches {
-		if b.Name == "" {
-			return fmt.Errorf("%s: bench with empty name", path)
-		}
-		if b.NsPerOp <= 0 {
-			return fmt.Errorf("%s: %s: ns_per_op %v not positive", path, b.Name, b.NsPerOp)
-		}
-		if b.AllocsPerOp < 0 || b.BytesPerOp < 0 || b.Explored < 0 || b.CacheHits < 0 {
-			return fmt.Errorf("%s: %s: negative counter", path, b.Name)
-		}
-	}
-	return nil
 }

@@ -5,11 +5,9 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/core"
-	"repro/internal/persist"
 )
 
 // TestCompareBenchJSONGate pins the CI perf gate: shared rows must keep
@@ -19,7 +17,7 @@ func TestCompareBenchJSONGate(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, rows ...benchResult) string {
 		t.Helper()
-		raw, err := json.Marshal(benchDoc{V: benchSchemaVersion, Kind: "planner-bench", Workers: 1, Benches: rows})
+		raw, err := json.Marshal(benchDoc{V: benchSchemaVersion, Kind: benchKind, Workers: 1, Benches: rows})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,70 +64,55 @@ func TestCompareBenchJSONGate(t *testing.T) {
 	if err := compareBenchJSON(filepath.Join(dir, "missing.json"), base, 0.10, io.Discard); err == nil {
 		t.Error("missing candidate document passed the gate")
 	}
+	// Both documents decode strictly: schema version, kind, no unknown field.
+	for _, tc := range []struct{ name, doc, fail string }{
+		{"unknown-field", `{"v":1,"kind":"planner-bench","benches":[{"name":"replan_warm","ns":1}]}`, "unknown field"},
+		{"wrong-version", `{"v":2,"kind":"planner-bench","benches":[]}`, "schema version 2"},
+		{"wrong-kind", `{"v":1,"kind":"other","benches":[]}`, "kind"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(dir, tc.name+".json")
+			if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			for _, args := range [][2]string{{path, base}, {base, path}} {
+				err := compareBenchJSON(args[0], args[1], 0.10, io.Discard)
+				if err == nil || !strings.Contains(err.Error(), tc.fail) {
+					t.Errorf("compare(%s, %s) = %v, want an error naming %q", args[0], args[1], err, tc.fail)
+				}
+			}
+		})
+	}
 }
 
-// BenchmarkPersistRecover is the persist_recover/fleet-storm row alone, the
-// quick loop for recovery work:
-//
-//	go test ./cmd/sailor-bench -run xxx -bench PersistRecover -benchmem
-func BenchmarkPersistRecover(b *testing.B) {
-	dir := b.TempDir()
-	if err := writeFleetJournal(dir); err != nil {
-		b.Fatal(err)
+// TestSuiteRowsMatchCommitted pins the suite to the committed document:
+// the same row names in the same order. -compare skips rows on one side
+// only, so without this a renamed or dropped row would leave the gate.
+func TestSuiteRowsMatchCommitted(t *testing.T) {
+	doc, err := readBenchDoc(filepath.Join("..", "..", "BENCH_planner.json"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	records := 0
-	for i := 0; i < b.N; i++ {
-		_, rec, err := persist.Open(dir, persist.Config{Fsync: persist.FsyncNone})
-		if err != nil {
-			b.Fatal(err)
-		}
-		records = rec.RecordsReplayed
+	var committed, suite []string
+	for _, b := range doc.Benches {
+		committed = append(committed, b.Name)
 	}
-	b.ReportMetric(float64(records), "records/op")
+	for _, row := range perfSuite(1) {
+		suite = append(suite, row.name)
+	}
+	if !slices.Equal(suite, committed) {
+		t.Fatalf("suite rows %q, BENCH_planner.json rows %q", suite, committed)
+	}
 }
 
-// BenchmarkWireCodec is the wire_codec/warm-churn row alone: warm-churn
-// Replan requests and replies encoded, decoded and converted back.
+// BenchmarkSuite runs the BENCH_planner.json rows as Go benchmarks, one
+// sub-benchmark per row at workers=1 (the committed document's setting),
+// each reporting the row's counters. -count N output is benchstat input:
 //
-//	go test ./cmd/sailor-bench -run xxx -bench WireCodec -benchmem
-func BenchmarkWireCodec(b *testing.B) {
-	pairs, err := codecPairs()
-	if err != nil {
-		b.Fatal(err)
+//	go test -run '^$' -bench BenchmarkSuite -count 5 ./cmd/sailor-bench
+//	go test -run '^$' -bench 'BenchmarkSuite/replan_novel' ./cmd/sailor-bench
+func BenchmarkSuite(b *testing.B) {
+	for _, row := range perfSuite(1) {
+		b.Run(row.name, row.bench)
 	}
-	b.ResetTimer()
-	codecLoop(b, pairs)
-}
-
-// BenchmarkReplanNovel is the replan_novel/warm-churn row alone: warm
-// replan chains over pools that never repeat, so no stored result answers
-// and every replan searches in full.
-//
-//	go test ./cmd/sailor-bench -run xxx -bench ReplanNovel -benchmem
-func BenchmarkReplanNovel(b *testing.B) {
-	cfg, ev, err := perfLab(core.A100)
-	if err != nil {
-		b.Fatal(err)
-	}
-	traces, err := novelPools()
-	if err != nil {
-		b.Fatal(err)
-	}
-	replans := 0
-	for _, pools := range traces {
-		replans += len(pools)
-	}
-	explored, hits := 0, 0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if explored, hits, err = novelChain(*cfg, ev, 1, traces); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(replans), "replans/op")
-	b.ReportMetric(float64(explored), "explored/op")
-	b.ReportMetric(float64(hits), "cache-hits/op")
 }

@@ -345,28 +345,17 @@ func replayFleet(m sailor.Model, gpus []sailor.GPUType, tr *sailor.Trace, jobs, 
 	}
 	ctx := context.Background()
 	fd := &fleetDoc{Jobs: jobs, JobCapGPUs: cap}
-	events, caps := tr.Events, tr.CapEvents
-	ci := 0
-	for i := 0; i < len(events) || ci < len(caps); {
-		var at time.Duration
-		switch {
-		case i < len(events) && ci < len(caps) && caps[ci].At <= events[i].At:
-			at = caps[ci].At
-		case i < len(events):
-			at = events[i].At
-		default:
-			at = caps[ci].At
-		}
-		step := fleetStep{AtSeconds: at.Seconds()}
-		for ; ci < len(caps) && caps[ci].At == at; ci++ {
-			newCap := caps[ci].GPUs
+	for _, ts := range tr.Steps() {
+		step := fleetStep{AtSeconds: ts.At.Seconds()}
+		for _, c := range ts.Caps {
+			newCap := c.GPUs
 			for _, b := range ledger.SetJobCap(newCap) {
 				step.Broken = append(step.Broken, b.Job)
 			}
 			step.CapGPUs = &newCap
 		}
-		for ; i < len(events) && events[i].At == at; i++ {
-			broken, err := svc.FleetEvent(events[i])
+		for _, ev := range ts.Events {
+			broken, err := svc.FleetEvent(ev)
 			if err != nil {
 				return nil, err
 			}
@@ -381,7 +370,7 @@ func replayFleet(m sailor.Model, gpus []sailor.GPUType, tr *sailor.Trace, jobs, 
 		}
 		step.Rebalance = rsteps
 		if err := ledger.CheckInvariant(); err != nil {
-			return nil, fmt.Errorf("after step t+%s: %w", at, err)
+			return nil, fmt.Errorf("after step t+%s: %w", ts.At, err)
 		}
 		st, err := svc.FleetStats()
 		if err != nil {
@@ -389,7 +378,7 @@ func replayFleet(m sailor.Model, gpus []sailor.GPUType, tr *sailor.Trace, jobs, 
 		}
 		if st.LeasedGPUs > st.CapacityGPUs {
 			return nil, fmt.Errorf("after step t+%s: leased %d GPUs exceed fleet capacity %d",
-				at, st.LeasedGPUs, st.CapacityGPUs)
+				ts.At, st.LeasedGPUs, st.CapacityGPUs)
 		}
 		step.CapacityGPUs, step.FreeGPUs = st.CapacityGPUs, st.FreeGPUs
 		for _, le := range st.Leases {

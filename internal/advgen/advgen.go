@@ -296,23 +296,12 @@ func (h *harness) evaluate(tr *trace.Trace) (Candidate, error) {
 		return Candidate{}, err
 	}
 	var sc Score
-	events, caps := tr.Events, tr.CapEvents
-	ci := 0
-	for i := 0; i < len(events) || ci < len(caps); {
-		var at time.Duration
-		switch {
-		case i < len(events) && ci < len(caps) && caps[ci].At <= events[i].At:
-			at = caps[ci].At
-		case i < len(events):
-			at = events[i].At
-		default:
-			at = caps[ci].At
+	for _, ts := range tr.Steps() {
+		for _, c := range ts.Caps {
+			sc.Churn += len(led.SetJobCap(c.GPUs))
 		}
-		for ; ci < len(caps) && caps[ci].At == at; ci++ {
-			sc.Churn += len(led.SetJobCap(caps[ci].GPUs))
-		}
-		for ; i < len(events) && events[i].At == at; i++ {
-			broken, err := h.svc.FleetEvent(events[i])
+		for _, ev := range ts.Events {
+			broken, err := h.svc.FleetEvent(ev)
 			if err != nil {
 				return Candidate{}, err
 			}
@@ -335,7 +324,7 @@ func (h *harness) evaluate(tr *trace.Trace) (Candidate, error) {
 			}
 		}
 		if err := led.CheckInvariant(); err != nil {
-			return Candidate{}, fmt.Errorf("advgen: candidate broke the ledger invariant at t+%s: %w", at, err)
+			return Candidate{}, fmt.Errorf("advgen: candidate broke the ledger invariant at t+%s: %w", ts.At, err)
 		}
 	}
 	return Candidate{Trace: tr, Score: sc, Doc: doc}, nil

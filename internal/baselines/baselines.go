@@ -187,7 +187,7 @@ func uniformPlan(cfg model.Config, t vmTopology, g core.GPUType, pp, dp, tp, mbs
 	if len(slots) < pp*dp {
 		return core.Plan{}, false
 	}
-	layers := splitEven(cfg.Layers, pp)
+	layers := core.SplitLayers(cfg.Layers, pp)
 	plan := core.Plan{MicroBatchSize: mbs}
 	idx := 0
 	first := 0
@@ -230,7 +230,7 @@ func mixedFillPlan(cfg model.Config, t vmTopology, pp, dp, tp, mbs int) (core.Pl
 	if len(slots) < pp*dp || pp > cfg.Layers {
 		return core.Plan{}, false
 	}
-	layers := splitEven(cfg.Layers, pp)
+	layers := core.SplitLayers(cfg.Layers, pp)
 	plan := core.Plan{MicroBatchSize: mbs}
 	idx := 0
 	first := 0
@@ -244,18 +244,6 @@ func mixedFillPlan(cfg model.Config, t vmTopology, pp, dp, tp, mbs int) (core.Pl
 		first += layers[i]
 	}
 	return plan, true
-}
-
-func splitEven(l, p int) []int {
-	out := make([]int, p)
-	base, rem := l/p, l%p
-	for i := range out {
-		out[i] = base
-		if i < rem {
-			out[i]++
-		}
-	}
-	return out
 }
 
 // powersOfTwo returns 1,2,4,...,<=max.

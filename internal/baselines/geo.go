@@ -101,7 +101,7 @@ func (d *DTFM) spreadPlan(t vmTopology, g core.GPUType, pp, dp, mbs int) (core.P
 	if len(zs) == 0 {
 		return core.Plan{}, false
 	}
-	layers := splitEven(d.Env.Cfg.Layers, pp)
+	layers := core.SplitLayers(d.Env.Cfg.Layers, pp)
 	plan := core.Plan{MicroBatchSize: mbs}
 	zi := 0
 	take := func() (core.Zone, bool) {

@@ -422,7 +422,7 @@ func (f *FlashFlex) balancedPlan(t vmTopology, types []core.GPUType, pp, tp, mbs
 	if dp < 1 || f.Env.Cfg.GlobalBatch < dp*mbs {
 		return core.Plan{}, false
 	}
-	layers := splitEven(f.Env.Cfg.Layers, pp)
+	layers := core.SplitLayers(f.Env.Cfg.Layers, pp)
 	plan := core.Plan{MicroBatchSize: mbs}
 	first := 0
 	for i := 0; i < pp; i++ {

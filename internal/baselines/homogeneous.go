@@ -277,7 +277,7 @@ func (o *Oobleck) Rank(pool *cluster.Pool) (Ranking, error) {
 // templateSplits returns the even split of l layers into pp stages plus all
 // single-boundary perturbations — Oobleck's template family.
 func templateSplits(l, pp int) [][]int {
-	base := splitEven(l, pp)
+	base := core.SplitLayers(l, pp)
 	out := [][]int{base}
 	for b := 0; b < pp-1; b++ {
 		v := append([]int(nil), base...)

@@ -77,6 +77,19 @@ func (s StagePlan) GPUCount() int {
 	return n
 }
 
+// SplitLayers splits l layers into p near-equal contiguous stages: every
+// stage gets l/p layers, and the first l%p one more.
+func SplitLayers(l, p int) []int {
+	out := make([]int, p)
+	for i := range out {
+		out[i] = l / p
+		if i < l%p {
+			out[i]++
+		}
+	}
+	return out
+}
+
 // Plan is a complete job parallelization plan: the pipeline decomposition,
 // the per-stage replicas, and the microbatch size. The global batch size is
 // part of the job spec, not the plan: Sailor never changes it (§4.2).

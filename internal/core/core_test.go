@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -192,5 +193,21 @@ func TestParseObjective(t *testing.T) {
 	}
 	if _, err := ParseObjective("fastest"); err == nil || !strings.Contains(err.Error(), "unknown objective") {
 		t.Errorf("ParseObjective of a bad name = %v, want unknown-objective error", err)
+	}
+}
+
+func TestSplitLayers(t *testing.T) {
+	for _, tc := range []struct {
+		l, p int
+		want []int
+	}{
+		{24, 5, []int{5, 5, 5, 5, 4}},
+		{24, 4, []int{6, 6, 6, 6}},
+		{3, 1, []int{3}},
+		{2, 3, []int{1, 1, 0}},
+	} {
+		if got := SplitLayers(tc.l, tc.p); !slices.Equal(got, tc.want) {
+			t.Errorf("SplitLayers(%d, %d) = %v, want %v", tc.l, tc.p, got, tc.want)
+		}
 	}
 }

@@ -212,15 +212,9 @@ func (e *errStats) row(name string) []string {
 
 // uniformPlan builds a homogeneous plan for estimator sweeps.
 func uniformPlan(cfg model.Config, g core.GPUType, z core.Zone, pp, dp, tp, mbs int) core.Plan {
-	per := cfg.Layers / pp
-	rem := cfg.Layers - per*pp
 	plan := core.Plan{MicroBatchSize: mbs}
 	first := 0
-	for i := 0; i < pp; i++ {
-		n := per
-		if i < rem {
-			n++
-		}
+	for _, n := range core.SplitLayers(cfg.Layers, pp) {
 		st := core.StagePlan{FirstLayer: first, NumLayers: n}
 		for k := 0; k < dp; k++ {
 			st.Replicas = append(st.Replicas, core.StageReplica{GPU: g, TP: tp, Zone: z})

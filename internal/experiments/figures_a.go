@@ -296,7 +296,7 @@ func Figure6(o Opts) (Table, error) {
 			for _, tp := range []int{2, 4, 8} {
 				for _, mbs := range []int{1, 2} {
 					plan := core.Plan{MicroBatchSize: mbs}
-					layers := splitLayers(cfg.Layers, pp)
+					layers := core.SplitLayers(cfg.Layers, pp)
 					first := 0
 					for i := 0; i < pp; i++ {
 						g := types[i%len(types)]
@@ -314,18 +314,6 @@ func Figure6(o Opts) (Table, error) {
 	}
 	return estimationSweep(cfg, plans, types, o, false,
 		"fig6", "Iteration-time estimation error, heterogeneous RTX cluster (paper Fig. 6)")
-}
-
-func splitLayers(l, p int) []int {
-	out := make([]int, p)
-	base, rem := l/p, l%p
-	for i := range out {
-		out[i] = base
-		if i < rem {
-			out[i]++
-		}
-	}
-	return out
 }
 
 // Figure7 regenerates the homogeneous planner comparison: OPT-350M on 32,

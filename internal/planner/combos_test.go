@@ -182,7 +182,7 @@ func TestStageQuotesMatchEvaluator(t *testing.T) {
 		mbs := []int{1, 2, 4}[rng.Intn(3)]
 		d := []int{1, 2, 4, 8, 16}[n%5]
 		nb := memory.Microbatches(cfg.GlobalBatch, d, mbs)
-		layers := partitionLayers(cfg.Layers, pp)
+		layers := core.SplitLayers(cfg.Layers, pp)
 
 		pl := New(cfg, ev, Options{Heuristics: heur, Workers: 1})
 		rs := newRegionState(pool, true)

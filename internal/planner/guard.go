@@ -1,16 +1,17 @@
 package planner
 
-// The fleet capacity guard: a thin validation layer between the planner and
-// a shared cluster-state ledger. In fleet mode (see internal/fleet and
-// sailor.Service) the pool a search runs over is a *free-capacity view* of
-// the whole fleet, not a caller-owned quota; the guard re-checks every plan
-// the planner is about to return — including a warm-start seed carried over
-// from a previous deployment — against that view, so a plan that would
-// oversubscribe the fleet can never leave the search. Validation reuses
-// cluster.Pool.CanFit, the same demand accounting the ledger's leases use,
-// which keeps "fits the guard" and "will be granted a lease" the same
-// predicate up to concurrent ledger motion (which the ledger itself arbitrates
-// under its lock).
+// The capacity guard: a thin validation layer between the planner and a
+// free-capacity view of a shared fleet. It re-checks every plan the planner
+// is about to return — including a warm-start seed carried over from a
+// previous deployment — against that view, so a plan that would
+// oversubscribe it can never leave the search. Validation reuses
+// cluster.Pool.CanFit, the same demand accounting the ledger's leases use.
+//
+// A search over the view itself cannot exceed it (plans place replicas only
+// where the pool has room, a seed must fit the pool, a stored result was
+// solved on a pool of the same shape), so sailor.Service sets no guard. The
+// benchmark module's per-layer replay and this package's tests are its
+// only users.
 
 import (
 	"fmt"

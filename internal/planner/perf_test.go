@@ -33,7 +33,7 @@ func dpLab(tb testing.TB, pool *cluster.Pool, gpus ...core.GPUType) (*Planner, *
 	s := newSearch(pl, context.Background())
 	tb.Cleanup(s.stop)
 	s.bindState(rs, pool)
-	layers := partitionLayers(cfg.Layers, 4)
+	layers := core.SplitLayers(cfg.Layers, 4)
 	t := s.taskFor(0)
 	t.reset(rs, 2)
 	t.init(layers)
@@ -137,7 +137,7 @@ func TestReplanMemoHitAllocCeiling(t *testing.T) {
 func TestScratchReusedAcrossJobs(t *testing.T) {
 	pool := cluster.NewPool().Set(zoneA, core.A100, 16)
 	pl, s, tk, rs, deep := dpLab(t, pool, core.A100)
-	shallow := partitionLayers(pl.Cfg.Layers, 2)
+	shallow := core.SplitLayers(pl.Cfg.Layers, 2)
 	run := func(layers []int) {
 		tk.reset(rs, 2)
 		tk.searchDP(layers, 2)

@@ -98,9 +98,9 @@ type Options struct {
 	// set, or evaluator instance ignores it and searches cold.
 	Warm *WarmCache
 	// Guard, when set, re-validates the returned plan (and any warm-start
-	// seed) against a fleet free-capacity view — the fleet scheduler's
-	// defence against a search accidentally spending capacity other jobs
-	// hold. It never changes which plan the search prefers.
+	// seed) against a free-capacity view. It never changes which plan the
+	// search prefers. Only the benchmark module and this package's tests
+	// set it (see guard.go for why sailor.Service does not).
 	Guard *CapacityGuard
 	// DisableDominancePruning turns off the dominance pruning of stage
 	// compositions inside the DP (see dominance.go). Pruning is exact — the
@@ -396,18 +396,4 @@ func (pl *Planner) appendDCandidates(ds []int, maxD int) []int {
 		}
 	}
 	return ds
-}
-
-// partitionLayers splits L layers into p near-equal contiguous stages.
-func partitionLayers(l, p int) []int {
-	out := make([]int, p)
-	base := l / p
-	rem := l % p
-	for i := range out {
-		out[i] = base
-		if i < rem {
-			out[i]++
-		}
-	}
-	return out
 }

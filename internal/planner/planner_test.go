@@ -333,21 +333,6 @@ func TestPlannedPlanSurvivesGroundTruth(t *testing.T) {
 	}
 }
 
-func TestPartitionLayers(t *testing.T) {
-	got := partitionLayers(24, 5)
-	want := []int{5, 5, 5, 5, 4}
-	sum := 0
-	for i, v := range got {
-		if v != want[i] {
-			t.Fatalf("partitionLayers(24,5) = %v, want %v", got, want)
-		}
-		sum += v
-	}
-	if sum != 24 {
-		t.Fatal("partition must cover all layers")
-	}
-}
-
 func TestPPCandidatesIncludeDivisors(t *testing.T) {
 	pl := newPlanner(t, model.OPT350M(), Options{Objective: core.MaxThroughput}, core.A100)
 	got := pl.ppCandidates()

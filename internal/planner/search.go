@@ -160,7 +160,7 @@ func (s *search) runPass(rs *regionState, pool *cluster.Pool) {
 	}
 	var jobs []job
 	for _, pp := range s.pl.ppCandidates() {
-		layers := partitionLayers(s.pl.Cfg.Layers, pp)
+		layers := core.SplitLayers(s.pl.Cfg.Layers, pp)
 		for _, mbs := range mbsCandidates {
 			jobs = append(jobs, job{layers, mbs})
 		}

@@ -27,8 +27,7 @@ type regionState struct {
 	// words[cell/4] at bit offset (cell%4)*16.
 	words []uint64
 	// wide is the fallback matrix, non-nil only when some count > laneMax.
-	wide  [][]int
-	zones []core.Zone // one synthetic zone per region
+	wide [][]int
 }
 
 // laneShift returns the in-word bit offset of a cell.
@@ -96,7 +95,6 @@ func newRegionState(p *cluster.Pool, mergeZones bool) *regionState {
 			bucketIdx[name] = ri
 			rs.regions = append(rs.regions, name)
 			counts = append(counts, make([]int, len(rs.types)))
-			rs.zones = append(rs.zones, core.Zone{Region: z.Region, Name: name})
 		}
 		for ti, g := range rs.types {
 			counts[ri][ti] += p.Available(z, g)
@@ -143,7 +141,7 @@ func (rs *regionState) totalGPUs() int {
 // copyTo makes dst an independent copy of rs, reusing dst's count storage:
 // the immutable index is shared, the counts are copied.
 func (rs *regionState) copyTo(dst *regionState) {
-	dst.regions, dst.types, dst.zones = rs.regions, rs.types, rs.zones
+	dst.regions, dst.types = rs.regions, rs.types
 	dst.words = append(dst.words[:0], rs.words...)
 	if rs.wide == nil {
 		dst.wide = nil

@@ -202,7 +202,7 @@ func TestLaneClampExact(t *testing.T) {
 			s := newSearch(pl, context.Background())
 			defer s.stop()
 			s.bindState(rs, pool)
-			layers := partitionLayers(cfg.Layers, pp)
+			layers := core.SplitLayers(cfg.Layers, pp)
 			tk := s.taskFor(0)
 			tk.reset(rs, mbs)
 			tk.init(layers)
@@ -284,7 +284,7 @@ func TestSuffixCutExact(t *testing.T) {
 		d := []int{1, 2, 4}[rng.Intn(3)]
 		obj := []core.Objective{core.MaxThroughput, core.MinCost}[n/4%2]
 		nb := memory.Microbatches(cfg.GlobalBatch, d, mbs)
-		layers := partitionLayers(cfg.Layers, pp)
+		layers := core.SplitLayers(cfg.Layers, pp)
 
 		pl := New(cfg, ev, Options{Objective: obj, Heuristics: heur, Workers: 1})
 		rs := newRegionState(pool, heur.H6MergeZones)

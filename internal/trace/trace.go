@@ -64,6 +64,41 @@ func (t *Trace) Clone() *Trace {
 	return out
 }
 
+// Step is one instant of a trace replay: the cap events and then the
+// availability events that take effect at At, each in trace order.
+type Step struct {
+	At     time.Duration
+	Caps   []CapEvent
+	Events []Event
+}
+
+// Steps groups the trace's cap and availability events by instant, in time
+// order. Within an instant the cap events come first, so a quota change
+// takes effect before the availability events of the same instant. The
+// steps' slices share the trace's storage.
+func (t *Trace) Steps() []Step {
+	var steps []Step
+	events, caps := t.Events, t.CapEvents
+	for len(events) > 0 || len(caps) > 0 {
+		var at time.Duration
+		if len(caps) > 0 && (len(events) == 0 || caps[0].At <= events[0].At) {
+			at = caps[0].At
+		} else {
+			at = events[0].At
+		}
+		nc, ne := 0, 0
+		for nc < len(caps) && caps[nc].At == at {
+			nc++
+		}
+		for ne < len(events) && events[ne].At == at {
+			ne++
+		}
+		steps = append(steps, Step{At: at, Caps: caps[:nc:nc], Events: events[:ne:ne]})
+		caps, events = caps[nc:], events[ne:]
+	}
+	return steps
+}
+
 // CapAt returns the per-job GPU cap in force at time at — the latest cap
 // event at or before it — and whether any cap event applies by then.
 func (t *Trace) CapAt(at time.Duration) (int, bool) {

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -80,5 +81,59 @@ func TestSyntheticAndSample(t *testing.T) {
 		if pts[i].Count != w {
 			t.Errorf("sample %d = %d, want %d", i, pts[i].Count, w)
 		}
+	}
+}
+
+// TestSteps pins the replay grouping: one step per instant, in time order,
+// cap events before the availability events of the same instant. Events
+// are told apart by Delta, cap events by GPUs.
+func TestSteps(t *testing.T) {
+	z := core.Zone{Region: "r", Name: "r-a"}
+	ev := func(min, delta int) Event {
+		return Event{At: time.Duration(min) * time.Minute, Zone: z, GPU: core.A100, Delta: delta}
+	}
+	cp := func(min, gpus int) CapEvent { return CapEvent{At: time.Duration(min) * time.Minute, GPUs: gpus} }
+	type step struct {
+		min    int
+		caps   []int // GPUs of each cap event
+		deltas []int // Delta of each availability event
+	}
+	for _, tc := range []struct {
+		name   string
+		events []Event
+		caps   []CapEvent
+		want   []step
+	}{
+		{"empty", nil, nil, nil},
+		{"equal-instants", []Event{ev(0, 1), ev(0, 2), ev(5, 3), ev(5, 4), ev(5, 5)}, nil,
+			[]step{{0, nil, []int{1, 2}}, {5, nil, []int{3, 4, 5}}}},
+		{"only-caps", nil, []CapEvent{cp(1, 8), cp(1, 6), cp(3, 4)},
+			[]step{{1, []int{8, 6}, nil}, {3, []int{4}, nil}}},
+		{"only-events", []Event{ev(2, 1), ev(4, -1)}, nil,
+			[]step{{2, nil, []int{1}}, {4, nil, []int{-1}}}},
+		{"cap-and-event-same-instant", []Event{ev(1, 1), ev(2, 2), ev(4, 3)}, []CapEvent{cp(2, 8), cp(3, 6)},
+			[]step{{1, nil, []int{1}}, {2, []int{8}, []int{2}}, {3, []int{6}, nil}, {4, nil, []int{3}}}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr := &Trace{Horizon: time.Hour, Events: tc.events, CapEvents: tc.caps}
+			got := tr.Steps()
+			if len(got) != len(tc.want) {
+				t.Fatalf("%d steps %+v, want %d", len(got), got, len(tc.want))
+			}
+			for i, w := range tc.want {
+				g := got[i]
+				var caps, deltas []int
+				for _, c := range g.Caps {
+					caps = append(caps, c.GPUs)
+				}
+				for _, e := range g.Events {
+					deltas = append(deltas, e.Delta)
+				}
+				if g.At != time.Duration(w.min)*time.Minute || !slices.Equal(caps, w.caps) || !slices.Equal(deltas, w.deltas) {
+					t.Errorf("step %d = at %v caps %v deltas %v, want at %dm caps %v deltas %v",
+						i, g.At, caps, deltas, w.min, w.caps, w.deltas)
+				}
+			}
+		})
 	}
 }

@@ -417,9 +417,11 @@ type searchReq struct {
 	// led makes this a fleet search: the pool is the ledger's free capacity
 	// (plus the job's own lease) restricted to the job's declared GPU types,
 	// then capped — read once the slot is held, so time spent queueing
-	// cannot stale it — and a capacity guard keeps the search from spending
-	// more than that view. Filtering before capping means the per-job cap
-	// is spent on cells the job can use.
+	// cannot stale it. Filtering before capping means the per-job cap is
+	// spent on cells the job can use. The search cannot spend more than
+	// that view: it places replicas only where the pool has room, seeds
+	// from prev only when the pool fits it, and answers from a stored
+	// result only for a pool of the same shape.
 	led *fleet.Ledger
 	// prev is the incumbent to replan from; empty searches unseeded.
 	prev Plan
@@ -446,7 +448,6 @@ func (s *Service) search(ctx context.Context, name string, j *serviceJob, q sear
 		if q.pool.TotalGPUs() == 0 {
 			return PlanResult{}, fmt.Errorf("sailor: fleet has no free capacity for job %q", name)
 		}
-		opts.Guard = planner.NewCapacityGuard(q.pool)
 	}
 	if q.warm {
 		opts.Warm = j.warm
